@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import frac_identity, homology_maps
 from .grouprings import (
+    DEFAULT_DEPTH,
     EQUAL,
     UNKNOWN,
     FreeGroup,
@@ -44,7 +46,8 @@ from .reidemeister import (
     EquivariantChainComplex,
     LiftedSelfMap,
     TwistedChainMap,
-    fox_derivative,
+    degree1_boundary,
+    degree1_fox_lift,
     lift_self_map,
     reidemeister_trace_chain,
 )
@@ -57,8 +60,6 @@ from .simplicial import (
     induced_chain_map,
     lefschetz_number,
 )
-
-DEFAULT_DEPTH = 8
 
 
 class BundleError(ValueError):
@@ -333,6 +334,24 @@ class BundleSelfMapPair:
                 raise BundleError(
                     f"fiber maps are not compatible with transport over {e}")
 
+    # -- total space, built at most once per pair ---------------------------
+
+    @cached_property
+    def total(self) -> Tuple["TotalSpace", SimplicialMap]:
+        """Total space and total self-map, from one ``total_map`` call."""
+        return total_map(self)
+
+    @cached_property
+    def total_lift(self) -> LiftedSelfMap:
+        """Universal-cover lift of the total map.
+
+        Kept apart from ``total`` and built on first use: a total space
+        whose fundamental group is unsupported still serves the Lefschetz
+        side.
+        """
+        total, f = self.total
+        return lift_self_map(total.complex, f)
+
     # -- base invariants ---------------------------------------------------
 
     def base_endomorphism(self) -> GroupEndomorphism:
@@ -349,30 +368,21 @@ class BundleSelfMapPair:
         """Lift of the base map on the tree-contracted chain model."""
         base = self.bundle.base
         group = base.group
-        k = len(base.generator_edges)
-        rows = []
-        for j in range(k):
-            g = ((j, 1),)
-            rows.append([GroupRingElement(group, [(g, 1), (group.identity(), -1)])])
-        b1 = GroupRingMatrix(group, k, 1, [x for r in rows for x in r])
-        cover = EquivariantChainComplex(group, [1, k], [b1])
-        endo = self.base_endomorphism()
+        gens = [((j, 1),) for j in range(len(base.generator_edges))]
+        cover = EquivariantChainComplex(group, [1, len(gens)],
+                                        [degree1_boundary(group, gens)])
         g0 = base.word_of(self.basepath)
         f0 = GroupRingMatrix(group, 1, 1, [GroupRingElement.of(group, g0)])
-        ident = lambda w: reduce_word(w)
-        ent = []
-        for e in base.generator_edges:
-            u = base.word_of(self.base_map.apply_word(base.generator_loop(e)))
-            for j in range(k):
-                d = fox_derivative(u, j, ident, group)
-                ent.append(GroupRingElement.of(group, g0) * d)
-        f1 = GroupRingMatrix(group, k, k, ent)
-        return TwistedChainMap(cover, endo, [f0, f1])
+        words = [base.word_of(self.base_map.apply_word(base.generator_loop(e)))
+                 for e in base.generator_edges]
+        f1 = degree1_fox_lift(group, g0, words, reduce_word)
+        return TwistedChainMap(cover, self.base_endomorphism(), [f0, f1])
 
 
-def base_reidemeister(pair: BundleSelfMapPair) -> ShadowElement:
+def base_reidemeister(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
+                      ) -> ShadowElement:
     """Reidemeister trace of the base map, computed at chain level."""
-    return reidemeister_trace_chain(pair.base_lift())
+    return reidemeister_trace_chain(pair.base_lift(), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -647,16 +657,15 @@ def total_space(bundle: DiscreteBundle) -> TotalSpace:
                       center_by_corners=center_by_corners)
 
 
-def total_map(pair: BundleSelfMapPair, total: Optional[TotalSpace] = None
-              ) -> Tuple[TotalSpace, SimplicialMap]:
-    """Simplicial self-map of the total space covering the base map.
+def total_map(pair: BundleSelfMapPair) -> Tuple[TotalSpace, SimplicialMap]:
+    """Total space and its simplicial self-map covering the base map.
 
     Constructed automatically when every edge maps to a word of length at
     most one; otherwise the pair must supply total vertex images, which
-    are validated against the projection and the fiber maps.
+    are validated against the projection and the fiber maps.  Callers
+    that hold a pair read ``pair.total``, which calls this once.
     """
-    if total is None:
-        total = total_space(pair.bundle)
+    total = total_space(pair.bundle)
     base = pair.bundle.base
     k = total.complex
     if pair.total_map_images is not None:
@@ -768,32 +777,10 @@ def _validate_total_map(pair: BundleSelfMapPair, total: TotalSpace,
 
 
 # ---------------------------------------------------------------------------
-# Total-space context for the Reidemeister side
+# Fiberwise data pushed into the total space
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TotalContext:
-    total: TotalSpace
-    map: SimplicialMap
-    lifted: LiftedSelfMap
-
-    @property
-    def group(self):
-        return self.lifted.presentation.group
-
-    @property
-    def endo(self):
-        return self.lifted.endo
-
-
-def total_context(pair: BundleSelfMapPair) -> TotalContext:
-    total, f = total_map(pair)
-    lifted = lift_self_map(total.complex, f)
-    return TotalContext(total=total, map=f, lifted=lifted)
-
-
 def refined_reidemeister(pair: BundleSelfMapPair, c: BasePathClass,
-                         ctx: TotalContext,
                          depth: int = DEFAULT_DEPTH) -> ShadowElement:
     """Pushforward of the fiber Reidemeister trace of the class composite.
 
@@ -802,15 +789,16 @@ def refined_reidemeister(pair: BundleSelfMapPair, c: BasePathClass,
     from the reversed lift track of the class path, exactly the whiskering
     that identifies a fiber fixed point with a total-space fixed point.
     """
-    base = pair.bundle.base
     b = c.base_vertex
     fb = pair.base_map.vertex_images[b]
     gamma = list(c.gamma)
     k_map = fiber_composite(pair, b, gamma)
     fiber = pair.bundle.fiber(b)
-    pe = ctx.lifted.presentation
-    te = ctx.total.complex
-    result = ShadowElement.zero(ctx.group, ctx.endo)
+    total, f_total = pair.total
+    lifted = pair.total_lift
+    pe = lifted.presentation
+    te = total.complex
+    result = ShadowElement.zero(pe.group, lifted.endo)
     for comp in fiber.components():
         comp_ids = set(fiber.vertices[i] for i in comp)
         if any(k_map.vertex_images[x] not in comp_ids for x in comp_ids):
@@ -819,48 +807,41 @@ def refined_reidemeister(pair: BundleSelfMapPair, c: BasePathClass,
         k_sub = SimplicialMap(sub, sub, {x: k_map.vertex_images[x]
                                          for x in sub.vertices})
         lifted_f = lift_self_map(sub, k_sub)
-        r_comp = lifted_f.trace()
+        r_comp = lifted_f.trace(depth)
         pf = lifted_f.presentation
         x0 = sub.vertices[0]
         # alpha: total-space tree path from the total basepoint to x0
         x0_total = te.index[("v", b, x0)]
-        alpha = _index_path(pe, x0_total)
+        alpha = pe.tree_path(x0_total)
         # iota on the surviving generators: fiber loops whiskered by alpha
         images = []
         for gi in pf._final_gens:
-            (u, v) = pf.generators[gi]
-            loop_ids = [(sub.vertices[a], sub.vertices[bb]) for (a, bb) in
-                        (pf.tree_path(u) + [(u, v)]
-                         + [(y, x) for (x, y) in reversed(pf.tree_path(v))])]
-            loop_total = ctx.total.embed_fiber_path(b, loop_ids)
+            loop_ids = [(sub.vertices[a], sub.vertices[bb])
+                        for (a, bb) in pf.generator_loop(gi)]
+            loop_total = total.embed_fiber_path(b, loop_ids)
             word = alpha + loop_total + _reverse_index_path(alpha)
             images.append(pe.element_of_path(word))
         iota = GroupHomomorphism(pf.group, pe.group, images)
         # correction word
         beta_f_ids = [(sub.vertices[a], sub.vertices[bb])
                       for (a, bb) in lifted_f.basepath]
-        beta_f = ctx.total.embed_fiber_path(b, beta_f_ids)
+        beta_f = total.embed_fiber_path(b, beta_f_ids)
         y0 = pair.fiber_maps[b].vertex_images[x0]
-        track_path, end_vertex = ctx.total.transport_track(
+        track_path, end_vertex = total.transport_track(
             reverse_word(gamma), fb, y0)
         if end_vertex != k_map.vertex_images[x0]:
             raise BundleError("lift track does not land on the composite image")
         rho = _as_index_steps(te, list(reversed(track_path)))
-        f_alpha = [(ctx.map.apply_index(a), ctx.map.apply_index(bb))
+        f_alpha = [(f_total.apply_index(a), f_total.apply_index(bb))
                    for (a, bb) in alpha]
-        beta_e = list(ctx.lifted.basepath)
+        beta_e = list(lifted.basepath)
         word = (alpha + beta_f + rho + _reverse_index_path(f_alpha)
                 + _reverse_index_path(beta_e))
         w_elem = pe.element_of_path(word)
-        pushed = pushforward(iota, lifted_f.endo, ctx.endo, w_elem,
+        pushed = pushforward(iota, lifted_f.endo, lifted.endo, w_elem,
                              r_comp, depth)
         result = result + pushed
     return result
-
-
-def _index_path(p, target_index: int) -> List[Tuple[int, int]]:
-    """Spanning-tree path (index steps) from the presentation basepoint."""
-    return p.tree_path(target_index)
 
 
 def _reverse_index_path(steps: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -913,9 +894,9 @@ def verify_lefschetz_mult(pair: BundleSelfMapPair,
                           depth: int = DEFAULT_DEPTH) -> VerificationReport:
     """Check L(total map) against the index-weighted fiberwise values."""
     flags: List[str] = []
-    ctx_total, tmap = total_map(pair)
+    _, tmap = pair.total
     lhs = lefschetz_number(tmap)
-    rbar = base_reidemeister(pair)
+    rbar = base_reidemeister(pair, depth)
     if rbar.has_heuristic:
         flags.append(f"heuristic base classes (depth {depth})")
     rows = []
@@ -940,16 +921,16 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
                              depth: int = DEFAULT_DEPTH) -> VerificationReport:
     """Check R(total map) against the pushed fiberwise Reidemeister data."""
     flags: List[str] = []
-    ctx = total_context(pair)
-    lhs = reidemeister_trace_chain(ctx.lifted.chain_map)
-    rbar = base_reidemeister(pair)
+    lifted = pair.total_lift
+    lhs = lifted.trace(depth)
+    rbar = base_reidemeister(pair, depth)
     if rbar.has_heuristic:
         flags.append(f"heuristic base classes (depth {depth})")
     rows = []
-    rhs = ShadowElement.zero(ctx.group, ctx.endo)
+    rhs = ShadowElement.zero(lifted.presentation.group, lifted.endo)
     for cls, ind in rbar.items():
         bpc = class_of_element(pair, cls.rep, depth)
-        pushed = refined_reidemeister(pair, bpc, ctx, depth)
+        pushed = refined_reidemeister(pair, bpc, depth)
         rows.append({"class": class_label(cls), "ind": ind,
                      "fiber_reidemeister": shadow_rendering(pushed)})
         rhs = rhs + pushed.scale(ind)
@@ -976,17 +957,16 @@ def nielsen_additivity(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
     Returns (N(total), sum of the per-class counts, per-class table);
     raises IndeterminateError when any comparison is Unknown.
     """
-    ctx = total_context(pair)
-    lhs = reidemeister_trace_chain(ctx.lifted.chain_map)
+    lhs = pair.total_lift.trace(depth)
     n_total = nielsen(lhs, depth)
-    rbar = base_reidemeister(pair)
+    rbar = base_reidemeister(pair, depth)
     per_class: List[Tuple[str, int]] = []
     total = 0
     for cls, ind in rbar.items():
         if ind == 0:
             continue
         bpc = class_of_element(pair, cls.rep, depth)
-        pushed = refined_reidemeister(pair, bpc, ctx, depth)
+        pushed = refined_reidemeister(pair, bpc, depth)
         c = nielsen(pushed, depth)
         per_class.append((class_label(cls), c))
         total += c

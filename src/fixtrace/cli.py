@@ -31,6 +31,7 @@ from .bundles import (
 )
 from .exactalg import ExactAlgError, hopf_chain_trace, homology, lefschetz_from_homology
 from .grouprings import (
+    DEFAULT_DEPTH,
     GroupError,
     IndeterminateError,
     augment,
@@ -49,6 +50,7 @@ from .simplicial import (
     build_complex,
     chain_complex,
     induced_chain_map,
+    lefschetz_number,
 )
 
 EXIT_OK = 0
@@ -373,7 +375,7 @@ def cmd_reidemeister(args) -> int:
             "reidemeister", digest, [], lhs=None, rhs=None,
             verdict="unsupported", flags=[str(exc)]))
         return EXIT_UNSUPPORTED
-    trace = lifted.trace()
+    trace = lifted.trace(args.depth)
     group = lifted.presentation.group
     if trace.has_heuristic:
         flags.append(f"heuristic classes (depth {args.depth})")
@@ -381,7 +383,7 @@ def cmd_reidemeister(args) -> int:
                "certain": cls.is_certain}
               for cls, c in trace.items()]
     aug = augment(trace)
-    chain_l = hopf_chain_trace(induced_chain_map(f))
+    chain_l = lefschetz_number(f)
     verdict = "pass" if aug == chain_l else "fail"
     try:
         n = nielsen(trace, args.depth)
@@ -538,6 +540,14 @@ def cmd_catalog(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def nonnegative_int(text: str) -> int:
+    """Argument type of ``--depth``: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"depth must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fixtrace",
@@ -556,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reidemeister",
                        help="Reidemeister trace / Nielsen number")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=nonnegative_int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_reidemeister)
 
     p = sub.add_parser("bundle-verify",
@@ -564,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--theorem", choices=["lefschetz", "reidemeister", "both"],
                    default="both")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=nonnegative_int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_bundle_verify)
 
     p = sub.add_parser("catalog", help="list or emit bundled fixtures")

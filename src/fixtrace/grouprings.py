@@ -20,6 +20,7 @@ group-ring matrices and of Reidemeister traces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -339,13 +340,15 @@ class TwistedClass:
 
 
 class _FreeAbelianClassifier:
-    """Cokernel data of (I - A) used to canonicalize Z^n twisted classes."""
+    """Cokernel data of (I - A) used to canonicalize Z^n twisted classes.
 
-    def __init__(self, endo: GroupEndomorphism):
-        n = endo.group.rank
-        a = endo.matrix()
-        i_minus_a = IntMatrix.identity(n) - a
-        sf = smith_normal_form(i_minus_a)
+    A is the endomorphism's matrix on the abelianization, so the same data
+    gives the abelianized class key of a free-group element.
+    """
+
+    def __init__(self, a: IntMatrix):
+        n = a.rows
+        sf = smith_normal_form(IntMatrix.identity(n) - a)
         self.u = sf.U
         self.u_inv = sf.Uinv
         self.diag = [sf.S[i, i] for i in range(n)]
@@ -381,27 +384,34 @@ class _FreeAbelianClassifier:
         return reps
 
 
-_fa_cache: Dict[int, _FreeAbelianClassifier] = {}
+_FA_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_FA_CACHE_SIZE)
+def _classifier_of_matrix(a: IntMatrix) -> _FreeAbelianClassifier:
+    return _FreeAbelianClassifier(a)
 
 
 def _fa_classifier(endo: GroupEndomorphism) -> _FreeAbelianClassifier:
-    key = (endo.group.rank, tuple(tuple(img) for img in endo.images))
-    cached = _fa_cache.get(key)
-    if cached is None:
-        cached = _FreeAbelianClassifier(endo)
-        _fa_cache[key] = cached
-    return cached
+    """Classifier of the endomorphism, memoized on its abelianization matrix
+    (the rank and the abelianized generator images)."""
+    return _classifier_of_matrix(endo.matrix())
 
 
-def _cyclic_normal_form(word):
-    """Shortlex-minimal cyclic rotation of the cyclic reduction."""
+def cyclic_reduce(word):
+    """Free reduction, then strip letters cancelling around the cycle."""
     w = list(reduce_word(word))
     while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
         w = w[1:-1]
+    return tuple(w)
+
+
+def cyclic_normal_form(word):
+    """Shortlex-minimal cyclic rotation of the cyclic reduction."""
+    w = cyclic_reduce(word)
     if not w:
         return ()
-    rotations = [tuple(w[i:] + w[:i]) for i in range(len(w))]
-    return min(rotations)
+    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 def _free_rank1_exponent(word) -> int:
@@ -460,7 +470,7 @@ def twisted_class(group, endo: GroupEndomorphism, g,
         rep = ((0, 1),) * r if r > 0 else ((0, -1),) * (-r) if r < 0 else ()
         return TwistedClass(key=r, rep=rep, certainty=CERTAIN)
     if endo.is_identity():
-        nf = _cyclic_normal_form(g)
+        nf = cyclic_normal_form(g)
         return TwistedClass(key=nf, rep=nf, certainty=CERTAIN)
     # bounded search with restart from each new minimum
     current = g
@@ -478,20 +488,6 @@ DISTINCT = "distinct"
 UNKNOWN = "unknown"
 
 
-def _abelianized_class_key(group: FreeGroup, endo: GroupEndomorphism, g):
-    n = group.rank
-    a = endo.matrix()
-    i_minus_a = IntMatrix.identity(n) - a
-    sf = smith_normal_form(i_minus_a)
-    v = group.abelianized(g)
-    w = [sum(sf.U[i, j] * v[j] for j in range(n)) for i in range(n)]
-    out = []
-    for x, i in zip(w, range(n)):
-        d = sf.S[i, i]
-        out.append(x % d if d != 0 else x)
-    return tuple(out)
-
-
 def classes_equal(group, endo: GroupEndomorphism, g, h,
                   depth: int = DEFAULT_DEPTH) -> str:
     """Decide whether [g] = [h]; free groups of rank >= 2 may answer Unknown."""
@@ -502,7 +498,8 @@ def classes_equal(group, endo: GroupEndomorphism, g, h,
         a = twisted_class(group, endo, g, depth)
         b = twisted_class(group, endo, h, depth)
         return EQUAL if a.key == b.key else DISTINCT
-    if _abelianized_class_key(group, endo, g) != _abelianized_class_key(group, endo, h):
+    cl = _fa_classifier(endo)
+    if cl.reduce(group.abelianized(g)) != cl.reduce(group.abelianized(h)):
         return DISTINCT
     ball_g = _free_orbit_ball(group, endo, g, depth)
     if h in ball_g:

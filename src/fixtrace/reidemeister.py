@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .grouprings import (
+    DEFAULT_DEPTH,
     GroupEndomorphism,
     GroupRingElement,
     GroupRingMatrix,
@@ -75,6 +76,31 @@ def fox_derivative(word: Word, gen: int, element_of_word: Callable[[Word], objec
             if g == gen:
                 terms.append((element_of_word(tuple(prefix)), -1))
     return GroupRingElement(group, terms)
+
+
+def degree1_boundary(group, loops: Sequence) -> GroupRingMatrix:
+    """Boundary column g_e - 1 of the 1-cells of a one-vertex model.
+
+    ``loops`` holds the group element g_e of each 1-cell's loop.
+    """
+    return GroupRingMatrix(group, len(loops), 1, [
+        GroupRingElement(group, [(g_e, 1), (group.identity(), -1)])
+        for g_e in loops])
+
+
+def degree1_fox_lift(group, g0, words: Sequence[Word],
+                     element_of_word: Callable[[Word], object]
+                     ) -> GroupRingMatrix:
+    """Degree-1 lift component: entry (e, j) is g0 * d(w_e)/d(x_j).
+
+    ``words`` are the image words of the 1-cells' loops, one per 1-cell,
+    and ``g0`` is the group element of the basepath.
+    """
+    n = len(words)
+    g0_elem = GroupRingElement.of(group, g0)
+    return GroupRingMatrix(group, n, n, [
+        g0_elem * fox_derivative(w, j, element_of_word, group)
+        for w in words for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +216,8 @@ def lift_to_universal_cover(k: SimplicialComplex, p: Pi1Presentation
     boundaries: List[GroupRingMatrix] = []
     if gens or k.dim >= 1:
         ranks.append(len(gens))
-        rows = []
-        for gi in range(len(gens)):
-            g_e = p.element_of_word(((gi, 1),))
-            entry = GroupRingElement(group, [(g_e, 1), (group.identity(), -1)])
-            rows.append([entry])
-        b1 = GroupRingMatrix(group, len(gens), 1,
-                             [x for row in rows for x in row])
-        boundaries.append(b1)
+        boundaries.append(degree1_boundary(
+            group, [p.element_of_word(((gi, 1),)) for gi in range(len(gens))]))
     two = tuple(k.n_simplices(2))
     if two:
         ranks.append(len(two))
@@ -245,18 +265,10 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     def image_steps(steps):
         return [(f.apply_index(a), f.apply_index(b)) for a, b in steps]
 
-    gens = p.generators
     if l.top_degree >= 1:
-        n1 = l.rank(1)
-        ent1 = []
-        for gi, (u, v) in enumerate(gens):
-            loop = p.tree_path(u) + [(u, v)] + [(y, x) for (x, y)
-                                                in reversed(p.tree_path(v))]
-            w = p.word_of_path(image_steps(loop))
-            for j in range(n1):
-                d = fox_derivative(w, j, p.element_of_word, group)
-                ent1.append(GroupRingElement.of(group, g0) * d)
-        comps.append(GroupRingMatrix(group, n1, n1, ent1))
+        words = [p.word_of_path(image_steps(p.generator_loop(gi)))
+                 for gi in range(len(p.generators))]
+        comps.append(degree1_fox_lift(group, g0, words, p.element_of_word))
     if l.top_degree >= 2:
         two = l.two_simplices
         pos = {s: i for i, s in enumerate(two)}
@@ -285,11 +297,12 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     return TwistedChainMap(l, endo, comps)
 
 
-def reidemeister_trace_chain(m: TwistedChainMap) -> ShadowElement:
+def reidemeister_trace_chain(m: TwistedChainMap,
+                             depth: int = DEFAULT_DEPTH) -> ShadowElement:
     """Alternating sum of twisted traces of the components."""
     total = ShadowElement.zero(m.complex.group, m.endo)
     for i in range(m.complex.top_degree + 1):
-        t = twisted_hs_trace(m.component(i), m.endo)
+        t = twisted_hs_trace(m.component(i), m.endo, depth)
         total = total + (t if i % 2 == 0 else t.scale(-1))
     return total
 
@@ -307,8 +320,8 @@ class LiftedSelfMap:
     def endo(self) -> GroupEndomorphism:
         return self.chain_map.endo
 
-    def trace(self) -> ShadowElement:
-        return reidemeister_trace_chain(self.chain_map)
+    def trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
+        return reidemeister_trace_chain(self.chain_map, depth)
 
 
 def lift_self_map(k: SimplicialComplex, f: SimplicialMap, basepoint=None,
@@ -354,7 +367,7 @@ class FixedPointRecord:
 
 def reidemeister_trace_geometric(records: Sequence[FixedPointRecord], group,
                                  endo: GroupEndomorphism,
-                                 depth: int = 8) -> ShadowElement:
+                                 depth: int = DEFAULT_DEPTH) -> ShadowElement:
     """Sum of index-weighted twisted classes of the fixed-point witnesses."""
     terms = []
     for r in records:

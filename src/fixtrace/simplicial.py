@@ -20,11 +20,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .exactalg import ChainComplex, ChainMap, IntMatrix, lefschetz_from_homology
+from .exactalg import ChainComplex, ChainMap, IntMatrix, hopf_chain_trace
 from .grouprings import (
     FreeAbelianGroup,
     FreeGroup,
     GroupEndomorphism,
+    cyclic_normal_form,
+    cyclic_reduce,
     invert_word,
     reduce_word,
 )
@@ -333,10 +335,15 @@ def induced_chain_map(f: SimplicialMap) -> ChainMap:
 
 
 def lefschetz_number(f: SimplicialMap) -> int:
-    """Alternating sum of traces on rational homology of a self-map."""
+    """Lefschetz number of a self-map, by the Hopf trace theorem.
+
+    The alternating sum of chain-level traces equals the alternating sum of
+    traces on rational homology; ``exactalg.lefschetz_from_homology`` is the
+    homology route, kept as an independent cross-check.
+    """
     if not f.is_endomorphism():
         raise SimplicialError("lefschetz_number requires a self-map")
-    return lefschetz_from_homology(induced_chain_map(f))
+    return hopf_chain_trace(induced_chain_map(f))
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +391,6 @@ def _substitute(word: Word, mapping: Dict[int, Word]) -> Word:
     return reduce_word(out)
 
 
-def _cyclic_reduce(word: Word) -> Word:
-    w = list(reduce_word(word))
-    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-def _cyclic_canonical(word: Word) -> Word:
-    w = _cyclic_reduce(word)
-    if not w:
-        return ()
-    forms = [tuple(w[i:] + w[:i]) for i in range(len(w))]
-    wi = list(invert_word(w))
-    forms += [tuple(wi[i:] + wi[:i]) for i in range(len(wi))]
-    return min(forms)
-
-
 _MAX_RELATOR_LENGTH = 4096
 
 
@@ -419,10 +409,10 @@ def _simplify_presentation(ngens: int, relators: List[Word]):
         seen = set()
         out = []
         for r in rels_in:
-            r = _cyclic_reduce(r)
+            r = cyclic_reduce(r)
             if not r:
                 continue
-            canon = _cyclic_canonical(r)
+            canon = min(cyclic_normal_form(r), cyclic_normal_form(invert_word(r)))
             if canon in seen:
                 continue
             seen.add(canon)
@@ -463,7 +453,7 @@ def _simplify_presentation(ngens: int, relators: List[Word]):
 
 def _is_commutator_pattern(word: Word) -> Optional[Tuple[int, int]]:
     """Detect words cyclically of the form x^a y^b x^-a y^-b with a,b = +-1."""
-    w = _cyclic_reduce(word)
+    w = cyclic_reduce(word)
     if len(w) != 4:
         return None
     (g0, e0), (g1, e1), (g2, e2), (g3, e3) = w
@@ -526,11 +516,11 @@ class Pi1Presentation:
             out.extend(self.letter_of_step(a, b))
         return reduce_word(out)
 
-    def loop_word(self, vertex_a: int, vertex_b: int) -> Word:
-        """Word of the loop tree(a) . edge(a,b) . tree(b)^-1."""
-        return self.word_of_path(
-            self.tree_path(vertex_a) + [(vertex_a, vertex_b)]
-            + [(y, x) for (x, y) in reversed(self.tree_path(vertex_b))])
+    def generator_loop(self, gen: int) -> List[Tuple[int, int]]:
+        """Edge path tree(u) . (u, v) . tree(v)^-1 of the generator edge (u, v)."""
+        (u, v) = self.generators[gen]
+        return (self.tree_path(u) + [(u, v)]
+                + [(y, x) for (x, y) in reversed(self.tree_path(v))])
 
     def element_of_word(self, word: Word):
         """Image of a generator word in the recognized group."""
@@ -691,9 +681,6 @@ def induced_pi1_endo(f: SimplicialMap, p: Pi1Presentation,
 
     images = []
     for g in p._final_gens:
-        (u, v) = p.generators[g]
-        loop = p.tree_path(u) + [(u, v)] + [(y, x) for (x, y)
-                                            in reversed(p.tree_path(v))]
-        w = reduce_word(beta + image_word(loop) + invert_word(beta))
+        w = reduce_word(beta + image_word(p.generator_loop(g)) + invert_word(beta))
         images.append(p.element_of_word(w))
     return GroupEndomorphism(p.group, images)

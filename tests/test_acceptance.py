@@ -15,7 +15,6 @@ from fixtrace.bundles import (
     fiber_composite,
     fiber_composite_for_class,
     nielsen_additivity,
-    total_context,
     total_space,
     verify_lefschetz_mult,
     verify_reidemeister_mult,
@@ -138,14 +137,15 @@ def test_criterion_2_double_cover_reidemeister():
     rep = verify_reidemeister_mult(pair)
     assert rep.passed
     assert sorted(rep.lhs) == sorted(rep.rhs) == [["[0]", 1], ["[1]", 1]]
-    ctx = total_context(pair)
+    lifted = pair.total_lift
+    group = lifted.presentation.group
     # total fundamental group is Z with the inversion endomorphism
-    assert ctx.group.rank == 1
-    assert ctx.endo.images[0] == ((0, -1),)
+    assert group.rank == 1
+    assert lifted.endo.images[0] == ((0, -1),)
     oracle = cat.double_cover_oracle()
-    records = cat.materialize_records(oracle["records"], ctx.group)
-    geo = reidemeister_trace_geometric(records, ctx.group, ctx.endo)
-    lhs = reidemeister_trace_chain(ctx.lifted.chain_map)
+    records = cat.materialize_records(oracle["records"], group)
+    geo = reidemeister_trace_geometric(records, group, lifted.endo)
+    lhs = reidemeister_trace_chain(lifted.chain_map)
     assert shadow_equal(lhs, geo) == EQUAL
     report(2, "double cover: both sides [0]+[1] over (Z, -1); matches the "
               "conjugation fixed-point oracle")
@@ -293,9 +293,12 @@ def test_criterion_7_augmentation_identity():
                  cat.trivial_product_pair("reflection", "reflection"),
                  cat.trivial_product_pair("constant", "identity"),
                  cat.fixed_point_free_rotation_pair()]:
-        ctx = total_context(pair)
-        assert (augment(reidemeister_trace_chain(ctx.lifted.chain_map))
-                == lefschetz_number(ctx.map))
+        _, f = pair.total
+        assert (augment(reidemeister_trace_chain(pair.total_lift.chain_map))
+                == lefschetz_number(f))
+        # the homology route stays checked on total spaces
+        assert (lefschetz_from_homology(induced_chain_map(f))
+                == verify_lefschetz_mult(pair).lhs)
         checked += 1
     report(7, f"augment(R(f)) = L(f) on {checked} fixtures")
 

@@ -10,7 +10,6 @@ from fixtrace.bundles import (
     nielsen_additivity,
     refined_lefschetz,
     refined_reidemeister,
-    total_context,
     total_map,
     total_space,
     transport,
@@ -287,11 +286,12 @@ def test_verify_reidemeister_example():
 def test_verify_reidemeister_example_against_oracle():
     from fixtrace.catalog import materialize_records
     pair = double_cover_reflection_pair()
-    ctx = total_context(pair)
-    lhs = ctx.lifted.trace()
+    lifted = pair.total_lift
+    group = lifted.presentation.group
+    lhs = lifted.trace()
     oracle = double_cover_oracle()
-    records = materialize_records(oracle["records"], ctx.group)
-    geo = reidemeister_trace_geometric(records, ctx.group, ctx.endo)
+    records = materialize_records(oracle["records"], group)
+    geo = reidemeister_trace_geometric(records, group, lifted.endo)
     assert shadow_equal(lhs, geo) == EQUAL
 
 
@@ -315,8 +315,7 @@ def test_reflection_product_lattice_oracle():
     # base reflection x fiber reflection is the torus map -I:
     # N = det(I-(-I)) = 4 classes, all coefficients +1
     pair = trivial_product_pair("reflection", "reflection")
-    ctx = total_context(pair)
-    r = ctx.lifted.trace()
+    r = pair.total_lift.trace()
     assert augment(r) == 4
     assert nielsen(r) == 4
     assert all(c == 1 for _, c in r.items())
@@ -423,6 +422,21 @@ def test_klein_bottle_reidemeister_unsupported():
     pair = klein_bundle_pair()
     with pytest.raises(UnsupportedComplexError):
         verify_reidemeister_mult(pair)
+
+
+def test_klein_bottle_cli_both_prints_lefschetz_table(tmp_path, capsys):
+    import json
+    from fixtrace.cli import EXIT_UNSUPPORTED, main, serialize_pair
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps(serialize_pair(klein_bundle_pair())),
+                    encoding="utf-8")
+    code = main(["bundle-verify", str(path), "--theorem", "both"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == EXIT_UNSUPPORTED
+    assert rep["verdict"] == "unsupported"
+    assert [t["theorem"] for t in rep["tables"]] == ["lefschetz"]
+    assert rep["lhs"] == {"lefschetz": 0}
+    assert rep["rhs"] == {"lefschetz": 0}
 
 
 def test_larger_fiber_product():
@@ -581,12 +595,11 @@ def test_class_disjointness():
     # distinct base classes push to disjoint total-space class sets
     for pair in [double_cover_reflection_pair(),
                  trivial_product_pair("reflection", "reflection")]:
-        ctx = total_context(pair)
         rbar = base_reidemeister(pair)
         supports = []
         for cls, ind in rbar.items():
             bpc = class_of_element(pair, cls.rep)
-            pushed = refined_reidemeister(pair, bpc, ctx)
+            pushed = refined_reidemeister(pair, bpc)
             supports.append(set(pushed.terms.keys()))
         for i in range(len(supports)):
             for j in range(i + 1, len(supports)):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fixtrace import catalog as cat
 from fixtrace.cli import (
     EXIT_INPUT,
@@ -211,6 +213,45 @@ def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
     assert code == EXIT_UNSUPPORTED
     assert json.loads(out)["verdict"] in ("indeterminate", "unsupported")
+
+
+def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
+                                                       monkeypatch):
+    from fixtrace import bundles
+    pair = cat.trivial_product_pair("reflection", "reflection")
+    path = write(tmp_path, "pair.json", serialize_pair(pair))
+    built = []
+    lifted = []
+    real_total_space = bundles.total_space
+    real_lift = bundles.lift_self_map
+
+    def counting_total_space(bundle):
+        total = real_total_space(bundle)
+        built.append(total.complex)
+        return total
+
+    def counting_lift(k, f, *args, **kwargs):
+        lifted.append(k)
+        return real_lift(k, f, *args, **kwargs)
+
+    monkeypatch.setattr(bundles, "total_space", counting_total_space)
+    monkeypatch.setattr(bundles, "lift_self_map", counting_lift)
+    code, out, _ = run_cli(capsys, "bundle-verify", path)
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] == "pass"
+    assert len(built) == 1
+    assert sum(1 for k in lifted if k == built[0]) == 1
+
+
+def test_negative_depth_exit2(tmp_path, capsys):
+    path = write(tmp_path, "map.json", reflection_doc())
+    for command in ("reidemeister", "bundle-verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--depth", "-1"])
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "depth must be nonnegative" in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_counting_by_determinant():
         assert len({twisted_class(g, endo, r).key for r in reps}) == abs(det)
 
 
+def test_classifier_cache_is_bounded():
+    from fixtrace.grouprings import (_FA_CACHE_SIZE, _classifier_of_matrix,
+                                     _fa_classifier)
+    g = FreeAbelianGroup(1)
+    for d in range(_FA_CACHE_SIZE + 10):
+        endo = GroupEndomorphism(g, [(d,)])
+        assert _fa_classifier(endo).class_count() == (abs(1 - d) or None)
+    assert _classifier_of_matrix.cache_info().currsize <= _FA_CACHE_SIZE
+
+
 def test_canonicalization_stability_free_abelian():
     rng = random.Random(23)
     g = FreeAbelianGroup(2)

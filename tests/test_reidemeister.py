@@ -188,6 +188,19 @@ def test_augmentation_identity_many_maps():
         assert augment(lifted.trace()) == lefschetz_number(f)
 
 
+def test_trace_uses_the_requested_depth():
+    from fixtrace.catalog import figure_eight_complex
+    from fixtrace.grouprings import DEFAULT_DEPTH
+    k = figure_eight_complex()
+    f = SimplicialMap(k, k, {"0": "0", "1": "3", "2": "4", "3": "1", "4": "2"})
+    lifted = lift_self_map(k, f)
+    shallow = lifted.trace(3)
+    assert shallow.items()
+    assert all(cls.certainty == ("heuristic", 3) for cls, _ in shallow.items())
+    assert all(cls.certainty == ("heuristic", DEFAULT_DEPTH)
+               for cls, _ in lifted.trace().items())
+
+
 def test_lift_map_rejects_mismatched_complex():
     k = circle(3)
     k2 = circle(4)
