@@ -60,10 +60,8 @@ from .bundles import (
     GraphSelfMap,
     Transport,
     base_reidemeister,
-    base_twisted_classes,
     fiber_composite,
     nielsen_additivity,
-    refined_lefschetz,
     refined_reidemeister,
     total_map,
     total_space,

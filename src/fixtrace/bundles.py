@@ -18,7 +18,6 @@ versions) are compared side by side in verification reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,7 +39,6 @@ from .grouprings import (
     pushforward,
     reduce_word,
     shadow_equal,
-    twisted_class,
 )
 from .reidemeister import (
     EquivariantChainComplex,
@@ -354,7 +352,9 @@ class BundleSelfMapPair:
 
     # -- base invariants ---------------------------------------------------
 
+    @cached_property
     def base_endomorphism(self) -> GroupEndomorphism:
+        """Induced endomorphism of the base group through the basepath."""
         base = self.bundle.base
         beta = base.word_of(self.basepath)
         images = []
@@ -376,86 +376,21 @@ class BundleSelfMapPair:
         words = [base.word_of(self.base_map.apply_word(base.generator_loop(e)))
                  for e in base.generator_edges]
         f1 = degree1_fox_lift(group, g0, words, reduce_word)
-        return TwistedChainMap(cover, self.base_endomorphism(), [f0, f1])
+        return TwistedChainMap(cover, self.base_endomorphism, [f0, f1])
+
+    def class_path(self, cls: TwistedClass) -> List[EdgeStep]:
+        """Path from the basepoint to its image representing a base class.
+
+        ``cls`` is a class of the base trace; its representative loop is
+        followed by the basepath.
+        """
+        return self.bundle.base.expand_element(cls.rep) + self.basepath
 
 
 def base_reidemeister(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
                       ) -> ShadowElement:
     """Reidemeister trace of the base map, computed at chain level."""
     return reidemeister_trace_chain(pair.base_lift(), depth)
-
-
-# ---------------------------------------------------------------------------
-# Potential fixed-point classes of the base
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasePathClass:
-    """Representative (vertex, path to its image) of a base twisted class."""
-
-    base_vertex: object
-    gamma: Tuple[EdgeStep, ...]
-    twisted: TwistedClass
-    complete: bool  # enumeration covered all classes
-
-
-def base_twisted_classes(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
-                         ) -> List[BasePathClass]:
-    """Potential fixed-point classes of the base map.
-
-    For a rank-one base group the enumeration is complete whenever the
-    induced degree d differs from 1 (classes biject with Z/(1-d));
-    otherwise representatives are produced up to the given depth and
-    flagged as a truncated enumeration.
-    """
-    base = pair.bundle.base
-    endo = pair.base_endomorphism()
-    group = base.group
-    b0 = base.basepoint
-
-    def make(rep_word, complete):
-        cls = twisted_class(group, endo, rep_word, depth)
-        gamma = tuple(base.expand_element(rep_word) + pair.basepath)
-        return BasePathClass(base_vertex=b0, gamma=gamma, twisted=cls,
-                             complete=complete)
-
-    k = group.rank
-    if k == 0:
-        return [make((), True)]
-    if k == 1:
-        d = sum(e for _, e in endo.images[0])
-        c = 1 - d
-        if c != 0:
-            return [make(((0, 1),) * r if r else (), True)
-                    for r in range(abs(c))]
-        reps = []
-        for r in range(-depth, depth + 1):
-            w = ((0, 1),) * r if r >= 0 else ((0, -1),) * (-r)
-            reps.append(make(w, False))
-        return reps
-    # higher rank: canonical forms of short words, no completeness claim
-    seen = {}
-    alphabet = [(j, s) for j in range(k) for s in (1, -1)]
-    max_len = min(depth, 3)
-    for length in range(max_len + 1):
-        for letters in itertools.product(alphabet, repeat=length):
-            w = reduce_word(letters)
-            if len(w) != length:
-                continue
-            cls = twisted_class(group, endo, w, depth)
-            if cls.key not in seen:
-                seen[cls.key] = make(w, False)
-    return [seen[key] for key in sorted(seen.keys())]
-
-
-def class_of_element(pair: BundleSelfMapPair, rep_word,
-                     depth: int = DEFAULT_DEPTH) -> BasePathClass:
-    base = pair.bundle.base
-    endo = pair.base_endomorphism()
-    cls = twisted_class(base.group, endo, base.group.check(rep_word), depth)
-    gamma = tuple(base.expand_element(rep_word) + pair.basepath)
-    return BasePathClass(base_vertex=base.basepoint, gamma=gamma,
-                         twisted=cls, complete=True)
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +411,6 @@ def fiber_composite(pair: BundleSelfMapPair, base_vertex, gamma: Sequence[EdgeSt
     return h.compose(pair.fiber_maps[base_vertex])
 
 
-def fiber_composite_for_class(pair: BundleSelfMapPair, c: BasePathClass
-                              ) -> SimplicialMap:
-    return fiber_composite(pair, c.base_vertex, list(c.gamma))
-
-
-def refined_lefschetz(pair: BundleSelfMapPair, classes: Sequence[BasePathClass]
-                      ) -> List[Tuple[BasePathClass, int]]:
-    """The per-class table C -> L(transport . fiber map)."""
-    return [(c, lefschetz_number(fiber_composite_for_class(pair, c)))
-            for c in classes]
-
-
 # ---------------------------------------------------------------------------
 # Total space
 # ---------------------------------------------------------------------------
@@ -502,12 +425,6 @@ class TotalSpace:
     bundle: DiscreteBundle
     square_corners: Dict[Tuple, Tuple] = field(default_factory=dict)
     center_by_corners: Dict[frozenset, Tuple] = field(default_factory=dict)
-
-    def fiber_vertex(self, base_vertex, x):
-        return ("v", base_vertex, x)
-
-    def midpoint_vertex(self, edge_id, x):
-        return ("m", edge_id, x)
 
     def embed_fiber_path(self, base_vertex, steps_ids):
         """Fiber edge path (vertex id pairs) as total-space index pairs."""
@@ -780,7 +697,7 @@ def _validate_total_map(pair: BundleSelfMapPair, total: TotalSpace,
 # Fiberwise data pushed into the total space
 # ---------------------------------------------------------------------------
 
-def refined_reidemeister(pair: BundleSelfMapPair, c: BasePathClass,
+def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
                          depth: int = DEFAULT_DEPTH) -> ShadowElement:
     """Pushforward of the fiber Reidemeister trace of the class composite.
 
@@ -789,9 +706,9 @@ def refined_reidemeister(pair: BundleSelfMapPair, c: BasePathClass,
     from the reversed lift track of the class path, exactly the whiskering
     that identifies a fiber fixed point with a total-space fixed point.
     """
-    b = c.base_vertex
+    b = pair.bundle.base.basepoint
     fb = pair.base_map.vertex_images[b]
-    gamma = list(c.gamma)
+    gamma = pair.class_path(cls)
     k_map = fiber_composite(pair, b, gamma)
     fiber = pair.bundle.fiber(b)
     total, f_total = pair.total
@@ -902,8 +819,8 @@ def verify_lefschetz_mult(pair: BundleSelfMapPair,
     rows = []
     rhs = 0
     for cls, ind in rbar.items():
-        bpc = class_of_element(pair, cls.rep, depth)
-        value = lefschetz_number(fiber_composite_for_class(pair, bpc))
+        value = lefschetz_number(fiber_composite(
+            pair, pair.bundle.base.basepoint, pair.class_path(cls)))
         rows.append({"class": class_label(cls), "ind": ind,
                      "fiber_lefschetz": value})
         rhs += ind * value
@@ -929,8 +846,7 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
     rows = []
     rhs = ShadowElement.zero(lifted.presentation.group, lifted.endo)
     for cls, ind in rbar.items():
-        bpc = class_of_element(pair, cls.rep, depth)
-        pushed = refined_reidemeister(pair, bpc, depth)
+        pushed = refined_reidemeister(pair, cls, depth)
         rows.append({"class": class_label(cls), "ind": ind,
                      "fiber_reidemeister": shadow_rendering(pushed)})
         rhs = rhs + pushed.scale(ind)
@@ -965,8 +881,7 @@ def nielsen_additivity(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
     for cls, ind in rbar.items():
         if ind == 0:
             continue
-        bpc = class_of_element(pair, cls.rep, depth)
-        pushed = refined_reidemeister(pair, bpc, depth)
+        pushed = refined_reidemeister(pair, cls, depth)
         c = nielsen(pushed, depth)
         per_class.append((class_label(cls), c))
         total += c

@@ -63,6 +63,13 @@ class InputError(ValueError):
     pass
 
 
+def _object(doc, what: str) -> Dict:
+    """``doc`` itself, if it is a JSON object; otherwise an input error."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be an object")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -76,15 +83,14 @@ def serialize_complex(k: SimplicialComplex) -> Dict:
 
 
 def parse_complex(doc: Dict) -> SimplicialComplex:
-    if not isinstance(doc, dict):
-        raise InputError("complex document must be an object")
+    _object(doc, "complex document")
     for field in ("vertices", "simplices"):
         if field not in doc:
             raise InputError(f"complex document is missing field {field!r}")
     try:
         return build_complex([tuple(s) for s in doc["simplices"]],
                              vertices=list(doc["vertices"]))
-    except SimplicialError as exc:
+    except (SimplicialError, TypeError) as exc:
         raise InputError(f"invalid complex: {exc}")
 
 
@@ -111,8 +117,7 @@ def _resolve_complex_doc(doc) -> SimplicialComplex:
 
 def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
                                   List[Tuple[int, int]], Dict]:
-    if not isinstance(doc, dict):
-        raise InputError("map document must be an object")
+    _object(doc, "map document")
     for field in ("complex", "vertex_images"):
         if field not in doc:
             raise InputError(f"map document is missing field {field!r}")
@@ -143,6 +148,7 @@ def serialize_graph_base(base: GraphBase) -> Dict:
 
 
 def parse_graph_base(doc: Dict) -> GraphBase:
+    _object(doc, "base document")
     for field in ("vertices", "edges", "tree", "basepoint"):
         if field not in doc:
             raise InputError(f"base document is missing field {field!r}")
@@ -171,18 +177,21 @@ def serialize_bundle(bundle: DiscreteBundle) -> Dict:
 
 
 def parse_bundle(doc: Dict) -> DiscreteBundle:
+    _object(doc, "bundle document")
     for field in ("base", "fibers", "transports"):
         if field not in doc:
             raise InputError(f"bundle document is missing field {field!r}")
     base = parse_graph_base(doc["base"])
+    fiber_docs = _object(doc["fibers"], "bundle fibers")
     fibers = {}
     for v in base.vertices:
-        if str(v) not in doc["fibers"]:
+        if str(v) not in fiber_docs:
             raise InputError(f"bundle document has no fiber over {v!r}")
-        fibers[v] = parse_complex(doc["fibers"][str(v)])
+        fibers[v] = parse_complex(fiber_docs[str(v)])
+    transport_docs = _object(doc["transports"], "bundle transports")
     transports = {}
     for (e, s, d) in base.edges:
-        tdoc = doc["transports"].get(e)
+        tdoc = transport_docs.get(e)
         if tdoc is None:
             raise InputError(f"bundle document has no transport for edge {e}")
         try:
@@ -235,37 +244,48 @@ def serialize_pair(pair: BundleSelfMapPair) -> Dict:
 
 
 def parse_pair(doc: Dict) -> BundleSelfMapPair:
+    _object(doc, "pair document")
     for field in ("bundle", "base_map", "fiber_maps"):
         if field not in doc:
             raise InputError(f"pair document is missing field {field!r}")
     bundle = parse_bundle(doc["bundle"])
     base = bundle.base
-    bm = doc["base_map"]
+    bm = _object(doc["base_map"], "base map")
     try:
         base_map = GraphSelfMap(
             base, dict(bm["vertex_images"]),
             {e: [(x, int(s)) for (x, s) in words]
-             for e, words in bm.get("edge_words", {}).items()})
-    except (BundleError, KeyError, TypeError) as exc:
+             for e, words in _object(bm.get("edge_words", {}),
+                                     "base map edge words").items()})
+    except (BundleError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid base map: {exc}")
+    fiber_map_docs = _object(doc["fiber_maps"], "pair fiber maps")
     fiber_maps = {}
     for v in base.vertices:
-        fdoc = doc["fiber_maps"].get(str(v))
+        fdoc = fiber_map_docs.get(str(v))
         if fdoc is None:
             raise InputError(f"pair document has no fiber map over {v!r}")
         fv = base_map.vertex_images[v]
         try:
             fiber_maps[v] = SimplicialMap(bundle.fiber(v), bundle.fiber(fv),
                                           dict(fdoc["vertex_images"]))
-        except SimplicialError as exc:
+        except (SimplicialError, KeyError, TypeError) as exc:
             raise InputError(f"invalid fiber map over {v!r}: {exc}")
     raw_basepath = bm.get("basepath")
-    basepath = (None if raw_basepath is None
-                else [(e, int(s)) for (e, s) in raw_basepath])
+    try:
+        basepath = (None if raw_basepath is None
+                    else [(e, int(s)) for (e, s) in raw_basepath])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid basepath: {exc}")
     total_images = None
     if "total_map" in doc:
-        total_images = {decode_total_vertex(k): decode_total_vertex(w)
-                        for k, w in doc["total_map"]["vertex_images"].items()}
+        try:
+            total_images = {
+                decode_total_vertex(k): decode_total_vertex(w)
+                for k, w in doc["total_map"]["vertex_images"].items()}
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise InputError(f"invalid total map: {exc!r}")
     try:
         return BundleSelfMapPair(bundle, base_map, fiber_maps,
                                  basepath=basepath,
@@ -352,15 +372,18 @@ def _parse_records(doc: Dict, group) -> Optional[List[FixedPointRecord]]:
     if raw is None:
         return None
     records = []
-    for r in raw:
-        witness = r["witness"]
-        if group.kind == "free_abelian":
-            witness = tuple(int(x) for x in witness)
-        else:
-            witness = tuple((int(g), int(e)) for g, e in witness)
-        records.append(FixedPointRecord(label=r.get("label"),
-                                        index=int(r["index"]),
-                                        class_witness=witness))
+    try:
+        for r in raw:
+            witness = r["witness"]
+            if group.kind == "free_abelian":
+                witness = tuple(int(x) for x in witness)
+            else:
+                witness = tuple((int(g), int(e)) for g, e in witness)
+            records.append(FixedPointRecord(label=r.get("label"),
+                                            index=int(r["index"]),
+                                            class_witness=witness))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid fixed_point_records: {exc!r}")
     return records
 
 
@@ -491,7 +514,10 @@ def _emit_document(name: str, params: Dict) -> Tuple[str, str]:
         raise InputError(f"unknown catalog entry {name!r}")
     merged = dict(entry.default_params)
     merged.update(params)
-    obj = entry.build(**merged)
+    try:
+        obj = entry.build(**merged)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cannot build {name!r} with {params}: {exc}")
     if entry.kind == "complex":
         return f"{name}.complex.json", json.dumps(
             serialize_complex(obj), indent=2) + "\n"

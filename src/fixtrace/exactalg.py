@@ -307,10 +307,6 @@ def rank(a: IntMatrix) -> int:
 # Rational helpers (Fraction matrices as list-of-lists)
 # ---------------------------------------------------------------------------
 
-def _frac_matrix(a: IntMatrix) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in a.row(i)] for i in range(a.rows)]
-
-
 def frac_identity(n: int) -> List[List[Fraction]]:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
@@ -318,59 +314,6 @@ def frac_identity(n: int) -> List[List[Fraction]]:
 
 def frac_trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def frac_solve(a, b):
-    """Solve a * x = b exactly (a: n x k column-full-rank, b: n x m).
-
-    Raises ExactAlgError if the system is inconsistent.
-    """
-    n = len(a)
-    k = len(a[0]) if a else 0
-    m = len(b[0]) if b else 0
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]]
-           for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        prow = None
-        for i in range(r, n):
-            if aug[i][c] != 0:
-                prow = i
-                break
-        if prow is None:
-            continue
-        aug[r], aug[prow] = aug[prow], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if r < k:
-        raise ExactAlgError("solve: matrix does not have full column rank")
-    for i in range(r, n):
-        if any(x != 0 for x in aug[i][k:]):
-            raise ExactAlgError("solve: inconsistent system")
-    x = [[Fraction(0)] * m for _ in range(k)]
-    for idx, c in enumerate(pivots):
-        x[c] = aug[idx][k:]
-    return x
-
-
-def _int_inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = a.rows
-    inv = frac_solve(_frac_matrix(a), frac_identity(n))
-    out = []
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ExactAlgError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return IntMatrix.from_rows(out) if n else IntMatrix(0, 0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +327,7 @@ class ChainComplex:
     boundary from degree i to degree i-1 as an (n_{i-1} x n_i) matrix.
     """
 
-    def __init__(self, degrees: Sequence[int], boundaries: Sequence[IntMatrix],
-                 check: bool = True):
+    def __init__(self, degrees: Sequence[int], boundaries: Sequence[IntMatrix]):
         self.degrees = tuple(int(d) for d in degrees)
         self.boundaries = tuple(boundaries)
         if any(d < 0 for d in self.degrees):
@@ -396,7 +338,7 @@ class ChainComplex:
             if b.rows != self.degrees[i - 1] or b.cols != self.degrees[i]:
                 raise ExactAlgError(f"boundary {i} has shape {b.rows}x{b.cols}, "
                                     f"expected {self.degrees[i-1]}x{self.degrees[i]}")
-        if check and not self.boundary_squares_to_zero():
+        if not self.boundary_squares_to_zero():
             raise ExactAlgError("boundary composite is nonzero")
 
     @property
@@ -495,7 +437,6 @@ class HomologyBasis:
     coord_change: IntMatrix
     coord_change_inv: IntMatrix
     image_rank: int
-    torsion: Tuple[int, ...]
     boundary_snf: "SmithForm"
 
     @property
@@ -545,12 +486,9 @@ def _homology_basis(c: ChainComplex, i: int) -> HomologyBasis:
     d_next = c.boundary(i + 1)
     m = _kernel_coordinates(snf_i, d_next)
     snf_m = smith_normal_form(m)
-    image_rank = snf_m.rank
-    torsion = tuple(d for d in snf_m.diagonal() if d > 1)
     return HomologyBasis(kernel=kernel, coord_change=snf_m.U,
                          coord_change_inv=snf_m.Uinv,
-                         image_rank=image_rank, torsion=torsion,
-                         boundary_snf=snf_i)
+                         image_rank=snf_m.rank, boundary_snf=snf_i)
 
 
 def homology(c: ChainComplex) -> HomologySummary:

@@ -37,10 +37,6 @@ class IndeterminateError(RuntimeError):
     """A result depends on a twisted-conjugacy comparison that returned Unknown."""
 
 
-class UnsupportedGroupError(GroupError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Group classes
 # ---------------------------------------------------------------------------

@@ -117,8 +117,7 @@ class EquivariantChainComplex:
     def __init__(self, group, ranks: Sequence[int],
                  boundaries: Sequence[GroupRingMatrix],
                  presentation: Optional[Pi1Presentation] = None,
-                 two_simplices: Optional[Sequence[Tuple[int, int, int]]] = None,
-                 check: bool = True):
+                 two_simplices: Optional[Sequence[Tuple[int, int, int]]] = None):
         self.group = group
         self.ranks = tuple(int(r) for r in ranks)
         self.boundaries = tuple(boundaries)
@@ -129,10 +128,9 @@ class EquivariantChainComplex:
         for i, b in enumerate(self.boundaries, start=1):
             if b.rows != self.ranks[i] or b.cols != self.ranks[i - 1]:
                 raise LiftError(f"boundary {i} has shape {b.rows}x{b.cols}")
-        if check:
-            for i in range(2, len(self.ranks)):
-                if not (self.boundary(i) * self.boundary(i - 1)).is_zero():
-                    raise LiftError("boundary composite is nonzero over the group ring")
+        for i in range(2, len(self.ranks)):
+            if not (self.boundary(i) * self.boundary(i - 1)).is_zero():
+                raise LiftError("boundary composite is nonzero over the group ring")
 
     @property
     def top_degree(self) -> int:
@@ -163,7 +161,7 @@ class TwistedChainMap:
     """Semilinear self-map: f(g . c) = phi(g) . f(c) on each degree."""
 
     def __init__(self, complex: EquivariantChainComplex, endo: GroupEndomorphism,
-                 components: Sequence[GroupRingMatrix], check: bool = True):
+                 components: Sequence[GroupRingMatrix]):
         self.complex = complex
         self.endo = endo
         self.components = tuple(components)
@@ -172,13 +170,12 @@ class TwistedChainMap:
         for i, f in enumerate(self.components):
             if f.rows != complex.rank(i) or f.cols != complex.rank(i):
                 raise LiftError(f"component {i} has wrong shape")
-        if check:
-            for i in range(1, complex.top_degree + 1):
-                lhs = self.components[i] * complex.boundary(i)
-                rhs = complex.boundary(i).apply(endo) * self.components[i - 1]
-                if not (lhs + (-rhs)).is_zero():
-                    raise LiftError(
-                        f"twisted boundary commutation fails in degree {i}")
+        for i in range(1, complex.top_degree + 1):
+            lhs = self.components[i] * complex.boundary(i)
+            rhs = complex.boundary(i).apply(endo) * self.components[i - 1]
+            if not (lhs + (-rhs)).is_zero():
+                raise LiftError(
+                    f"twisted boundary commutation fails in degree {i}")
 
     def component(self, i: int) -> GroupRingMatrix:
         return self.components[i]
@@ -312,7 +309,6 @@ class LiftedSelfMap:
     """A self-map lifted to the universal-cover model, ready for traces."""
 
     presentation: Pi1Presentation
-    cover: EquivariantChainComplex
     chain_map: TwistedChainMap
     basepath: Tuple[Tuple[int, int], ...]
 
@@ -343,7 +339,7 @@ def lift_self_map(k: SimplicialComplex, f: SimplicialMap, basepoint=None,
         validate_edge_path(k, [tuple(s) for s in basepath], b,
                            f.apply_index(b))
     cm = lift_map(f, basepath, cover)
-    return LiftedSelfMap(presentation=p, cover=cover, chain_map=cm,
+    return LiftedSelfMap(presentation=p, chain_map=cm,
                          basepath=tuple(tuple(s) for s in basepath))
 
 

@@ -102,15 +102,6 @@ class SimplicialComplex:
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         return self.n_simplices(1)
 
-    def neighbors(self, i: int) -> List[int]:
-        out = set()
-        for (a, b) in self.edges():
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return sorted(out)
-
     def vertex_ids(self, s: Tuple[int, ...]) -> Tuple:
         return tuple(self.vertices[i] for i in s)
 
@@ -315,8 +306,8 @@ def _sort_sign(seq: Sequence[int]) -> int:
 def induced_chain_map(f: SimplicialMap) -> ChainMap:
     """Chain map of a simplicial map; degenerate images go to zero."""
     src = chain_complex(f.source)
-    tgt = chain_complex(f.target)
-    top = max(src.top_degree, tgt.top_degree)
+    tgt = src if f.target is f.source else chain_complex(f.target)
+    top =max(src.top_degree, tgt.top_degree)
     comps = []
     for d in range(top + 1):
         rows = tgt.rank(d)

@@ -9,11 +9,8 @@ import random
 
 from fixtrace import catalog as cat
 from fixtrace.bundles import (
-    base_twisted_classes,
-    class_of_element,
     base_reidemeister,
     fiber_composite,
-    fiber_composite_for_class,
     nielsen_additivity,
     total_space,
     verify_lefschetz_mult,
@@ -180,7 +177,7 @@ def test_criterion_3_circle_family():
         base_group = pair.bundle.base.group
         geo_graph = reidemeister_trace_geometric(
             cat.materialize_records(oracle["records"], base_group),
-            base_group, pair.base_endomorphism())
+            base_group, pair.base_endomorphism)
         assert shadow_equal(r_graph, geo_graph) == EQUAL
         assert nielsen(r_graph) == oracle["nielsen"]
     report(3, "circle family d in {-3,-2,-1,0,2,3,4}: |1-d| classes of sign "
@@ -448,12 +445,13 @@ def test_criterion_11b_representative_independence():
               [("e0", 1), ("e1", 1), ("e2", 1), ("e3", 1)],
               [("e3", -1), ("e3", 1)], [("e0", 1), ("e1", 1), ("e1", -1)]]
     assert len(alphas) == 10
-    for c in base_twisted_classes(pair):
-        want = lefschetz_number(fiber_composite_for_class(pair, c))
+    for c, _ in base_reidemeister(pair).items():
+        want = lefschetz_number(fiber_composite(pair, base.basepoint,
+                                                pair.class_path(c)))
         for alpha in alphas:
             end = base.validate_word(alpha, "b0")
             gamma2 = ([(e, -s) for (e, s) in reversed(alpha)]
-                      + list(c.gamma) + pair.base_map.apply_word(alpha))
+                      + pair.class_path(c) + pair.base_map.apply_word(alpha))
             got = lefschetz_number(fiber_composite(pair, end, gamma2))
             assert got == want
     report("11b", "refined fiberwise Lefschetz values agree on 10 "

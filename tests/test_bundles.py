@@ -4,11 +4,8 @@ from fixtrace.bundles import (
     BundleError,
     NotConstructibleError,
     base_reidemeister,
-    base_twisted_classes,
-    class_of_element,
-    fiber_composite_for_class,
+    fiber_composite,
     nielsen_additivity,
-    refined_lefschetz,
     refined_reidemeister,
     total_map,
     total_space,
@@ -28,7 +25,8 @@ from fixtrace.catalog import (
     two_component_euler_fixtures,
 )
 from fixtrace.exactalg import homology
-from fixtrace.grouprings import EQUAL, augment, nielsen, shadow_equal
+from fixtrace.grouprings import (EQUAL, augment, nielsen, shadow_equal,
+                                 twisted_class)
 from fixtrace.reidemeister import reidemeister_trace_geometric
 from fixtrace.simplicial import chain_complex, disjoint_union, lefschetz_number
 
@@ -71,27 +69,6 @@ def test_transport_functorial_on_homology():
 # base classes and base Reidemeister trace
 # ---------------------------------------------------------------------------
 
-def test_base_classes_reflection_two():
-    pair = double_cover_reflection_pair()
-    classes = base_twisted_classes(pair)
-    assert len(classes) == 2
-    assert all(c.complete for c in classes)
-
-
-def test_base_classes_identity_truncated():
-    pair = trivial_product_pair("identity", "identity")
-    classes = base_twisted_classes(pair, depth=3)
-    assert len(classes) == 7
-    assert not any(c.complete for c in classes)
-
-
-def test_base_classes_degree2_single():
-    pair = circle_degree_pair(2)
-    classes = base_twisted_classes(pair)
-    assert len(classes) == 1
-    assert classes[0].complete
-
-
 def test_base_reidemeister_reflection():
     pair = double_cover_reflection_pair()
     r = base_reidemeister(pair)
@@ -121,29 +98,26 @@ def test_base_reidemeister_rotation_empty():
 # fiber composites and refined L
 # ---------------------------------------------------------------------------
 
+def class_composite(pair, cls):
+    """Fiber composite over the basepoint along the class's path."""
+    return fiber_composite(pair, pair.bundle.base.basepoint,
+                           pair.class_path(cls))
+
+
 def test_fiber_composites_example():
     pair = double_cover_reflection_pair()
     r = base_reidemeister(pair)
     values = {}
     for cls, ind in r.items():
-        bpc = class_of_element(pair, cls.rep)
-        values[cls.key] = lefschetz_number(fiber_composite_for_class(pair, bpc))
+        values[cls.key] = lefschetz_number(class_composite(pair, cls))
     assert sorted(values.values()) == [0, 2]
-
-
-def test_refined_lefschetz_table():
-    pair = double_cover_reflection_pair()
-    classes = base_twisted_classes(pair)
-    table = refined_lefschetz(pair, classes)
-    assert sorted(v for _, v in table) == [0, 2]
 
 
 def test_refined_lefschetz_representative_independent():
     pair = double_cover_reflection_pair()
-    classes = base_twisted_classes(pair)
     base = pair.bundle.base
-    for c in classes:
-        want = lefschetz_number(fiber_composite_for_class(pair, c))
+    for c, _ in base_reidemeister(pair).items():
+        want = lefschetz_number(class_composite(pair, c))
         # alternate representatives (b', alpha^-1 . gamma . fbar(alpha))
         alphas = [[], [("e0", 1)], [("e0", 1), ("e1", 1)],
                   [("e3", -1)], [("e0", 1), ("e1", 1), ("e2", 1)],
@@ -154,18 +128,17 @@ def test_refined_lefschetz_representative_independent():
         for alpha in alphas:
             end = base.validate_word(alpha, "b0")
             gamma2 = ([(e, -s) for (e, s) in reversed(alpha)]
-                      + list(c.gamma) + pair.base_map.apply_word(alpha))
-            from fixtrace.bundles import fiber_composite
+                      + pair.class_path(c) + pair.base_map.apply_word(alpha))
             got = lefschetz_number(fiber_composite(pair, end, gamma2))
             assert got == want
 
 
 def test_trivial_bundle_composite_is_fiber_map():
     pair = trivial_product_pair("identity", "reflection")
-    classes = base_twisted_classes(pair, depth=1)
-    for c in classes:
-        f = fiber_composite_for_class(pair, c)
-        assert lefschetz_number(f) == 2
+    group = pair.bundle.base.group
+    for w in ((), ((0, 1),), ((0, -1),)):
+        c = twisted_class(group, pair.base_endomorphism, w, 1)
+        assert lefschetz_number(class_composite(pair, c)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +334,8 @@ def test_all_catalog_bundle_pairs_verify():
             # computes and matches the analytic value
             assert name == "circle_degree_map"
             r = base_reidemeister(pair)
-            classes = base_twisted_classes(pair)
-            table = refined_lefschetz(pair, classes)
-            rhs = sum(ind * val
-                      for (cls, ind), (_, val) in zip(r.items(), table))
+            rhs = sum(ind * lefschetz_number(class_composite(pair, cls))
+                      for cls, ind in r.items())
             assert rhs == -1  # L(z -> z^2)
 
 
@@ -532,8 +503,7 @@ def test_diagonal_reflection_double_cover():
     assert sorted(c for _, c in r.items()) == [1, 1]
     values = []
     for cls, ind in r.items():
-        bpc = class_of_element(pair, cls.rep)
-        values.append(lefschetz_number(fiber_composite_for_class(pair, bpc)))
+        values.append(lefschetz_number(class_composite(pair, cls)))
     assert sorted(values) == [0, 2]
     rep = verify_lefschetz_mult(pair)
     assert rep.passed and rep.lhs == 2
@@ -563,12 +533,10 @@ def test_degree2_cover_refined_value():
     r = base_reidemeister(pair)
     items = r.items()
     assert len(items) == 1 and items[0][1] == -1
-    classes = base_twisted_classes(pair)
-    assert len(classes) == 1
-    table = refined_lefschetz(pair, classes)
-    assert table[0][1] == 1
-    assert sum(ind * val for (_, ind), (_, val)
-               in zip(items, table)) == -1
+    (cls, ind), = items
+    value = lefschetz_number(class_composite(pair, cls))
+    assert value == 1
+    assert ind * value == -1
     with pytest.raises(NotConstructibleError):
         total_map(pair)
 
@@ -598,8 +566,7 @@ def test_class_disjointness():
         rbar = base_reidemeister(pair)
         supports = []
         for cls, ind in rbar.items():
-            bpc = class_of_element(pair, cls.rep)
-            pushed = refined_reidemeister(pair, bpc)
+            pushed = refined_reidemeister(pair, cls)
             supports.append(set(pushed.terms.keys()))
         for i in range(len(supports)):
             for j in range(i + 1, len(supports)):
@@ -609,9 +576,8 @@ def test_class_disjointness():
 def test_orientable_collapse():
     # all transports homologically trivial: refined L constant over classes
     pair = trivial_product_pair("reflection", "reflection")
-    classes = base_twisted_classes(pair)
-    values = {lefschetz_number(fiber_composite_for_class(pair, c))
-              for c in classes}
+    values = {lefschetz_number(class_composite(pair, c))
+              for c, _ in base_reidemeister(pair).items()}
     assert values == {2}
     report = verify_lefschetz_mult(pair)
     assert report.lhs == 2 * 2

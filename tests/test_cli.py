@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -222,8 +223,10 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
     path = write(tmp_path, "pair.json", serialize_pair(pair))
     built = []
     lifted = []
+    endos = []
     real_total_space = bundles.total_space
     real_lift = bundles.lift_self_map
+    real_endo = bundles.GroupEndomorphism
 
     def counting_total_space(bundle):
         total = real_total_space(bundle)
@@ -234,13 +237,19 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
         lifted.append(k)
         return real_lift(k, f, *args, **kwargs)
 
+    def counting_endo(*args, **kwargs):
+        endos.append(args)
+        return real_endo(*args, **kwargs)
+
     monkeypatch.setattr(bundles, "total_space", counting_total_space)
     monkeypatch.setattr(bundles, "lift_self_map", counting_lift)
-    code, out, _ = run_cli(capsys, "bundle-verify", path)
+    monkeypatch.setattr(bundles, "GroupEndomorphism", counting_endo)
+    code, out, _ = run_cli(capsys, "bundle-verify", path, "--theorem", "both")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "pass"
     assert len(built) == 1
     assert sum(1 for k in lifted if k == built[0]) == 1
+    assert len(endos) == 1  # the base endomorphism
 
 
 def test_negative_depth_exit2(tmp_path, capsys):
@@ -252,6 +261,57 @@ def test_negative_depth_exit2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "depth must be nonnegative" in err
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed documents
+# ---------------------------------------------------------------------------
+
+def _pair_doc():
+    return serialize_pair(cat.double_cover_reflection_pair())
+
+
+def _records_without_witness():
+    doc = reflection_doc()
+    doc["fixed_point_records"] = [{"label": "z=1", "index": 1}]
+    return ["reidemeister", doc]
+
+
+def _mutated_pair(mutate):
+    doc = _pair_doc()
+    mutate(doc)
+    return ["bundle-verify", doc]
+
+
+# Each builder returns argv; dict entries are written to a file first.
+MALFORMED = {
+    "simplices-not-lists": lambda: [
+        "homology", {"vertices": ["0", "1"], "simplices": [1, 2]}],
+    "record-without-witness": _records_without_witness,
+    "edge-word-sign-x": lambda: _mutated_pair(
+        lambda d: d["base_map"]["edge_words"].update(e0=[["e0", "x"]])),
+    "fiber-maps-as-list": lambda: _mutated_pair(
+        lambda d: d.update(fiber_maps=list(d["fiber_maps"].values()))),
+    "emit-circle-n1": lambda: ["catalog", "emit", "circle", "--param", "n=1"],
+    "emit-torus-linear-a5": lambda: [
+        "catalog", "emit", "torus_linear", "--param", "a=5"],
+    "basepath-sign-x": lambda: _mutated_pair(
+        lambda d: d["base_map"].update(basepath=[["e0", "x"]])),
+    "transports-as-list": lambda: _mutated_pair(
+        lambda d: d["bundle"].update(transports=[])),
+    "total-map-bad-vertex": lambda: _mutated_pair(
+        lambda d: d.update(total_map={"vertex_images": {"c": "v"}})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    argv = [write(tmp_path, "doc.json", a) if isinstance(a, dict) else a
+            for a in MALFORMED[case]()]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +419,44 @@ def test_emit_determinism(capsys):
     code, out2, _ = run_cli(capsys, "catalog", "emit",
                             "double_cover_reflection")
     assert out1 == out2
+
+
+# SHA-256 of stdout and the exit code of the command that reads each
+# catalog document, as emitted by ``catalog emit``.  Reports are a byte-exact
+# contract: a refactor must reproduce these, and a deliberate change to a
+# report format updates this table in the same change.
+CATALOG_REPORTS = [
+    ("circle", "homology", 0,
+     "20a53752cbde525d45abae03744f83561e5ea756c0d8e2146d939d98e58c5114"),
+    ("circle_degree_map", "bundle-verify", 3,
+     "e86cbc2febda754f8c5e8a843a889472924b8c2ba7d4accd634632515eda6ad2"),
+    ("circle_reflection", "lefschetz", 0,
+     "5463e700c768b935999ac03b1ab27ec33cbc42217674da6865194dfd14adadc9"),
+    ("circle_reflection", "reidemeister", 0,
+     "d9447b87ca96aa8fc69277b9abbed9a086090c874f4476b835a806d7737d3ae6"),
+    ("double_cover_reflection", "bundle-verify", 0,
+     "00189bfb8cab8186cc7ec668623c171a33745045c97da72dba2cf24214bb0cd1"),
+    ("figure_eight", "homology", 0,
+     "6239fe39f33d8db9b8dd3e2474327d032e3b95001077b83f6592cdae7bcdd26b"),
+    ("fixed_point_free_rotation", "bundle-verify", 0,
+     "4e9b382655f01d4b26b479eca84597e30e7d425effad1cea0b31ee7b74264e0a"),
+    ("point", "homology", 0,
+     "82c67c7bc93d9a3f23cb3e3f5789a8dcafc4fcd7ec61d230618d32857ee4a3fb"),
+    ("torus7", "homology", 0,
+     "ca451bfdc4be841f36406273195b67ea8edb3c37640e0ea82223e94df9c7033e"),
+    ("trivial_product", "bundle-verify", 0,
+     "1dd5652d472e0536f9dd8301fbad100fe86d672d3b63fb68d2fec897ff04882f"),
+]
+
+
+def test_catalog_reports_byte_identical(tmp_path, capsys):
+    assert {name for name, _, _, _ in CATALOG_REPORTS} == {
+        name for name, entry in cat.CATALOG.items()
+        if entry.kind != "chain_model"}
+    for name, command, want_code, want_sha in CATALOG_REPORTS:
+        _, text, _ = run_cli(capsys, "catalog", "emit", name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, command, str(path))
+        got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, got_sha) == (want_code, want_sha), (name, command)

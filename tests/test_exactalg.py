@@ -290,9 +290,10 @@ def test_trace_basis_independent():
     for _ in range(10):
         p0 = _random_unimodular(c.rank(0), rng)
         p1 = _random_unimodular(c.rank(1), rng)
-        from fixtrace.exactalg import _int_inverse_unimodular
-        q0 = _int_inverse_unimodular(p0)
-        q1 = _int_inverse_unimodular(p1)
+        # U p V = I for unimodular p, so p^-1 = V U
+        q0, q1 = [sf.V * sf.U for sf in map(smith_normal_form, (p0, p1))]
+        assert q0 * p0 == IntMatrix.identity(c.rank(0))
+        assert q1 * p1 == IntMatrix.identity(c.rank(1))
         d1 = p0 * c.boundary(1) * q1
         cc = ChainComplex([3, 3], [d1])
         f0 = p0 * m.component(0) * q0
