@@ -372,7 +372,7 @@ class BundleSelfMapPair:
         cover = EquivariantChainComplex(group, [1, len(gens)],
                                         [degree1_boundary(group, gens)])
         g0 = base.word_of(self.basepath)
-        f0 = GroupRingMatrix(group, 1, 1, [GroupRingElement.of(group, g0)])
+        f0 = GroupRingMatrix.from_rows(group, [[GroupRingElement.of(group, g0)]])
         words = [base.word_of(self.base_map.apply_word(base.generator_loop(e)))
                  for e in base.generator_edges]
         f1 = degree1_fox_lift(group, g0, words, reduce_word)

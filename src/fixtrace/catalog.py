@@ -23,6 +23,7 @@ from .bundles import (
 from .exactalg import IntMatrix
 from .grouprings import (
     FreeAbelianGroup,
+    FreeGroup,
     GroupEndomorphism,
     GroupError,
     GroupRingElement,
@@ -32,6 +33,8 @@ from .reidemeister import (
     EquivariantChainComplex,
     FixedPointRecord,
     TwistedChainMap,
+    degree1_boundary,
+    degree1_fox_lift,
     fox_derivative,
 )
 from .simplicial import SimplicialComplex, SimplicialMap, build_complex
@@ -161,17 +164,10 @@ def circle_degree_chain_model(d: int) -> TwistedChainMap:
     """Tree-contracted chain model of z -> z^d on the circle."""
     z = FreeAbelianGroup(1)
     endo = GroupEndomorphism(z, [(d,)])
-    t = (1,)
-    b1 = GroupRingMatrix(z, 1, 1, [GroupRingElement(
-        z, [(t, 1), (z.identity(), -1)])])
-    cover = EquivariantChainComplex(z, [1, 1], [b1])
-    f0 = GroupRingMatrix(z, 1, 1, [GroupRingElement.of(z, z.identity())])
+    cover = EquivariantChainComplex(z, [1, 1], [degree1_boundary(z, [(1,)])])
+    f0 = GroupRingMatrix.identity(z, 1)
     word = ((0, 1),) * d if d >= 0 else ((0, -1),) * (-d)
-
-    def elem(w):
-        return (sum(e for _, e in w),)
-
-    f1 = GroupRingMatrix(z, 1, 1, [fox_derivative(word, 0, elem, z)])
+    f1 = degree1_fox_lift(z, z.identity(), [word], FreeGroup(1).abelianized)
     return TwistedChainMap(cover, endo, [f0, f1])
 
 
@@ -257,21 +253,11 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
     (a00, a01), (a10, a11) = a
     z2 = FreeAbelianGroup(2)
     endo = GroupEndomorphism(z2, [(a00, a10), (a01, a11)])
-
-    def elem(w):
-        out = [0, 0]
-        for g, e in w:
-            out[g] += e
-        return tuple(out)
-
+    elem = FreeGroup(2).abelianized
     comm = ((0, 1), (1, 1), (0, -1), (1, -1))
-    d_a = fox_derivative(comm, 0, elem, z2)
-    d_b = fox_derivative(comm, 1, elem, z2)
-    b1 = GroupRingMatrix(z2, 2, 1, [
-        GroupRingElement(z2, [((1, 0), 1), ((0, 0), -1)]),
-        GroupRingElement(z2, [((0, 1), 1), ((0, 0), -1)]),
-    ])
-    b2 = GroupRingMatrix(z2, 1, 2, [d_a, d_b])
+    b1 = degree1_boundary(z2, z2.generators())
+    b2 = GroupRingMatrix(z2, 1, 2, {
+        (0, j): d for j, d in fox_derivative(comm, elem, z2).items()})
     cover = EquivariantChainComplex(z2, [1, 2, 1], [b1, b2])
 
     def power_word(gen, k):
@@ -279,15 +265,11 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
 
     words = [power_word(0, a00) + power_word(1, a10),
              power_word(0, a01) + power_word(1, a11)]
-    f0 = GroupRingMatrix(z2, 1, 1, [GroupRingElement.of(z2, (0, 0))])
-    ent1 = []
-    for i in range(2):
-        for j in range(2):
-            ent1.append(fox_derivative(words[i], j, elem, z2))
-    f1 = GroupRingMatrix(z2, 2, 2, ent1)
-    rhs0 = (d_a.apply(endo) * f1[0, 0]) + (d_b.apply(endo) * f1[1, 0])
-    f2_entry = _divide_one_minus(rhs0, (0, 1))
-    f2 = GroupRingMatrix(z2, 1, 1, [f2_entry])
+    f0 = GroupRingMatrix.identity(z2, 1)
+    f1 = degree1_fox_lift(z2, z2.identity(), words, elem)
+    # f2 * b2 = phi(b2) * f1, and b2's entry (0, 0) is 1 - t^(0,1)
+    f2_entry = _divide_one_minus((b2.apply(endo) * f1)[0, 0], (0, 1))
+    f2 = GroupRingMatrix.from_rows(z2, [[f2_entry]])
     return TwistedChainMap(cover, endo, [f0, f1, f2])
 
 

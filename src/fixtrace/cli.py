@@ -70,6 +70,31 @@ def _object(doc, what: str) -> Dict:
     return doc
 
 
+def _is_name(x) -> bool:
+    """Whether a JSON value can name a vertex or an edge (not a list or object)."""
+    return not isinstance(x, (list, dict))
+
+
+def _vertex_images(doc, what: str) -> Dict:
+    """The ``vertex_images`` object of the map document ``doc``."""
+    doc = _object(doc, what)
+    if "vertex_images" not in doc:
+        raise InputError(f"{what} is missing field 'vertex_images'")
+    images = _object(doc["vertex_images"], f"{what} vertex_images")
+    if not all(_is_name(w) for w in images.values()):
+        raise InputError(f"{what} vertex images must be vertex names")
+    return images
+
+
+def _steps(raw, what: str) -> List:
+    """A path given as a list of two-element steps whose first entry is a name."""
+    if not isinstance(raw, list) or not all(
+            isinstance(step, list) and len(step) == 2 and _is_name(step[0])
+            for step in raw):
+        raise InputError(f"{what} must be a list of two-element steps")
+    return raw
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -123,16 +148,13 @@ def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
             raise InputError(f"map document is missing field {field!r}")
     k = _resolve_complex_doc(doc["complex"])
     try:
-        f = SimplicialMap(k, k, dict(doc["vertex_images"]))
+        f = SimplicialMap(k, k, _vertex_images(doc, "map document"))
     except SimplicialError as exc:
         raise InputError(f"invalid self-map: {exc}")
     basepath = []
-    for step in doc.get("basepath", []):
-        if len(step) != 2:
-            raise InputError("basepath steps must be vertex pairs")
-        u, v = step
-        if u not in k.index or v not in k.index:
-            raise InputError(f"basepath step {step} uses unknown vertices")
+    for u, v in _steps(doc.get("basepath", []), "basepath"):
+        if not _is_name(v) or u not in k.index or v not in k.index:
+            raise InputError(f"basepath step {[u, v]} uses unknown vertices")
         basepath.append((k.index[u], k.index[v]))
     return k, f, basepath, doc
 
@@ -194,12 +216,14 @@ def parse_bundle(doc: Dict) -> DiscreteBundle:
         tdoc = transport_docs.get(e)
         if tdoc is None:
             raise InputError(f"bundle document has no transport for edge {e}")
+        tdoc = _object(tdoc, f"transport over {e}")
+        fwd_images = _vertex_images(tdoc.get("map"), f"transport map over {e}")
+        inv_images = _vertex_images(tdoc.get("inverse"),
+                                    f"transport inverse over {e}")
         try:
-            fwd = SimplicialMap(fibers[s], fibers[d],
-                                dict(tdoc["map"]["vertex_images"]))
-            inv = SimplicialMap(fibers[d], fibers[s],
-                                dict(tdoc["inverse"]["vertex_images"]))
-        except (SimplicialError, KeyError, TypeError) as exc:
+            fwd = SimplicialMap(fibers[s], fibers[d], fwd_images)
+            inv = SimplicialMap(fibers[d], fibers[s], inv_images)
+        except SimplicialError as exc:
             raise InputError(f"invalid transport over {e}: {exc}")
         transports[e] = Transport(forward=fwd, inverse=inv)
     try:
@@ -266,15 +290,17 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
         if fdoc is None:
             raise InputError(f"pair document has no fiber map over {v!r}")
         fv = base_map.vertex_images[v]
+        images = _vertex_images(fdoc, f"fiber map over {v!r}")
         try:
             fiber_maps[v] = SimplicialMap(bundle.fiber(v), bundle.fiber(fv),
-                                          dict(fdoc["vertex_images"]))
-        except (SimplicialError, KeyError, TypeError) as exc:
+                                          images)
+        except SimplicialError as exc:
             raise InputError(f"invalid fiber map over {v!r}: {exc}")
     raw_basepath = bm.get("basepath")
+    steps = (None if raw_basepath is None
+             else _steps(raw_basepath, "base map basepath"))
     try:
-        basepath = (None if raw_basepath is None
-                    else [(e, int(s)) for (e, s) in raw_basepath])
+        basepath = None if steps is None else [(e, int(s)) for (e, s) in steps]
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid basepath: {exc}")
     total_images = None

@@ -21,6 +21,7 @@ group-ring matrices and of Reidemeister traces.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,9 +70,6 @@ class FreeAbelianGroup:
     def generators(self):
         return [tuple(1 if i == j else 0 for j in range(self.rank))
                 for i in range(self.rank)]
-
-    def key(self, g):
-        return g
 
     def __eq__(self, other):
         return isinstance(other, FreeAbelianGroup) and other.rank == self.rank
@@ -128,9 +126,6 @@ class FreeGroup:
 
     def generators(self):
         return [((i, 1),) for i in range(self.rank)]
-
-    def key(self, g):
-        return g
 
     def abelianized(self, g) -> Tuple[int, ...]:
         v = [0] * self.rank
@@ -209,9 +204,6 @@ class FiniteGroup:
 
     def generators(self):
         return list(range(self.order))
-
-    def key(self, g):
-        return g
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup) and other.table == self.table
@@ -510,31 +502,33 @@ def classes_equal(group, endo: GroupEndomorphism, g, h,
 # Group rings
 # ---------------------------------------------------------------------------
 
+def _collect(terms, key) -> Dict:
+    """Sum like terms: ``{key(x): (x, total)}`` over the ``(x, c)`` pairs.
+
+    A sum that reaches zero drops its key; a merged key keeps its first
+    position and its latest ``x``.
+    """
+    data: Dict = {}
+    for x, c in terms:
+        c = int(c)
+        if c == 0:
+            continue
+        k = key(x)
+        if k in data:
+            c += data[k][1]
+            if c == 0:
+                del data[k]
+                continue
+        data[k] = (x, c)
+    return data
+
+
 class GroupRingElement:
     """Finite formal integer combination of group elements."""
 
     def __init__(self, group, terms=()):
         self.group = group
-        data: Dict[object, Tuple[object, int]] = {}
-        for g, c in terms:
-            g = group.check(g)
-            c = int(c)
-            if c == 0:
-                continue
-            k = group.key(g)
-            if k in data:
-                c2 = data[k][1] + c
-                if c2 == 0:
-                    del data[k]
-                else:
-                    data[k] = (g, c2)
-            else:
-                data[k] = (g, c)
-        self.terms = data
-
-    @classmethod
-    def zero(cls, group):
-        return cls(group, ())
+        self.terms = _collect(((group.check(g), c) for g, c in terms), lambda g: g)
 
     @classmethod
     def of(cls, group, g, c: int = 1):
@@ -553,13 +547,6 @@ class GroupRingElement:
     def __neg__(self):
         return GroupRingElement(self.group,
                                 [(g, -c) for g, c in self.terms.values()])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: int):
-        return GroupRingElement(self.group,
-                                [(g, c * x) for g, x in self.terms.values()])
 
     def __mul__(self, other):
         group = self.group
@@ -585,93 +572,90 @@ class GroupRingElement:
 
 
 class GroupRingMatrix:
-    """Matrix over a group ring; square shape required only for traces."""
+    """Sparse matrix over a group ring; square shape required only for traces.
+
+    ``entries`` maps ``(row, col)`` to a nonzero ``GroupRingElement``; an
+    absent index is a zero entry.
+    """
 
     def __init__(self, group, rows: int, cols: int,
-                 entries: Optional[Sequence[GroupRingElement]] = None):
+                 entries: Optional[Dict[Tuple[int, int], GroupRingElement]] = None):
         self.group = group
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            entries = [GroupRingElement.zero(group) for _ in range(rows * cols)]
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise GroupError("entry count mismatch")
-        self.entries = entries
+        self.entries: Dict[Tuple[int, int], GroupRingElement] = {}
+        for (i, j), a in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise GroupError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            if a.terms:
+                self.entries[i, j] = a
 
     @classmethod
     def from_rows(cls, group, rows):
         r = len(rows)
         c = len(rows[0]) if r else 0
-        return cls(group, r, c, [x for row in rows for x in row])
+        if any(len(row) != c for row in rows):
+            raise GroupError("rows of unequal length")
+        return cls(group, r, c, {(i, j): a for i, row in enumerate(rows)
+                                 for j, a in enumerate(row)})
 
     @classmethod
     def identity(cls, group, n):
-        e = group.identity()
-        ent = []
-        for i in range(n):
-            for j in range(n):
-                ent.append(GroupRingElement.of(group, e) if i == j
-                           else GroupRingElement.zero(group))
-        return cls(group, n, n, ent)
+        one = GroupRingElement.of(group, group.identity())
+        return cls(group, n, n, {(i, i): one for i in range(n)})
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
+        a = self.entries.get(ij)
+        return GroupRingElement(self.group) if a is None else a
 
     def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise GroupError("shape mismatch")
         group = self.group
-        # sparse accumulation: visit only nonzero entry pairs
-        other_rows: List[List[Tuple[int, GroupRingElement]]] = []
-        for t in range(other.rows):
-            row = []
-            for j in range(other.cols):
-                e = other[t, j]
-                if e.terms:
-                    row.append((j, e))
-            other_rows.append(row)
-        out = [[] for _ in range(self.rows * other.cols)]
-        for i in range(self.rows):
-            for t in range(self.cols):
-                a = self[i, t]
-                if not a.terms:
-                    continue
-                for j, b in other_rows[t]:
-                    cell = out[i * other.cols + j]
-                    for g, c in a.terms.values():
-                        for h, d in b.terms.values():
-                            cell.append((group.mul(g, h), c * d))
-        entries = [GroupRingElement(group, terms) for terms in out]
-        return GroupRingMatrix(self.group, self.rows, other.cols, entries)
+        other_rows: Dict[int, List[Tuple[int, GroupRingElement]]] = {}
+        for (t, j), b in other.entries.items():
+            other_rows.setdefault(t, []).append((j, b))
+        cells: Dict[Tuple[int, int], list] = {}
+        for (i, t), a in self.entries.items():
+            for j, b in other_rows.get(t, ()):
+                cell = cells.setdefault((i, j), [])
+                for g, c in a.terms.values():
+                    for h, d in b.terms.values():
+                        cell.append((group.mul(g, h), c * d))
+        return GroupRingMatrix(group, self.rows, other.cols, {
+            ij: GroupRingElement(group, terms) for ij, terms in cells.items()})
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise GroupError("shape mismatch")
-        return GroupRingMatrix(self.group, self.rows, self.cols,
-                               [a + b for a, b in zip(self.entries, other.entries)])
+        entries = dict(self.entries)
+        for ij, b in other.entries.items():
+            a = entries.get(ij)
+            entries[ij] = b if a is None else a + b
+        return GroupRingMatrix(self.group, self.rows, self.cols, entries)
 
     def __neg__(self):
         return GroupRingMatrix(self.group, self.rows, self.cols,
-                               [-a for a in self.entries])
+                               {ij: -a for ij, a in self.entries.items()})
 
     def apply(self, endo: GroupEndomorphism) -> "GroupRingMatrix":
         return GroupRingMatrix(self.group, self.rows, self.cols,
-                               [a.apply(endo) for a in self.entries])
+                               {ij: a.apply(endo) for ij, a in self.entries.items()})
 
     def augmented(self) -> IntMatrix:
         """Collapse g -> 1, yielding an integer matrix."""
-        return IntMatrix(self.rows, self.cols,
-                         [a.augmentation() for a in self.entries])
+        values = [0] * (self.rows * self.cols)
+        for (i, j), a in self.entries.items():
+            values[i * self.cols + j] = a.augmentation()
+        return IntMatrix(self.rows, self.cols, values)
 
     def is_zero(self):
-        return all(a.is_zero() for a in self.entries)
+        return not self.entries
 
     def __eq__(self, other):
         return (isinstance(other, GroupRingMatrix) and self.group == other.group
                 and self.rows == other.rows and self.cols == other.cols
-                and all(a == b for a, b in zip(self.entries, other.entries)))
+                and self.entries == other.entries)
 
     def __repr__(self):
         return f"GroupRingMatrix({self.rows}x{self.cols} over {self.group!r})"
@@ -688,20 +672,7 @@ class ShadowElement:
                  terms: Iterable[Tuple[TwistedClass, int]] = ()):
         self.group = group
         self.endo = endo
-        data: Dict[object, Tuple[TwistedClass, int]] = {}
-        for cls, c in terms:
-            c = int(c)
-            if c == 0:
-                continue
-            if cls.key in data:
-                c2 = data[cls.key][1] + c
-                if c2 == 0:
-                    del data[cls.key]
-                else:
-                    data[cls.key] = (cls, c2)
-            else:
-                data[cls.key] = (cls, c)
-        self.terms = data
+        self.terms = _collect(terms, operator.attrgetter("key"))
 
     @classmethod
     def zero(cls, group, endo):

@@ -20,7 +20,7 @@ Complexes of dimension at least three are not supported by this model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .grouprings import (
     DEFAULT_DEPTH,
@@ -56,26 +56,25 @@ class LiftError(ValueError):
 # Fox derivatives
 # ---------------------------------------------------------------------------
 
-def fox_derivative(word: Word, gen: int, element_of_word: Callable[[Word], object],
-                   group) -> GroupRingElement:
-    """Free derivative d(word)/d(gen) with coefficients in Z[group].
+def fox_derivative(word: Word, element_of_word: Callable[[Word], object],
+                   group) -> Dict[int, GroupRingElement]:
+    """Free derivatives d(word)/d(x_j) with coefficients in Z[group].
 
+    One pass over the word: the rules D(uv) = D(u) + u D(v), D(x) = 1 and
+    D(x^-1) = -x^-1 give each letter a signed prefix element, where
     ``element_of_word`` maps prefix words (over the same letters) to group
-    elements; the usual rules D(uv) = D(u) + u D(v), D(x) = 1 and
-    D(x^-1) = -x^-1 give, letter by letter, a signed prefix element.
+    elements.  Only the nonzero derivatives appear, keyed by generator.
     """
-    terms = []
+    terms: Dict[int, List] = {}
     prefix: List[Tuple[int, int]] = []
     for g, e in word:
+        if e == -1:
+            prefix.append((g, e))
+        terms.setdefault(g, []).append((element_of_word(tuple(prefix)), e))
         if e == 1:
-            if g == gen:
-                terms.append((element_of_word(tuple(prefix)), 1))
             prefix.append((g, e))
-        else:
-            prefix.append((g, e))
-            if g == gen:
-                terms.append((element_of_word(tuple(prefix)), -1))
-    return GroupRingElement(group, terms)
+    derivatives = {g: GroupRingElement(group, t) for g, t in terms.items()}
+    return {g: d for g, d in derivatives.items() if d.terms}
 
 
 def degree1_boundary(group, loops: Sequence) -> GroupRingMatrix:
@@ -83,9 +82,9 @@ def degree1_boundary(group, loops: Sequence) -> GroupRingMatrix:
 
     ``loops`` holds the group element g_e of each 1-cell's loop.
     """
-    return GroupRingMatrix(group, len(loops), 1, [
-        GroupRingElement(group, [(g_e, 1), (group.identity(), -1)])
-        for g_e in loops])
+    return GroupRingMatrix(group, len(loops), 1, {
+        (e, 0): GroupRingElement(group, [(g_e, 1), (group.identity(), -1)])
+        for e, g_e in enumerate(loops)})
 
 
 def degree1_fox_lift(group, g0, words: Sequence[Word],
@@ -98,9 +97,9 @@ def degree1_fox_lift(group, g0, words: Sequence[Word],
     """
     n = len(words)
     g0_elem = GroupRingElement.of(group, g0)
-    return GroupRingMatrix(group, n, n, [
-        g0_elem * fox_derivative(w, j, element_of_word, group)
-        for w in words for j in range(n)])
+    return GroupRingMatrix(group, n, n, {
+        (e, j): g0_elem * d for e, w in enumerate(words)
+        for j, d in fox_derivative(w, element_of_word, group).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,8 @@ def lift_to_universal_cover(k: SimplicialComplex, p: Pi1Presentation
         raise UnsupportedComplexError(
             f"fundamental group not recognized ({p.recognized_class})")
     if set(p.component) != set(range(len(k.vertices))):
-        raise LiftError("complex must be connected (pass one component)")
+        raise UnsupportedComplexError(
+            "universal-cover lifts need a connected complex")
     if k.dim >= 3:
         raise UnsupportedComplexError(
             "universal-cover lifts support dimension at most 2")
@@ -218,14 +218,13 @@ def lift_to_universal_cover(k: SimplicialComplex, p: Pi1Presentation
     two = tuple(k.n_simplices(2))
     if two:
         ranks.append(len(two))
-        ent = []
-        for (a, b, c) in two:
+        ent = {}
+        for i, (a, b, c) in enumerate(two):
             w = reduce_word(p.letter_of_step(a, b) + p.letter_of_step(b, c)
                             + invert_word(p.letter_of_step(a, c)))
-            for j in range(len(gens)):
-                ent.append(fox_derivative(w, j, p.element_of_word, group))
-        b2 = GroupRingMatrix(group, len(two), len(gens), ent)
-        boundaries.append(b2)
+            for j, d in fox_derivative(w, p.element_of_word, group).items():
+                ent[i, j] = d
+        boundaries.append(GroupRingMatrix(group, len(two), len(gens), ent))
     return EquivariantChainComplex(group, ranks, boundaries,
                                    presentation=p, two_simplices=two)
 
@@ -257,7 +256,7 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     group = l.group
     g0 = p.element_of_path(basepath)
     comps: List[GroupRingMatrix] = [
-        GroupRingMatrix(group, 1, 1, [GroupRingElement.of(group, g0)])]
+        GroupRingMatrix.from_rows(group, [[GroupRingElement.of(group, g0)]])]
 
     def image_steps(steps):
         return [(f.apply_index(a), f.apply_index(b)) for a, b in steps]
@@ -269,8 +268,7 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     if l.top_degree >= 2:
         two = l.two_simplices
         pos = {s: i for i, s in enumerate(two)}
-        n2 = len(two)
-        ent2 = [GroupRingElement.zero(group) for _ in range(n2 * n2)]
+        ent2 = {}
         for i, (a, b, c) in enumerate(two):
             img = (f.apply_index(a), f.apply_index(b), f.apply_index(c))
             if len(set(img)) != len(img):
@@ -289,8 +287,8 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
             corner = () if fa == x else p.letter_of_step(x, fa)
             m_word = reduce_word(a_word + invert_word(corner))
             m = group.mul(g0, p.element_of_word(m_word))
-            ent2[i * n2 + pos[tau]] = GroupRingElement.of(group, m, sign)
-        comps.append(GroupRingMatrix(group, n2, n2, ent2))
+            ent2[i, pos[tau]] = GroupRingElement.of(group, m, sign)
+        comps.append(GroupRingMatrix(group, len(two), len(two), ent2))
     return TwistedChainMap(l, endo, comps)
 
 

@@ -305,12 +305,15 @@ def test_criterion_7_augmentation_identity():
 # ---------------------------------------------------------------------------
 
 def _random_ring_matrix(group, rng, n, elements):
-    ent = []
-    for _ in range(n * n):
-        terms = [(rng.choice(elements), rng.randint(-2, 2))
-                 for _ in range(rng.randrange(3))]
-        ent.append(GroupRingElement(group, terms))
-    return GroupRingMatrix(group, n, n, ent)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = [(rng.choice(elements), rng.randint(-2, 2))
+                     for _ in range(rng.randrange(3))]
+            row.append(GroupRingElement(group, terms))
+        rows.append(row)
+    return GroupRingMatrix.from_rows(group, rows)
 
 
 def test_criterion_8_shadow_cyclicity():

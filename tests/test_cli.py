@@ -1,13 +1,19 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fixtrace import catalog as cat
 from fixtrace.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNSUPPORTED,
+    _emit_document,
     main,
     parse_complex,
     parse_pair,
@@ -277,10 +283,20 @@ def _records_without_witness():
     return ["reidemeister", doc]
 
 
-def _mutated_pair(mutate):
-    doc = _pair_doc()
+def _mutated_pair(mutate, doc=None):
+    doc = _pair_doc() if doc is None else doc
     mutate(doc)
     return ["bundle-verify", doc]
+
+
+def _mutated_map(command, mutate):
+    doc = reflection_doc()
+    mutate(doc)
+    return [command, doc]
+
+
+def _mutated_degree_pair(mutate):
+    return _mutated_pair(mutate, serialize_pair(cat.circle_degree_pair(2)))
 
 
 # Each builder returns argv; dict entries are written to a file first.
@@ -301,6 +317,24 @@ MALFORMED = {
         lambda d: d["bundle"].update(transports=[])),
     "total-map-bad-vertex": lambda: _mutated_pair(
         lambda d: d.update(total_map={"vertex_images": {"c": "v"}})),
+    "map-vertex-images-int": lambda: _mutated_map(
+        "lefschetz", lambda d: d.update(vertex_images=1)),
+    "map-image-list": lambda: _mutated_map(
+        "lefschetz", lambda d: d["vertex_images"].update({"0": [1, 2]})),
+    "map-basepath-int": lambda: _mutated_map(
+        "lefschetz", lambda d: d.update(basepath=1)),
+    "map-basepath-int-steps": lambda: _mutated_map(
+        "reidemeister", lambda d: d.update(basepath=[1, 2])),
+    "transport-map-images-string": lambda: _mutated_degree_pair(
+        lambda d: d["bundle"]["transports"]["e0"]["map"].update(
+            vertex_images="x")),
+    "transport-inverse-images-nested": lambda: _mutated_degree_pair(
+        lambda d: d["bundle"]["transports"]["e0"]["inverse"].update(
+            vertex_images=[[]])),
+    "fiber-map-images-nested": lambda: _mutated_degree_pair(
+        lambda d: d["fiber_maps"]["b0"].update(vertex_images=[[]])),
+    "base-basepath-list-edge": lambda: _mutated_degree_pair(
+        lambda d: d["base_map"].update(basepath=[[["a", "b"], 1]])),
 }
 
 
@@ -312,6 +346,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_reidemeister_disconnected_complex_exit3(tmp_path, capsys):
+    doc = {"complex": {"vertices": ["a0", "a1", "a2", "b0", "b1", "b2"],
+                       "simplices": [["a0", "a1"], ["a1", "a2"], ["a0", "a2"],
+                                     ["b0", "b1"], ["b1", "b2"], ["b0", "b2"]]},
+           "vertex_images": {v: v for v in ["a0", "a1", "a2", "b0", "b1", "b2"]}}
+    path = write(tmp_path, "two.json", doc)
+    code, out, _ = run_cli(capsys, "reidemeister", path)
+    assert code == EXIT_UNSUPPORTED
+    rep = json.loads(out)
+    assert rep["verdict"] == "unsupported"
+    assert "connected" in rep["flags"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +507,117 @@ def test_catalog_reports_byte_identical(tmp_path, capsys):
         code, out, _ = run_cli(capsys, command, str(path))
         got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, got_sha) == (want_code, want_sha), (name, command)
+
+
+# (command, document) for every catalog document and the command reading it
+CATALOG_DOCUMENTS = [(command, json.loads(_emit_document(name, {})[1]))
+                     for name, command, _, _ in CATALOG_REPORTS]
+WRONG_TYPED = [None, True, 0, -1, 2.5, "x", "", [], [[]], [1, 2], {}, {"x": 1}]
+
+
+def _paths(doc, prefix=()):
+    """Every key path into nested objects and lists of ``doc``."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A catalog document with one or two keys deleted or values retyped."""
+    command, doc = draw(st.sampled_from(CATALOG_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPED)))
+    return command, doc
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_documents())
+def test_mutated_catalog_documents_never_crash(tmp_path_factory, case):
+    command, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *(["--depth", "2"] if command in (
+            "reidemeister", "bundle-verify") else [])])
+    assert code in (0, 1, 2, 3)
+    if code == EXIT_INPUT:
+        assert out.getvalue() == ""
+
+
+def _torus_map_documents(n):
+    """The four self-maps of the staircase torus Cn x Cn, as map documents."""
+    from fixtrace.simplicial import product_complex
+    k = product_complex(cat.circle_complex(n), cat.circle_complex(n))
+    name = {v: f"{v[0]}.{v[1]}" for v in k.vertices}
+    complex_doc = {"vertices": [name[v] for v in k.vertices],
+                   "simplices": [[name[v] for v in k.vertex_ids(s)]
+                                 for s in k.maximal_simplices()]}
+
+    def negation(v):
+        return (str((-int(v[0]) - 1) % n), str((-int(v[1]) - 1) % n))
+
+    maps = {"negation": negation, "swap": lambda v: (v[1], v[0]),
+            "diagonal": lambda v: (v[0], v[0]),
+            "constant": lambda v: ("0", "0")}
+    return {f"torus{n}-{m}": {
+        "complex": complex_doc,
+        "vertex_images": {name[v]: name[f(v)] for v in k.vertices},
+        "basepath": []} for m, f in maps.items()}
+
+
+def _figure_eight_map_documents():
+    """Loop swap, swap with flip and flip-both on the figure eight."""
+    complex_doc = serialize_complex(cat.figure_eight_complex())
+    maps = {
+        "fig8-swap": {"0": "0", "1": "3", "2": "4", "3": "1", "4": "2"},
+        "fig8-swap-flip": {"0": "0", "1": "3", "2": "4", "3": "2", "4": "1"},
+        "fig8-flip-both": {"0": "0", "1": "2", "2": "1", "3": "4", "4": "3"},
+    }
+    return {m: {"complex": complex_doc, "vertex_images": images, "basepath": []}
+            for m, images in maps.items()}
+
+
+# Exit code and SHA-256 of the ``reidemeister`` report for maps over Z^2 and
+# over the free group of rank 2, which exercise the group-ring lift.
+REIDEMEISTER_REPORTS = {
+    "torus6-negation": (
+        0, "dec14bdad2da8f58d8fd974cbc1d17744f28e1972994c8c3e52d54438c018851"),
+    "torus6-swap": (
+        0, "692a624b881f525afeca83a42ee64b527553608159b8bbe3cb28a5eabb6f5dce"),
+    "torus6-diagonal": (
+        0, "f9c4c0dea959dd68c7c77b1d60661cf7744bd6940fd45770c25045967291edda"),
+    "torus6-constant": (
+        0, "bc7b7ddcbf46b974bf0851e4f44814bb57d58feb3b1822c7457bda06cf289e12"),
+    "fig8-swap": (
+        0, "2854d93f5a58724b51249f9c819a28f2474b654c748770588d37560a7afb57b7"),
+    "fig8-swap-flip": (
+        0, "ea5115bd3e5f9911f2dfffc13f73592ee73fe565227babfd785d0f033a59ac5c"),
+    "fig8-flip-both": (
+        0, "ca94b515acd3ce8ceb3bad5377d0f5454bf4893052f03544d700e873bed411cb"),
+}
+
+
+def test_reidemeister_reports_byte_identical(tmp_path, capsys):
+    docs = {**_torus_map_documents(6), **_figure_eight_map_documents()}
+    assert set(docs) == set(REIDEMEISTER_REPORTS)
+    for name, doc in docs.items():
+        code, out, _ = run_cli(capsys, "reidemeister",
+                               write(tmp_path, f"{name}.json", doc))
+        got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, got_sha) == REIDEMEISTER_REPORTS[name], name

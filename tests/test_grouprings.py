@@ -189,14 +189,36 @@ def test_hs_trace_zero():
     assert s.is_zero()
 
 
+def test_matrix_apply_cancels_to_zero():
+    # phi sends t to 1, so the entry t - 1 maps to 1 - 1 = 0
+    m = GroupRingMatrix.from_rows(Z, [[ring_elem(Z, ((1,), 1), ((0,), -1))]])
+    assert not m.is_zero()
+    image = m.apply(z_endo(0))
+    assert image.is_zero()
+    assert image.entries == {}
+    assert image == GroupRingMatrix(Z, 1, 1)
+
+
+def test_matrix_entry_out_of_range():
+    one = ring_elem(Z, ((0,), 1))
+    for ij in [(1, 0), (0, 2), (-1, 0)]:
+        with pytest.raises(GroupError):
+            GroupRingMatrix(Z, 1, 2, {ij: one})
+    # zero entries are dropped, not stored
+    assert GroupRingMatrix(Z, 1, 2, {(0, 1): GroupRingElement(Z)}).entries == {}
+
+
 def _random_ring_matrix(group, endo, rng, n, elements):
-    ent = []
-    for _ in range(n * n):
-        terms = []
-        for _ in range(rng.randrange(3)):
-            terms.append((rng.choice(elements), rng.randint(-2, 2)))
-        ent.append(GroupRingElement(group, terms))
-    return GroupRingMatrix(group, n, n, ent)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = []
+            for _ in range(rng.randrange(3)):
+                terms.append((rng.choice(elements), rng.randint(-2, 2)))
+            row.append(GroupRingElement(group, terms))
+        rows.append(row)
+    return GroupRingMatrix.from_rows(group, rows)
 
 
 def test_shadow_cyclicity_random():

@@ -4,10 +4,12 @@ from fixtrace.exactalg import homology
 from fixtrace.grouprings import (
     EQUAL,
     FreeAbelianGroup,
+    FreeGroup,
     GroupEndomorphism,
     GroupRingElement,
     augment,
     nielsen,
+    reduce_word,
     shadow_equal,
     twisted_class,
 )
@@ -15,6 +17,7 @@ from fixtrace.reidemeister import (
     FixedPointRecord,
     LiftError,
     UnsupportedComplexError,
+    fox_derivative,
     lift_map,
     lift_self_map,
     lift_to_universal_cover,
@@ -41,6 +44,53 @@ def torus7():
         faces.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
         faces.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
     return build_complex(faces, vertices=list(range(7)))
+
+
+# ---------------------------------------------------------------------------
+# Fox derivatives
+# ---------------------------------------------------------------------------
+
+def test_fox_derivative_commutator():
+    f2 = FreeGroup(2)
+    a, b = ((0, 1),), ((1, 1),)
+    comm = ((0, 1), (1, 1), (0, -1), (1, -1))
+    # d/da (a b a^-1 b^-1) = 1 - a b a^-1,  d/db = a - a b a^-1 b^-1
+    assert fox_derivative(comm, reduce_word, f2) == {
+        0: GroupRingElement(f2, [((), 1), (comm[:3], -1)]),
+        1: GroupRingElement(f2, [(a, 1), (comm, -1)]),
+    }
+    assert fox_derivative(b, reduce_word, f2) == {
+        1: GroupRingElement.of(f2, ())}
+
+
+def test_fox_derivative_omits_cancelled_generators():
+    f2 = FreeGroup(2)
+    assert fox_derivative(((0, 1), (0, -1)), reduce_word, f2) == {}
+    # x y x^-1: d/dx = 1 - x y x^-1 stays, d/dy = x
+    word = ((0, 1), (1, 1), (0, -1))
+    assert fox_derivative(word, reduce_word, f2) == {
+        0: GroupRingElement(f2, [((), 1), (word, -1)]),
+        1: GroupRingElement.of(f2, ((0, 1),)),
+    }
+
+
+def test_lift_takes_one_fox_pass_per_word(monkeypatch):
+    from fixtrace import catalog as cat
+    from fixtrace import reidemeister
+    from fixtrace.simplicial import product_complex
+    k = product_complex(cat.circle_complex(6), cat.circle_complex(6))
+    words = []
+    real = reidemeister.fox_derivative
+
+    def counting(word, *args, **kwargs):
+        words.append(word)
+        return real(word, *args, **kwargs)
+
+    monkeypatch.setattr(reidemeister, "fox_derivative", counting)
+    lifted = lift_self_map(k, identity_map(k))
+    n_gens = len(lifted.presentation.generators)
+    # one call per 2-simplex boundary word and one per generator loop image
+    assert len(words) == len(k.n_simplices(2)) + n_gens == 72 + n_gens
 
 
 # ---------------------------------------------------------------------------
