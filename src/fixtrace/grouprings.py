@@ -84,13 +84,16 @@ class FreeAbelianGroup:
 def reduce_word(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     """Freely reduce a word given as (generator, +-1) letters."""
     out: List[Tuple[int, int]] = []
-    for g, e in letters:
+    for letter in letters:
+        g, e = letter
         if e not in (1, -1):
             raise GroupError("letter exponents must be +-1")
         if out and out[-1][0] == g and out[-1][1] == -e:
             out.pop()
         else:
-            out.append((g, e))
+            # Share letter tuples between words: an orbit ball holds
+            # thousands of words, and a fresh tuple per letter dominates it.
+            out.append(letter if type(letter) is tuple else (g, e))
     return tuple(out)
 
 
@@ -406,28 +409,29 @@ def _free_rank1_exponent(word) -> int:
     return sum(e for _, e in word)
 
 
-def _twisted_neighbors(group: FreeGroup, endo: GroupEndomorphism, g):
-    """One-letter twisted conjugations s * g * phi(s)^-1."""
-    for i in range(group.rank):
-        for e in (1, -1):
-            s = ((i, e),)
-            yield group.mul(group.mul(s, g), group.inv(endo.apply(s)))
+def _twisted_moves(group: FreeGroup, endo: GroupEndomorphism):
+    """The one-letter twisted conjugations g -> s * g * phi(s)^-1 as
+    (s, phi(s)^-1) pairs; move ``m ^ 1`` undoes move ``m``."""
+    return [(((i, e),), group.inv(endo.apply(((i, e),))))
+            for i in range(group.rank) for e in (1, -1)]
 
 
-def _free_orbit_ball(group, endo, g, depth: int):
-    seen = {g}
-    frontier = [g]
-    for _ in range(depth):
-        nxt = []
-        for x in frontier:
-            for y in _twisted_neighbors(group, endo, x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+def _free_orbit_walk(moves, g, depth: int):
+    """Every element at most ``depth`` moves from g, depth first.
+
+    Only walks that never undo their previous move are taken; they reach
+    the whole ball, because a shortest path never does.  An element reached
+    by several walks is yielded once per walk.  Memory is one stack of at
+    most ``depth * len(moves)`` words, whatever the size of the ball.
+    """
+    stack = [(g, None, 0)]
+    while stack:
+        x, last, d = stack.pop()
+        yield x
+        if d < depth:
+            for m, (s, t) in enumerate(moves):
+                if last is None or m != last ^ 1:
+                    stack.append((reduce_word(s + x + t), m, d + 1))
 
 
 def _shortlex_key(word):
@@ -461,10 +465,10 @@ def twisted_class(group, endo: GroupEndomorphism, g,
         nf = cyclic_normal_form(g)
         return TwistedClass(key=nf, rep=nf, certainty=CERTAIN)
     # bounded search with restart from each new minimum
+    moves = _twisted_moves(group, endo)
     current = g
     while True:
-        ball = _free_orbit_ball(group, endo, current, depth)
-        best = min(ball, key=_shortlex_key)
+        best = min(_free_orbit_walk(moves, current, depth), key=_shortlex_key)
         if best == current:
             break
         current = best
@@ -489,11 +493,10 @@ def classes_equal(group, endo: GroupEndomorphism, g, h,
     cl = _fa_classifier(endo)
     if cl.reduce(group.abelianized(g)) != cl.reduce(group.abelianized(h)):
         return DISTINCT
-    ball_g = _free_orbit_ball(group, endo, g, depth)
-    if h in ball_g:
-        return EQUAL
-    ball_h = _free_orbit_ball(group, endo, h, depth)
-    if g in ball_h or (ball_g & ball_h):
+    # The balls of g and h meet exactly when h is within 2 * depth moves.
+    moves = _twisted_moves(group, endo)
+    ball_g = set(_free_orbit_walk(moves, g, depth))
+    if any(y in ball_g for y in _free_orbit_walk(moves, h, depth)):
         return EQUAL
     return UNKNOWN
 

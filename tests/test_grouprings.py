@@ -393,3 +393,46 @@ def test_twisted_class_invariant_under_move(g, h):
     endo = GroupEndomorphism(group, [(2, 1), (1, 1)])
     moved = group.mul(group.mul(h, g), group.inv(endo.apply(h)))
     assert twisted_class(group, endo, moved).key == twisted_class(group, endo, g).key
+
+
+
+def _bfs_ball(group, endo, g, depth):
+    """Reference ball: breadth-first search over s * x * phi(s)^-1."""
+    seen, frontier = {g}, [g]
+    for _ in range(depth):
+        nxt = []
+        for x in frontier:
+            for i in range(group.rank):
+                for e in (1, -1):
+                    s = ((i, e),)
+                    y = group.mul(group.mul(s, x), group.inv(endo.apply(s)))
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@given(letters, letters, letters, letters, st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_orbit_walk_matches_breadth_first_ball(a, b, g, h, depth):
+    from fixtrace.grouprings import _free_orbit_walk, _twisted_moves
+    f2 = FreeGroup(2)
+    endo = GroupEndomorphism(f2, [tuple(a), tuple(b)])
+    g, h = f2.check(tuple(g)), f2.check(tuple(h))
+    ball = _bfs_ball(f2, endo, g, depth)
+    assert set(_free_orbit_walk(_twisted_moves(f2, endo), g, depth)) == ball
+    if endo.is_identity():
+        return  # decided by cyclic words, not by search
+    current = g
+    while True:
+        best = min(_bfs_ball(f2, endo, current, depth),
+                   key=lambda w: (len(w), w))
+        if best == current:
+            break
+        current = best
+    assert twisted_class(f2, endo, g, depth).key == current
+    verdict = classes_equal(f2, endo, g, h, depth)
+    if verdict != DISTINCT:
+        near = h in _bfs_ball(f2, endo, g, 2 * depth)
+        assert verdict == (EQUAL if near else UNKNOWN)
