@@ -321,6 +321,8 @@ class BundleSelfMapPair:
         base.validate_word(self.basepath, base.basepoint,
                            base_map.vertex_images[base.basepoint])
         self.total_map_images = dict(total_map_images) if total_map_images else None
+        self._base_traces: Dict[int, ShadowElement] = {}
+        self._total_traces: Dict[int, ShadowElement] = {}
         # homological compatibility over every edge
         for (e, s, d) in base.edges:
             lhs = self.fiber_maps[d].compose(bundle.transports[e].forward)
@@ -349,6 +351,12 @@ class BundleSelfMapPair:
         """
         total, f = self.total
         return lift_self_map(total.complex, f)
+
+    def total_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
+        """Reidemeister trace of the total map, computed once per depth."""
+        if depth not in self._total_traces:
+            self._total_traces[depth] = self.total_lift.trace(depth)
+        return self._total_traces[depth]
 
     # -- base invariants ---------------------------------------------------
 
@@ -385,6 +393,12 @@ class BundleSelfMapPair:
         followed by the basepath.
         """
         return self.bundle.base.expand_element(cls.rep) + self.basepath
+
+    def base_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
+        """Reidemeister trace of the base map, computed once per depth."""
+        if depth not in self._base_traces:
+            self._base_traces[depth] = base_reidemeister(self, depth)
+        return self._base_traces[depth]
 
 
 def base_reidemeister(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
@@ -813,7 +827,7 @@ def verify_lefschetz_mult(pair: BundleSelfMapPair,
     flags: List[str] = []
     _, tmap = pair.total
     lhs = lefschetz_number(tmap)
-    rbar = base_reidemeister(pair, depth)
+    rbar = pair.base_trace(depth)
     if rbar.has_heuristic:
         flags.append(f"heuristic base classes (depth {depth})")
     rows = []
@@ -839,8 +853,8 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
     """Check R(total map) against the pushed fiberwise Reidemeister data."""
     flags: List[str] = []
     lifted = pair.total_lift
-    lhs = lifted.trace(depth)
-    rbar = base_reidemeister(pair, depth)
+    lhs = pair.total_trace(depth)
+    rbar = pair.base_trace(depth)
     if rbar.has_heuristic:
         flags.append(f"heuristic base classes (depth {depth})")
     rows = []
@@ -873,9 +887,9 @@ def nielsen_additivity(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
     Returns (N(total), sum of the per-class counts, per-class table);
     raises IndeterminateError when any comparison is Unknown.
     """
-    lhs = pair.total_lift.trace(depth)
+    lhs = pair.total_trace(depth)
     n_total = nielsen(lhs, depth)
-    rbar = base_reidemeister(pair, depth)
+    rbar = pair.base_trace(depth)
     per_class: List[Tuple[str, int]] = []
     total = 0
     for cls, ind in rbar.items():

@@ -70,6 +70,20 @@ def _object(doc, what: str) -> Dict:
     return doc
 
 
+def _integer(x, what: str) -> int:
+    """``x`` itself, if it is a JSON integer; ``true``, 1.0 and "1" are not."""
+    if type(x) is not int:
+        raise InputError(f"{what} must be an integer, got {json.dumps(x)}")
+    return x
+
+
+def _sign(x, what: str) -> int:
+    """``x`` itself, if it is the JSON integer 1 or -1."""
+    if _integer(x, what) not in (1, -1):
+        raise InputError(f"{what} must be 1 or -1, got {x}")
+    return x
+
+
 def _is_name(x) -> bool:
     """Whether a JSON value can name a vertex or an edge (not a list or object)."""
     return not isinstance(x, (list, dict))
@@ -278,7 +292,7 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
     try:
         base_map = GraphSelfMap(
             base, dict(bm["vertex_images"]),
-            {e: [(x, int(s)) for (x, s) in words]
+            {e: [(x, _sign(s, "edge word sign")) for (x, s) in words]
              for e, words in _object(bm.get("edge_words", {}),
                                      "base map edge words").items()})
     except (BundleError, KeyError, TypeError, ValueError) as exc:
@@ -299,10 +313,8 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
     raw_basepath = bm.get("basepath")
     steps = (None if raw_basepath is None
              else _steps(raw_basepath, "base map basepath"))
-    try:
-        basepath = None if steps is None else [(e, int(s)) for (e, s) in steps]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid basepath: {exc}")
+    basepath = None if steps is None else [
+        (e, _sign(s, "basepath sign")) for (e, s) in steps]
     total_images = None
     if "total_map" in doc:
         try:
@@ -402,11 +414,14 @@ def _parse_records(doc: Dict, group) -> Optional[List[FixedPointRecord]]:
         for r in raw:
             witness = r["witness"]
             if group.kind == "free_abelian":
-                witness = tuple(int(x) for x in witness)
+                witness = tuple(_integer(x, "witness entry") for x in witness)
             else:
-                witness = tuple((int(g), int(e)) for g, e in witness)
+                witness = tuple((_integer(g, "witness generator"),
+                                 _integer(e, "witness exponent"))
+                                for g, e in witness)
             records.append(FixedPointRecord(label=r.get("label"),
-                                            index=int(r["index"]),
+                                            index=_integer(r["index"],
+                                                           "fixed point index"),
                                             class_witness=witness))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid fixed_point_records: {exc!r}")

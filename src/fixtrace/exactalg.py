@@ -2,11 +2,12 @@
 
 Everything here is computed with arbitrary-precision integers or
 `fractions.Fraction`; no floating point is used anywhere.  The module
-provides Smith normal form with transformation matrices, chain complexes
-over the integers, chain maps, integral homology (betti numbers and
-torsion coefficients), induced maps on rational homology, and the two
-trace computations (chain level and homology level) whose agreement is
-the Hopf trace theorem.
+provides Smith normal form with transformation matrices, by an
+elimination that touches only nonzero entries; chain complexes over the
+integers, chain maps, integral homology (betti numbers and torsion
+coefficients), induced maps on rational homology, and the two trace
+computations (chain level and homology level) whose agreement is the
+Hopf trace theorem.
 
 Conventions
 -----------
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from itertools import chain, compress
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class ExactAlgError(ValueError):
@@ -54,6 +56,19 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: Tuple[int, ...]) -> "IntMatrix":
+        """Wrap a tuple of ``rows * cols`` ints computed in this module.
+
+        Skips the validation and coercion of ``__init__``, which is for
+        caller data; exact integer arithmetic here already yields ints.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -68,11 +83,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._of(n, n, tuple(chain.from_iterable(_identity_rows(n))))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         i, j = ij
@@ -100,11 +115,12 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ExactAlgError("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols,
-                         [a + b for a, b in zip(self.entries, other.entries)])
+        return IntMatrix._of(self.rows, self.cols, tuple(
+            a + b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return IntMatrix._of(self.rows, self.cols,
+                             tuple(-a for a in self.entries))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
@@ -113,24 +129,23 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ExactAlgError("shape mismatch in multiplication")
         n, k, m = self.rows, self.cols, other.cols
+        a, b = self.entries, other.entries
+        b_rows = [_nonzeros(b[t * m:(t + 1) * m]) for t in range(k)]
         out = [0] * (n * m)
         for i in range(n):
-            base = i * k
-            for t in range(k):
-                a = self.entries[base + t]
-                if a:
-                    obase = t * m
-                    rbase = i * m
-                    for j in range(m):
-                        out[rbase + j] += a * other.entries[obase + j]
-        return IntMatrix(n, m, out)
+            rbase = i * m
+            for t, x in _nonzeros(a[i * k:(i + 1) * k]):
+                for j, y in b_rows[t]:
+                    out[rbase + j] += x * y
+        return IntMatrix._of(n, m, tuple(out))
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [c * a for a in self.entries])
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        c = self.cols
+        return IntMatrix._of(c, self.rows, tuple(chain.from_iterable(
+            self.entries[j::c] for j in range(c))))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -191,112 +206,160 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     Pivots are chosen by least nonzero absolute value, ties broken by
     lowest row index then lowest column index, so the output is
     deterministic for a given input.
+
+    The reduction is the classical one: move the pivot to (t, t), clear
+    its column by row operations and its row by column operations, and
+    repeat until both are clear; then, if some entry of the remaining
+    block is not divisible by the pivot, add its row to row t and go
+    again.  Work that cannot change the result is skipped:
+
+    * the first row holding a unit gives the pivot (its lowest unit
+      column), so the whole block is scanned only when it has no unit,
+      and rows already cleared to zero are not scanned again;
+    * the divisibility scan is skipped when the pivot is 1;
+    * clearing column t touches only the nonzero entries of row t of S
+      and U, and clearing row t only the rows of S, and the rows of V,
+      where column t is nonzero; neither changes while the others are
+      cleared, so their nonzero entries are collected once per pivot.
+
+    ``Uinv`` and ``V`` only see column operations, so they are kept
+    transposed, where those are row operations as for ``U`` and ``Vinv``.
+    The rows of ``Uinv`` (transposed) and ``Vinv`` that are added into
+    row t belong to rows and columns not reduced yet, which are still
+    (nearly) unit vectors; these two are kept as sparse rows
+    ``{column: entry}``, so each addition costs only their nonzeros.
     """
     n, m = a.rows, a.cols
     s = a.tolists()
-    u = IntMatrix.identity(n).tolists()
-    v = IntMatrix.identity(m).tolists()
-    uinv = IntMatrix.identity(n).tolists()
-    vinv = IntMatrix.identity(m).tolists()
+    u = _identity_rows(n)
+    v_t = _identity_rows(m)
+    uinv_t = [{i: 1} for i in range(n)]  # sparse rows {column: entry}
+    vinv = [{j: 1} for j in range(m)]
 
-    def swap_rows(i, j):
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-            for r in uinv:
-                r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in s:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src; inverse tracks col_src -= c * col_dst
-        srow = s[src]
-        drow = s[dst]
-        for j in range(m):
-            drow[j] += c * srow[j]
-        usrow = u[src]
-        udrow = u[dst]
-        for j in range(n):
-            udrow[j] += c * usrow[j]
-        for r in uinv:
-            r[src] -= c * r[dst]
-
-    def add_col(dst, src, c):
-        for r in s:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-        srow = vinv[dst]
-        drow = vinv[src]
-        for j in range(m):
-            drow[j] -= c * srow[j]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
+    zero_rows = set()  # rows cleared to zero, which no step changes again
     t = 0
     while True:
+        # Rows and columns before t are done: rows t.. are zero left of t.
         pivot = None
-        best = None
         for i in range(t, n):
-            for j in range(t, m):
-                x = s[i][j]
-                if x != 0:
-                    key = (abs(x), i, j)
-                    if best is None or key < best:
-                        best = key
-                        pivot = (i, j)
+            if i in zero_rows:
+                continue
+            row = s[i]
+            units = [row.index(x) for x in (1, -1) if x in row]
+            if units:
+                pivot = (i, min(units))
+                break
+        else:
+            best = None
+            for i in range(t, n):
+                for j, x in enumerate(s[i]):
+                    if x and (best is None or abs(x) < best):
+                        best, pivot = abs(x), (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if s[t][t] < 0:
-            negate_row(t)
-        d = s[t][t]
+        pi, pj = pivot
+        if pi != t:
+            if t in zero_rows:
+                zero_rows.remove(t)
+                zero_rows.add(pi)
+            s[t], s[pi] = s[pi], s[t]
+            u[t], u[pi] = u[pi], u[t]
+            uinv_t[t], uinv_t[pi] = uinv_t[pi], uinv_t[t]
+        if pj != t:
+            for r in s[t:]:
+                r[t], r[pj] = r[pj], r[t]
+            v_t[t], v_t[pj] = v_t[pj], v_t[t]
+            vinv[t], vinv[pj] = vinv[pj], vinv[t]
+        prow = s[t]
+        if prow[t] < 0:
+            s[t] = prow = [-x for x in prow]
+            u[t] = [-x for x in u[t]]
+            uinv_t[t] = {k: -x for k, x in uinv_t[t].items()}
+        d = prow[t]
         dirty = False
-        for i in range(t + 1, n):
-            if s[i][t] != 0:
-                q = s[i][t] // d
-                add_row(i, t, -q)
-                if s[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, m):
-            if s[t][j] != 0:
-                q = s[t][j] // d
-                add_col(j, t, -q)
-                if s[t][j] != 0:
-                    dirty = True
+        # Clear column t: row_i -= q row_t, and column t of Uinv gains
+        # q times column i.
+        s_nz = _nonzeros(prow)
+        u_nz = _nonzeros(u[t])
+        ut = uinv_t[t]
+        below = [i for i in range(t + 1, n) if s[i][t]]
+        for i in below:
+            row = s[i]
+            q = row[t] // d
+            if q:
+                for j, x in s_nz:
+                    row[j] -= q * x
+                urow = u[i]
+                for j, x in u_nz:
+                    urow[j] -= q * x
+                for k, x in uinv_t[i].items():
+                    ut[k] = ut.get(k, 0) + q * x
+            if row[t]:
+                dirty = True
+            elif not any(row):
+                zero_rows.add(i)
+        # Clear row t: column_j -= q column_t, and row t of Vinv gains
+        # q times row j.
+        col_t = [(prow, d)] + [(s[i], s[i][t]) for i in below if s[i][t]]
+        v_nz = _nonzeros(v_t[t])
+        vt = vinv[t]
+        for j in [j for j in range(t + 1, m) if prow[j]]:
+            q = prow[j] // d
+            if q:
+                for r, x in col_t:
+                    r[j] -= q * x
+                vrow = v_t[j]
+                for k, x in v_nz:
+                    vrow[k] -= q * x
+                for k, x in vinv[j].items():
+                    vt[k] = vt.get(k, 0) + q * x
+            if prow[j]:
+                dirty = True
         if dirty:
             continue
-        # pivot clears its row and column; enforce divisibility
-        culprit = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if s[i][j] % d != 0:
-                    culprit = i
-                    break
+        # The pivot clears its row and column; enforce divisibility.  Rows
+        # below t are now zero in columns up to t, so whole rows are read.
+        if d != 1:
+            culprit = next((i for i in range(t + 1, n)
+                            if any(x % d for x in s[i])), None)
             if culprit is not None:
-                break
-        if culprit is not None:
-            add_row(t, culprit, 1)
-            continue
+                # row_t += row_culprit; column culprit of Uinv loses column t
+                s[t] = [x + y for x, y in zip(prow, s[culprit])]
+                u[t] = [x + y for x, y in zip(u[t], u[culprit])]
+                uc = uinv_t[culprit]
+                for k, x in uinv_t[t].items():
+                    uc[k] = uc.get(k, 0) - x
+                continue
         t += 1
 
-    U = IntMatrix.from_rows(u) if n else IntMatrix(0, 0, [])
-    V = IntMatrix.from_rows(v) if m else IntMatrix(0, 0, [])
-    Ui = IntMatrix.from_rows(uinv) if n else IntMatrix(0, 0, [])
-    Vi = IntMatrix.from_rows(vinv) if m else IntMatrix(0, 0, [])
-    S = IntMatrix.from_rows(s) if n and m else IntMatrix.zero(n, m)
-    return SmithForm(U=U, S=S, V=V, Uinv=Ui, Vinv=Vi)
+    return SmithForm(U=_from_rows(n, n, u), S=_from_rows(n, m, s),
+                     V=_from_rows(m, m, zip(*v_t)),
+                     Uinv=_from_rows(n, n, zip(*_dense(uinv_t, n))),
+                     Vinv=_from_rows(m, m, _dense(vinv, m)))
+
+
+def _identity_rows(n: int) -> List[List[int]]:
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
+
+
+def _dense(rows: List[Dict[int, int]], n: int) -> List[List[int]]:
+    out = [[0] * n for _ in rows]
+    for row, sparse in zip(out, rows):
+        for k, x in sparse.items():
+            row[k] = x
+    return out
+
+
+def _nonzeros(row: Sequence[int]) -> List[Tuple[int, int]]:
+    """(column, entry) for the nonzero entries of ``row``."""
+    return [(j, row[j]) for j in compress(range(len(row)), row)]
+
+
+def _from_rows(rows: int, cols: int, data: Iterable[Sequence[int]]) -> IntMatrix:
+    return IntMatrix._of(rows, cols, tuple(chain.from_iterable(data)))
 
 
 def rank(a: IntMatrix) -> int:
@@ -464,14 +527,10 @@ def _kernel_coordinates(snf_i: SmithForm, mat: IntMatrix) -> IntMatrix:
     """
     r = snf_i.rank
     y = snf_i.Vinv * mat
-    for row in range(r):
-        for col in range(mat.cols):
-            if y[row, col] != 0:
-                raise ExactAlgError("columns do not lie in the kernel lattice")
-    n = snf_i.Vinv.rows
-    return IntMatrix(n - r, mat.cols,
-                     [y[row, col] for row in range(r, n)
-                      for col in range(mat.cols)])
+    split = r * mat.cols
+    if any(y.entries[:split]):
+        raise ExactAlgError("columns do not lie in the kernel lattice")
+    return IntMatrix._of(y.rows - r, mat.cols, y.entries[split:])
 
 
 def _homology_basis(c: ChainComplex, i: int) -> HomologyBasis:
@@ -480,9 +539,9 @@ def _homology_basis(c: ChainComplex, i: int) -> HomologyBasis:
     r = snf_i.rank
     n = c.rank(i)
     # kernel columns: columns of V past the rank
-    kernel = IntMatrix(n, n - r,
-                       [snf_i.V[row, r + j] for row in range(n)
-                        for j in range(n - r)])
+    v = snf_i.V.entries
+    kernel = IntMatrix._of(n, n - r, tuple(chain.from_iterable(
+        v[row * n + r:(row + 1) * n] for row in range(n))))
     d_next = c.boundary(i + 1)
     m = _kernel_coordinates(snf_i, d_next)
     snf_m = smith_normal_form(m)

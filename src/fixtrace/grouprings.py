@@ -264,12 +264,16 @@ class GroupHomomorphism:
 
 
 def _power(group, g, e: int):
-    if e == 0:
-        return group.identity()
-    base = g if e > 0 else group.inv(g)
+    """g^e by square-and-multiply: O(log |e|) products in any group."""
+    base = g if e >= 0 else group.inv(g)
     out = group.identity()
-    for _ in range(abs(e)):
-        out = group.mul(out, base)
+    e = abs(e)
+    while e:
+        if e & 1:
+            out = group.mul(out, base)
+        e >>= 1
+        if e:
+            base = group.mul(base, base)
     return out
 
 

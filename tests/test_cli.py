@@ -225,14 +225,19 @@ def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
 def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
                                                        monkeypatch):
     from fixtrace import bundles
+    from fixtrace.reidemeister import LiftedSelfMap
     pair = cat.trivial_product_pair("reflection", "reflection")
     path = write(tmp_path, "pair.json", serialize_pair(pair))
     built = []
     lifted = []
     endos = []
+    base_traces = []
+    traced = []
     real_total_space = bundles.total_space
     real_lift = bundles.lift_self_map
     real_endo = bundles.GroupEndomorphism
+    real_base_trace = bundles.base_reidemeister
+    real_trace = LiftedSelfMap.trace
 
     def counting_total_space(bundle):
         total = real_total_space(bundle)
@@ -240,22 +245,36 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
         return total
 
     def counting_lift(k, f, *args, **kwargs):
-        lifted.append(k)
-        return real_lift(k, f, *args, **kwargs)
+        result = real_lift(k, f, *args, **kwargs)
+        lifted.append((k, result))
+        return result
 
     def counting_endo(*args, **kwargs):
         endos.append(args)
         return real_endo(*args, **kwargs)
 
+    def counting_base_trace(*args, **kwargs):
+        base_traces.append(args)
+        return real_base_trace(*args, **kwargs)
+
+    def counting_trace(self, *args, **kwargs):
+        traced.append(self)
+        return real_trace(self, *args, **kwargs)
+
     monkeypatch.setattr(bundles, "total_space", counting_total_space)
     monkeypatch.setattr(bundles, "lift_self_map", counting_lift)
     monkeypatch.setattr(bundles, "GroupEndomorphism", counting_endo)
+    monkeypatch.setattr(bundles, "base_reidemeister", counting_base_trace)
+    monkeypatch.setattr(LiftedSelfMap, "trace", counting_trace)
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--theorem", "both")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "pass"
     assert len(built) == 1
-    assert sum(1 for k in lifted if k == built[0]) == 1
+    total_lifts = [lift for k, lift in lifted if k == built[0]]
+    assert len(total_lifts) == 1
     assert len(endos) == 1  # the base endomorphism
+    assert len(base_traces) == 1
+    assert sum(1 for lift in traced if lift is total_lifts[0]) == 1
 
 
 def test_negative_depth_exit2(tmp_path, capsys):
@@ -346,6 +365,63 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _reflection_records(index, witness):
+    """The circle reflection's two fixed points; the first one varied."""
+    doc = reflection_doc()
+    doc["fixed_point_records"] = [
+        {"label": "z=1", "index": index, "witness": witness},
+        {"label": "z=-1", "index": 1, "witness": []}]
+    return ["reidemeister", doc]
+
+
+def _torus_records(entry):
+    doc = _torus_map_documents(4)["torus4-negation"]
+    doc["fixed_point_records"] = [
+        {"label": "p", "index": 1, "witness": [entry, 0]}]
+    return ["reidemeister", doc]
+
+
+# Integer fields of the documents: a builder of argv from the field's
+# value, the valid value it is tried with, and whether it is a sign.
+INTEGER_FIELDS = {
+    "edge-word-sign": (lambda x: _mutated_pair(
+        lambda d: d["base_map"]["edge_words"].update(e0=[["e3", x]])), -1,
+        True),
+    "basepath-sign": (lambda x: _mutated_pair(
+        lambda d: d["base_map"].update(basepath=[["e0", x], ["e0", -1]])), 1,
+        True),
+    "record-index": (lambda x: _reflection_records(x, [[0, 1]]), 1, False),
+    "record-witness-generator": (
+        lambda x: _reflection_records(1, [[x, 1]]), 0, False),
+    "record-witness-exponent": (
+        lambda x: _reflection_records(1, [[0, x]]), 1, False),
+    "record-witness-entry": (_torus_records, 0, False),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_reject_lookalikes(tmp_path, capsys, field):
+    """Only a JSON integer is an integer; a sign is the integer 1 or -1."""
+    build, valid, is_sign = INTEGER_FIELDS[field]
+
+    def run(value):
+        return run_cli(capsys, *[
+            write(tmp_path, "doc.json", a) if isinstance(a, dict) else a
+            for a in build(value)])
+
+    assert run(valid)[0] != EXIT_INPUT
+    # each of these reads as ``valid`` under int()
+    lookalikes = [float(valid), str(valid), valid + (0.7 if valid >= 0 else -0.7)]
+    if valid in (0, 1):
+        lookalikes.append(bool(valid))
+    if is_sign:
+        lookalikes += [0, 2 * valid]
+    for value in lookalikes:
+        code, out, err = run(value)
+        assert (code, out) == (EXIT_INPUT, ""), value
+        assert err.startswith("error: "), value
 
 
 def test_reidemeister_disconnected_complex_exit3(tmp_path, capsys):
@@ -507,6 +583,39 @@ def test_catalog_reports_byte_identical(tmp_path, capsys):
         code, out, _ = run_cli(capsys, command, str(path))
         got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, got_sha) == (want_code, want_sha), (name, command)
+
+
+# Exit code and SHA-256 of stdout for the staircase tori, whose Smith forms
+# are the largest the catalog pin leaves out: ``homology`` on C6 x C6 and
+# C7 x C7, and ``lefschetz`` on the four C6 x C6 maps.
+TORUS_REPORTS = {
+    ("homology", "torus6"): (
+        0, "5bc80e46830b2aa9e88583f603165a4faf2fe80924d960c6888251c855bfbd14"),
+    ("homology", "torus7"): (
+        0, "3551a0e90f5346af1f4fb1963ea50a17134bc42d1aa515b488f73d646aacf0c6"),
+    ("lefschetz", "torus6-negation"): (
+        0, "c93d6e9df59dc1685afd0f3a1d1e7a57fbd51db02636f742992a97fece87f5f7"),
+    ("lefschetz", "torus6-swap"): (
+        0, "9904052a660332a01ac373ade937e3bdf72a1519574c4b913dccb22d63aed035"),
+    ("lefschetz", "torus6-diagonal"): (
+        0, "3037e52d68a32099543ae26aa62f1b661c8dcd90977e114aa9697152ac2e27db"),
+    ("lefschetz", "torus6-constant"): (
+        0, "ffd6a28a71eee0478f6b2a2b12ad0e90215d942e8cac34dccfb2df93a09f6e44"),
+}
+
+
+def test_torus_reports_byte_identical(tmp_path, capsys):
+    maps = _torus_map_documents(6)
+    docs = {("lefschetz", name): doc for name, doc in maps.items()}
+    for n in (6, 7):
+        docs["homology", f"torus{n}"] = _torus_map_documents(n)[
+            f"torus{n}-negation"]["complex"]
+    assert set(docs) == set(TORUS_REPORTS)
+    for (command, name), doc in docs.items():
+        code, out, _ = run_cli(capsys, command,
+                               write(tmp_path, f"{name}.json", doc))
+        got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, got_sha) == TORUS_REPORTS[command, name], (command, name)
 
 
 # (command, document) for every catalog document and the command reading it

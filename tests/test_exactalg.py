@@ -10,6 +10,7 @@ from fixtrace.exactalg import (
     ChainMap,
     ExactAlgError,
     IntMatrix,
+    SmithForm,
     frac_trace,
     homology,
     hopf_chain_trace,
@@ -159,6 +160,184 @@ def test_snf_deterministic():
     s1 = smith_normal_form(a)
     s2 = smith_normal_form(a)
     assert s1.U == s2.U and s1.V == s2.V and s1.S == s2.S
+
+
+# ---------------------------------------------------------------------------
+# Oracle: a dense Smith normal form with the library's pivot rule and the
+# same operations in the same order, touching every entry of every row and
+# column.  The library kernel skips work that cannot change the result, so
+# it must return exactly these five matrices.
+# ---------------------------------------------------------------------------
+
+def reference_smith_normal_form(a: IntMatrix) -> SmithForm:
+    """Smith normal form with unimodular transforms.
+
+    Pivots are chosen by least nonzero absolute value, ties broken by
+    lowest row index then lowest column index, so the output is
+    deterministic for a given input.
+    """
+    n, m = a.rows, a.cols
+    s = a.tolists()
+    u = IntMatrix.identity(n).tolists()
+    v = IntMatrix.identity(m).tolists()
+    uinv = IntMatrix.identity(n).tolists()
+    vinv = IntMatrix.identity(m).tolists()
+
+    def swap_rows(i, j):
+        if i != j:
+            s[i], s[j] = s[j], s[i]
+            u[i], u[j] = u[j], u[i]
+            for r in uinv:
+                r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in s:
+                r[i], r[j] = r[j], r[i]
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def add_row(dst, src, c):
+        # row_dst += c * row_src; inverse tracks col_src -= c * col_dst
+        srow = s[src]
+        drow = s[dst]
+        for j in range(m):
+            drow[j] += c * srow[j]
+        usrow = u[src]
+        udrow = u[dst]
+        for j in range(n):
+            udrow[j] += c * usrow[j]
+        for r in uinv:
+            r[src] -= c * r[dst]
+
+    def add_col(dst, src, c):
+        for r in s:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+        srow = vinv[dst]
+        drow = vinv[src]
+        for j in range(m):
+            drow[j] -= c * srow[j]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+        for r in uinv:
+            r[i] = -r[i]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                x = s[i][j]
+                if x != 0:
+                    key = (abs(x), i, j)
+                    if best is None or key < best:
+                        best = key
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if s[t][t] < 0:
+            negate_row(t)
+        d = s[t][t]
+        dirty = False
+        for i in range(t + 1, n):
+            if s[i][t] != 0:
+                q = s[i][t] // d
+                add_row(i, t, -q)
+                if s[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, m):
+            if s[t][j] != 0:
+                q = s[t][j] // d
+                add_col(j, t, -q)
+                if s[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # pivot clears its row and column; enforce divisibility
+        culprit = None
+        for i in range(t + 1, n):
+            for j in range(t + 1, m):
+                if s[i][j] % d != 0:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            add_row(t, culprit, 1)
+            continue
+        t += 1
+
+    U = IntMatrix.from_rows(u) if n else IntMatrix(0, 0, [])
+    V = IntMatrix.from_rows(v) if m else IntMatrix(0, 0, [])
+    Ui = IntMatrix.from_rows(uinv) if n else IntMatrix(0, 0, [])
+    Vi = IntMatrix.from_rows(vinv) if m else IntMatrix(0, 0, [])
+    S = IntMatrix.from_rows(s) if n and m else IntMatrix.zero(n, m)
+    return SmithForm(U=U, S=S, V=V, Uinv=Ui, Vinv=Vi)
+
+
+def assert_same_smith_form(a):
+    got = smith_normal_form(a)
+    want = reference_smith_normal_form(a)
+    for name in ("U", "S", "V", "Uinv", "Vinv"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.rows, x.cols, x.entries) == (y.rows, y.cols, y.entries), name
+
+
+SNF_VALUES = (0, 1, -1, 2, -2, 3, 4, -6)
+
+
+@st.composite
+def small_matrices(draw):
+    """Shapes 0-8 (empty ones too); entries from a random subset of
+    SNF_VALUES, so that some matrices hold no unit and carry torsion."""
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    pool = draw(st.lists(st.sampled_from(SNF_VALUES), min_size=1, unique=True))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=n * m,
+                            max_size=n * m))
+    return IntMatrix(n, m, entries)
+
+
+@given(small_matrices())
+@settings(derandomize=True, max_examples=250, deadline=None)
+def test_snf_matches_dense_reference(a):
+    assert_same_smith_form(a)
+    assert_same_smith_form(a.transpose())
+
+
+def test_snf_matches_dense_reference_on_torus_boundaries():
+    from fixtrace import catalog as cat
+    from fixtrace.simplicial import chain_complex, product_complex
+    for n in (4, 5, 6):
+        c = chain_complex(product_complex(cat.circle_complex(n),
+                                          cat.circle_complex(n)))
+        for d in c.boundaries:
+            assert_same_smith_form(d)
+
+
+def naive_product(a, b):
+    return IntMatrix(a.rows, b.cols, [
+        sum(a[i, t] * b[t, j] for t in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)])
+
+
+@given(small_matrices(), st.integers(0, 8), st.data())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_product_matches_triple_loop(a, cols, data):
+    b = IntMatrix(a.cols, cols, data.draw(st.lists(
+        st.sampled_from(SNF_VALUES), min_size=a.cols * cols,
+        max_size=a.cols * cols)))
+    got = a * b
+    want = naive_product(a, b)
+    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols,
+                                                 want.entries)
 
 
 # ---------------------------------------------------------------------------

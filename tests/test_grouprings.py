@@ -27,6 +27,7 @@ from fixtrace.grouprings import (
     twisted_class,
     twisted_hs_trace,
 )
+from fixtrace.grouprings import _power
 
 Z = FreeAbelianGroup(1)
 
@@ -355,6 +356,42 @@ def test_finite_twisted_classes():
     endo = identity_endomorphism(s3)
     keys = {twisted_class(s3, endo, g).key for g in range(6)}
     assert len(keys) == 3  # conjugacy classes of S3
+
+
+# ---------------------------------------------------------------------------
+# powers
+# ---------------------------------------------------------------------------
+
+def _looped_power(group, g, e):
+    """g^e as |e| products: the reference for ``_power``."""
+    base = g if e >= 0 else group.inv(g)
+    out = group.identity()
+    for _ in range(abs(e)):
+        out = group.mul(out, base)
+    return out
+
+
+def test_power_matches_repeated_products():
+    f2 = FreeGroup(2)
+    cases = [(FreeAbelianGroup(0), ()), (FreeAbelianGroup(2), (3, -2)),
+             (f2, ()), (f2, ((0, 1), (1, -1))), (f2, ((0, 1), (1, 1), (0, -1))),
+             (FiniteGroup.symmetric3(), 3), (FiniteGroup.cyclic(5), 2)]
+    for group, g in cases:
+        for e in range(-9, 10):
+            assert _power(group, g, e) == _looped_power(group, g, e), (g, e)
+
+
+def test_power_of_a_large_exponent():
+    e = 10 ** 6
+    z2 = FreeAbelianGroup(2)
+    assert _power(z2, (1, -2), e) == (e, -2 * e)
+    assert _power(z2, (1, -2), -e) == (-e, 2 * e)
+    f2 = FreeGroup(2)
+    conj = ((0, 1), (1, 1), (0, -1))  # a b a^-1, whose powers are a b^e a^-1
+    assert _power(f2, conj, e) == ((0, 1),) + ((1, 1),) * e + ((0, -1),)
+    assert _power(f2, conj, -e) == ((0, 1),) + ((1, -1),) * e + ((0, -1),)
+    endo = GroupEndomorphism(z2, [(2, 1), (1, 1)])
+    assert endo.apply((e, -e)) == (e, 0)
 
 
 # ---------------------------------------------------------------------------
