@@ -218,11 +218,6 @@ class GraphSelfMap:
                 out.extend((x, -sg) for (x, sg) in reversed(w))
         return out
 
-    def is_identity(self) -> bool:
-        return (all(self.vertex_images[v] == v for v in self.base.vertices)
-                and all(self.edge_words[e] == [(e, 1)]
-                        for (e, _, _) in self.base.edges))
-
 
 def reverse_word(steps: Sequence[EdgeStep]) -> List[EdgeStep]:
     return [(e, -sg) for (e, sg) in reversed(steps)]
@@ -281,13 +276,11 @@ def transport(bundle: DiscreteBundle, word: Sequence[EdgeStep], start
               ) -> SimplicialMap:
     """Composite of edge transports along a path; empty word is the identity."""
     bundle.base.validate_word(word, start)
-    cur = start
     out = identity_map(bundle.fiber(start))
     for (e, sign) in word:
         t = bundle.transports[e]
         step_map = t.forward if sign == 1 else t.inverse
         out = step_map.compose(out)
-        cur = bundle.base.step_endpoints((e, sign))[1]
     return out
 
 
@@ -321,8 +314,7 @@ class BundleSelfMapPair:
         base.validate_word(self.basepath, base.basepoint,
                            base_map.vertex_images[base.basepoint])
         self.total_map_images = dict(total_map_images) if total_map_images else None
-        self._base_traces: Dict[int, ShadowElement] = {}
-        self._total_traces: Dict[int, ShadowElement] = {}
+        self._traces: Dict[tuple, ShadowElement] = {}
         # homological compatibility over every edge
         for (e, s, d) in base.edges:
             lhs = self.fiber_maps[d].compose(bundle.transports[e].forward)
@@ -352,11 +344,28 @@ class BundleSelfMapPair:
         total, f = self.total
         return lift_self_map(total.complex, f)
 
+    # -- traces, each computed once per depth (and per base class) ---------
+
+    def _trace(self, key: tuple, compute) -> ShadowElement:
+        if key not in self._traces:
+            self._traces[key] = compute()
+        return self._traces[key]
+
     def total_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
-        """Reidemeister trace of the total map, computed once per depth."""
-        if depth not in self._total_traces:
-            self._total_traces[depth] = self.total_lift.trace(depth)
-        return self._total_traces[depth]
+        """Reidemeister trace of the total map."""
+        return self._trace(("total", depth),
+                           lambda: self.total_lift.trace(depth))
+
+    def base_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
+        """Reidemeister trace of the base map."""
+        return self._trace(("base", depth),
+                           lambda: base_reidemeister(self, depth))
+
+    def fiber_trace(self, cls: TwistedClass,
+                    depth: int = DEFAULT_DEPTH) -> ShadowElement:
+        """Pushed fiber Reidemeister trace of a class of ``base_trace(depth)``."""
+        return self._trace(("fiber", depth, cls.key),
+                           lambda: refined_reidemeister(self, cls, depth))
 
     # -- base invariants ---------------------------------------------------
 
@@ -393,12 +402,6 @@ class BundleSelfMapPair:
         followed by the basepath.
         """
         return self.bundle.base.expand_element(cls.rep) + self.basepath
-
-    def base_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
-        """Reidemeister trace of the base map, computed once per depth."""
-        if depth not in self._base_traces:
-            self._base_traces[depth] = base_reidemeister(self, depth)
-        return self._base_traces[depth]
 
 
 def base_reidemeister(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
@@ -466,7 +469,6 @@ class TotalSpace:
         base = self.bundle.base
         base.validate_word(word, start_vertex)
         path = [("v", start_vertex, fiber_vertex)]
-        cur_base = start_vertex
         cur = fiber_vertex
         for (e, sign) in word:
             if sign == 1:
@@ -475,7 +477,6 @@ class TotalSpace:
                     raise BundleError("track does not start where expected")
                 path.extend(seg[1:])
                 cur = seg[-1][2]
-                cur_base = base.edge_endpoints(e)[1]
             else:
                 t = self.bundle.transports[e].forward
                 inverse_images = {w: v for v, w in t.vertex_images.items()}
@@ -493,7 +494,6 @@ class TotalSpace:
                     raise BundleError("reversed track mismatch")
                 path.extend(seg[1:])
                 cur = pre
-                cur_base = base.edge_endpoints(e)[0]
         return path, cur
 
 
@@ -860,7 +860,7 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
     rows = []
     rhs = ShadowElement.zero(lifted.presentation.group, lifted.endo)
     for cls, ind in rbar.items():
-        pushed = refined_reidemeister(pair, cls, depth)
+        pushed = pair.fiber_trace(cls, depth)
         rows.append({"class": class_label(cls), "ind": ind,
                      "fiber_reidemeister": shadow_rendering(pushed)})
         rhs = rhs + pushed.scale(ind)
@@ -895,7 +895,7 @@ def nielsen_additivity(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
     for cls, ind in rbar.items():
         if ind == 0:
             continue
-        pushed = refined_reidemeister(pair, cls, depth)
+        pushed = pair.fiber_trace(cls, depth)
         c = nielsen(pushed, depth)
         per_class.append((class_label(cls), c))
         total += c

@@ -72,6 +72,10 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        # The default slot-state restore would go through __setattr__.
+        return (IntMatrix, (self.rows, self.cols, self.entries))
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         nrows = len(rows)
@@ -95,9 +99,6 @@ class IntMatrix:
 
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j: int) -> Tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def tolists(self) -> List[List[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -138,9 +139,6 @@ class IntMatrix:
                 for j, y in b_rows[t]:
                     out[rbase + j] += x * y
         return IntMatrix._of(n, m, tuple(out))
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [c * a for a in self.entries])
 
     def transpose(self) -> "IntMatrix":
         c = self.cols
@@ -403,6 +401,7 @@ class ChainComplex:
                                     f"expected {self.degrees[i-1]}x{self.degrees[i]}")
         if not self.boundary_squares_to_zero():
             raise ExactAlgError("boundary composite is nonzero")
+        self._bases: Dict[int, HomologyBasis] = {}
 
     @property
     def top_degree(self) -> int:
@@ -418,6 +417,12 @@ class ChainComplex:
         if 1 <= i <= self.top_degree:
             return self.boundaries[i - 1]
         return IntMatrix.zero(self.rank(i - 1), self.rank(i))
+
+    def homology_basis(self, i: int) -> "HomologyBasis":
+        """Basis data of H_i, built by ``_homology_basis`` once per degree."""
+        if i not in self._bases:
+            self._bases[i] = _homology_basis(self, i)
+        return self._bases[i]
 
     def boundary_squares_to_zero(self) -> bool:
         return all((self.boundary(i) * self.boundary(i + 1)).is_zero()
@@ -556,8 +561,6 @@ def homology(c: ChainComplex) -> HomologySummary:
     betti_i = n_i - rank(d_i) - rank(d_{i+1}); torsion in degree i is the
     list of Smith diagonal entries of d_{i+1} exceeding 1.
     """
-    if not c.boundary_squares_to_zero():
-        raise ExactAlgError("not a chain complex: boundary squared is nonzero")
     betti = []
     torsion = []
     for i in range(c.top_degree + 1):
@@ -573,13 +576,14 @@ def homology_maps(m: ChainMap) -> List[List[List[Fraction]]]:
     """Matrices of the induced maps on rational homology, per degree.
 
     Works for maps between different complexes; both sides use the
-    deterministic basis from :func:`_homology_basis`.
+    deterministic basis from :func:`_homology_basis`, shared through
+    :meth:`ChainComplex.homology_basis`.
     """
     top = max(m.source.top_degree, m.target.top_degree)
     out = []
     for i in range(top + 1):
-        src = _homology_basis(m.source, i)
-        tgt = src if m.source == m.target else _homology_basis(m.target, i)
+        src = m.source.homology_basis(i)
+        tgt = m.target.homology_basis(i)
         hs, ht = src.betti, tgt.betti
         if hs == 0 or ht == 0:
             out.append([[Fraction(0)] * hs for _ in range(ht)])

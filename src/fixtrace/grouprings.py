@@ -360,24 +360,6 @@ class _FreeAbelianClassifier:
         return tuple(sum(self.u_inv[i, j] * reduced[j] for j in range(self.n))
                      for i in range(self.n))
 
-    def class_count(self) -> Optional[int]:
-        """Number of classes, or None if infinite."""
-        if any(d == 0 for d in self.diag):
-            return None
-        out = 1
-        for d in self.diag:
-            out *= d
-        return out
-
-    def enumerate_reps(self) -> List[Tuple[int, ...]]:
-        if self.class_count() is None:
-            raise GroupError("infinitely many twisted classes")
-        import itertools
-        reps = []
-        for combo in itertools.product(*[range(d) for d in self.diag]):
-            reps.append(self.rep_of(tuple(combo)))
-        return reps
-
 
 _FA_CACHE_SIZE = 128
 

@@ -235,7 +235,7 @@ def _default_basepath(p: Pi1Presentation, f: SimplicialMap) -> List[Tuple[int, i
     return p.tree_path(f.apply_index(b))
 
 
-def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
+def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
              l: EquivariantChainComplex) -> TwistedChainMap:
     """Lift of a simplicial self-map through the chosen basepath.
 
@@ -249,8 +249,6 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
         raise LiftError("complex carries no presentation data")
     if not f.is_endomorphism() or f.source != p.complex:
         raise LiftError("map does not match the lifted complex")
-    if basepath is None:
-        basepath = _default_basepath(p, f)
     basepath = [tuple(s) for s in basepath]
     endo = induced_pi1_endo(f, p, basepath)
     group = l.group

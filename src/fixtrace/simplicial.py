@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exactalg import ChainComplex, ChainMap, IntMatrix, hopf_chain_trace
@@ -79,6 +80,11 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return len(self.simplices) - 1
+
+    @cached_property
+    def chains(self) -> ChainComplex:
+        """Oriented chain complex, built on first use and then shared."""
+        return chain_complex(self)
 
     def n_simplices(self, d: int) -> Tuple[Tuple[int, ...], ...]:
         if 0 <= d < len(self.simplices):
@@ -305,9 +311,8 @@ def _sort_sign(seq: Sequence[int]) -> int:
 
 def induced_chain_map(f: SimplicialMap) -> ChainMap:
     """Chain map of a simplicial map; degenerate images go to zero."""
-    src = chain_complex(f.source)
-    tgt = src if f.target is f.source else chain_complex(f.target)
-    top =max(src.top_degree, tgt.top_degree)
+    src, tgt = f.source.chains, f.target.chains
+    top = max(src.top_degree, tgt.top_degree)
     comps = []
     for d in range(top + 1):
         rows = tgt.rank(d)
@@ -455,7 +460,6 @@ def _is_commutator_pattern(word: Word) -> Optional[Tuple[int, int]]:
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
-FINITE = "finite"
 UNSUPPORTED = "unsupported"
 
 
@@ -467,14 +471,15 @@ class Pi1Presentation:
     basepoint: object
     spanning_tree: Tuple[Tuple[int, int], ...]
     generators: Tuple[Tuple[int, int], ...]   # non-tree edges (index pairs)
-    relators: Tuple[Word, ...]
     recognized_class: str
     rank: int
     group: object  # FreeGroup / FreeAbelianGroup, or None when unsupported
     component: Tuple[int, ...]
     _parent: Dict[int, Optional[int]] = field(repr=False, default_factory=dict)
     _gen_index: Dict[Tuple[int, int], int] = field(repr=False, default_factory=dict)
+    _tree_set: Set[Tuple[int, int]] = field(repr=False, default_factory=set)
     _final_gens: List[int] = field(repr=False, default_factory=list)
+    _final_pos: Dict[int, int] = field(repr=False, default_factory=dict)
     _subst: Dict[int, Word] = field(repr=False, default_factory=dict)
 
     # -- paths and words -------------------------------------------------
@@ -518,8 +523,7 @@ class Pi1Presentation:
         if self.group is None:
             raise SimplicialError("fundamental group not recognized")
         w = _substitute(word, self._subst)
-        pos = {g: i for i, g in enumerate(self._final_gens)}
-        letters = tuple((pos[g], e) for g, e in w)
+        letters = tuple((self._final_pos[g], e) for g, e in w)
         if self.recognized_class == FREE:
             return reduce_word(letters)
         vec = [0] * self.rank
@@ -529,10 +533,6 @@ class Pi1Presentation:
 
     def element_of_path(self, steps: Sequence[Tuple[int, int]]):
         return self.element_of_word(self.word_of_path(steps))
-
-    @property
-    def _tree_set(self):
-        return set(self.spanning_tree)
 
 
 def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
@@ -588,16 +588,17 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     rank = 0
     group = None
     final_gens: List[int] = []
+    pos: Dict[int, int] = {}
     subst: Dict[int, Word] = {g: ((g, 1),) for g in range(len(generators))}
     if simplified is not None:
         final_gens, subst, final_rels = simplified
         n = len(final_gens)
+        pos = {g: i for i, g in enumerate(final_gens)}
         if not final_rels:
             recognized = FREE
             rank = n
             group = FreeGroup(n)
         else:
-            pos = {g: i for i, g in enumerate(final_gens)}
             ok = True
             pairs_needed = {tuple(sorted((i, j)))
                             for i in range(n) for j in range(i + 1, n)}
@@ -622,14 +623,15 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
         basepoint=basepoint,
         spanning_tree=tree_edges,
         generators=generators,
-        relators=tuple(relators),
         recognized_class=recognized,
         rank=rank,
         group=group,
         component=component,
         _parent=parent,
         _gen_index=gen_index,
+        _tree_set=tree_set,
         _final_gens=final_gens,
+        _final_pos=pos,
         _subst=subst,
     )
     return pres

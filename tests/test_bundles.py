@@ -354,6 +354,50 @@ def test_two_component_euler():
     assert union.euler_characteristic() == total_chi
 
 
+def sphere_product_pair(base_degree, fiber_map_name):
+    # S^2 fiber (the boundary of a tetrahedron) with identity transports:
+    # a 2-dimensional fiber, so the total space is built from staircase
+    # prisms and has dimension 3.
+    from fixtrace.bundles import (BundleSelfMapPair, DiscreteBundle,
+                                  Transport)
+    from fixtrace.simplicial import SimplicialMap, build_complex
+    base = circle_base(4)
+    fib = build_complex([("0", "1", "2"), ("0", "1", "3"), ("0", "2", "3"),
+                         ("1", "2", "3")])
+    ident = SimplicialMap(fib, fib, {v: v for v in fib.vertices})
+    fmap = {"identity": ident,
+            "constant": SimplicialMap(fib, fib, {v: "0" for v in fib.vertices})
+            }[fiber_map_name]
+    transports = {e: Transport(ident, ident) for (e, _, _) in base.edges}
+    bundle = DiscreteBundle(base, {v: fib for v in base.vertices}, transports)
+    return BundleSelfMapPair(bundle, degree_base_map(base, base_degree),
+                             {v: fmap for v in base.vertices})
+
+
+@pytest.mark.parametrize("base_degree, fiber_map_name, fiber_values", [
+    (0, "identity", [2]),       # constant base (L 1) x identity on S^2 (L 2)
+    (-1, "constant", [1, 1]),   # reflection base (L 2) x constant (L 1)
+])
+def test_sphere_fiber_staircase_prisms(tmp_path, capsys, base_degree,
+                                       fiber_map_name, fiber_values):
+    import json
+    from fixtrace.cli import EXIT_UNSUPPORTED, main, serialize_pair
+    pair = sphere_product_pair(base_degree, fiber_map_name)
+    total, _ = pair.total
+    assert total.complex.dim == 3
+    assert homology(chain_complex(total.complex)).betti == (1, 1, 1, 1)
+    report = verify_lefschetz_mult(pair)
+    assert report.passed
+    assert report.lhs == report.rhs == 2
+    assert [row["fiber_lefschetz"] for row in report.rows] == fiber_values
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(serialize_pair(pair)), encoding="utf-8")
+    code = main(["bundle-verify", str(path), "--theorem", "reidemeister"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == EXIT_UNSUPPORTED
+    assert rep["flags"] == ["universal-cover lifts support dimension at most 2"]
+
+
 def klein_bundle_pair():
     # circle fiber with orientation-reversing monodromy: the total space
     # is a Klein bottle

@@ -277,6 +277,47 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
     assert sum(1 for lift in traced if lift is total_lifts[0]) == 1
 
 
+def test_bundle_verify_shares_chains_bases_and_fiber_traces(tmp_path, capsys,
+                                                           monkeypatch):
+    # Each complex builds its chain complex once, each chain complex each
+    # degree's homology basis once, and each base class its pushed fiber
+    # trace once, although both theorems read them.
+    from fixtrace import bundles, exactalg, simplicial
+    _, text, _ = run_cli(capsys, "catalog", "emit", "trivial_product")
+    path = write(tmp_path, "pair.json", json.loads(text))
+    complexes = []
+    bases = []
+    classes = []
+    real_chain_complex = simplicial.chain_complex
+    real_basis = exactalg._homology_basis
+    real_refined = bundles.refined_reidemeister
+
+    def counting_chain_complex(k):
+        complexes.append(k)
+        return real_chain_complex(k)
+
+    def counting_basis(c, i):
+        bases.append((c, i))
+        return real_basis(c, i)
+
+    def counting_refined(pair, cls, *args, **kwargs):
+        classes.append(cls.key)
+        return real_refined(pair, cls, *args, **kwargs)
+
+    monkeypatch.setattr(simplicial, "chain_complex", counting_chain_complex)
+    monkeypatch.setattr(exactalg, "_homology_basis", counting_basis)
+    monkeypatch.setattr(bundles, "refined_reidemeister", counting_refined)
+    code, out, _ = run_cli(capsys, "bundle-verify", path, "--theorem", "both")
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep["verdict"] == "pass"
+    assert complexes and bases
+    assert len({id(k) for k in complexes}) == len(complexes)
+    assert len({(id(c), i) for c, i in bases}) == len(bases)
+    base_classes = [row["class"] for row in rep["tables"][1]["rows"]]
+    assert len(classes) == len(set(classes)) == len(base_classes) == 2
+
+
 def test_negative_depth_exit2(tmp_path, capsys):
     path = write(tmp_path, "map.json", reflection_doc())
     for command in ("reidemeister", "bundle-verify"):
@@ -583,6 +624,43 @@ def test_catalog_reports_byte_identical(tmp_path, capsys):
         code, out, _ = run_cli(capsys, command, str(path))
         got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, got_sha) == (want_code, want_sha), (name, command)
+
+
+# The same pins for the single-theorem modes of ``bundle-verify`` on the
+# catalog's bundle pairs: sharing per-class data between the theorems must
+# not change what either computes alone.
+CATALOG_THEOREM_REPORTS = {
+    ("circle_degree_map", "lefschetz"): (
+        3, "b0ab2af1be38e36801042e0d6a4337a075fd0c345b7767fc2ddfc2ebe2697790"),
+    ("circle_degree_map", "reidemeister"): (
+        3, "496837747f19e1970d727179ec37643dfc3ffbe142a1d02e97a973cc92447cb1"),
+    ("double_cover_reflection", "lefschetz"): (
+        0, "c64c9b50adf3d7c777d7bc9dae2bef89a71883bb8812f3be1f0ffbb70610997b"),
+    ("double_cover_reflection", "reidemeister"): (
+        0, "4f1426fa1d7711197c4281b905cd51890ebd157519af086ecf8622d8072d9730"),
+    ("fixed_point_free_rotation", "lefschetz"): (
+        0, "c375f3d6d7c9f3361cb1a04278822174dfc41c6af6d6dfc27c558180501fb26f"),
+    ("fixed_point_free_rotation", "reidemeister"): (
+        0, "8b302274dcf6456545dfb095680a2a18a41aab18bbda3e2df0da529c4726262e"),
+    ("trivial_product", "lefschetz"): (
+        0, "5806d56750c3ed475e904ec795412a4ac7e53f7a6c96c8079d7b7c0367515256"),
+    ("trivial_product", "reidemeister"): (
+        0, "1f5098999506ba67796b3d5ce61f712f648bb5497c20fa81b1ca8edee538c1d6"),
+}
+
+
+def test_catalog_single_theorem_reports_byte_identical(tmp_path, capsys):
+    assert {name for name, _ in CATALOG_THEOREM_REPORTS} == {
+        name for name, entry in cat.CATALOG.items()
+        if entry.kind == "bundle_pair"}
+    for (name, theorem), want in CATALOG_THEOREM_REPORTS.items():
+        _, text, _ = run_cli(capsys, "catalog", "emit", name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "bundle-verify", str(path),
+                               "--theorem", theorem)
+        got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, got_sha) == want, (name, theorem)
 
 
 # Exit code and SHA-256 of stdout for the staircase tori, whose Smith forms

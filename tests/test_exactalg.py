@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -160,6 +161,15 @@ def test_snf_deterministic():
     s1 = smith_normal_form(a)
     s2 = smith_normal_form(a)
     assert s1.U == s2.U and s1.V == s2.V and s1.S == s2.S
+
+
+def test_intmatrix_pickle_round_trip():
+    a = IntMatrix.from_rows([[6, 4, 2], [2, 8, 4]])
+    for m in (a, smith_normal_form(a).V, IntMatrix.zero(0, 3)):
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and (back.rows, back.cols) == (m.rows, m.cols)
+        with pytest.raises(AttributeError):
+            back.rows = 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -69,6 +71,18 @@ def test_classes_equal_examples():
     assert classes_equal(f2, identity_endomorphism(f2), ab, ba) == EQUAL
 
 
+def _class_count(cl):
+    """Number of twisted classes from the Smith diagonal of I - A, or None
+    when there are infinitely many."""
+    return None if 0 in cl.diag else math.prod(cl.diag)
+
+
+def _class_reps(cl):
+    """One representative per twisted class, when there are finitely many."""
+    return [cl.rep_of(combo)
+            for combo in itertools.product(*(range(d) for d in cl.diag))]
+
+
 def test_counting_by_determinant():
     # number of twisted classes of Z^n equals |det(I - A)| when nonzero
     from fixtrace.exactalg import IntMatrix
@@ -85,8 +99,8 @@ def test_counting_by_determinant():
         if det == 0:
             continue
         cl = _fa_classifier(endo)
-        assert cl.class_count() == abs(det)
-        reps = cl.enumerate_reps()
+        assert _class_count(cl) == abs(det)
+        reps = _class_reps(cl)
         assert len({twisted_class(g, endo, r).key for r in reps}) == abs(det)
 
 
@@ -96,7 +110,7 @@ def test_classifier_cache_is_bounded():
     g = FreeAbelianGroup(1)
     for d in range(_FA_CACHE_SIZE + 10):
         endo = GroupEndomorphism(g, [(d,)])
-        assert _fa_classifier(endo).class_count() == (abs(1 - d) or None)
+        assert _fa_classifier(endo).diag == [abs(1 - d)]
     assert _classifier_of_matrix.cache_info().currsize <= _FA_CACHE_SIZE
 
 
@@ -274,6 +288,23 @@ def test_nielsen_examples():
     endo_a = GroupEndomorphism(g2, [(2, 1), (1, 1)])
     s2 = ShadowElement(g2, endo_a, [(twisted_class(g2, endo_a, (0, 0)), -1)])
     assert nielsen(s2) == 1
+
+
+def test_consolidated_merges_equal_classes_with_different_keys():
+    # phi: a -> b, b -> a^-1.  b and a^-1 b a a b are twisted conjugate
+    # (their depth-1 orbit balls meet), yet depth 1 gives them different
+    # keys, so consolidation must merge them.
+    f2 = FreeGroup(2)
+    endo = GroupEndomorphism(f2, [((1, 1),), ((0, -1),)])
+    g = ((1, 1),)
+    h = ((0, -1), (1, 1), (0, 1), (0, 1), (1, 1))
+    cg = twisted_class(f2, endo, g, depth=1)
+    ch = twisted_class(f2, endo, h, depth=1)
+    assert cg.key != ch.key
+    assert classes_equal(f2, endo, cg.rep, ch.rep, depth=1) == EQUAL
+    merged = ShadowElement(f2, endo, [(cg, 1), (ch, 1)]).consolidated(depth=1)
+    assert [c for _, c in merged.items()] == [2]
+    assert nielsen(ShadowElement(f2, endo, [(cg, 1), (ch, 1)]), depth=1) == 1
 
 
 def test_nielsen_indeterminate():
