@@ -46,7 +46,9 @@ from .reidemeister import (
     TwistedChainMap,
     degree1_boundary,
     degree1_fox_lift,
+    lift_on_cover,
     lift_self_map,
+    lift_to_universal_cover,
     reidemeister_trace_chain,
 )
 from .simplicial import (
@@ -57,6 +59,7 @@ from .simplicial import (
     identity_map,
     induced_chain_map,
     lefschetz_number,
+    pi1_presentation,
 )
 
 
@@ -315,6 +318,7 @@ class BundleSelfMapPair:
                            base_map.vertex_images[base.basepoint])
         self.total_map_images = dict(total_map_images) if total_map_images else None
         self._traces: Dict[tuple, ShadowElement] = {}
+        self._fiber_covers: Dict[Tuple[int, ...], EquivariantChainComplex] = {}
         # homological compatibility over every edge
         for (e, s, d) in base.edges:
             lhs = self.fiber_maps[d].compose(bundle.transports[e].forward)
@@ -343,6 +347,20 @@ class BundleSelfMapPair:
         """
         total, f = self.total
         return lift_self_map(total.complex, f)
+
+    def fiber_cover(self, comp: Tuple[int, ...]) -> EquivariantChainComplex:
+        """Universal-cover model of one component of the basepoint fiber.
+
+        Built on first use and shared by every base class: only the fiber
+        map, never the fiber, differs between classes.  The presentation
+        is ``cover.presentation``, of the full subcomplex on ``comp``.
+        """
+        if comp not in self._fiber_covers:
+            fiber = self.bundle.fiber(self.bundle.base.basepoint)
+            sub = fiber.subcomplex(comp)
+            self._fiber_covers[comp] = lift_to_universal_cover(
+                sub, pi1_presentation(sub, sub.vertices[0]))
+        return self._fiber_covers[comp]
 
     # -- traces, each computed once per depth (and per base class) ---------
 
@@ -715,7 +733,8 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
                          depth: int = DEFAULT_DEPTH) -> ShadowElement:
     """Pushforward of the fiber Reidemeister trace of the class composite.
 
-    The fiber self-map is lifted per invariant component; each component's
+    The fiber self-map is lifted per invariant component, on the cover the
+    pair builds once per component (``fiber_cover``); each component's
     trace is pushed into the total space with the correction word built
     from the reversed lift track of the class path, exactly the whiskering
     that identifies a fiber fixed point with a total-space fixed point.
@@ -734,12 +753,13 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
         comp_ids = set(fiber.vertices[i] for i in comp)
         if any(k_map.vertex_images[x] not in comp_ids for x in comp_ids):
             continue
-        sub = fiber.subcomplex(comp)
+        cover = pair.fiber_cover(comp)
+        pf = cover.presentation
+        sub = pf.complex
         k_sub = SimplicialMap(sub, sub, {x: k_map.vertex_images[x]
                                          for x in sub.vertices})
-        lifted_f = lift_self_map(sub, k_sub)
+        lifted_f = lift_on_cover(cover, k_sub)
         r_comp = lifted_f.trace(depth)
-        pf = lifted_f.presentation
         x0 = sub.vertices[0]
         # alpha: total-space tree path from the total basepoint to x0
         x0_total = te.index[("v", b, x0)]

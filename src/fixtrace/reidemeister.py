@@ -327,12 +327,20 @@ def lift_self_map(k: SimplicialComplex, f: SimplicialMap, basepoint=None,
     if basepoint is None:
         basepoint = k.vertices[0]
     p = pi1_presentation(k, basepoint)
-    cover = lift_to_universal_cover(k, p)
+    return lift_on_cover(lift_to_universal_cover(k, p), f, basepath)
+
+
+def lift_on_cover(cover: EquivariantChainComplex, f: SimplicialMap,
+                  basepath: Optional[Sequence[Tuple[int, int]]] = None
+                  ) -> LiftedSelfMap:
+    """Lift of a self-map to a cover already built for its complex, so
+    that several maps of one complex share its presentation and cover."""
+    p = cover.presentation
     if basepath is None:
         basepath = _default_basepath(p, f)
     else:
-        b = k.index[basepoint]
-        validate_edge_path(k, [tuple(s) for s in basepath], b,
+        b = p.complex.index[p.basepoint]
+        validate_edge_path(p.complex, [tuple(s) for s in basepath], b,
                            f.apply_index(b))
     cm = lift_map(f, basepath, cover)
     return LiftedSelfMap(presentation=p, chain_map=cm,

@@ -16,7 +16,9 @@ reported as unsupported.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -390,61 +392,93 @@ def _substitute(word: Word, mapping: Dict[int, Word]) -> Word:
 _MAX_RELATOR_LENGTH = 4096
 
 
+def _single_letters(word: Word) -> List[int]:
+    """Generators occurring exactly once in the word, in increasing order."""
+    counts: Dict[int, int] = {}
+    for g, _ in word:
+        counts[g] = counts.get(g, 0) + 1
+    return sorted(g for g, c in counts.items() if c == 1)
+
+
 def _simplify_presentation(ngens: int, relators: List[Word]):
     """Tietze eliminations; returns (surviving gens, substitution, relators).
 
     The substitution maps every original generator to a word over the
-    surviving ones.  Elimination picks, deterministically, the shortest
-    relator containing some generator exactly once.
+    surviving ones.  Relators are kept cyclically reduced, in input order,
+    and distinct up to rotation and inversion: of two that coincide, the
+    earlier one stays.  Each step takes the shortest relator containing
+    some generator exactly once (the earliest among equal lengths, and its
+    smallest such generator), solves it for that generator and rewrites
+    only the relators that contain it.  A rewritten relator longer than
+    ``_MAX_RELATOR_LENGTH`` gives up with ``None``.
     """
-    subst: Dict[int, Word] = {g: ((g, 1),) for g in range(ngens)}
-    alive = set(range(ngens))
-    rels = [reduce_word(r) for r in relators]
+    rels: Dict[int, Word] = {}  # id -> relator; ids follow input order
+    canon_of: Dict[int, Word] = {}
+    owner: Dict[Word, int] = {}  # canonical form -> the id holding it
+    holding: Dict[int, Set[int]] = defaultdict(set)  # generator -> ids
+    # (length, id) of relators holding a generator exactly once; entries
+    # that a later rewrite or drop made stale are skipped when popped
+    heap: List[Tuple[int, int]] = []
 
-    def normalize(rels_in: List[Word]) -> List[Word]:
-        seen = set()
-        out = []
-        for r in rels_in:
-            r = cyclic_reduce(r)
-            if not r:
-                continue
-            canon = min(cyclic_normal_form(r), cyclic_normal_form(invert_word(r)))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(r)
-        return out
+    def drop(i: int) -> None:
+        del owner[canon_of.pop(i)]
+        for g, _ in rels.pop(i):
+            holding[g].discard(i)
 
-    while True:
-        rels = normalize(rels)
-        candidate = None
-        for ridx, r in sorted(enumerate(rels), key=lambda p: (len(p[1]), p[0])):
-            counts: Dict[int, int] = {}
-            for g, _ in r:
-                counts[g] = counts.get(g, 0) + 1
-            singles = sorted(g for g, c in counts.items() if c == 1)
-            if singles:
-                candidate = (ridx, r, singles[0])
-                break
-        if candidate is None:
-            break
-        ridx, r, x = candidate
-        pos = next(i for i, (g, _) in enumerate(r) if g == x)
+    def add(i: int, r: Word) -> None:
+        r = cyclic_reduce(r)
+        if not r:
+            return
+        canon = min(cyclic_normal_form(r), cyclic_normal_form(invert_word(r)))
+        j = owner.get(canon)
+        if j is not None:
+            if j < i:
+                return
+            drop(j)
+        rels[i], canon_of[i], owner[canon] = r, canon, i
+        for g, _ in r:
+            holding[g].add(i)
+        if _single_letters(r):
+            heapq.heappush(heap, (len(r), i))
+
+    for i, r in enumerate(relators):
+        add(i, r)
+    eliminated: List[Tuple[int, Word]] = []
+    while heap:
+        n, i = heapq.heappop(heap)
+        r = rels.get(i)
+        singles = _single_letters(r) if r is not None and len(r) == n else ()
+        if not singles:
+            continue
+        x = singles[0]
+        pos = next(p for p, (g, _) in enumerate(r) if g == x)
         eps = r[pos][1]
-        u = r[:pos]
-        v = r[pos + 1:]
         # r = u x^eps v = 1  =>  x^eps = u^-1 v^-1
-        w = reduce_word(invert_word(u) + invert_word(v))
+        w = reduce_word(invert_word(r[:pos]) + invert_word(r[pos + 1:]))
         if eps == -1:
             w = invert_word(w)
-        mapping = {x: w}
-        alive.discard(x)
-        rels = [r2 for i, r2 in enumerate(rels) if i != ridx]
-        rels = [_substitute(r2, mapping) for r2 in rels]
-        subst = {g: _substitute(s, mapping) for g, s in subst.items()}
-        if any(len(r2) > _MAX_RELATOR_LENGTH for r2 in rels):
+        drop(i)
+        touched = sorted(holding.pop(x, ()))
+        rewritten = [(j, _substitute(rels[j], {x: w})) for j in touched]
+        lengths = [len(r2) for _, r2 in rewritten]
+        if not eliminated:
+            # A relator is measured whenever it is rewritten, so one that
+            # never is keeps its input length: only the first step sees it.
+            lengths += [len(r2) for j, r2 in rels.items() if j not in touched]
+        if max(lengths, default=0) > _MAX_RELATOR_LENGTH:
             return None  # give up; caller reports Unsupported
-    return sorted(alive), subst, normalize(rels)
+        eliminated.append((x, w))
+        for j in touched:
+            drop(j)
+        for j, r2 in rewritten:
+            add(j, r2)
+    # Back-substitution: each word only holds generators eliminated later.
+    final: Dict[int, Word] = {}
+    for x, w in reversed(eliminated):
+        final[x] = _substitute(w, final)
+    subst = {g: final.get(g, ((g, 1),)) for g in range(ngens)}
+    alive = sorted(set(range(ngens)) - set(final))
+    return alive, subst, [rels[i] for i in sorted(rels)]
 
 
 def _is_commutator_pattern(word: Word) -> Optional[Tuple[int, int]]:

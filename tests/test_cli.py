@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -279,10 +280,11 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
 
 def test_bundle_verify_shares_chains_bases_and_fiber_traces(tmp_path, capsys,
                                                            monkeypatch):
-    # Each complex builds its chain complex once, each chain complex each
-    # degree's homology basis once, and each base class its pushed fiber
-    # trace once, although both theorems read them.
-    from fixtrace import bundles, exactalg, simplicial
+    # Each complex builds its chain complex, its pi_1 presentation and its
+    # universal cover once, each chain complex each degree's homology basis
+    # once, and each base class its pushed fiber trace once, although both
+    # theorems read them.
+    from fixtrace import bundles, cli, exactalg, reidemeister, simplicial
     _, text, _ = run_cli(capsys, "catalog", "emit", "trivial_product")
     path = write(tmp_path, "pair.json", json.loads(text))
     complexes = []
@@ -307,6 +309,19 @@ def test_bundle_verify_shares_chains_bases_and_fiber_traces(tmp_path, capsys,
     monkeypatch.setattr(simplicial, "chain_complex", counting_chain_complex)
     monkeypatch.setattr(exactalg, "_homology_basis", counting_basis)
     monkeypatch.setattr(bundles, "refined_reidemeister", counting_refined)
+    presented, covered = [], []
+    for owner, name, calls in (
+            (simplicial, "pi1_presentation", presented),
+            (reidemeister, "lift_to_universal_cover", covered)):
+        real = getattr(owner, name)
+
+        def counting(k, *args, real=real, calls=calls, **kwargs):
+            calls.append((k.vertices, k.simplices))
+            return real(k, *args, **kwargs)
+
+        for mod in (simplicial, reidemeister, bundles, cli):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--theorem", "both")
     assert code == EXIT_OK
     rep = json.loads(out)
@@ -316,6 +331,9 @@ def test_bundle_verify_shares_chains_bases_and_fiber_traces(tmp_path, capsys,
     assert len({(id(c), i) for c, i in bases}) == len(bases)
     base_classes = [row["class"] for row in rep["tables"][1]["rows"]]
     assert len(classes) == len(set(classes)) == len(base_classes) == 2
+    # the total space and the one fiber component
+    assert len(presented) == len(set(presented)) == 2
+    assert covered == presented
 
 
 def test_negative_depth_exit2(tmp_path, capsys):
@@ -781,7 +799,8 @@ def _figure_eight_map_documents():
 
 
 # Exit code and SHA-256 of the ``reidemeister`` report for maps over Z^2 and
-# over the free group of rank 2, which exercise the group-ring lift.
+# over the free group of rank 2, which exercise the group-ring lift.  The
+# C10 x C10 negation's presentation has 201 generators before elimination.
 REIDEMEISTER_REPORTS = {
     "torus6-negation": (
         0, "dec14bdad2da8f58d8fd974cbc1d17744f28e1972994c8c3e52d54438c018851"),
@@ -791,6 +810,8 @@ REIDEMEISTER_REPORTS = {
         0, "f9c4c0dea959dd68c7c77b1d60661cf7744bd6940fd45770c25045967291edda"),
     "torus6-constant": (
         0, "bc7b7ddcbf46b974bf0851e4f44814bb57d58feb3b1822c7457bda06cf289e12"),
+    "torus10-negation": (
+        0, "d4848ff8160d956c1fcdf2f544b2530870be0fabafd66d9ccfeca9a41a56b224"),
     "fig8-swap": (
         0, "2854d93f5a58724b51249f9c819a28f2474b654c748770588d37560a7afb57b7"),
     "fig8-swap-flip": (
@@ -801,10 +822,90 @@ REIDEMEISTER_REPORTS = {
 
 
 def test_reidemeister_reports_byte_identical(tmp_path, capsys):
-    docs = {**_torus_map_documents(6), **_figure_eight_map_documents()}
+    docs = {**_torus_map_documents(6), **_figure_eight_map_documents(),
+            "torus10-negation": _torus_map_documents(10)["torus10-negation"]}
     assert set(docs) == set(REIDEMEISTER_REPORTS)
     for name, doc in docs.items():
         code, out, _ = run_cli(capsys, "reidemeister",
                                write(tmp_path, f"{name}.json", doc))
         got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, got_sha) == REIDEMEISTER_REPORTS[name], name
+
+
+# Exit code and SHA-256 of ``bundle-verify --theorem both`` on the
+# reflection x reflection product with a five-vertex circle fiber, whose
+# total space has the largest presentation among the bundle pins.
+FIBER5_PRODUCT_REPORT = (
+    0, "a0b6ee2111213b5654aa5d485f17a38e8f213733de18aabdb0fae2f406689ce0")
+
+
+def test_fiber5_product_report_byte_identical(tmp_path, capsys):
+    doc = serialize_pair(cat.trivial_product_pair(fiber_size=5))
+    code, out, _ = run_cli(capsys, "bundle-verify",
+                           write(tmp_path, "pair.json", doc),
+                           "--theorem", "both")
+    got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, got_sha) == FIBER5_PRODUCT_REPORT
+
+
+def test_relator_cap_reports_unsupported(tmp_path, capsys, monkeypatch):
+    # An elimination that outgrows the relator cap leaves the group
+    # unrecognized: exit 3, never a guessed group.
+    from fixtrace import simplicial
+    monkeypatch.setattr(simplicial, "_MAX_RELATOR_LENGTH", 3)
+    doc = _torus_map_documents(6)["torus6-negation"]
+    code, out, _ = run_cli(capsys, "reidemeister",
+                           write(tmp_path, "map.json", doc))
+    assert code == EXIT_UNSUPPORTED
+    rep = json.loads(out)
+    assert rep["verdict"] == "unsupported"
+    assert rep["lhs"] is None
+    assert rep["flags"] == ["fundamental group not recognized (unsupported)"]
+
+
+def _relabeled_map_document(doc, seed):
+    """The map document with new vertex names, a shuffled declaration
+    order and shuffled simplices, each listing its vertices shuffled."""
+    rng = random.Random(seed)
+    old = doc["complex"]["vertices"]
+    ids = list(range(len(old)))
+    rng.shuffle(ids)
+    name = {v: f"w{k}" for v, k in zip(old, ids)}
+    order = [name[v] for v in old]
+    rng.shuffle(order)
+    simplices = [[name[v] for v in s] for s in doc["complex"]["simplices"]]
+    for s in simplices:
+        rng.shuffle(s)
+    rng.shuffle(simplices)
+    return {"complex": {"vertices": order, "simplices": simplices},
+            "vertex_images": {name[v]: name[w]
+                              for v, w in doc["vertex_images"].items()},
+            "basepath": []}
+
+
+def _invariants(tmp_path, capsys, doc):
+    """pi_1 class and rank, Betti numbers, L and N of a map document."""
+    from fixtrace.exactalg import homology
+    from fixtrace.simplicial import pi1_presentation
+    k = parse_complex(doc["complex"])
+    p = pi1_presentation(k, k.vertices[0])
+    code, out, _ = run_cli(capsys, "reidemeister",
+                           write(tmp_path, "map.json", doc))
+    assert code == EXIT_OK
+    lhs = json.loads(out)["lhs"]
+    return (p.recognized_class, p.rank, homology(k.chains).betti,
+            lhs["lefschetz"], lhs["nielsen"])
+
+
+@pytest.mark.parametrize("name", sorted(
+    {**_torus_map_documents(6), **_figure_eight_map_documents()}))
+def test_relabeling_keeps_invariants(tmp_path, capsys, name):
+    # The elimination order, the spanning tree and the basepoint all follow
+    # the vertex order; the group recognized and every number reported
+    # must not.
+    doc = {**_torus_map_documents(6), **_figure_eight_map_documents()}[name]
+    want = _invariants(tmp_path, capsys, doc)
+    assert want[0] in ("free", "free_abelian")
+    for seed in (1, 2, 3):
+        relabeled = _relabeled_map_document(doc, seed)
+        assert _invariants(tmp_path, capsys, relabeled) == want, seed

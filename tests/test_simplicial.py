@@ -1,9 +1,20 @@
 import random
+from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fixtrace import simplicial
 from fixtrace.exactalg import homology, hopf_chain_trace, lefschetz_from_homology
-from fixtrace.grouprings import FreeAbelianGroup, FreeGroup
+from fixtrace.grouprings import (
+    FreeAbelianGroup,
+    FreeGroup,
+    cyclic_normal_form,
+    cyclic_reduce,
+    invert_word,
+    reduce_word,
+)
 from fixtrace.simplicial import (
     FREE,
     FREE_ABELIAN,
@@ -301,3 +312,168 @@ def test_disjoint_union_euler():
     k = disjoint_union(circle(3), torus7())
     assert k.euler_characteristic() == 0
     assert len(k.components()) == 2
+
+
+# ---------------------------------------------------------------------------
+# Tietze elimination against the quadratic reference
+# ---------------------------------------------------------------------------
+
+Word = Tuple[Tuple[int, int], ...]
+
+
+def _reference_substitute(word: Word, mapping: Dict[int, Word]) -> Word:
+    out: List[Tuple[int, int]] = []
+    for g, e in word:
+        rep = mapping.get(g)
+        if rep is None:
+            out.append((g, e))
+        else:
+            out.extend(rep if e == 1 else invert_word(rep))
+    return reduce_word(out)
+
+
+def reference_simplify_presentation(ngens: int, relators: List[Word]):
+    """The elimination as first written: every step re-normalizes, re-sorts
+    and re-substitutes all relators and all substitution words."""
+    subst: Dict[int, Word] = {g: ((g, 1),) for g in range(ngens)}
+    alive = set(range(ngens))
+    rels = [reduce_word(r) for r in relators]
+
+    def normalize(rels_in: List[Word]) -> List[Word]:
+        seen = set()
+        out = []
+        for r in rels_in:
+            r = cyclic_reduce(r)
+            if not r:
+                continue
+            canon = min(cyclic_normal_form(r), cyclic_normal_form(invert_word(r)))
+            if canon in seen:
+                continue
+            seen.add(canon)
+            out.append(r)
+        return out
+
+    while True:
+        rels = normalize(rels)
+        candidate = None
+        for ridx, r in sorted(enumerate(rels), key=lambda p: (len(p[1]), p[0])):
+            counts: Dict[int, int] = {}
+            for g, _ in r:
+                counts[g] = counts.get(g, 0) + 1
+            singles = sorted(g for g, c in counts.items() if c == 1)
+            if singles:
+                candidate = (ridx, r, singles[0])
+                break
+        if candidate is None:
+            break
+        ridx, r, x = candidate
+        pos = next(i for i, (g, _) in enumerate(r) if g == x)
+        eps = r[pos][1]
+        u = r[:pos]
+        v = r[pos + 1:]
+        # r = u x^eps v = 1  =>  x^eps = u^-1 v^-1
+        w = reduce_word(invert_word(u) + invert_word(v))
+        if eps == -1:
+            w = invert_word(w)
+        mapping = {x: w}
+        alive.discard(x)
+        rels = [r2 for i, r2 in enumerate(rels) if i != ridx]
+        rels = [_reference_substitute(r2, mapping) for r2 in rels]
+        subst = {g: _reference_substitute(s, mapping) for g, s in subst.items()}
+        if any(len(r2) > simplicial._MAX_RELATOR_LENGTH for r2 in rels):
+            return None  # give up; caller reports Unsupported
+    return sorted(alive), subst, normalize(rels)
+
+
+@st.composite
+def relator_lists(draw):
+    """Random relators over up to 7 generators, with copies of some of them
+    inserted up to rotation and inversion, so that duplicates get dropped."""
+    ngens = draw(st.integers(0, 7))
+    letter = st.tuples(st.integers(0, max(ngens - 1, 0)), st.sampled_from((1, -1)))
+    word = st.lists(letter, max_size=6 if ngens else 0).map(tuple)
+    rels = draw(st.lists(word, max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if rels else 0):
+        r = rels[draw(st.integers(0, len(rels) - 1))]
+        k = draw(st.integers(0, max(len(r) - 1, 0)))
+        r = r[k:] + r[:k]
+        if draw(st.booleans()):
+            r = invert_word(r)
+        rels.insert(draw(st.integers(0, len(rels))), r)
+    return ngens, rels
+
+
+def _presentation_input(k):
+    """The (ngens, relators) that ``pi1_presentation`` hands to the
+    elimination for the complex at its first vertex."""
+    calls = []
+    real = simplicial._simplify_presentation
+
+    def record(ngens, relators):
+        calls.append((ngens, list(relators)))
+        return real(ngens, relators)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "_simplify_presentation", record)
+        pi1_presentation(k, k.vertices[0])
+    return calls[0]
+
+
+CATALOG_PRESENTATIONS = {
+    **{f"staircase{n}": (lambda n=n: product_complex(circle(n), circle(n)))
+       for n in range(4, 9)},
+    "torus7": torus7,
+    "figure_eight": figure_eight,
+}
+
+_oracle_settings = settings(derandomize=True, max_examples=600, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PRESENTATIONS))
+def test_simplify_matches_reference_on_catalog_presentations(name):
+    ngens, rels = _presentation_input(CATALOG_PRESENTATIONS[name]())
+    got = simplicial._simplify_presentation(ngens, rels)
+    assert got is not None
+    assert got == reference_simplify_presentation(ngens, rels)
+
+
+@_oracle_settings
+@given(relator_lists())
+def test_simplify_matches_reference(case):
+    ngens, rels = case
+    assert (simplicial._simplify_presentation(ngens, rels)
+            == reference_simplify_presentation(ngens, rels))
+
+
+# (ngens, relators, whether a cap of 5 letters makes the elimination give up)
+CAPPED_INPUTS = [
+    # x0 = x1^-3 turns x0^3 x2^2 into 11 letters
+    (3, [((0, 1),) + ((1, 1),) * 3, ((0, 1),) * 3 + ((2, 1),) * 2], True),
+    # x2^6 holds no eliminated generator and is already too long
+    (3, [((0, 1), (1, 1)), ((2, 1),) * 6], True),
+    # (x0 x1^-1)^3 is too long until x0 = x1 rewrites it to nothing
+    (2, [((0, 1), (1, -1)), ((0, 1), (1, -1)) * 3], False),
+]
+
+
+def test_simplify_gives_up_with_reference_on_fixed_inputs():
+    inputs = [(ngens, rels, gives_up) for ngens, rels, gives_up in CAPPED_INPUTS]
+    inputs += [(*_presentation_input(make()), False)
+               for _, make in sorted(CATALOG_PRESENTATIONS.items())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "_MAX_RELATOR_LENGTH", 5)
+        for ngens, rels, gives_up in inputs:
+            got = simplicial._simplify_presentation(ngens, rels)
+            assert (got is None) == gives_up
+            assert got == reference_simplify_presentation(ngens, rels)
+
+
+@_oracle_settings
+@given(relator_lists())
+def test_simplify_gives_up_with_reference(case):
+    ngens, rels = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "_MAX_RELATOR_LENGTH", 5)
+        assert (simplicial._simplify_presentation(ngens, rels)
+                == reference_simplify_presentation(ngens, rels))
