@@ -34,6 +34,7 @@ from .grouprings import (
     GroupRingMatrix,
     ShadowElement,
     TwistedClass,
+    expand_word,
     invert_word,
     nielsen,
     pushforward,
@@ -60,6 +61,7 @@ from .simplicial import (
     induced_chain_map,
     lefschetz_number,
     pi1_presentation,
+    reverse_path,
 )
 
 
@@ -166,8 +168,7 @@ class GraphBase:
 
     def generator_loop(self, e: str) -> List[EdgeStep]:
         s, d = self.edge_by_id[e]
-        return (self.tree_path(s) + [(e, 1)]
-                + [(x, -sg) for (x, sg) in reversed(self.tree_path(d))])
+        return [*self.tree_path(s), (e, 1), *invert_word(self.tree_path(d))]
 
     def word_of(self, steps: Sequence[EdgeStep]):
         letters = []
@@ -179,14 +180,8 @@ class GraphBase:
 
     def expand_element(self, g) -> List[EdgeStep]:
         """Edge-step loop at the basepoint representing a group element."""
-        steps: List[EdgeStep] = []
-        for (j, sign) in g:
-            loop = self.generator_loop(self.generator_edges[j])
-            if sign == 1:
-                steps.extend(loop)
-            else:
-                steps.extend((e, -sg) for (e, sg) in reversed(loop))
-        return steps
+        return expand_word(
+            g, lambda j: self.generator_loop(self.generator_edges[j]))
 
     def __repr__(self):
         return (f"GraphBase({len(self.vertices)} vertices, "
@@ -212,18 +207,7 @@ class GraphSelfMap:
                                self.vertex_images[d])
 
     def apply_word(self, steps: Sequence[EdgeStep]) -> List[EdgeStep]:
-        out: List[EdgeStep] = []
-        for (e, sign) in steps:
-            w = self.edge_words[e]
-            if sign == 1:
-                out.extend(w)
-            else:
-                out.extend((x, -sg) for (x, sg) in reversed(w))
-        return out
-
-
-def reverse_word(steps: Sequence[EdgeStep]) -> List[EdgeStep]:
-    return [(e, -sg) for (e, sg) in reversed(steps)]
+        return expand_word(steps, self.edge_words.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +218,13 @@ def reverse_word(steps: Sequence[EdgeStep]) -> List[EdgeStep]:
 class Transport:
     forward: SimplicialMap
     inverse: SimplicialMap
+
+    def preimages(self) -> Optional[Dict]:
+        """The forward vertex map inverted, or None when two fiber
+        vertices share an image."""
+        images = self.forward.vertex_images
+        inverse = {w: v for v, w in images.items()}
+        return inverse if len(inverse) == len(images) else None
 
 
 def _is_homology_identity(f: SimplicialMap) -> bool:
@@ -359,7 +350,7 @@ class BundleSelfMapPair:
             fiber = self.bundle.fiber(self.bundle.base.basepoint)
             sub = fiber.subcomplex(comp)
             self._fiber_covers[comp] = lift_to_universal_cover(
-                sub, pi1_presentation(sub, sub.vertices[0]))
+                pi1_presentation(sub, sub.vertices[0]))
         return self._fiber_covers[comp]
 
     # -- traces, each computed once per depth (and per base class) ---------
@@ -388,16 +379,20 @@ class BundleSelfMapPair:
     # -- base invariants ---------------------------------------------------
 
     @cached_property
+    def base_loop_images(self) -> List[Tuple[Tuple[int, int], ...]]:
+        """Words of the base-map images of the generator loops."""
+        base = self.bundle.base
+        return [base.word_of(self.base_map.apply_word(base.generator_loop(e)))
+                for e in base.generator_edges]
+
+    @cached_property
     def base_endomorphism(self) -> GroupEndomorphism:
         """Induced endomorphism of the base group through the basepath."""
         base = self.bundle.base
         beta = base.word_of(self.basepath)
-        images = []
-        for e in base.generator_edges:
-            img = self.base_map.apply_word(base.generator_loop(e))
-            w = reduce_word(beta + tuple(base.word_of(img)) + invert_word(beta))
-            images.append(w)
-        return GroupEndomorphism(base.group, images)
+        return GroupEndomorphism(base.group, [
+            reduce_word(beta + w + invert_word(beta))
+            for w in self.base_loop_images])
 
     def base_lift(self) -> TwistedChainMap:
         """Lift of the base map on the tree-contracted chain model."""
@@ -408,9 +403,7 @@ class BundleSelfMapPair:
                                         [degree1_boundary(group, gens)])
         g0 = base.word_of(self.basepath)
         f0 = GroupRingMatrix.from_rows(group, [[GroupRingElement.of(group, g0)]])
-        words = [base.word_of(self.base_map.apply_word(base.generator_loop(e)))
-                 for e in base.generator_edges]
-        f1 = degree1_fox_lift(group, g0, words, reduce_word)
+        f1 = degree1_fox_lift(group, g0, self.base_loop_images, reduce_word)
         return TwistedChainMap(cover, self.base_endomorphism, [f0, f1])
 
     def class_path(self, cls: TwistedClass) -> List[EdgeStep]:
@@ -442,7 +435,7 @@ def fiber_composite(pair: BundleSelfMapPair, base_vertex, gamma: Sequence[EdgeSt
     base = pair.bundle.base
     fb = pair.base_map.vertex_images[base_vertex]
     base.validate_word(gamma, base_vertex, fb)
-    h = transport(pair.bundle, reverse_word(gamma), fb)
+    h = transport(pair.bundle, invert_word(gamma), fb)
     return h.compose(pair.fiber_maps[base_vertex])
 
 
@@ -460,15 +453,6 @@ class TotalSpace:
     bundle: DiscreteBundle
     square_corners: Dict[Tuple, Tuple] = field(default_factory=dict)
     center_by_corners: Dict[frozenset, Tuple] = field(default_factory=dict)
-
-    def embed_fiber_path(self, base_vertex, steps_ids):
-        """Fiber edge path (vertex id pairs) as total-space index pairs."""
-        k = self.complex
-        out = []
-        for (a, b) in steps_ids:
-            out.append((k.index[("v", base_vertex, a)],
-                        k.index[("v", base_vertex, b)]))
-        return out
 
     def track(self, edge_id, fiber_vertex) -> List[Tuple]:
         """Vertex path realizing transport along an edge, as total ids."""
@@ -491,27 +475,20 @@ class TotalSpace:
         for (e, sign) in word:
             if sign == 1:
                 seg = self.track(e, cur)
-                if seg[0] != path[-1]:
-                    raise BundleError("track does not start where expected")
-                path.extend(seg[1:])
-                cur = seg[-1][2]
             else:
-                t = self.bundle.transports[e].forward
-                inverse_images = {w: v for v, w in t.vertex_images.items()}
-                if len(inverse_images) != len(t.vertex_images):
+                inverse_images = self.bundle.transports[e].preimages()
+                if inverse_images is None:
                     raise NotConstructibleError(
                         f"transport over {e} is not vertex-bijective; "
                         f"reversed lift track unavailable")
-                pre = inverse_images.get(cur)
-                if pre is None:
+                if cur not in inverse_images:
                     raise NotConstructibleError(
                         f"no preimage for fiber vertex under transport {e}")
-                seg = self.track(e, pre)
-                seg = list(reversed(seg))
-                if seg[0] != path[-1]:
-                    raise BundleError("reversed track mismatch")
-                path.extend(seg[1:])
-                cur = pre
+                seg = self.track(e, inverse_images[cur])[::-1]
+            if seg[0] != path[-1]:
+                raise BundleError("track does not start where expected")
+            path.extend(seg[1:])
+            cur = seg[-1][2]
         return path, cur
 
 
@@ -642,9 +619,8 @@ def total_map(pair: BundleSelfMapPair) -> Tuple[TotalSpace, SimplicialMap]:
                 for x in pair.bundle.fiber(s).vertices:
                     images[("m", e, x)] = ("m", e2, fm.vertex_images[x])
             else:
-                t2 = pair.bundle.transports[e2].forward
-                inv = {w: v for v, w in t2.vertex_images.items()}
-                if len(inv) != len(t2.vertex_images):
+                inv = pair.bundle.transports[e2].preimages()
+                if inv is None:
                     raise NotConstructibleError(
                         f"edge {e} reverses over {e2} whose transport is "
                         f"not vertex-bijective")
@@ -761,42 +737,31 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
         lifted_f = lift_on_cover(cover, k_sub)
         r_comp = lifted_f.trace(depth)
         x0 = sub.vertices[0]
+        # the fiber component over b, included in the total space
+        incl = SimplicialMap(sub, te, {x: ("v", b, x) for x in sub.vertices})
         # alpha: total-space tree path from the total basepoint to x0
-        x0_total = te.index[("v", b, x0)]
-        alpha = pe.tree_path(x0_total)
+        alpha = pe.tree_path(incl.apply_index(0))
+        alpha_back = reverse_path(alpha)
         # iota on the surviving generators: fiber loops whiskered by alpha
-        images = []
-        for gi in pf._final_gens:
-            loop_ids = [(sub.vertices[a], sub.vertices[bb])
-                        for (a, bb) in pf.generator_loop(gi)]
-            loop_total = total.embed_fiber_path(b, loop_ids)
-            word = alpha + loop_total + _reverse_index_path(alpha)
-            images.append(pe.element_of_path(word))
+        images = [pe.element_of_path(
+            alpha + incl.map_path(pf.generator_loop(gi)) + alpha_back)
+            for gi in pf._final_gens]
         iota = GroupHomomorphism(pf.group, pe.group, images)
         # correction word
-        beta_f_ids = [(sub.vertices[a], sub.vertices[bb])
-                      for (a, bb) in lifted_f.basepath]
-        beta_f = total.embed_fiber_path(b, beta_f_ids)
+        beta_f = incl.map_path(lifted_f.basepath)
         y0 = pair.fiber_maps[b].vertex_images[x0]
         track_path, end_vertex = total.transport_track(
-            reverse_word(gamma), fb, y0)
+            invert_word(gamma), fb, y0)
         if end_vertex != k_map.vertex_images[x0]:
             raise BundleError("lift track does not land on the composite image")
-        rho = _as_index_steps(te, list(reversed(track_path)))
-        f_alpha = [(f_total.apply_index(a), f_total.apply_index(bb))
-                   for (a, bb) in alpha]
-        beta_e = list(lifted.basepath)
-        word = (alpha + beta_f + rho + _reverse_index_path(f_alpha)
-                + _reverse_index_path(beta_e))
+        rho = reverse_path(_as_index_steps(te, track_path))
+        word = (alpha + beta_f + rho + reverse_path(f_total.map_path(alpha))
+                + reverse_path(lifted.basepath))
         w_elem = pe.element_of_path(word)
         pushed = pushforward(iota, lifted_f.endo, lifted.endo, w_elem,
                              r_comp, depth)
         result = result + pushed
     return result
-
-
-def _reverse_index_path(steps: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    return [(b, a) for (a, b) in reversed(steps)]
 
 
 def _as_index_steps(k: SimplicialComplex, vertex_path: List) -> List[Tuple[int, int]]:
@@ -811,16 +776,14 @@ def _as_index_steps(k: SimplicialComplex, vertex_path: List) -> List[Tuple[int, 
 # ---------------------------------------------------------------------------
 
 def class_label(cls: TwistedClass) -> str:
+    """A finite or rank-1 key ``[k]``, a Z^n key ``[v0,v1]`` or a word
+    ``[g0^1.g1^-1]``."""
     key = cls.key
-    if isinstance(key, tuple) and all(isinstance(x, int) for x in key):
-        return "[" + ",".join(str(x) for x in key) + "]"
     if isinstance(key, int):
         return f"[{key}]"
-    if isinstance(key, tuple):
-        if not key:
-            return "[e]"
-        return "[" + ".".join(f"g{g}^{e}" for g, e in key) + "]"
-    return f"[{key}]"
+    if all(isinstance(x, int) for x in key):
+        return "[" + ",".join(str(x) for x in key) + "]"
+    return "[" + ".".join(f"g{g}^{e}" for g, e in key) + "]"
 
 
 def shadow_rendering(s: ShadowElement) -> List[List]:

@@ -354,8 +354,7 @@ def double_cover_reflection_pair() -> BundleSelfMapPair:
                                          fm.vertex_images[x])
     reversal = {"e0": "e3", "e1": "e2", "e2": "e1", "e3": "e0"}
     for e, e2 in reversal.items():
-        t2 = transports[e2].forward
-        inv = {w: v for v, w in t2.vertex_images.items()}
+        inv = transports[e2].preimages()
         src = base.edge_endpoints(e)[0]
         for x in ("0", "1"):
             y = fiber_maps[src].vertex_images[x]

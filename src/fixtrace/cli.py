@@ -356,6 +356,19 @@ def render_report(command: str, digest: str, tables: List, lhs, rhs,
     return json.dumps(doc, indent=2) + "\n"
 
 
+_EXIT_OF_VERDICT = {"pass": EXIT_OK, "fail": EXIT_FAIL,
+                    "indeterminate": EXIT_UNSUPPORTED,
+                    "unsupported": EXIT_UNSUPPORTED}
+
+
+def _report(command: str, digest: str, tables: List, lhs, rhs, verdict: str,
+            flags: List[str], parameters: Optional[Dict] = None) -> int:
+    """Write the report to stdout and return the exit code of its verdict."""
+    sys.stdout.write(render_report(command, digest, tables, lhs, rhs, verdict,
+                                   flags, parameters))
+    return _EXIT_OF_VERDICT[verdict]
+
+
 def _read_input(path: str) -> Tuple[Dict, str]:
     try:
         with open(path, "rb") as fh:
@@ -382,12 +395,11 @@ def cmd_homology(args) -> int:
         "betti": h.betti[i],
         "torsion": list(h.torsion[i]),
     } for i in range(len(h.betti))]
-    sys.stdout.write(render_report(
+    return _report(
         "homology", digest, tables,
         lhs={"euler_characteristic": k.euler_characteristic()},
         rhs={"euler_characteristic": h.euler_characteristic()},
-        verdict="pass", flags=[]))
-    return EXIT_OK
+        verdict="pass", flags=[])
 
 
 def cmd_lefschetz(args) -> int:
@@ -399,10 +411,8 @@ def cmd_lefschetz(args) -> int:
     verdict = "pass" if chain_value == homology_value else "fail"
     tables = [{"route": "chain", "value": chain_value},
               {"route": "homology", "value": homology_value}]
-    sys.stdout.write(render_report(
-        "lefschetz", digest, tables, lhs=chain_value, rhs=homology_value,
-        verdict=verdict, flags=[]))
-    return EXIT_OK if verdict == "pass" else EXIT_FAIL
+    return _report("lefschetz", digest, tables, lhs=chain_value,
+                   rhs=homology_value, verdict=verdict, flags=[])
 
 
 def _parse_records(doc: Dict, group) -> Optional[List[FixedPointRecord]]:
@@ -435,10 +445,8 @@ def cmd_reidemeister(args) -> int:
     try:
         lifted = lift_self_map(k, f, basepath=basepath or None)
     except UnsupportedComplexError as exc:
-        sys.stdout.write(render_report(
-            "reidemeister", digest, [], lhs=None, rhs=None,
-            verdict="unsupported", flags=[str(exc)]))
-        return EXIT_UNSUPPORTED
+        return _report("reidemeister", digest, [], lhs=None, rhs=None,
+                       verdict="unsupported", flags=[str(exc)])
     trace = lifted.trace(args.depth)
     group = lifted.presentation.group
     if trace.has_heuristic:
@@ -452,12 +460,11 @@ def cmd_reidemeister(args) -> int:
     try:
         n = nielsen(trace, args.depth)
     except IndeterminateError:
-        sys.stdout.write(render_report(
+        return _report(
             "reidemeister", digest, tables,
             lhs=shadow_rendering(trace), rhs=None,
             verdict="indeterminate",
-            flags=flags + ["nielsen count depends on an Unknown comparison"]))
-        return EXIT_UNSUPPORTED
+            flags=flags + ["nielsen count depends on an Unknown comparison"])
     records = _parse_records(raw, group)
     geometric = None
     if records is not None:
@@ -479,20 +486,16 @@ def cmd_reidemeister(args) -> int:
     }
     if geometric is not None:
         summary["geometric"] = geometric
-    sys.stdout.write(render_report(
+    return _report(
         "reidemeister", digest, tables, lhs=summary,
         rhs={"augmentation_equals_lefschetz": aug == chain_l},
-        verdict=verdict, flags=flags))
-    if verdict == "pass":
-        return EXIT_OK
-    if verdict == "indeterminate":
-        return EXIT_UNSUPPORTED
-    return EXIT_FAIL
+        verdict=verdict, flags=flags)
 
 
 def cmd_bundle_verify(args) -> int:
     doc, digest = _read_input(args.input)
     pair = parse_pair(doc)
+    parameters = {"theorem": args.theorem, "depth": args.depth}
     tables = []
     flags: List[str] = []
     verdicts = []
@@ -521,32 +524,21 @@ def cmd_bundle_verify(args) -> int:
                 lhs["nielsen"] = n_total
                 rhs["nielsen"] = n_sum
                 verdicts.append("pass" if n_total == n_sum else "fail")
-    except (UnsupportedComplexError, NotConstructibleError) as exc:
-        sys.stdout.write(render_report(
+    except (UnsupportedComplexError, NotConstructibleError,
+            IndeterminateError) as exc:
+        return _report(
             "bundle_verify", digest, tables, lhs=lhs or None, rhs=rhs or None,
-            verdict="unsupported", flags=flags + [str(exc)],
-            parameters={"theorem": args.theorem, "depth": args.depth}))
-        return EXIT_UNSUPPORTED
-    except IndeterminateError as exc:
-        sys.stdout.write(render_report(
-            "bundle_verify", digest, tables, lhs=lhs or None, rhs=rhs or None,
-            verdict="indeterminate", flags=flags + [str(exc)],
-            parameters={"theorem": args.theorem, "depth": args.depth}))
-        return EXIT_UNSUPPORTED
+            verdict=("indeterminate" if isinstance(exc, IndeterminateError)
+                     else "unsupported"),
+            flags=flags + [str(exc)], parameters=parameters)
     if any(v == "fail" for v in verdicts):
         verdict = "fail"
     elif any(v == "indeterminate" for v in verdicts):
         verdict = "indeterminate"
     else:
         verdict = "pass"
-    sys.stdout.write(render_report(
-        "bundle_verify", digest, tables, lhs=lhs, rhs=rhs, verdict=verdict,
-        flags=flags, parameters={"theorem": args.theorem, "depth": args.depth}))
-    if verdict == "pass":
-        return EXIT_OK
-    if verdict == "indeterminate":
-        return EXIT_UNSUPPORTED
-    return EXIT_FAIL
+    return _report("bundle_verify", digest, tables, lhs=lhs, rhs=rhs,
+                   verdict=verdict, flags=flags, parameters=parameters)
 
 
 def _emit_document(name: str, params: Dict) -> Tuple[str, str]:

@@ -20,9 +20,9 @@ group-ring matrices and of Reidemeister traces.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import IntMatrix, smith_normal_form
@@ -71,6 +71,9 @@ class FreeAbelianGroup:
         return [tuple(1 if i == j else 0 for j in range(self.rank))
                 for i in range(self.rank)]
 
+    def abelianized(self, g) -> Tuple[int, ...]:
+        return g
+
     def __eq__(self, other):
         return isinstance(other, FreeAbelianGroup) and other.rank == self.rank
 
@@ -98,7 +101,18 @@ def reduce_word(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ..
 
 
 def invert_word(word) -> Tuple[Tuple[int, int], ...]:
+    """Inverse of a signed word: its letters (x, +-1) reversed, signs flipped."""
     return tuple((g, -e) for g, e in reversed(word))
+
+
+def expand_word(word, image_of) -> List:
+    """Concatenated images ``image_of(x)`` of the letters (x, +-1) of a
+    signed word, inverted for sign -1 and not reduced."""
+    out: List = []
+    for x, e in word:
+        w = image_of(x)
+        out.extend(w if e == 1 else invert_word(w))
+    return out
 
 
 class FreeGroup:
@@ -229,33 +243,26 @@ class GroupHomomorphism:
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
+        self.images = [target.check(x) for x in images]
+        if len(self.images) != len(source.generators()):
+            raise GroupError("need one image per generator")
         if source.kind == "finite":
-            images = [target.check(x) for x in images]
-            if len(images) != source.order:
-                raise GroupError("finite homomorphism needs a total map")
             for a in range(source.order):
                 for b in range(source.order):
-                    lhs = images[source.mul(a, b)]
-                    rhs = target.mul(images[a], images[b])
+                    lhs = self.images[source.mul(a, b)]
+                    rhs = target.mul(self.images[a], self.images[b])
                     if lhs != rhs:
                         raise GroupError("not a homomorphism")
-        else:
-            images = [target.check(x) for x in images]
-            if len(images) != source.rank:
-                raise GroupError("need one image per generator")
-        self.images = list(images)
 
     def apply(self, g):
         src, dst = self.source, self.target
+        g = src.check(g)
         if src.kind == "finite":
-            return self.images[src.check(g)]
-        if src.kind == "free_abelian":
-            out = dst.identity()
-            for i, e in enumerate(src.check(g)):
-                out = dst.mul(out, _power(dst, self.images[i], e))
-            return out
+            return self.images[g]
+        # (generator, exponent) pairs: a Z^n vector or a reduced word
+        letters = enumerate(g) if src.kind == "free_abelian" else g
         out = dst.identity()
-        for gen, e in src.check(g):
+        for gen, e in letters:
             out = dst.mul(out, _power(dst, self.images[gen], e))
         return out
 
@@ -285,32 +292,26 @@ class GroupEndomorphism(GroupHomomorphism):
     def matrix(self) -> IntMatrix:
         """Matrix on abelianization; columns are generator images."""
         g = self.group
-        if g.kind == "free_abelian":
-            cols = [self.images[j] for j in range(g.rank)]
-            return IntMatrix(g.rank, g.rank,
-                             [cols[j][i] for i in range(g.rank)
-                              for j in range(g.rank)])
-        if g.kind == "free":
-            cols = [g.abelianized(self.images[j]) for j in range(g.rank)]
-            return IntMatrix(g.rank, g.rank,
-                             [cols[j][i] for i in range(g.rank)
-                              for j in range(g.rank)])
-        raise GroupError("no abelianization matrix for finite groups")
+        if g.kind == "finite":
+            raise GroupError("no abelianization matrix for finite groups")
+        cols = [g.abelianized(x) for x in self.images]
+        return IntMatrix(g.rank, g.rank,
+                         [cols[j][i] for i in range(g.rank)
+                          for j in range(g.rank)])
+
+    @cached_property
+    def classifier(self) -> "_FreeAbelianClassifier":
+        """Cokernel data of I - A on the abelianization, built on first use."""
+        return _FreeAbelianClassifier(self.matrix())
 
     def is_identity(self) -> bool:
-        g = self.group
-        if g.kind == "finite":
-            return all(self.images[a] == a for a in range(g.order))
-        gens = g.generators()
-        return all(self.images[i] == gens[i] for i in range(len(gens)))
+        return self.images == self.group.generators()
 
     def __repr__(self):
         return f"GroupEndomorphism({self.group!r})"
 
 
 def identity_endomorphism(group) -> GroupEndomorphism:
-    if group.kind == "finite":
-        return GroupEndomorphism(group, list(range(group.order)))
     return GroupEndomorphism(group, group.generators())
 
 
@@ -359,20 +360,6 @@ class _FreeAbelianClassifier:
     def rep_of(self, reduced) -> Tuple[int, ...]:
         return tuple(sum(self.u_inv[i, j] * reduced[j] for j in range(self.n))
                      for i in range(self.n))
-
-
-_FA_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=_FA_CACHE_SIZE)
-def _classifier_of_matrix(a: IntMatrix) -> _FreeAbelianClassifier:
-    return _FreeAbelianClassifier(a)
-
-
-def _fa_classifier(endo: GroupEndomorphism) -> _FreeAbelianClassifier:
-    """Classifier of the endomorphism, memoized on its abelianization matrix
-    (the rank and the abelianized generator images)."""
-    return _classifier_of_matrix(endo.matrix())
 
 
 def cyclic_reduce(word):
@@ -429,7 +416,7 @@ def twisted_class(group, endo: GroupEndomorphism, g,
     """Canonical representative of [g] under g ~ h g phi(h)^-1."""
     g = group.check(g)
     if group.kind == "free_abelian":
-        cl = _fa_classifier(endo)
+        cl = endo.classifier
         reduced = cl.reduce(g)
         return TwistedClass(key=reduced, rep=cl.rep_of(reduced), certainty=CERTAIN)
     if group.kind == "finite":
@@ -476,7 +463,7 @@ def classes_equal(group, endo: GroupEndomorphism, g, h,
         a = twisted_class(group, endo, g, depth)
         b = twisted_class(group, endo, h, depth)
         return EQUAL if a.key == b.key else DISTINCT
-    cl = _fa_classifier(endo)
+    cl = endo.classifier
     if cl.reduce(group.abelianized(g)) != cl.reduce(group.abelianized(h)):
         return DISTINCT
     # The balls of g and h meet exactly when h is within 2 * depth moves.
@@ -759,8 +746,7 @@ def pushforward(hom: GroupHomomorphism, endo_src: GroupEndomorphism,
     """
     src, dst = hom.source, hom.target
     w = dst.check(correction)
-    gens = src.generators() if src.kind != "finite" else list(range(src.order))
-    for g in gens:
+    for g in src.generators():
         lhs = hom.apply(endo_src.apply(g))
         rhs = dst.mul(dst.mul(w, endo_dst.apply(hom.apply(g))), dst.inv(w))
         if lhs != rhs:

@@ -115,13 +115,11 @@ class EquivariantChainComplex:
 
     def __init__(self, group, ranks: Sequence[int],
                  boundaries: Sequence[GroupRingMatrix],
-                 presentation: Optional[Pi1Presentation] = None,
-                 two_simplices: Optional[Sequence[Tuple[int, int, int]]] = None):
+                 presentation: Optional[Pi1Presentation] = None):
         self.group = group
         self.ranks = tuple(int(r) for r in ranks)
         self.boundaries = tuple(boundaries)
         self.presentation = presentation
-        self.two_simplices = tuple(two_simplices) if two_simplices else ()
         if len(self.boundaries) != max(len(self.ranks) - 1, 0):
             raise LiftError("need one boundary per positive degree")
         for i, b in enumerate(self.boundaries, start=1):
@@ -187,17 +185,16 @@ class TwistedChainMap:
 # Universal cover lifts of simplicial data
 # ---------------------------------------------------------------------------
 
-def lift_to_universal_cover(k: SimplicialComplex, p: Pi1Presentation
-                            ) -> EquivariantChainComplex:
-    """Tree-contracted cellular chains of the universal cover.
+def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
+    """Tree-contracted cellular chains of the universal cover of
+    ``p.complex``.
 
     One generator per cell of the contracted complex: a single 0-cell,
     the non-tree edges in degree 1 and the 2-simplices in degree 2.
     Collapsing every group element to 1 recovers the integral chains of
     the contracted complex.
     """
-    if p.complex != k:
-        raise LiftError("presentation belongs to a different complex")
+    k = p.complex
     if p.group is None:
         raise UnsupportedComplexError(
             f"fundamental group not recognized ({p.recognized_class})")
@@ -219,14 +216,12 @@ def lift_to_universal_cover(k: SimplicialComplex, p: Pi1Presentation
     if two:
         ranks.append(len(two))
         ent = {}
-        for i, (a, b, c) in enumerate(two):
-            w = reduce_word(p.letter_of_step(a, b) + p.letter_of_step(b, c)
-                            + invert_word(p.letter_of_step(a, c)))
-            for j, d in fox_derivative(w, p.element_of_word, group).items():
+        for i, s in enumerate(two):
+            for j, d in fox_derivative(p.relator(s), p.element_of_word,
+                                       group).items():
                 ent[i, j] = d
         boundaries.append(GroupRingMatrix(group, len(two), len(gens), ent))
-    return EquivariantChainComplex(group, ranks, boundaries,
-                                   presentation=p, two_simplices=two)
+    return EquivariantChainComplex(group, ranks, boundaries, presentation=p)
 
 
 def _default_basepath(p: Pi1Presentation, f: SimplicialMap) -> List[Tuple[int, int]]:
@@ -255,16 +250,12 @@ def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
     g0 = p.element_of_path(basepath)
     comps: List[GroupRingMatrix] = [
         GroupRingMatrix.from_rows(group, [[GroupRingElement.of(group, g0)]])]
-
-    def image_steps(steps):
-        return [(f.apply_index(a), f.apply_index(b)) for a, b in steps]
-
     if l.top_degree >= 1:
-        words = [p.word_of_path(image_steps(p.generator_loop(gi)))
+        words = [p.word_of_path(f.map_path(p.generator_loop(gi)))
                  for gi in range(len(p.generators))]
         comps.append(degree1_fox_lift(group, g0, words, p.element_of_word))
     if l.top_degree >= 2:
-        two = l.two_simplices
+        two = p.complex.n_simplices(2)
         pos = {s: i for i, s in enumerate(two)}
         ent2 = {}
         for i, (a, b, c) in enumerate(two):
@@ -279,7 +270,7 @@ def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
             sign = -1 if inv % 2 else 1
             # deck element: basepath, then the image of the tree path of the
             # least vertex, then back along tau's own corner path
-            a_word = p.word_of_path(image_steps(p.tree_path(a)))
+            a_word = p.word_of_path(f.map_path(p.tree_path(a)))
             fa = img[0]
             x = tau[0]
             corner = () if fa == x else p.letter_of_step(x, fa)
@@ -316,18 +307,16 @@ class LiftedSelfMap:
         return reidemeister_trace_chain(self.chain_map, depth)
 
 
-def lift_self_map(k: SimplicialComplex, f: SimplicialMap, basepoint=None,
+def lift_self_map(k: SimplicialComplex, f: SimplicialMap,
                   basepath: Optional[Sequence[Tuple[int, int]]] = None
                   ) -> LiftedSelfMap:
     """Convenience route: presentation, cover and lift in one call.
 
-    When no basepath is given the spanning-tree path from the basepoint
-    to its image is used.
+    The basepoint is the first vertex.  When no basepath is given the
+    spanning-tree path from the basepoint to its image is used.
     """
-    if basepoint is None:
-        basepoint = k.vertices[0]
-    p = pi1_presentation(k, basepoint)
-    return lift_on_cover(lift_to_universal_cover(k, p), f, basepath)
+    p = pi1_presentation(k, k.vertices[0])
+    return lift_on_cover(lift_to_universal_cover(p), f, basepath)
 
 
 def lift_on_cover(cover: EquivariantChainComplex, f: SimplicialMap,

@@ -251,6 +251,11 @@ class SimplicialMap:
     def apply_vertex(self, v):
         return self.vertex_images[v]
 
+    def map_path(self, steps: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """Image of an edge path given as (source index, target index) steps."""
+        img = self._img_idx
+        return [(img[a], img[b]) for a, b in steps]
+
     def is_endomorphism(self) -> bool:
         return self.source == self.target
 
@@ -277,6 +282,11 @@ class SimplicialMap:
 
 def identity_map(k: SimplicialComplex) -> SimplicialMap:
     return SimplicialMap(k, k, {v: v for v in k.vertices})
+
+
+def reverse_path(steps: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The edge path of (a, b) steps walked backwards."""
+    return [(b, a) for a, b in reversed(steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +556,15 @@ class Pi1Presentation:
             out.extend(self.letter_of_step(a, b))
         return reduce_word(out)
 
+    def relator(self, simplex: Tuple[int, int, int]) -> Word:
+        """Word of the boundary loop a -> b -> c -> a of a 2-simplex."""
+        a, b, c = simplex
+        return self.word_of_path(((a, b), (b, c), (c, a)))
+
     def generator_loop(self, gen: int) -> List[Tuple[int, int]]:
         """Edge path tree(u) . (u, v) . tree(v)^-1 of the generator edge (u, v)."""
         (u, v) = self.generators[gen]
-        return (self.tree_path(u) + [(u, v)]
-                + [(y, x) for (x, y) in reversed(self.tree_path(v))])
+        return self.tree_path(u) + [(u, v)] + reverse_path(self.tree_path(v))
 
     def element_of_word(self, word: Word):
         """Image of a generator word in the recognized group."""
@@ -585,14 +599,12 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     for i in adj:
         adj[i].sort()
     parent: Dict[int, Optional[int]] = {b: None}
-    order = [b]
     queue = [b]
     while queue:
         v = queue.pop(0)
         for w in adj[v]:
             if w not in parent:
                 parent[w] = v
-                order.append(w)
                 queue.append(w)
     component = tuple(sorted(parent.keys()))
     comp_set = set(component)
@@ -601,37 +613,33 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     tree_set = set(tree_edges)
     generators = tuple(sorted(e for e in k.edges()
                               if set(e) <= comp_set and e not in tree_set))
-    gen_index = {e: i for i, e in enumerate(generators)}
-
-    def letter(a: int, b2: int) -> Word:
-        e = (min(a, b2), max(a, b2))
-        g = gen_index.get(e)
-        if g is None:
-            return ()
-        return ((g, 1 if a < b2 else -1),)
-
-    relators: List[Word] = []
-    for (x, y, z) in k.n_simplices(2):
-        if not {x, y, z} <= comp_set:
-            continue
-        w = reduce_word(letter(x, y) + letter(y, z) + invert_word(letter(x, z)))
-        relators.append(w)
-
+    # Unrecognized until its own edge letters give the relators and they
+    # simplify below.
+    pres = Pi1Presentation(
+        complex=k,
+        basepoint=basepoint,
+        spanning_tree=tree_edges,
+        generators=generators,
+        recognized_class=UNSUPPORTED,
+        rank=0,
+        group=None,
+        component=component,
+        _parent=parent,
+        _gen_index={e: i for i, e in enumerate(generators)},
+        _tree_set=tree_set,
+        _subst={g: ((g, 1),) for g in range(len(generators))},
+    )
+    relators = [pres.relator(s) for s in k.n_simplices(2)
+                if set(s) <= comp_set]
     simplified = _simplify_presentation(len(generators), relators)
-    recognized = UNSUPPORTED
-    rank = 0
-    group = None
-    final_gens: List[int] = []
-    pos: Dict[int, int] = {}
-    subst: Dict[int, Word] = {g: ((g, 1),) for g in range(len(generators))}
     if simplified is not None:
         final_gens, subst, final_rels = simplified
         n = len(final_gens)
         pos = {g: i for i, g in enumerate(final_gens)}
+        pres._final_gens, pres._final_pos, pres._subst = final_gens, pos, subst
         if not final_rels:
-            recognized = FREE
-            rank = n
-            group = FreeGroup(n)
+            pres.recognized_class, pres.rank = FREE, n
+            pres.group = FreeGroup(n)
         else:
             ok = True
             pairs_needed = {tuple(sorted((i, j)))
@@ -648,26 +656,8 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
                 if pat is not None:
                     pairs_found.add(pat)
             if ok and n >= 2 and pairs_found >= pairs_needed:
-                recognized = FREE_ABELIAN
-                rank = n
-                group = FreeAbelianGroup(n)
-
-    pres = Pi1Presentation(
-        complex=k,
-        basepoint=basepoint,
-        spanning_tree=tree_edges,
-        generators=generators,
-        recognized_class=recognized,
-        rank=rank,
-        group=group,
-        component=component,
-        _parent=parent,
-        _gen_index=gen_index,
-        _tree_set=tree_set,
-        _final_gens=final_gens,
-        _final_pos=pos,
-        _subst=subst,
-    )
+                pres.recognized_class, pres.rank = FREE_ABELIAN, n
+                pres.group = FreeAbelianGroup(n)
     return pres
 
 
@@ -701,13 +691,8 @@ def induced_pi1_endo(f: SimplicialMap, p: Pi1Presentation,
     basepath = [tuple(s) for s in basepath]
     validate_edge_path(p.complex, basepath, b, fb)
     beta = p.word_of_path(basepath)
-
-    def image_word(word_path: Sequence[Tuple[int, int]]) -> Word:
-        steps = [(f.apply_index(a), f.apply_index(bb)) for a, bb in word_path]
-        return p.word_of_path(steps)
-
     images = []
     for g in p._final_gens:
-        w = reduce_word(beta + image_word(p.generator_loop(g)) + invert_word(beta))
-        images.append(p.element_of_word(w))
+        w = p.word_of_path(f.map_path(p.generator_loop(g)))
+        images.append(p.element_of_word(reduce_word(beta + w + invert_word(beta))))
     return GroupEndomorphism(p.group, images)

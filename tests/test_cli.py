@@ -310,14 +310,17 @@ def test_bundle_verify_shares_chains_bases_and_fiber_traces(tmp_path, capsys,
     monkeypatch.setattr(exactalg, "_homology_basis", counting_basis)
     monkeypatch.setattr(bundles, "refined_reidemeister", counting_refined)
     presented, covered = [], []
-    for owner, name, calls in (
-            (simplicial, "pi1_presentation", presented),
-            (reidemeister, "lift_to_universal_cover", covered)):
+    for owner, name, calls, complex_of in (
+            (simplicial, "pi1_presentation", presented, lambda k, *_: k),
+            (reidemeister, "lift_to_universal_cover", covered,
+             lambda p: p.complex)):
         real = getattr(owner, name)
 
-        def counting(k, *args, real=real, calls=calls, **kwargs):
+        def counting(*args, real=real, calls=calls, complex_of=complex_of,
+                     **kwargs):
+            k = complex_of(*args)
             calls.append((k.vertices, k.simplices))
-            return real(k, *args, **kwargs)
+            return real(*args, **kwargs)
 
         for mod in (simplicial, reidemeister, bundles, cli):
             if getattr(mod, name, None) is real:
@@ -861,6 +864,27 @@ def test_relator_cap_reports_unsupported(tmp_path, capsys, monkeypatch):
     assert rep["verdict"] == "unsupported"
     assert rep["lhs"] is None
     assert rep["flags"] == ["fundamental group not recognized (unsupported)"]
+
+
+def test_reidemeister_builds_one_classifier(tmp_path, capsys, monkeypatch):
+    # Every twisted class and comparison of one command reads the Smith-form
+    # data of the endomorphism's I - A, which the endomorphism builds once.
+    from fixtrace import grouprings
+    built = []
+    real_init = grouprings._FreeAbelianClassifier.__init__
+
+    def counting_init(self, a):
+        built.append(a)
+        real_init(self, a)
+
+    monkeypatch.setattr(grouprings._FreeAbelianClassifier, "__init__",
+                        counting_init)
+    doc = _torus_map_documents(6)["torus6-negation"]
+    code, out, _ = run_cli(capsys, "reidemeister",
+                           write(tmp_path, "map.json", doc))
+    assert code == EXIT_OK
+    assert json.loads(out)["lhs"]["nielsen"] == 4
+    assert len(built) == 1
 
 
 def _relabeled_map_document(doc, seed):

@@ -86,7 +86,6 @@ def _class_reps(cl):
 def test_counting_by_determinant():
     # number of twisted classes of Z^n equals |det(I - A)| when nonzero
     from fixtrace.exactalg import IntMatrix
-    from fixtrace.grouprings import _fa_classifier
     rng = random.Random(11)
     for _ in range(25):
         n = rng.choice([1, 2, 3])
@@ -98,20 +97,18 @@ def test_counting_by_determinant():
         det = m.determinant()
         if det == 0:
             continue
-        cl = _fa_classifier(endo)
+        cl = endo.classifier
         assert _class_count(cl) == abs(det)
         reps = _class_reps(cl)
         assert len({twisted_class(g, endo, r).key for r in reps}) == abs(det)
 
 
-def test_classifier_cache_is_bounded():
-    from fixtrace.grouprings import (_FA_CACHE_SIZE, _classifier_of_matrix,
-                                     _fa_classifier)
+def test_classifier_of_rank1_endomorphisms():
     g = FreeAbelianGroup(1)
-    for d in range(_FA_CACHE_SIZE + 10):
+    for d in range(-3, 6):
         endo = GroupEndomorphism(g, [(d,)])
-        assert _fa_classifier(endo).diag == [abs(1 - d)]
-    assert _classifier_of_matrix.cache_info().currsize <= _FA_CACHE_SIZE
+        assert endo.classifier.diag == [abs(1 - d)]
+        assert endo.classifier is endo.classifier
 
 
 def test_canonicalization_stability_free_abelian():

@@ -100,7 +100,7 @@ def test_lift_takes_one_fox_pass_per_word(monkeypatch):
 def test_lift_circle_ranks_and_boundary():
     k = circle(3)
     p = pi1_presentation(k, 0)
-    cover = lift_to_universal_cover(k, p)
+    cover = lift_to_universal_cover(p)
     assert cover.ranks == (1, 1)
     b1 = cover.boundary(1)
     t = p.element_of_word(((0, 1),))
@@ -111,7 +111,7 @@ def test_lift_circle_ranks_and_boundary():
 def test_lift_point():
     k = build_complex([(0,)])
     p = pi1_presentation(k, 0)
-    cover = lift_to_universal_cover(k, p)
+    cover = lift_to_universal_cover(p)
     assert cover.ranks == (1,)
     assert cover.top_degree == 0
 
@@ -119,7 +119,7 @@ def test_lift_point():
 def test_lift_torus7_boundaries():
     k = torus7()
     p = pi1_presentation(k, 0)
-    cover = lift_to_universal_cover(k, p)
+    cover = lift_to_universal_cover(p)
     assert cover.ranks == (1, 15, 14)
     # dd = 0 checked at construction; augmentation has the torus homology
     aug = cover.augmented_complex()
@@ -132,7 +132,7 @@ def test_lift_dim3_unsupported():
     k = build_complex([tuple(range(4))])  # solid 3-simplex
     p = pi1_presentation(k, 0)
     with pytest.raises(UnsupportedComplexError):
-        lift_to_universal_cover(k, p)
+        lift_to_universal_cover(p)
 
 
 def test_lift_unrecognized_group_unsupported():
@@ -142,7 +142,7 @@ def test_lift_unrecognized_group_unsupported():
     k = build_complex(faces)
     p = pi1_presentation(k, 0)
     with pytest.raises(UnsupportedComplexError):
-        lift_to_universal_cover(k, p)
+        lift_to_universal_cover(p)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_lift_map_rejects_mismatched_complex():
     k = circle(3)
     k2 = circle(4)
     p = pi1_presentation(k, 0)
-    cover = lift_to_universal_cover(k, p)
+    cover = lift_to_universal_cover(p)
     f = identity_map(k2)
     with pytest.raises(LiftError):
         lift_map(f, [], cover)
@@ -316,7 +316,7 @@ def test_basepath_covariance():
     k = circle(4)
     f = SimplicialMap(k, k, {0: 3, 1: 2, 2: 1, 3: 0})
     p = pi1_presentation(k, 0)
-    cover = lift_to_universal_cover(k, p)
+    cover = lift_to_universal_cover(p)
     path1 = [(0, 3)]
     path2 = [(0, 1), (1, 2), (2, 3)]
     m1 = lift_map(f, path1, cover)
