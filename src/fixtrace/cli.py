@@ -441,12 +441,14 @@ def _parse_records(doc: Dict, group) -> Optional[List[FixedPointRecord]]:
 def cmd_reidemeister(args) -> int:
     doc, digest = _read_input(args.input)
     k, f, basepath, raw = parse_map(doc)
+    parameters = {"depth": args.depth}
     flags: List[str] = []
     try:
         lifted = lift_self_map(k, f, basepath=basepath or None)
     except UnsupportedComplexError as exc:
         return _report("reidemeister", digest, [], lhs=None, rhs=None,
-                       verdict="unsupported", flags=[str(exc)])
+                       verdict="unsupported", flags=[str(exc)],
+                       parameters=parameters)
     trace = lifted.trace(args.depth)
     group = lifted.presentation.group
     if trace.has_heuristic:
@@ -464,7 +466,8 @@ def cmd_reidemeister(args) -> int:
             "reidemeister", digest, tables,
             lhs=shadow_rendering(trace), rhs=None,
             verdict="indeterminate",
-            flags=flags + ["nielsen count depends on an Unknown comparison"])
+            flags=flags + ["nielsen count depends on an Unknown comparison"],
+            parameters=parameters)
     records = _parse_records(raw, group)
     geometric = None
     if records is not None:
@@ -489,7 +492,7 @@ def cmd_reidemeister(args) -> int:
     return _report(
         "reidemeister", digest, tables, lhs=summary,
         rhs={"augmentation_equals_lefschetz": aug == chain_l},
-        verdict=verdict, flags=flags)
+        verdict=verdict, flags=flags, parameters=parameters)
 
 
 def cmd_bundle_verify(args) -> int:

@@ -618,7 +618,7 @@ CATALOG_REPORTS = [
     ("circle_reflection", "lefschetz", 0,
      "5463e700c768b935999ac03b1ab27ec33cbc42217674da6865194dfd14adadc9"),
     ("circle_reflection", "reidemeister", 0,
-     "d9447b87ca96aa8fc69277b9abbed9a086090c874f4476b835a806d7737d3ae6"),
+     "498046f0e026e07f2d559ee9f33382a13c71666b2470fdb2f9d50efed13c8b07"),
     ("double_cover_reflection", "bundle-verify", 0,
      "00189bfb8cab8186cc7ec668623c171a33745045c97da72dba2cf24214bb0cd1"),
     ("figure_eight", "homology", 0,
@@ -806,21 +806,21 @@ def _figure_eight_map_documents():
 # C10 x C10 negation's presentation has 201 generators before elimination.
 REIDEMEISTER_REPORTS = {
     "torus6-negation": (
-        0, "dec14bdad2da8f58d8fd974cbc1d17744f28e1972994c8c3e52d54438c018851"),
+        0, "9658a5861686d473fe56b9280e8efef6700824c6ee312949f15f4eceff01163b"),
     "torus6-swap": (
-        0, "692a624b881f525afeca83a42ee64b527553608159b8bbe3cb28a5eabb6f5dce"),
+        0, "3c0a53f36a23611d068c67d432754297c138578dfa6f8de636485e9ff1041168"),
     "torus6-diagonal": (
-        0, "f9c4c0dea959dd68c7c77b1d60661cf7744bd6940fd45770c25045967291edda"),
+        0, "8fbab5490d059ecbe4422ca0002ae0428db7f5b7f5ad108609d154e2d4013ca4"),
     "torus6-constant": (
-        0, "bc7b7ddcbf46b974bf0851e4f44814bb57d58feb3b1822c7457bda06cf289e12"),
+        0, "d5f0c02f90f83864f620a5da7ad03b7496f00a1e209c0bd166b7672b0a5c3b76"),
     "torus10-negation": (
-        0, "d4848ff8160d956c1fcdf2f544b2530870be0fabafd66d9ccfeca9a41a56b224"),
+        0, "1cf6b6363fcd4bf22de98a894cb773aa702e5fbbb775dd01950f427835a21ddc"),
     "fig8-swap": (
-        0, "2854d93f5a58724b51249f9c819a28f2474b654c748770588d37560a7afb57b7"),
+        0, "a81dd60ff4d4e65e6916acd3e67cb3125bcc2108ff49ad84776f99b92ee7f2ee"),
     "fig8-swap-flip": (
-        0, "ea5115bd3e5f9911f2dfffc13f73592ee73fe565227babfd785d0f033a59ac5c"),
+        0, "7c230d11bab019d84a454ffd8526d12a2c29e2c549d3970b059afecf5461d050"),
     "fig8-flip-both": (
-        0, "ca94b515acd3ce8ceb3bad5377d0f5454bf4893052f03544d700e873bed411cb"),
+        0, "b69f2b85f794a1a1189681c10fd5cc80129356c40fdfd6e6b1dc354b3018e2aa"),
 }
 
 
