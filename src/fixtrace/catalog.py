@@ -419,8 +419,14 @@ def trivial_product_pair(base_map_name: str = "reflection",
     ident = SimplicialMap(fib, fib, {v: v for v in fib.vertices})
     transports = {e: Transport(ident, ident) for (e, _, _) in base.edges}
     bundle = DiscreteBundle(base, {v: fib for v in base.vertices}, transports)
-    bmap = _base_maps(base)[base_map_name]
-    fmap = _triangle_maps()[fiber_map_name](fib)
+    base_maps, triangle_maps = _base_maps(base), _triangle_maps()
+    for kind, name, known in (("base", base_map_name, base_maps),
+                              ("fiber", fiber_map_name, triangle_maps)):
+        if name not in known:
+            raise ValueError(f"unknown {kind} map {name!r}; known maps: "
+                             f"{', '.join(sorted(known))}")
+    bmap = base_maps[base_map_name]
+    fmap = triangle_maps[fiber_map_name](fib)
     fiber_maps = {v: fmap for v in base.vertices}
     return BundleSelfMapPair(bundle, bmap, fiber_maps)
 

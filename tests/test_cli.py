@@ -768,6 +768,23 @@ def test_mutated_catalog_documents_never_crash(tmp_path_factory, case):
         assert out.getvalue() == ""
 
 
+def test_catalog_emit_bad_parameters_exit_0_or_2():
+    # Every entry, each of its parameter names and one unknown name, each
+    # wrong-typed value and an unknown string (passed as raw text, not
+    # JSON): building a document either succeeds or is an input error.
+    for name, entry in sorted(cat.CATALOG.items()):
+        for key in [*entry.default_params, "no_such_param"]:
+            for text in [*(json.dumps(v) for v in WRONG_TYPED), "no_such_value"]:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(["catalog", "emit", name, "--param",
+                                 f"{key}={text}"])
+                assert code in (EXIT_OK, EXIT_INPUT), (name, key, text)
+                if code == EXIT_INPUT:
+                    assert out.getvalue() == "", (name, key, text)
+
+
 def _torus_map_documents(n):
     """The four self-maps of the staircase torus Cn x Cn, as map documents."""
     from fixtrace.simplicial import product_complex
@@ -908,7 +925,8 @@ def _relabeled_map_document(doc, seed):
 
 
 def _invariants(tmp_path, capsys, doc):
-    """pi_1 class and rank, Betti numbers, L and N of a map document."""
+    """pi_1 class and rank, Betti numbers, L, N and the sorted class
+    coefficients of a map document."""
     from fixtrace.exactalg import homology
     from fixtrace.simplicial import pi1_presentation
     k = parse_complex(doc["complex"])
@@ -918,7 +936,8 @@ def _invariants(tmp_path, capsys, doc):
     assert code == EXIT_OK
     lhs = json.loads(out)["lhs"]
     return (p.recognized_class, p.rank, homology(k.chains).betti,
-            lhs["lefschetz"], lhs["nielsen"])
+            lhs["lefschetz"], lhs["nielsen"],
+            sorted(c for _, c in lhs["classes"]))
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -933,3 +952,26 @@ def test_relabeling_keeps_invariants(tmp_path, capsys, name):
     for seed in (1, 2, 3):
         relabeled = _relabeled_map_document(doc, seed)
         assert _invariants(tmp_path, capsys, relabeled) == want, seed
+
+
+# Basepaths in another homotopy class than the default tree path: a loop
+# at the fixed basepoint of the figure-eight maps, and for the C6 x C6
+# negation, which sends 0.0 to 5.5, a path once along the first circle
+# factor and then to 5.5.
+BASEPATHS = {
+    "fig8-swap": [["0", "1"], ["1", "2"], ["2", "0"]],
+    "fig8-swap-flip": [["0", "1"], ["1", "2"], ["2", "0"]],
+    "fig8-flip-both": [["0", "1"], ["1", "2"], ["2", "0"]],
+    "torus6-negation": [[f"{i}.0", f"{i + 1}.0"] for i in range(5)]
+    + [["5.0", "5.5"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASEPATHS))
+def test_basepath_keeps_invariants(tmp_path, capsys, name):
+    # Another basepath conjugates the induced endomorphism and relabels
+    # the classes; L, N and the coefficients must not change.
+    doc = {**_torus_map_documents(6), **_figure_eight_map_documents()}[name]
+    want = _invariants(tmp_path, capsys, doc)
+    moved = {**doc, "basepath": BASEPATHS[name]}
+    assert _invariants(tmp_path, capsys, moved) == want
