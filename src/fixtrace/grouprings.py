@@ -371,11 +371,25 @@ def cyclic_reduce(word):
 
 
 def cyclic_normal_form(word):
-    """Shortlex-minimal cyclic rotation of the cyclic reduction."""
+    """Shortlex-minimal cyclic rotation of the cyclic reduction.
+
+    The least rotation is found in linear time by Duval's Lyndon
+    factorization of the word written twice: the last factor starting in
+    the first copy starts the least rotation.
+    """
     w = cyclic_reduce(word)
-    if not w:
-        return ()
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    n = len(w)
+    ww = w + w
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and ww[k] <= ww[j]:
+            k = i if ww[k] < ww[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return ww[start:start + n]
 
 
 def _free_rank1_exponent(word) -> int:

@@ -501,3 +501,33 @@ def test_orbit_walk_matches_breadth_first_ball(a, b, g, h, depth):
     if verdict != DISTINCT:
         near = h in _bfs_ball(f2, endo, g, 2 * depth)
         assert verdict == (EQUAL if near else UNKNOWN)
+
+
+def reference_cyclic_normal_form(word):
+    """The quadratic definition: the least of all rotations of the cyclic
+    reduction."""
+    from fixtrace.grouprings import cyclic_reduce
+    w = cyclic_reduce(word)
+    if not w:
+        return ()
+    return min(w[i:] + w[:i] for i in range(len(w)))
+
+
+few_letters = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
+
+
+@st.composite
+def rotation_words(draw):
+    """Random words of length 0-60, or a word u repeated k times, whose
+    rotations tie."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(few_letters, max_size=60)))
+    u = tuple(draw(st.lists(few_letters, min_size=1, max_size=12)))
+    return u * draw(st.integers(1, 60 // len(u)))
+
+
+@given(rotation_words())
+@settings(derandomize=True, max_examples=1000, deadline=None)
+def test_cyclic_normal_form_matches_all_rotations(word):
+    from fixtrace.grouprings import cyclic_normal_form
+    assert cyclic_normal_form(word) == reference_cyclic_normal_form(word)
