@@ -34,12 +34,11 @@ from .grouprings import (
     GroupRingMatrix,
     ShadowElement,
     TwistedClass,
-    expand_word,
-    invert_word,
+    class_label,
     nielsen,
     pushforward,
-    reduce_word,
     shadow_equal,
+    shadow_rendering,
 )
 from .reidemeister import (
     EquivariantChainComplex,
@@ -63,6 +62,7 @@ from .simplicial import (
     pi1_presentation,
     reverse_path,
 )
+from .words import expand_word, invert_word, reduce_word
 
 
 class BundleError(ValueError):
@@ -774,21 +774,6 @@ def _as_index_steps(k: SimplicialComplex, vertex_path: List) -> List[Tuple[int, 
 # ---------------------------------------------------------------------------
 # Verification reports
 # ---------------------------------------------------------------------------
-
-def class_label(cls: TwistedClass) -> str:
-    """A finite or rank-1 key ``[k]``, a Z^n key ``[v0,v1]`` or a word
-    ``[g0^1.g1^-1]``."""
-    key = cls.key
-    if isinstance(key, int):
-        return f"[{key}]"
-    if all(isinstance(x, int) for x in key):
-        return "[" + ",".join(str(x) for x in key) + "]"
-    return "[" + ".".join(f"g{g}^{e}" for g, e in key) + "]"
-
-
-def shadow_rendering(s: ShadowElement) -> List[List]:
-    return [[class_label(cls), c] for cls, c in s.items()]
-
 
 @dataclass
 class VerificationReport:

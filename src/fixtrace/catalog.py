@@ -9,6 +9,7 @@ they are used to check.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -25,7 +26,6 @@ from .grouprings import (
     FreeAbelianGroup,
     FreeGroup,
     GroupEndomorphism,
-    GroupError,
     GroupRingElement,
     GroupRingMatrix,
 )
@@ -38,6 +38,7 @@ from .reidemeister import (
     fox_derivative,
 )
 from .simplicial import SimplicialComplex, SimplicialMap, build_complex
+from .words import GroupError
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +219,39 @@ def circle_degree_oracle(d: int) -> Dict:
 
 def _divide_one_minus(p: GroupRingElement, v: Tuple[int, ...]
                       ) -> GroupRingElement:
-    """Exact division of a Z[Z^n] element by (1 - t^v)."""
+    """Exact division of a Z[Z^n] element by (1 - t^v).
+
+    Each step cancels the remainder's term of greatest (v-degree, element)
+    with one multiple of (1 - t^v), which moves its coefficient v lower.
+    A heap keyed by the negated (v-degree, element) finds that term; keys
+    of terms that have since cancelled are skipped.
+    """
     group = p.group
     rem = {g: c for g, c in p.terms.values()}
     quot: Dict[Tuple[int, ...], int] = {}
 
-    def vdeg(g):
-        return sum(x * y for x, y in zip(g, v))
+    def key(g):
+        return (-sum(x * y for x, y in zip(g, v)), tuple(-x for x in g))
 
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 10000:
+    heap = [(key(g), g) for g in rem]
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        _, g = heapq.heappop(heap)
+        c = rem.pop(g, 0)
+        if c == 0:
+            continue
+        steps += 1
+        if steps > 10000:
             raise GroupError("division by (1 - t^v) does not terminate")
-        g = max(rem, key=lambda x: (vdeg(x), x))
-        c = rem[g]
         gm = tuple(a - b for a, b in zip(g, v))
         # (1 - t^v) * (-c t^gm) = -c t^gm + c t^g
         quot[gm] = quot.get(gm, 0) - c
-        rem[g] -= c
+        if gm not in rem:
+            heapq.heappush(heap, (key(gm), gm))
         rem[gm] = rem.get(gm, 0) + c
-        rem = {k: x for k, x in rem.items() if x != 0}
+        if rem[gm] == 0:
+            del rem[gm]
     return GroupRingElement(group, [(g, c) for g, c in quot.items()])
 
 

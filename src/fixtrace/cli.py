@@ -4,6 +4,11 @@ All inputs and outputs are UTF-8 JSON documents with a fixed field
 order, so identical inputs produce byte-identical reports.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 input error,
 3 unsupported or indeterminate.
+
+Only the homology layers (``exactalg``, ``simplicial`` and ``words``) are
+imported with this module.  The group-ring, Reidemeister, bundle and
+catalog layers are imported by the commands and parsers that use them,
+once per command.
 """
 
 from __future__ import annotations
@@ -12,37 +17,9 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import catalog as cat
-from .bundles import (
-    BundleError,
-    BundleSelfMapPair,
-    DiscreteBundle,
-    GraphBase,
-    GraphSelfMap,
-    NotConstructibleError,
-    Transport,
-    class_label,
-    nielsen_additivity,
-    shadow_rendering,
-    verify_lefschetz_mult,
-    verify_reidemeister_mult,
-)
-from .exactalg import ExactAlgError, hopf_chain_trace, homology, lefschetz_from_homology
-from .grouprings import (
-    DEFAULT_DEPTH,
-    GroupError,
-    IndeterminateError,
-    augment,
-    nielsen,
-)
-from .reidemeister import (
-    FixedPointRecord,
-    UnsupportedComplexError,
-    lift_self_map,
-    reidemeister_trace_geometric,
-)
+from .exactalg import hopf_chain_trace, homology, lefschetz_from_homology
 from .simplicial import (
     SimplicialComplex,
     SimplicialError,
@@ -52,6 +29,11 @@ from .simplicial import (
     induced_chain_map,
     lefschetz_number,
 )
+
+if TYPE_CHECKING:
+    from .bundles import BundleSelfMapPair, DiscreteBundle, GraphBase
+    from .catalog import SelfMapFixture
+    from .reidemeister import FixedPointRecord
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -133,7 +115,7 @@ def parse_complex(doc: Dict) -> SimplicialComplex:
         raise InputError(f"invalid complex: {exc}")
 
 
-def serialize_map_fixture(fix: cat.SelfMapFixture) -> Dict:
+def serialize_map_fixture(fix: SelfMapFixture) -> Dict:
     k = fix.complex
     return {
         "complex": serialize_complex(k),
@@ -147,6 +129,7 @@ def serialize_map_fixture(fix: cat.SelfMapFixture) -> Dict:
 def _resolve_complex_doc(doc) -> SimplicialComplex:
     """Inline complex document, or {"ref": <catalog name>}."""
     if isinstance(doc, dict) and set(doc.keys()) == {"ref"}:
+        from . import catalog as cat
         entry = cat.CATALOG.get(doc["ref"])
         if entry is None or entry.kind != "complex":
             raise InputError(f"unknown complex reference {doc['ref']!r}")
@@ -184,6 +167,7 @@ def serialize_graph_base(base: GraphBase) -> Dict:
 
 
 def parse_graph_base(doc: Dict) -> GraphBase:
+    from .bundles import BundleError, GraphBase
     _object(doc, "base document")
     for field in ("vertices", "edges", "tree", "basepoint"):
         if field not in doc:
@@ -213,6 +197,7 @@ def serialize_bundle(bundle: DiscreteBundle) -> Dict:
 
 
 def parse_bundle(doc: Dict) -> DiscreteBundle:
+    from .bundles import BundleError, DiscreteBundle, Transport
     _object(doc, "bundle document")
     for field in ("base", "fibers", "transports"):
         if field not in doc:
@@ -282,6 +267,7 @@ def serialize_pair(pair: BundleSelfMapPair) -> Dict:
 
 
 def parse_pair(doc: Dict) -> BundleSelfMapPair:
+    from .bundles import BundleError, BundleSelfMapPair, GraphSelfMap
     _object(doc, "pair document")
     for field in ("bundle", "base_map", "fiber_maps"):
         if field not in doc:
@@ -416,6 +402,7 @@ def cmd_lefschetz(args) -> int:
 
 
 def _parse_records(doc: Dict, group) -> Optional[List[FixedPointRecord]]:
+    from .reidemeister import FixedPointRecord
     raw = doc.get("fixed_point_records")
     if raw is None:
         return None
@@ -439,9 +426,26 @@ def _parse_records(doc: Dict, group) -> Optional[List[FixedPointRecord]]:
 
 
 def cmd_reidemeister(args) -> int:
+    from .grouprings import (
+        DEFAULT_DEPTH,
+        EQUAL,
+        UNKNOWN,
+        IndeterminateError,
+        augment,
+        class_label,
+        nielsen,
+        shadow_equal,
+        shadow_rendering,
+    )
+    from .reidemeister import (
+        UnsupportedComplexError,
+        lift_self_map,
+        reidemeister_trace_geometric,
+    )
     doc, digest = _read_input(args.input)
     k, f, basepath, raw = parse_map(doc)
-    parameters = {"depth": args.depth}
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
+    parameters = {"depth": depth}
     flags: List[str] = []
     try:
         lifted = lift_self_map(k, f, basepath=basepath or None)
@@ -449,10 +453,10 @@ def cmd_reidemeister(args) -> int:
         return _report("reidemeister", digest, [], lhs=None, rhs=None,
                        verdict="unsupported", flags=[str(exc)],
                        parameters=parameters)
-    trace = lifted.trace(args.depth)
+    trace = lifted.trace(depth)
     group = lifted.presentation.group
     if trace.has_heuristic:
-        flags.append(f"heuristic classes (depth {args.depth})")
+        flags.append(f"heuristic classes (depth {depth})")
     tables = [{"class": class_label(cls), "coefficient": c,
                "certain": cls.is_certain}
               for cls, c in trace.items()]
@@ -460,7 +464,7 @@ def cmd_reidemeister(args) -> int:
     chain_l = lefschetz_number(f)
     verdict = "pass" if aug == chain_l else "fail"
     try:
-        n = nielsen(trace, args.depth)
+        n = nielsen(trace, depth)
     except IndeterminateError:
         return _report(
             "reidemeister", digest, tables,
@@ -471,11 +475,9 @@ def cmd_reidemeister(args) -> int:
     records = _parse_records(raw, group)
     geometric = None
     if records is not None:
-        geo = reidemeister_trace_geometric(records, group, lifted.endo,
-                                           args.depth)
+        geo = reidemeister_trace_geometric(records, group, lifted.endo, depth)
         geometric = shadow_rendering(geo)
-        from .grouprings import shadow_equal, EQUAL, UNKNOWN
-        cmp = shadow_equal(trace, geo, args.depth)
+        cmp = shadow_equal(trace, geo, depth)
         if cmp == UNKNOWN:
             flags.append("route comparison returned Unknown")
             verdict = "indeterminate"
@@ -496,9 +498,18 @@ def cmd_reidemeister(args) -> int:
 
 
 def cmd_bundle_verify(args) -> int:
+    from .bundles import (
+        NotConstructibleError,
+        nielsen_additivity,
+        verify_lefschetz_mult,
+        verify_reidemeister_mult,
+    )
+    from .grouprings import DEFAULT_DEPTH, IndeterminateError
+    from .reidemeister import UnsupportedComplexError
     doc, digest = _read_input(args.input)
     pair = parse_pair(doc)
-    parameters = {"theorem": args.theorem, "depth": args.depth}
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
+    parameters = {"theorem": args.theorem, "depth": depth}
     tables = []
     flags: List[str] = []
     verdicts = []
@@ -506,21 +517,21 @@ def cmd_bundle_verify(args) -> int:
     rhs: Dict = {}
     try:
         if args.theorem in ("lefschetz", "both"):
-            rep = verify_lefschetz_mult(pair, args.depth)
+            rep = verify_lefschetz_mult(pair, depth)
             tables.append({"theorem": "lefschetz", "rows": rep.rows})
             lhs["lefschetz"] = rep.lhs
             rhs["lefschetz"] = rep.rhs
             flags.extend(rep.flags)
             verdicts.append(rep.verdict)
         if args.theorem in ("reidemeister", "both"):
-            rep = verify_reidemeister_mult(pair, args.depth)
+            rep = verify_reidemeister_mult(pair, depth)
             tables.append({"theorem": "reidemeister", "rows": rep.rows})
             lhs["reidemeister"] = rep.lhs
             rhs["reidemeister"] = rep.rhs
             flags.extend(rep.flags)
             verdicts.append(rep.verdict)
             if rep.verdict == "pass":
-                n_total, n_sum, per_class = nielsen_additivity(pair, args.depth)
+                n_total, n_sum, per_class = nielsen_additivity(pair, depth)
                 tables.append({"theorem": "nielsen_additivity",
                                "rows": [{"class": c, "count": n}
                                         for c, n in per_class]})
@@ -545,6 +556,7 @@ def cmd_bundle_verify(args) -> int:
 
 
 def _emit_document(name: str, params: Dict) -> Tuple[str, str]:
+    from . import catalog as cat
     entry = cat.CATALOG.get(name)
     if entry is None:
         raise InputError(f"unknown catalog entry {name!r}")
@@ -570,6 +582,7 @@ def _emit_document(name: str, params: Dict) -> Tuple[str, str]:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as cat
     if args.action == "list":
         for name in sorted(cat.CATALOG):
             entry = cat.CATALOG[name]
@@ -628,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reidemeister",
                        help="Reidemeister trace / Nielsen number")
     p.add_argument("input")
-    p.add_argument("--depth", type=nonnegative_int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=nonnegative_int)
     p.set_defaults(func=cmd_reidemeister)
 
     p = sub.add_parser("bundle-verify",
@@ -636,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--theorem", choices=["lefschetz", "reidemeister", "both"],
                    default="both")
-    p.add_argument("--depth", type=nonnegative_int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=nonnegative_int)
     p.set_defaults(func=cmd_bundle_verify)
 
     p = sub.add_parser("catalog", help="list or emit bundled fixtures")
@@ -648,6 +661,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The errors main maps to exit codes, as (defining module, class name).  A
+# module that was never loaded raised none of its errors, so main looks
+# only in the loaded ones and loads none itself.
+_UNSUPPORTED_ERRORS = (("reidemeister", "UnsupportedComplexError"),
+                       ("grouprings", "IndeterminateError"),
+                       ("bundles", "NotConstructibleError"))
+_INPUT_ERRORS = (("simplicial", "SimplicialError"),
+                 ("exactalg", "ExactAlgError"),
+                 ("bundles", "BundleError"),
+                 ("words", "GroupError"))
+
+
+def _loaded(errors) -> Tuple[type, ...]:
+    """The classes among ``errors`` whose defining modules are loaded."""
+    found = []
+    for module, name in errors:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            found.append(getattr(loaded, name))
+    return tuple(found)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -656,11 +691,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (UnsupportedComplexError, IndeterminateError,
-            NotConstructibleError) as exc:
+    except _loaded(_UNSUPPORTED_ERRORS) as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return EXIT_UNSUPPORTED
-    except (SimplicialError, ExactAlgError, BundleError, GroupError) as exc:
+    except _loaded(_INPUT_ERRORS) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

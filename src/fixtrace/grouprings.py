@@ -26,12 +26,9 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import IntMatrix, smith_normal_form
+from .words import GroupError, cyclic_normal_form, invert_word, reduce_word
 
 DEFAULT_DEPTH = 8
-
-
-class GroupError(ValueError):
-    pass
 
 
 class IndeterminateError(RuntimeError):
@@ -82,37 +79,6 @@ class FreeAbelianGroup:
 
     def __repr__(self):
         return f"FreeAbelianGroup({self.rank})"
-
-
-def reduce_word(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    """Freely reduce a word given as (generator, +-1) letters."""
-    out: List[Tuple[int, int]] = []
-    for letter in letters:
-        g, e = letter
-        if e not in (1, -1):
-            raise GroupError("letter exponents must be +-1")
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            # Share letter tuples between words: an orbit ball holds
-            # thousands of words, and a fresh tuple per letter dominates it.
-            out.append(letter if type(letter) is tuple else (g, e))
-    return tuple(out)
-
-
-def invert_word(word) -> Tuple[Tuple[int, int], ...]:
-    """Inverse of a signed word: its letters (x, +-1) reversed, signs flipped."""
-    return tuple((g, -e) for g, e in reversed(word))
-
-
-def expand_word(word, image_of) -> List:
-    """Concatenated images ``image_of(x)`` of the letters (x, +-1) of a
-    signed word, inverted for sign -1 and not reduced."""
-    out: List = []
-    for x, e in word:
-        w = image_of(x)
-        out.extend(w if e == 1 else invert_word(w))
-    return out
 
 
 class FreeGroup:
@@ -360,36 +326,6 @@ class _FreeAbelianClassifier:
     def rep_of(self, reduced) -> Tuple[int, ...]:
         return tuple(sum(self.u_inv[i, j] * reduced[j] for j in range(self.n))
                      for i in range(self.n))
-
-
-def cyclic_reduce(word):
-    """Free reduction, then strip letters cancelling around the cycle."""
-    w = list(reduce_word(word))
-    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-def cyclic_normal_form(word):
-    """Shortlex-minimal cyclic rotation of the cyclic reduction.
-
-    The least rotation is found in linear time by Duval's Lyndon
-    factorization of the word written twice: the last factor starting in
-    the first copy starts the least rotation.
-    """
-    w = cyclic_reduce(word)
-    n = len(w)
-    ww = w + w
-    i = start = 0
-    while i < n:
-        start = i
-        j, k = i + 1, i
-        while j < 2 * n and ww[k] <= ww[j]:
-            k = i if ww[k] < ww[j] else k + 1
-            j += 1
-        while i <= k:
-            i += j - k
-    return ww[start:start + n]
 
 
 def _free_rank1_exponent(word) -> int:
@@ -735,6 +671,21 @@ def shadow_equal(s1: ShadowElement, s2: ShadowElement,
     except IndeterminateError:
         return UNKNOWN
     return EQUAL if diff.is_zero() else DISTINCT
+
+
+def class_label(cls: TwistedClass) -> str:
+    """A finite or rank-1 key ``[k]``, a Z^n key ``[v0,v1]`` or a word
+    ``[g0^1.g1^-1]``."""
+    key = cls.key
+    if isinstance(key, int):
+        return f"[{key}]"
+    if all(isinstance(x, int) for x in key):
+        return "[" + ",".join(str(x) for x in key) + "]"
+    return "[" + ".".join(f"g{g}^{e}" for g, e in key) + "]"
+
+
+def shadow_rendering(s: ShadowElement) -> List[List]:
+    return [[class_label(cls), c] for cls, c in s.items()]
 
 
 def twisted_hs_trace(m: GroupRingMatrix, endo: GroupEndomorphism,

@@ -28,8 +28,6 @@ from .grouprings import (
     GroupRingElement,
     GroupRingMatrix,
     ShadowElement,
-    invert_word,
-    reduce_word,
     twisted_class,
     twisted_hs_trace,
 )
@@ -42,6 +40,7 @@ from .simplicial import (
     pi1_presentation,
     validate_edge_path,
 )
+from .words import invert_word, reduce_word
 
 
 class UnsupportedComplexError(ValueError):

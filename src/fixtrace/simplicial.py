@@ -24,15 +24,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exactalg import ChainComplex, ChainMap, IntMatrix, hopf_chain_trace
-from .grouprings import (
-    FreeAbelianGroup,
-    FreeGroup,
-    GroupEndomorphism,
-    cyclic_normal_form,
-    cyclic_reduce,
-    invert_word,
-    reduce_word,
-)
+from .words import cyclic_normal_form, cyclic_reduce, invert_word, reduce_word
 
 
 class SimplicialError(ValueError):
@@ -114,12 +106,16 @@ class SimplicialComplex:
         return tuple(self.vertices[i] for i in s)
 
     def maximal_simplices(self) -> List[Tuple[int, ...]]:
+        """Simplices that are no face of another, by dimension, then in order.
+
+        In a face-closed complex a d-simplex lies in another simplex exactly
+        when it is a codimension-1 face of some (d+1)-simplex.
+        """
         out = []
         for d, level in enumerate(self.simplices):
-            higher = self._sets[d + 1] if d + 1 < len(self._sets) else set()
-            for s in level:
-                if not any(set(s) <= set(h) for h in higher):
-                    out.append(s)
+            faces = {h[:i] + h[i + 1:] for h in self.n_simplices(d + 1)
+                     for i in range(d + 2)}
+            out.extend(s for s in level if s not in faces)
         return out
 
     def components(self) -> List[Tuple[int, ...]]:
@@ -589,6 +585,9 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     The tree is grown from the basepoint visiting neighbors in vertex
     order, so the presentation is deterministic.
     """
+    # The group layer loads here, once per presentation, so that homology
+    # alone never loads it.
+    from .grouprings import FreeAbelianGroup, FreeGroup
     if basepoint not in k.index:
         raise SimplicialError(f"unknown basepoint {basepoint}")
     b = k.index[basepoint]
@@ -682,6 +681,7 @@ def induced_pi1_endo(f: SimplicialMap, p: Pi1Presentation,
     basepoint to its image; the empty path is accepted when f fixes the
     basepoint.
     """
+    from .grouprings import GroupEndomorphism
     if not f.is_endomorphism() or f.source != p.complex:
         raise SimplicialError("map and presentation do not match")
     if p.group is None:

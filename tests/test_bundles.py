@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtrace.bundles import (
     BundleError,
@@ -475,6 +477,97 @@ def test_torus_linear_larger_entries():
         geo = reidemeister_trace_geometric(oracle["records"],
                                            model.complex.group, model.endo)
         assert shadow_equal(r, geo) == EQUAL
+
+
+def reference_divide_one_minus(p, v):
+    """The quadratic loop: scan the whole remainder for its greatest term
+    at every step and rebuild it."""
+    from fixtrace.grouprings import GroupRingElement
+    from fixtrace.words import GroupError
+    rem = {g: c for g, c in p.terms.values()}
+    quot = {}
+
+    def vdeg(g):
+        return sum(x * y for x, y in zip(g, v))
+
+    guard = 0
+    while rem:
+        guard += 1
+        if guard > 10000:
+            raise GroupError("division by (1 - t^v) does not terminate")
+        g = max(rem, key=lambda x: (vdeg(x), x))
+        c = rem[g]
+        gm = tuple(a - b for a, b in zip(g, v))
+        quot[gm] = quot.get(gm, 0) - c
+        rem[g] -= c
+        rem[gm] = rem.get(gm, 0) + c
+        rem = {k: x for k, x in rem.items() if x != 0}
+    return GroupRingElement(p.group, [(g, c) for g, c in quot.items()])
+
+
+def _division_outcome(divide, p, v):
+    """The quotient's terms in order, or the error a division raises."""
+    from fixtrace.words import GroupError
+    try:
+        return list(divide(p, v).terms.items())
+    except GroupError as exc:
+        return str(exc)
+
+
+_z2_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@given(st.lists(st.tuples(_z2_points, st.integers(-3, 3)), max_size=6),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_divide_one_minus_matches_reference(terms, v):
+    from fixtrace.catalog import _divide_one_minus
+    from fixtrace.grouprings import FreeAbelianGroup, GroupRingElement
+    z2 = FreeAbelianGroup(2)
+    p = (GroupRingElement(z2, [((0, 0), 1), (v, -1)])
+         * GroupRingElement(z2, terms))
+    assert (_division_outcome(_divide_one_minus, p, v)
+            == _division_outcome(reference_divide_one_minus, p, v))
+
+
+def test_divide_one_minus_step_guard():
+    # 1 - t^(0,n) = (1 - t^(0,1))(1 + t^(0,1) + ... + t^(0,n-1)) takes n
+    # steps.  Dividing by 1 - t^(0,0), or an element that 1 - t^v does not
+    # divide, never ends, and the guard stops both after the same steps.
+    from fixtrace.catalog import _divide_one_minus
+    from fixtrace.grouprings import FreeAbelianGroup, GroupRingElement
+    z2 = FreeAbelianGroup(2)
+    stuck = "division by (1 - t^v) does not terminate"
+    cases = [
+        ([((0, 0), 1), ((0, 10000), -1)], (0, 1),
+         [((0, k), ((0, k), 1)) for k in range(9999, -1, -1)]),
+        ([((0, 0), 1), ((0, 10001), -1)], (0, 1), stuck),
+        ([((0, 0), 1)], (0, 0), stuck),
+        ([((1, 2), 3), ((0, -1), -2), ((2, 2), 1)], (1, 1), stuck),
+    ]
+    for terms, v, want in cases:
+        p = GroupRingElement(z2, terms)
+        assert _division_outcome(_divide_one_minus, p, v) == want
+        assert _division_outcome(reference_divide_one_minus, p, v) == want
+
+
+def test_divide_one_minus_matches_reference_on_torus_chain_models(monkeypatch):
+    from fixtrace import catalog
+    divisions = []
+    real = catalog._divide_one_minus
+
+    def recording(p, v):
+        divisions.append((p, v))
+        return real(p, v)
+
+    monkeypatch.setattr(catalog, "_divide_one_minus", recording)
+    for a in ([[60, 0], [0, 2]], [[-1, 0], [0, -1]], [[3, 1], [1, -2]],
+              [[5, -3], [7, 2]]):
+        catalog.torus_linear_chain_model(a)
+    assert len(divisions) == 4
+    for p, v in divisions:
+        assert (_division_outcome(real, p, v)
+                == _division_outcome(reference_divide_one_minus, p, v))
 
 
 def triple_cover_conjugation_pair():

@@ -443,7 +443,7 @@ def test_free_group_associative(a, b, c):
 @given(letters)
 @settings(max_examples=100, deadline=None)
 def test_reduce_word_idempotent(a):
-    from fixtrace.grouprings import reduce_word
+    from fixtrace.words import reduce_word
     w = reduce_word(tuple(a))
     assert reduce_word(w) == w
     for (g, e), (g2, e2) in zip(w, w[1:]):
@@ -506,7 +506,7 @@ def test_orbit_walk_matches_breadth_first_ball(a, b, g, h, depth):
 def reference_cyclic_normal_form(word):
     """The quadratic definition: the least of all rotations of the cyclic
     reduction."""
-    from fixtrace.grouprings import cyclic_reduce
+    from fixtrace.words import cyclic_reduce
     w = cyclic_reduce(word)
     if not w:
         return ()
@@ -529,5 +529,5 @@ def rotation_words(draw):
 @given(rotation_words())
 @settings(derandomize=True, max_examples=1000, deadline=None)
 def test_cyclic_normal_form_matches_all_rotations(word):
-    from fixtrace.grouprings import cyclic_normal_form
+    from fixtrace.words import cyclic_normal_form
     assert cyclic_normal_form(word) == reference_cyclic_normal_form(word)

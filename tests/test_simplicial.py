@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from fixtrace import simplicial
 from fixtrace.exactalg import homology, hopf_chain_trace, lefschetz_from_homology
-from fixtrace.grouprings import (
-    FreeAbelianGroup,
-    FreeGroup,
-    cyclic_normal_form,
-    cyclic_reduce,
-    invert_word,
-    reduce_word,
-)
+from fixtrace.grouprings import FreeAbelianGroup, FreeGroup
 from fixtrace.simplicial import (
     FREE,
     FREE_ABELIAN,
@@ -30,6 +23,7 @@ from fixtrace.simplicial import (
     pi1_presentation,
     product_complex,
 )
+from fixtrace.words import cyclic_normal_form, cyclic_reduce, invert_word, reduce_word
 
 
 def circle(n=3):
@@ -85,6 +79,34 @@ def test_build_torus7():
 def test_build_rejects_repeats():
     with pytest.raises(SimplicialError):
         build_complex([(0, 0, 1)])
+
+
+def reference_maximal_simplices(k):
+    """The quadratic definition: each simplex tested against every simplex
+    one dimension up."""
+    out = []
+    for d, level in enumerate(k.simplices):
+        higher = k.n_simplices(d + 1)
+        for s in level:
+            if not any(set(s) <= set(h) for h in higher):
+                out.append(s)
+    return out
+
+
+@st.composite
+def random_complexes(draw):
+    """Face closures of up to 8 random simplices of dimension 0-3 on 7
+    declared vertices, some of which may stay isolated."""
+    simplices = draw(st.lists(
+        st.sets(st.integers(0, 6), min_size=1, max_size=4), max_size=8))
+    return build_complex([tuple(sorted(s)) for s in simplices],
+                         vertices=list(range(7)))
+
+
+@given(random_complexes())
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_maximal_simplices_matches_reference(k):
+    assert k.maximal_simplices() == reference_maximal_simplices(k)
 
 
 # ---------------------------------------------------------------------------
