@@ -1,7 +1,7 @@
 """Exact fixed-point invariants for simplicial complexes and discrete bundles.
 
 The submodules mirror the layers of the computation: ``words`` (signed
-words), ``exactalg`` (integer/rational linear algebra and chain
+words), ``exactalg`` (integer linear algebra and chain
 complexes), ``simplicial`` (complexes, maps, fundamental groups),
 ``grouprings`` (twisted conjugacy and shadow traces), ``reidemeister``
 (universal-cover chain models and the two Reidemeister-trace routes),

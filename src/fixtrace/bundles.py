@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import frac_identity, homology_maps
+from .exactalg import homology_maps
 from .grouprings import (
     DEFAULT_DEPTH,
     EQUAL,
@@ -228,12 +228,9 @@ class Transport:
 
 
 def _is_homology_identity(f: SimplicialMap) -> bool:
-    mats = homology_maps(induced_chain_map(f))
-    for m in mats:
-        n = len(m)
-        if m != frac_identity(n):
-            return False
-    return True
+    return all(m == [[int(i == j) for j in range(len(m))]
+                     for i in range(len(m))]
+               for m in homology_maps(induced_chain_map(f)))
 
 
 class DiscreteBundle:
@@ -496,7 +493,9 @@ def total_space(bundle: DiscreteBundle) -> TotalSpace:
     """Glue vertex fibers with prisms over the edges.
 
     Each edge contributes two prisms through a midpoint copy of its
-    source fiber, so self-loops and repeated vertices stay simplicial.
+    source fiber.  Over a loop edge the two prisms share their vertical
+    faces, so the glued complex is not the total space; the Euler
+    characteristic check below raises ``NotConstructibleError`` then.
     For fibers of dimension at most one, each prism square receives a
     center vertex (four cone triangles); this triangulation is symmetric
     under direction reversal, so self-maps that flip base edges or fiber
@@ -576,6 +575,16 @@ def total_space(bundle: DiscreteBundle) -> TotalSpace:
                             f"{e} (upper)")
 
     complex = build_complex(maximal, vertices=vertices)
+    # A bundle over a graph has chi(E) = chi(B) chi(F).  Prisms whose faces
+    # coincide (as over a loop edge) glue to another space, on which every
+    # verdict would be about the wrong total space.
+    chi_total = complex.euler_characteristic()
+    chi_want = ((len(base.vertices) - len(base.edges))
+                * bundle.fiber(base.basepoint).euler_characteristic())
+    if chi_total != chi_want:
+        raise NotConstructibleError(
+            f"total space has Euler characteristic {chi_total}, but "
+            f"(|V_B| - |E_B|) * chi(F) = {chi_want}")
     center_by_corners = {frozenset(corners): c
                          for c, corners in square_corners.items()}
     return TotalSpace(complex=complex, bundle=bundle,

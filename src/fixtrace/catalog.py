@@ -1,18 +1,18 @@
-"""Fixture catalog: deterministic generators with embedded oracles.
+"""Fixture catalog: deterministic complexes, self-maps and bundle pairs.
 
-Every entry builds its objects from scratch on each call, and carries
-oracle data computed by an independent route (analytic fixed-point
-counts on the circle, exact lattice enumeration on the torus, hand
-counts for the small examples).  The oracles never call the code paths
-they are used to check.
+Every entry builds its objects from scratch on each call.  The oracle
+data some fixtures carry (the circle reflection's fixed points, the
+double cover's per-class table, the Lefschetz numbers of the product
+maps' factors) are hand counts that never call the code paths they are
+used to check.  ``CATALOG`` holds the entries that ``fixtrace catalog``
+lists and emits, each with its default parameters; the integer size
+parameters are checked against fixed ranges before anything is built.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .bundles import (
     BundleSelfMapPair,
@@ -21,24 +21,8 @@ from .bundles import (
     GraphSelfMap,
     Transport,
 )
-from .exactalg import IntMatrix
-from .grouprings import (
-    FreeAbelianGroup,
-    FreeGroup,
-    GroupEndomorphism,
-    GroupRingElement,
-    GroupRingMatrix,
-)
-from .reidemeister import (
-    EquivariantChainComplex,
-    FixedPointRecord,
-    TwistedChainMap,
-    degree1_boundary,
-    degree1_fox_lift,
-    fox_derivative,
-)
+from .reidemeister import FixedPointRecord
 from .simplicial import SimplicialComplex, SimplicialMap, build_complex
-from .words import GroupError
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +92,7 @@ def circle_reflection_fixture(n: int = 4) -> SelfMapFixture:
 
 
 # ---------------------------------------------------------------------------
-# Circle degree-d dynamics (graph base map and equivariant chain model)
+# Circle degree-d dynamics over a graph base
 # ---------------------------------------------------------------------------
 
 def circle_base(n: int = 4) -> GraphBase:
@@ -159,168 +143,6 @@ def circle_degree_pair(d: int, n: int = 4) -> BundleSelfMapPair:
     pt = point_complex()
     fiber_maps = {v: SimplicialMap(pt, pt, {"p": "p"}) for v in base.vertices}
     return BundleSelfMapPair(bundle, bmap, fiber_maps)
-
-
-def circle_degree_chain_model(d: int) -> TwistedChainMap:
-    """Tree-contracted chain model of z -> z^d on the circle."""
-    z = FreeAbelianGroup(1)
-    endo = GroupEndomorphism(z, [(d,)])
-    cover = EquivariantChainComplex(z, [1, 1], [degree1_boundary(z, [(1,)])])
-    f0 = GroupRingMatrix.identity(z, 1)
-    word = ((0, 1),) * d if d >= 0 else ((0, -1),) * (-d)
-    f1 = degree1_fox_lift(z, z.identity(), [word], FreeGroup(1).abelianized)
-    return TwistedChainMap(cover, endo, [f0, f1])
-
-
-def rank1_witness(group, k: int):
-    """Integer path-class witness in the element format of a rank-1 group."""
-    if group.kind == "free_abelian":
-        return (k,)
-    return ((0, 1),) * k if k >= 0 else ((0, -1),) * (-k)
-
-
-def materialize_records(records: Sequence[FixedPointRecord], group
-                        ) -> List[FixedPointRecord]:
-    """Convert integer witnesses into elements of the given rank-1 group."""
-    return [FixedPointRecord(label=r.label, index=r.index,
-                             class_witness=rank1_witness(group,
-                                                         r.class_witness))
-            for r in records]
-
-
-def circle_degree_oracle(d: int) -> Dict:
-    """Analytic fixed points of z -> z^d: solutions of z^(d-1) = 1.
-
-    For d != 1 there are |d - 1| fixed points, each of local index
-    sign(1 - d); the k-th fixed point exp(2 pi i k / (d-1)) has path-class
-    witness k in Z/(1 - d).  Witnesses are stored as plain integers; use
-    :func:`materialize_records` for a concrete group.
-    """
-    if d == 1:
-        return {"lefschetz": 0, "nielsen": 0, "records": [],
-                "note": "identity-degree map: empty trace"}
-    count = abs(1 - d)
-    sign = 1 if 1 - d > 0 else -1
-    records = [FixedPointRecord(label=f"z{k}", index=sign, class_witness=k)
-               for k in range(count)]
-    return {
-        "lefschetz": 1 - d,
-        "nielsen": count,
-        "coefficient": sign,
-        "class_count": count,
-        "records": records,
-        "note": "roots of z^(d-1) = 1; local index is the sign of 1 - d",
-    }
-
-
-# ---------------------------------------------------------------------------
-# Torus linear maps (equivariant chain model and lattice oracle)
-# ---------------------------------------------------------------------------
-
-def _divide_one_minus(p: GroupRingElement, v: Tuple[int, ...]
-                      ) -> GroupRingElement:
-    """Exact division of a Z[Z^n] element by (1 - t^v).
-
-    Each step cancels the remainder's term of greatest (v-degree, element)
-    with one multiple of (1 - t^v), which moves its coefficient v lower.
-    A heap keyed by the negated (v-degree, element) finds that term; keys
-    of terms that have since cancelled are skipped.
-    """
-    group = p.group
-    rem = {g: c for g, c in p.terms.values()}
-    quot: Dict[Tuple[int, ...], int] = {}
-
-    def key(g):
-        return (-sum(x * y for x, y in zip(g, v)), tuple(-x for x in g))
-
-    heap = [(key(g), g) for g in rem]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        _, g = heapq.heappop(heap)
-        c = rem.pop(g, 0)
-        if c == 0:
-            continue
-        steps += 1
-        if steps > 10000:
-            raise GroupError("division by (1 - t^v) does not terminate")
-        gm = tuple(a - b for a, b in zip(g, v))
-        # (1 - t^v) * (-c t^gm) = -c t^gm + c t^g
-        quot[gm] = quot.get(gm, 0) - c
-        if gm not in rem:
-            heapq.heappush(heap, (key(gm), gm))
-        rem[gm] = rem.get(gm, 0) + c
-        if rem[gm] == 0:
-            del rem[gm]
-    return GroupRingElement(group, [(g, c) for g, c in quot.items()])
-
-
-def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
-    """Chain model of the torus self-map induced by an integer matrix.
-
-    The torus is given its one-vertex cell structure (one 2-cell attached
-    along the commutator); the degree-two component of the lift is the
-    unique solution of the twisted commutation equation, found by exact
-    division in the Laurent ring.
-    """
-    (a00, a01), (a10, a11) = a
-    z2 = FreeAbelianGroup(2)
-    endo = GroupEndomorphism(z2, [(a00, a10), (a01, a11)])
-    elem = FreeGroup(2).abelianized
-    comm = ((0, 1), (1, 1), (0, -1), (1, -1))
-    b1 = degree1_boundary(z2, z2.generators())
-    b2 = GroupRingMatrix(z2, 1, 2, {
-        (0, j): d for j, d in fox_derivative(comm, elem, z2).items()})
-    cover = EquivariantChainComplex(z2, [1, 2, 1], [b1, b2])
-
-    def power_word(gen, k):
-        return ((gen, 1),) * k if k >= 0 else ((gen, -1),) * (-k)
-
-    words = [power_word(0, a00) + power_word(1, a10),
-             power_word(0, a01) + power_word(1, a11)]
-    f0 = GroupRingMatrix.identity(z2, 1)
-    f1 = degree1_fox_lift(z2, z2.identity(), words, elem)
-    # f2 * b2 = phi(b2) * f1, and b2's entry (0, 0) is 1 - t^(0,1)
-    f2_entry = _divide_one_minus((b2.apply(endo) * f1)[0, 0], (0, 1))
-    f2 = GroupRingMatrix.from_rows(z2, [[f2_entry]])
-    return TwistedChainMap(cover, endo, [f0, f1, f2])
-
-
-def torus_lattice_oracle(a: Sequence[Sequence[int]]) -> Dict:
-    """Fixed points of x -> Ax on R^2/Z^2 by exact lattice enumeration.
-
-    Solves (A - I) x = k over the rationals for integer vectors k,
-    keeping solutions in the unit square; each fixed point has index
-    sign(det(I - A)) and path-class witness k.
-    """
-    (a00, a01), (a10, a11) = a
-    m = IntMatrix.from_rows([[a00 - 1, a01], [a10, a11 - 1]])
-    det = m.determinant()
-    if det == 0:
-        raise ValueError("det(I - A) must be nonzero")
-    det_ima = IntMatrix.from_rows([[1 - a00, -a01], [-a10, 1 - a11]]).determinant()
-    sign = 1 if det_ima > 0 else -1
-    bound = abs(a00 - 1) + abs(a01) + abs(a10) + abs(a11 - 1) + 1
-    records = []
-    inv = [[Fraction(a11 - 1, det), Fraction(-a01, det)],
-           [Fraction(-a10, det), Fraction(a00 - 1, det)]]
-    for k0 in range(-bound, bound + 1):
-        for k1 in range(-bound, bound + 1):
-            x0 = inv[0][0] * k0 + inv[0][1] * k1
-            x1 = inv[1][0] * k0 + inv[1][1] * k1
-            if 0 <= x0 < 1 and 0 <= x1 < 1:
-                records.append(FixedPointRecord(
-                    label=f"x=({x0},{x1})", index=sign,
-                    class_witness=(k0, k1)))
-    assert len(records) == abs(det)
-    return {
-        "lefschetz": det_ima,
-        "nielsen": abs(det_ima),
-        "coefficient": sign,
-        "records": records,
-        "note": "unit-square solutions of (A - I)x in Z^2; index is the "
-                "sign of det(I - A)",
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +327,17 @@ class CatalogEntry:
 CATALOG: Dict[str, CatalogEntry] = {}
 
 
+def _bounded(name: str, value, lo: int, hi: int, even: bool = False) -> int:
+    """An integer size parameter, rejected when it is not an integer, lies
+    outside [lo, hi] or (with ``even``) is odd, before anything is built."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not lo <= value <= hi or (even and value % 2)):
+        what = "an even integer" if even else "an integer"
+        raise ValueError(f"{name} must be {what} in [{lo}, {hi}], "
+                         f"got {value!r}")
+    return value
+
+
 def _register(entry: CatalogEntry):
     CATALOG[entry.name] = entry
     return entry
@@ -515,7 +348,8 @@ _register(CatalogEntry(
     build=lambda: point_complex()))
 _register(CatalogEntry(
     name="circle", kind="complex", description="n-gon circle",
-    build=lambda n=3: circle_complex(int(n)), default_params={"n": 3}))
+    build=lambda n=3: circle_complex(_bounded("n", n, 3, 10000)),
+    default_params={"n": 3}))
 _register(CatalogEntry(
     name="figure_eight", kind="complex",
     description="wedge of two triangle circles",
@@ -527,17 +361,14 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="circle_reflection", kind="selfmap",
     description="reflection of a square circle; L = 2, N = 2",
-    build=lambda n=4: circle_reflection_fixture(int(n)),
+    build=lambda n=4: circle_reflection_fixture(
+        _bounded("n", n, 4, 10000, even=True)),
     default_params={"n": 4}))
 _register(CatalogEntry(
     name="circle_degree_map", kind="bundle_pair",
     description="degree-d circle dynamics over a point fiber",
-    build=lambda d=2: circle_degree_pair(int(d)), default_params={"d": 2}))
-_register(CatalogEntry(
-    name="torus_linear", kind="chain_model",
-    description="torus self-map from an integer matrix, chain model",
-    build=lambda a=((2, 1), (1, 1)): torus_linear_chain_model(a),
-    default_params={"a": [[2, 1], [1, 1]]}))
+    build=lambda d=2: circle_degree_pair(_bounded("d", d, -1000, 1000)),
+    default_params={"d": 2}))
 _register(CatalogEntry(
     name="double_cover_reflection", kind="bundle_pair",
     description="connected double cover of the circle over a reflection",

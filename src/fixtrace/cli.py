@@ -575,9 +575,6 @@ def _emit_document(name: str, params: Dict) -> Tuple[str, str]:
     if entry.kind == "bundle_pair":
         return f"{name}.pair.json", json.dumps(
             serialize_pair(obj), indent=2) + "\n"
-    if entry.kind == "chain_model":
-        doc = {"kind": name, "parameters": merged}
-        return f"{name}.chainmodel.json", json.dumps(doc, indent=2) + "\n"
     raise InputError(f"catalog entry {name!r} has unknown kind")
 
 

@@ -1,11 +1,11 @@
-"""Exact integer and rational linear algebra for chain complexes.
+"""Exact integer linear algebra for chain complexes.
 
-Everything here is computed with arbitrary-precision integers or
-`fractions.Fraction`; no floating point is used anywhere.  The module
-provides Smith normal form with transformation matrices, by an
-elimination that touches only nonzero entries; chain complexes over the
-integers, chain maps, integral homology (betti numbers and torsion
-coefficients), induced maps on rational homology, and the two trace
+Everything here is computed with arbitrary-precision integers; no
+floating point is used anywhere.  The module provides Smith normal form
+with transformation matrices, by an elimination that touches only
+nonzero entries; chain complexes over the integers, chain maps, integral
+homology (betti numbers and torsion coefficients), integer matrices of
+the induced maps on homology modulo torsion, and the two trace
 computations (chain level and homology level) whose agreement is the
 Hopf trace theorem.
 
@@ -27,7 +27,6 @@ basis itself is fixed so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -365,19 +364,6 @@ def rank(a: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rational helpers (Fraction matrices as list-of-lists)
-# ---------------------------------------------------------------------------
-
-def frac_identity(n: int) -> List[List[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
-def frac_trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
 # Chain complexes and chain maps
 # ---------------------------------------------------------------------------
 
@@ -572,8 +558,9 @@ def homology(c: ChainComplex) -> HomologySummary:
     return HomologySummary(betti=tuple(betti), torsion=tuple(torsion))
 
 
-def homology_maps(m: ChainMap) -> List[List[List[Fraction]]]:
-    """Matrices of the induced maps on rational homology, per degree.
+def homology_maps(m: ChainMap) -> List[List[List[int]]]:
+    """Integer matrices of the induced maps on homology modulo torsion,
+    per degree; their traces are the traces on rational homology.
 
     Works for maps between different complexes; both sides use the
     deterministic basis from :func:`_homology_basis`, shared through
@@ -586,19 +573,19 @@ def homology_maps(m: ChainMap) -> List[List[List[Fraction]]]:
         tgt = m.target.homology_basis(i)
         hs, ht = src.betti, tgt.betti
         if hs == 0 or ht == 0:
-            out.append([[Fraction(0)] * hs for _ in range(ht)])
+            out.append([[0] * hs for _ in range(ht)])
             continue
         f = m.component(i)
         y = _kernel_coordinates(tgt.boundary_snf, f * src.kernel)
         a = tgt.coord_change * y * src.coord_change_inv
-        block = [[Fraction(a[row, col])
+        block = [[a[row, col]
                   for col in range(src.image_rank, a.cols)]
                  for row in range(tgt.image_rank, a.rows)]
         out.append(block)
     return out
 
 
-def induced_homology_map(m: ChainMap) -> List[List[List[Fraction]]]:
+def induced_homology_map(m: ChainMap) -> List[List[List[int]]]:
     """Induced endomorphism of rational homology, one square matrix per degree.
 
     Requires a self-map; the matrices are reported in the documented
@@ -612,12 +599,8 @@ def induced_homology_map(m: ChainMap) -> List[List[List[Fraction]]]:
 def lefschetz_from_homology(m: ChainMap) -> int:
     """Alternating sum of traces on rational homology."""
     mats = induced_homology_map(m)
-    total = Fraction(0)
-    for i, mat in enumerate(mats):
-        total += (-1) ** i * frac_trace(mat)
-    if total.denominator != 1:
-        raise ExactAlgError("Lefschetz number is not an integer")
-    return int(total)
+    return sum((-1) ** i * sum(mat[j][j] for j in range(len(mat)))
+               for i, mat in enumerate(mats))
 
 
 def hopf_chain_trace(m: ChainMap) -> int:

@@ -36,6 +36,7 @@ from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
     Word,
+    _sort_sign,
     induced_pi1_endo,
     pi1_presentation,
     validate_edge_path,
@@ -60,18 +61,20 @@ def fox_derivative(word: Word, element_of_word: Callable[[Word], object],
     """Free derivatives d(word)/d(x_j) with coefficients in Z[group].
 
     One pass over the word: the rules D(uv) = D(u) + u D(v), D(x) = 1 and
-    D(x^-1) = -x^-1 give each letter a signed prefix element, where
-    ``element_of_word`` maps prefix words (over the same letters) to group
-    elements.  Only the nonzero derivatives appear, keyed by generator.
+    D(x^-1) = -x^-1 give each letter a signed prefix element.  The prefix
+    element is kept as a running product: ``element_of_word`` maps each
+    single letter to its group element, which is multiplied on once.
+    Only the nonzero derivatives appear, keyed by generator.
     """
     terms: Dict[int, List] = {}
-    prefix: List[Tuple[int, int]] = []
+    prefix = group.identity()
     for g, e in word:
+        letter = element_of_word(((g, e),))
         if e == -1:
-            prefix.append((g, e))
-        terms.setdefault(g, []).append((element_of_word(tuple(prefix)), e))
+            prefix = group.mul(prefix, letter)
+        terms.setdefault(g, []).append((prefix, e))
         if e == 1:
-            prefix.append((g, e))
+            prefix = group.mul(prefix, letter)
     derivatives = {g: GroupRingElement(group, t) for g, t in terms.items()}
     return {g: d for g, d in derivatives.items() if d.terms}
 
@@ -264,9 +267,7 @@ def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
             tau = tuple(sorted(img))
             if tau not in pos:
                 raise LiftError("image 2-simplex missing from the complex")
-            inv = sum(1 for s in range(3) for t in range(s + 1, 3)
-                      if img[s] > img[t])
-            sign = -1 if inv % 2 else 1
+            sign = _sort_sign(img)
             # deck element: basepath, then the image of the tree path of the
             # least vertex, then back along tau's own corner path
             a_word = p.word_of_path(f.map_path(p.tree_path(a)))

@@ -51,6 +51,7 @@ from fixtrace.simplicial import (
     induced_chain_map,
     lefschetz_number,
 )
+from tests import chain_models as cm
 
 
 def report(criterion, text):
@@ -140,7 +141,7 @@ def test_criterion_2_double_cover_reidemeister():
     assert group.rank == 1
     assert lifted.endo.images[0] == ((0, -1),)
     oracle = cat.double_cover_oracle()
-    records = cat.materialize_records(oracle["records"], group)
+    records = cm.materialize_records(oracle["records"], group)
     geo = reidemeister_trace_geometric(records, group, lifted.endo)
     lhs = reidemeister_trace_chain(lifted.chain_map)
     assert shadow_equal(lhs, geo) == EQUAL
@@ -154,7 +155,7 @@ def test_criterion_2_double_cover_reidemeister():
 
 def test_criterion_3_circle_family():
     for d in (-3, -2, -1, 0, 2, 3, 4):
-        oracle = cat.circle_degree_oracle(d)
+        oracle = cm.circle_degree_oracle(d)
         count = abs(1 - d)
         sign = 1 if 1 - d > 0 else -1
         # chain route on the graph-base model
@@ -164,7 +165,7 @@ def test_criterion_3_circle_family():
         assert all(c == sign for _, c in r_graph.items())
         assert augment(r_graph) == 1 - d == oracle["lefschetz"]
         # chain route on the one-cell circle model
-        model = cat.circle_degree_chain_model(d)
+        model = cm.circle_degree_chain_model(d)
         r_cw = reidemeister_trace_chain(model)
         assert len(r_cw.terms) == count
         assert all(c == sign for _, c in r_cw.items())
@@ -172,11 +173,11 @@ def test_criterion_3_circle_family():
         # analytic oracle, matched on both models
         z = model.complex.group
         geo_cw = reidemeister_trace_geometric(
-            cat.materialize_records(oracle["records"], z), z, model.endo)
+            cm.materialize_records(oracle["records"], z), z, model.endo)
         assert shadow_equal(r_cw, geo_cw) == EQUAL
         base_group = pair.bundle.base.group
         geo_graph = reidemeister_trace_geometric(
-            cat.materialize_records(oracle["records"], base_group),
+            cm.materialize_records(oracle["records"], base_group),
             base_group, pair.base_endomorphism)
         assert shadow_equal(r_graph, geo_graph) == EQUAL
         assert nielsen(r_graph) == oracle["nielsen"]
@@ -197,13 +198,13 @@ def test_criterion_4_torus_family():
             [[1 - a[0][0], -a[0][1]], [-a[1][0], 1 - a[1][1]]]).determinant()
         if det_ima == 0:
             continue
-        model = cat.torus_linear_chain_model(a)
+        model = cm.torus_linear_chain_model(a)
         r = reidemeister_trace_chain(model)
         assert augment(r) == det_ima
         assert nielsen(r) == abs(det_ima)
         sign = 1 if det_ima > 0 else -1
         assert all(c == sign for _, c in r.items())
-        oracle = cat.torus_lattice_oracle(a)
+        oracle = cm.torus_lattice_oracle(a)
         assert len(oracle["records"]) == abs(det_ima)
         z2 = model.complex.group
         geo = reidemeister_trace_geometric(oracle["records"], z2, model.endo)
@@ -275,11 +276,11 @@ def test_criterion_7_augmentation_identity():
         checked += 1
     # circle and torus chain models
     for d in (-3, -2, -1, 0, 2, 3, 4):
-        model = cat.circle_degree_chain_model(d)
+        model = cm.circle_degree_chain_model(d)
         assert augment(reidemeister_trace_chain(model)) == 1 - d
         checked += 1
     for a in ([[2, 1], [1, 1]], [[-1, 0], [0, -1]], [[2, 0], [0, 2]]):
-        model = cat.torus_linear_chain_model(a)
+        model = cm.torus_linear_chain_model(a)
         det_ima = IntMatrix.from_rows(
             [[1 - a[0][0], -a[0][1]],
              [-a[1][0], 1 - a[1][1]]]).determinant()

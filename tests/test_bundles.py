@@ -259,7 +259,7 @@ def test_verify_reidemeister_example():
 
 
 def test_verify_reidemeister_example_against_oracle():
-    from fixtrace.catalog import materialize_records
+    from tests.chain_models import materialize_records
     pair = double_cover_reflection_pair()
     lifted = pair.total_lift
     group = lifted.presentation.group
@@ -464,7 +464,8 @@ def test_larger_fiber_product():
 
 
 def test_torus_linear_larger_entries():
-    from fixtrace.catalog import torus_lattice_oracle, torus_linear_chain_model
+    from tests.chain_models import (torus_lattice_oracle,
+                                    torus_linear_chain_model)
     from fixtrace.grouprings import EQUAL, augment, nielsen, shadow_equal
     from fixtrace.reidemeister import (reidemeister_trace_chain,
                                        reidemeister_trace_geometric)
@@ -521,7 +522,7 @@ _z2_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
        st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_divide_one_minus_matches_reference(terms, v):
-    from fixtrace.catalog import _divide_one_minus
+    from tests.chain_models import _divide_one_minus
     from fixtrace.grouprings import FreeAbelianGroup, GroupRingElement
     z2 = FreeAbelianGroup(2)
     p = (GroupRingElement(z2, [((0, 0), 1), (v, -1)])
@@ -534,7 +535,7 @@ def test_divide_one_minus_step_guard():
     # 1 - t^(0,n) = (1 - t^(0,1))(1 + t^(0,1) + ... + t^(0,n-1)) takes n
     # steps.  Dividing by 1 - t^(0,0), or an element that 1 - t^v does not
     # divide, never ends, and the guard stops both after the same steps.
-    from fixtrace.catalog import _divide_one_minus
+    from tests.chain_models import _divide_one_minus
     from fixtrace.grouprings import FreeAbelianGroup, GroupRingElement
     z2 = FreeAbelianGroup(2)
     stuck = "division by (1 - t^v) does not terminate"
@@ -552,18 +553,18 @@ def test_divide_one_minus_step_guard():
 
 
 def test_divide_one_minus_matches_reference_on_torus_chain_models(monkeypatch):
-    from fixtrace import catalog
+    from tests import chain_models
     divisions = []
-    real = catalog._divide_one_minus
+    real = chain_models._divide_one_minus
 
     def recording(p, v):
         divisions.append((p, v))
         return real(p, v)
 
-    monkeypatch.setattr(catalog, "_divide_one_minus", recording)
+    monkeypatch.setattr(chain_models, "_divide_one_minus", recording)
     for a in ([[60, 0], [0, 2]], [[-1, 0], [0, -1]], [[3, 1], [1, -2]],
               [[5, -3], [7, 2]]):
-        catalog.torus_linear_chain_model(a)
+        chain_models.torus_linear_chain_model(a)
     assert len(divisions) == 4
     for p, v in divisions:
         assert (_division_outcome(real, p, v)

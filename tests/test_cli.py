@@ -223,6 +223,51 @@ def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
     assert json.loads(out)["verdict"] in ("indeterminate", "unsupported")
 
 
+def _one_loop_reflection_pair():
+    # one-vertex base with one loop edge, triangle fiber, reflection over it
+    from fixtrace.bundles import (BundleSelfMapPair, DiscreteBundle,
+                                  GraphBase, GraphSelfMap, Transport)
+    from fixtrace.simplicial import SimplicialMap
+    base = GraphBase(["b0"], [("a", "b0", "b0")], [], "b0")
+    fib = cat.circle_complex(3)
+    ident = SimplicialMap(fib, fib, {v: v for v in fib.vertices})
+    refl = SimplicialMap(fib, fib, {str(i): str((-i) % 3) for i in range(3)})
+    bundle = DiscreteBundle(base, {"b0": fib}, {"a": Transport(ident, ident)})
+    bmap = GraphSelfMap(base, {"b0": "b0"}, {"a": [("a", 1)]})
+    return BundleSelfMapPair(bundle, bmap, {"b0": refl})
+
+
+def _figure_eight_point_identity_pair():
+    from fixtrace.bundles import BundleSelfMapPair, GraphSelfMap
+    from fixtrace.simplicial import SimplicialMap
+    base = cat.figure_eight_base()
+    pt = cat.point_complex()
+    bmap = GraphSelfMap(base, {"b0": "b0"},
+                        {"a": [("a", 1)], "b": [("b", 1)]})
+    return BundleSelfMapPair(cat.point_fiber_bundle(base), bmap,
+                             {"b0": SimplicialMap(pt, pt, {"p": "p"})})
+
+
+@pytest.mark.parametrize("make, chi_total, chi_want", [
+    (_one_loop_reflection_pair, 3, 0),
+    (_figure_eight_point_identity_pair, 1, -1)])
+@pytest.mark.parametrize("theorem", ["lefschetz", "reidemeister", "both"])
+def test_bundle_verify_loop_edges_unsupported_not_fail(tmp_path, capsys, make,
+                                                       chi_total, chi_want,
+                                                       theorem):
+    # Over a loop edge the two prisms share their vertical faces, so the
+    # glued complex is not the total space; the Euler characteristic check
+    # reports that instead of a verdict about the wrong space.
+    path = write(tmp_path, "pair.json", serialize_pair(make()))
+    code, out, _ = run_cli(capsys, "bundle-verify", path,
+                           "--theorem", theorem)
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (EXIT_UNSUPPORTED, "unsupported")
+    assert rep["flags"] == [
+        f"total space has Euler characteristic {chi_total}, but "
+        f"(|V_B| - |E_B|) * chi(F) = {chi_want}"]
+
+
 def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
                                                        monkeypatch):
     from fixtrace import bundles
@@ -390,8 +435,6 @@ MALFORMED = {
     "fiber-maps-as-list": lambda: _mutated_pair(
         lambda d: d.update(fiber_maps=list(d["fiber_maps"].values()))),
     "emit-circle-n1": lambda: ["catalog", "emit", "circle", "--param", "n=1"],
-    "emit-torus-linear-a5": lambda: [
-        "catalog", "emit", "torus_linear", "--param", "a=5"],
     "basepath-sign-x": lambda: _mutated_pair(
         lambda d: d["base_map"].update(basepath=[["e0", "x"]])),
     "transports-as-list": lambda: _mutated_pair(
@@ -506,17 +549,48 @@ def test_reidemeister_disconnected_complex_exit3(tmp_path, capsys):
 def test_catalog_list(capsys):
     code, out, _ = run_cli(capsys, "catalog", "list")
     assert code == EXIT_OK
-    names = [line.split("\t")[0] for line in out.strip().splitlines()]
-    for required in ["point", "circle", "figure_eight", "torus7",
-                     "circle_degree_map", "circle_reflection", "torus_linear",
-                     "double_cover_reflection", "trivial_product",
-                     "fixed_point_free_rotation"]:
-        assert required in names
+    assert [tuple(line.split("\t")[:2]) for line in out.splitlines()] == [
+        ("circle", "complex"),
+        ("circle_degree_map", "bundle_pair"),
+        ("circle_reflection", "selfmap"),
+        ("double_cover_reflection", "bundle_pair"),
+        ("figure_eight", "complex"),
+        ("fixed_point_free_rotation", "bundle_pair"),
+        ("point", "complex"),
+        ("torus7", "complex"),
+        ("trivial_product", "bundle_pair"),
+    ]
 
 
 def test_catalog_emit_unknown_exit2(capsys):
-    code, out, err = run_cli(capsys, "catalog", "emit", "nonsense")
-    assert code == EXIT_INPUT
+    for name in ["nonsense", "torus_linear"]:
+        code, out, err = run_cli(capsys, "catalog", "emit", name)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"unknown catalog entry {name!r}" in err
+
+
+@pytest.mark.parametrize("name, param, bounds", [
+    ("circle", "n=2", "an integer in [3, 10000]"),
+    ("circle", "n=10001", "an integer in [3, 10000]"),
+    ("circle_reflection", "n=10002", "an even integer in [4, 10000]"),
+    ("circle_reflection", "n=7", "an even integer in [4, 10000]"),
+    ("circle_degree_map", "d=1001", "an integer in [-1000, 1000]"),
+    ("circle_degree_map", "d=-1001", "an integer in [-1000, 1000]"),
+    ("circle", "n=3.5", "an integer in [3, 10000]"),
+    ("circle", "n=1e999", "an integer in [3, 10000]"),
+])
+def test_catalog_emit_size_out_of_range_exit2(capsys, name, param, bounds):
+    code, out, err = run_cli(capsys, "catalog", "emit", name, "--param", param)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert f"must be {bounds}" in err
+
+
+@pytest.mark.parametrize("name, param", [
+    ("circle", "n=10000"), ("circle_reflection", "n=10000"),
+    ("circle_degree_map", "d=1000"), ("circle_degree_map", "d=-1000")])
+def test_catalog_emit_size_at_bound(capsys, name, param):
+    code, _, _ = run_cli(capsys, "catalog", "emit", name, "--param", param)
+    assert code == EXIT_OK
 
 
 def test_catalog_emit_circle(capsys):
@@ -556,19 +630,6 @@ def test_catalog_round_trip_selfmap():
     assert k == fix.complex
     assert f.vertex_images == fix.map.vertex_images
     assert basepath == fix.basepath
-
-
-def test_catalog_emit_chain_model(capsys):
-    code, out, _ = run_cli(capsys, "catalog", "emit", "torus_linear")
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["kind"] == "torus_linear"
-    # the parameter document rebuilds the same model
-    entry = cat.CATALOG["torus_linear"]
-    model = entry.build(**{k: v for k, v in doc["parameters"].items()})
-    from fixtrace.reidemeister import reidemeister_trace_chain
-    from fixtrace.grouprings import augment
-    assert augment(reidemeister_trace_chain(model)) == -1
 
 
 def test_bundle_verify_hard_fixtures(tmp_path, capsys):
@@ -635,9 +696,7 @@ CATALOG_REPORTS = [
 
 
 def test_catalog_reports_byte_identical(tmp_path, capsys):
-    assert {name for name, _, _, _ in CATALOG_REPORTS} == {
-        name for name, entry in cat.CATALOG.items()
-        if entry.kind != "chain_model"}
+    assert {name for name, _, _, _ in CATALOG_REPORTS} == set(cat.CATALOG)
     for name, command, want_code, want_sha in CATALOG_REPORTS:
         _, text, _ = run_cli(capsys, "catalog", "emit", name)
         path = tmp_path / f"{name}.json"

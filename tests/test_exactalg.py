@@ -1,6 +1,5 @@
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from fixtrace.exactalg import (
     ExactAlgError,
     IntMatrix,
     SmithForm,
-    frac_trace,
     homology,
     hopf_chain_trace,
     identity_chain_map,
@@ -381,20 +379,20 @@ def test_homology_rejects_bad_complex():
 def test_induced_map_identity():
     m = identity_chain_map(triangle_circle())
     mats = induced_homology_map(m)
-    assert mats[0] == [[Fraction(1)]]
-    assert mats[1] == [[Fraction(1)]]
+    assert mats == [[[1]], [[1]]]
+    assert all(type(x) is int for mat in mats for row in mat for x in row)
 
 
 def test_induced_map_reflection():
     mats = induced_homology_map(reflection_map())
-    assert frac_trace(mats[0]) == 1
-    assert frac_trace(mats[1]) == -1
+    assert sum(mats[0][i][i] for i in range(len(mats[0]))) == 1
+    assert sum(mats[1][i][i] for i in range(len(mats[1]))) == -1
 
 
 def test_induced_map_degree2():
     mats = induced_homology_map(degree2_circle_chain_map())
-    assert frac_trace(mats[0]) == 1
-    assert frac_trace(mats[1]) == 2
+    assert sum(mats[0][i][i] for i in range(len(mats[0]))) == 1
+    assert sum(mats[1][i][i] for i in range(len(mats[1]))) == 2
 
 
 def test_lefschetz_identity_circle():
