@@ -1,13 +1,14 @@
 """Exact integer linear algebra for chain complexes.
 
 Everything here is computed with arbitrary-precision integers; no
-floating point is used anywhere.  The module provides Smith normal form
-with transformation matrices, by an elimination that touches only
-nonzero entries; chain complexes over the integers, chain maps, integral
-homology (betti numbers and torsion coefficients), integer matrices of
-the induced maps on homology modulo torsion, and the two trace
-computations (chain level and homology level) whose agreement is the
-Hopf trace theorem.
+floating point is used anywhere.  Matrices store only their nonzero
+entries, so every operation costs the nonzeros it reads, not rows x
+cols.  The module provides Smith normal form with transformation
+matrices, by an elimination on those nonzero entries; chain complexes
+over the integers, chain maps, integral homology (betti numbers and
+torsion coefficients), integer matrices of the induced maps on homology
+modulo torsion, and the two trace computations (chain level and homology
+level) whose agreement is the Hopf trace theorem.
 
 Conventions
 -----------
@@ -26,9 +27,9 @@ basis itself is fixed so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, compress
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+SparseRow = Dict[int, int]  # {column: entry}, nonzero entries only
 
 
 class ExactAlgError(ValueError):
@@ -40,12 +41,18 @@ class ExactAlgError(ValueError):
 # ---------------------------------------------------------------------------
 
 class IntMatrix:
-    """Immutable dense integer matrix stored row-major."""
+    """Immutable integer matrix stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "entries")
+    Row i is a dict ``{column: entry}`` that holds only the nonzero
+    entries of that row; no zero is ever stored, so two matrices are
+    equal exactly when their shapes and row dicts are.
+    """
+
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
+        """Matrix from its ``rows * cols`` entries in row-major order."""
+        entries = [int(e) for e in entries]
         if rows < 0 or cols < 0:
             raise ExactAlgError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -53,19 +60,23 @@ class IntMatrix:
                 f"expected {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_data", tuple(
+            {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)))
 
     @classmethod
-    def _of(cls, rows: int, cols: int, entries: Tuple[int, ...]) -> "IntMatrix":
-        """Wrap a tuple of ``rows * cols`` ints computed in this module.
+    def _sparse(cls, rows: int, cols: int,
+                data: Sequence[SparseRow]) -> "IntMatrix":
+        """Wrap ``rows`` sparse rows built inside the package.
 
         Skips the validation and coercion of ``__init__``, which is for
-        caller data; exact integer arithmetic here already yields ints.
+        caller data.  The rows must hold nonzero ints at columns below
+        ``cols`` and must not be changed afterwards.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_data", tuple(data))
         return self
 
     def __setattr__(self, name, value):
@@ -73,7 +84,7 @@ class IntMatrix:
 
     def __reduce__(self):
         # The default slot-state restore would go through __setattr__.
-        return (IntMatrix, (self.rows, self.cols, self.entries))
+        return (IntMatrix._sparse, (self.rows, self.cols, self._data))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -86,28 +97,30 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._of(n, n, tuple(chain.from_iterable(_identity_rows(n))))
+        return cls._sparse(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of(rows, cols, (0,) * (rows * cols))
+        return cls._sparse(rows, cols, [{} for _ in range(rows)])
 
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self._data[i].get(j, 0)
 
     def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        get = self._data[i].get
+        return tuple(get(j, 0) for j in range(self.cols))
 
     def tolists(self) -> List[List[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._data == other._data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(tuple(sorted(r.items())) for r in self._data)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.tolists()})"
@@ -115,12 +128,16 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ExactAlgError("shape mismatch in addition")
-        return IntMatrix._of(self.rows, self.cols, tuple(
-            a + b for a, b in zip(self.entries, other.entries)))
+        out = []
+        for a, b in zip(self._data, other._data):
+            r = dict(a)
+            _add_scaled(r, 1, b.items())
+            out.append(r)
+        return IntMatrix._sparse(self.rows, self.cols, out)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of(self.rows, self.cols,
-                             tuple(-a for a in self.entries))
+        return IntMatrix._sparse(self.rows, self.cols, [
+            {j: -x for j, x in r.items()} for r in self._data])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
@@ -128,24 +145,23 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ExactAlgError("shape mismatch in multiplication")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        b_rows = [_nonzeros(b[t * m:(t + 1) * m]) for t in range(k)]
-        out = [0] * (n * m)
-        for i in range(n):
-            rbase = i * m
-            for t, x in _nonzeros(a[i * k:(i + 1) * k]):
-                for j, y in b_rows[t]:
-                    out[rbase + j] += x * y
-        return IntMatrix._of(n, m, tuple(out))
+        b = other._data
+        out = []
+        for a_row in self._data:
+            r: SparseRow = {}
+            get = r.get
+            for t, x in a_row.items():
+                for j, y in b[t].items():
+                    r[j] = get(j, 0) + x * y
+            out.append({j: x for j, x in r.items() if x})
+        return IntMatrix._sparse(self.rows, other.cols, out)
 
     def transpose(self) -> "IntMatrix":
-        c = self.cols
-        return IntMatrix._of(c, self.rows, tuple(chain.from_iterable(
-            self.entries[j::c] for j in range(c))))
+        return IntMatrix._sparse(self.cols, self.rows,
+                                 _transposed(self._data, self.cols))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self._data)
 
     def determinant(self) -> int:
         """Fraction-free (Bareiss) determinant; square matrices only."""
@@ -174,7 +190,26 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
+def _add_scaled(row: SparseRow, q: int, items: Iterable[Tuple[int, int]]):
+    """row += q * (the sparse row given by ``items``), in place, dropping
+    entries that cancel; ``q`` and the entries of ``items`` are nonzero."""
+    get = row.get
+    for k, x in items:
+        y = get(k, 0) + q * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _transposed(data: Sequence[SparseRow], cols: int) -> List[SparseRow]:
+    out: List[SparseRow] = [{} for _ in range(cols)]
+    for i, r in enumerate(data):
+        for j, x in r.items():
+            out[j][i] = x
+    return out
+
+
 class SmithForm:
     """Decomposition U * A * V = S with U, V unimodular and S diagonal.
 
@@ -182,16 +217,15 @@ class SmithForm:
     The exact inverses of U and V are tracked during the reduction.
     """
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
+    __slots__ = ("U", "S", "V", "Uinv", "Vinv")
+
+    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix,
+                 Uinv: IntMatrix, Vinv: IntMatrix):
+        self.U, self.S, self.V, self.Uinv, self.Vinv = U, S, V, Uinv, Vinv
 
     @property
     def rank(self) -> int:
-        return sum(1 for i in range(min(self.S.rows, self.S.cols))
-                   if self.S[i, i] != 0)
+        return sum(1 for x in self.diagonal() if x)
 
     def diagonal(self) -> List[int]:
         return [self.S[i, i] for i in range(min(self.S.rows, self.S.cols))]
@@ -208,109 +242,100 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     its column by row operations and its row by column operations, and
     repeat until both are clear; then, if some entry of the remaining
     block is not divisible by the pivot, add its row to row t and go
-    again.  Work that cannot change the result is skipped:
+    again.  All five matrices are kept as sparse rows ``{column: entry}``
+    and every step reads only nonzero entries:
 
     * the first row holding a unit gives the pivot (its lowest unit
-      column), so the whole block is scanned only when it has no unit,
-      and rows already cleared to zero are not scanned again;
+      column), so the whole block is scanned only when it has no unit;
     * the divisibility scan is skipped when the pivot is 1;
-    * clearing column t touches only the nonzero entries of row t of S
-      and U, and clearing row t only the rows of S, and the rows of V,
-      where column t is nonzero; neither changes while the others are
-      cleared, so their nonzero entries are collected once per pivot.
+    * a column swap of S is recorded as a renaming of the two columns,
+      so it costs nothing per row;
+    * clearing column t adds multiples of row t of S and U to the rows
+      where column t is nonzero, and clearing row t adds multiples of
+      column t to the columns where row t is nonzero.
 
     ``Uinv`` and ``V`` only see column operations, so they are kept
     transposed, where those are row operations as for ``U`` and ``Vinv``.
-    The rows of ``Uinv`` (transposed) and ``Vinv`` that are added into
-    row t belong to rows and columns not reduced yet, which are still
-    (nearly) unit vectors; these two are kept as sparse rows
-    ``{column: entry}``, so each addition costs only their nonzeros.
     """
     n, m = a.rows, a.cols
-    s = a.tolists()
-    u = _identity_rows(n)
-    v_t = _identity_rows(m)
-    uinv_t = [{i: 1} for i in range(n)]  # sparse rows {column: entry}
+    s = [dict(r) for r in a._data]
+    u = [{i: 1} for i in range(n)]
+    v_t = [{j: 1} for j in range(m)]
+    uinv_t = [{i: 1} for i in range(n)]
     vinv = [{j: 1} for j in range(m)]
+    # Column swaps of S are recorded, not carried out: column c of S is
+    # stored in its rows under the key key[c], and key k holds column
+    # col[k].  The keys are renamed to columns once, at the end.
+    key = list(range(m))
+    col = list(range(m))
 
-    zero_rows = set()  # rows cleared to zero, which no step changes again
     t = 0
     while True:
         # Rows and columns before t are done: rows t.. are zero left of t.
         pivot = None
         for i in range(t, n):
-            if i in zero_rows:
-                continue
-            row = s[i]
-            units = [row.index(x) for x in (1, -1) if x in row]
+            units = [col[k] for k, x in s[i].items() if x == 1 or x == -1]
             if units:
                 pivot = (i, min(units))
                 break
         else:
-            best = None
-            for i in range(t, n):
-                for j, x in enumerate(s[i]):
-                    if x and (best is None or abs(x) < best):
-                        best, pivot = abs(x), (i, j)
+            pivot = min(((abs(x), i, col[k]) for i in range(t, n)
+                         for k, x in s[i].items()), default=None)
+            if pivot is not None:
+                pivot = pivot[1:]
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
-            if t in zero_rows:
-                zero_rows.remove(t)
-                zero_rows.add(pi)
             s[t], s[pi] = s[pi], s[t]
             u[t], u[pi] = u[pi], u[t]
             uinv_t[t], uinv_t[pi] = uinv_t[pi], uinv_t[t]
         if pj != t:
-            for r in s[t:]:
-                r[t], r[pj] = r[pj], r[t]
+            key[t], key[pj] = key[pj], key[t]
+            col[key[t]], col[key[pj]] = t, pj
             v_t[t], v_t[pj] = v_t[pj], v_t[t]
             vinv[t], vinv[pj] = vinv[pj], vinv[t]
+        kt = key[t]
         prow = s[t]
-        if prow[t] < 0:
-            s[t] = prow = [-x for x in prow]
-            u[t] = [-x for x in u[t]]
+        if prow[kt] < 0:
+            s[t] = prow = {k: -x for k, x in prow.items()}
+            u[t] = {j: -x for j, x in u[t].items()}
             uinv_t[t] = {k: -x for k, x in uinv_t[t].items()}
-        d = prow[t]
+        d = prow[kt]
         dirty = False
         # Clear column t: row_i -= q row_t, and column t of Uinv gains
         # q times column i.
-        s_nz = _nonzeros(prow)
-        u_nz = _nonzeros(u[t])
+        s_nz = list(prow.items())
+        u_nz = list(u[t].items())
         ut = uinv_t[t]
-        below = [i for i in range(t + 1, n) if s[i][t]]
+        below = [i for i in range(t + 1, n) if kt in s[i]]
         for i in below:
             row = s[i]
-            q = row[t] // d
+            q = row[kt] // d
             if q:
-                for j, x in s_nz:
-                    row[j] -= q * x
-                urow = u[i]
-                for j, x in u_nz:
-                    urow[j] -= q * x
-                for k, x in uinv_t[i].items():
-                    ut[k] = ut.get(k, 0) + q * x
-            if row[t]:
+                _add_scaled(row, -q, s_nz)
+                _add_scaled(u[i], -q, u_nz)
+                _add_scaled(ut, q, uinv_t[i].items())
+            if kt in row:
                 dirty = True
-            elif not any(row):
-                zero_rows.add(i)
         # Clear row t: column_j -= q column_t, and row t of Vinv gains
-        # q times row j.
-        col_t = [(prow, d)] + [(s[i], s[i][t]) for i in below if s[i][t]]
-        v_nz = _nonzeros(v_t[t])
+        # q times row j.  The other keys of row t hold columns past t.
+        col_t = [(prow, d)] + [(s[i], s[i][kt]) for i in below if kt in s[i]]
+        v_nz = list(v_t[t].items())
         vt = vinv[t]
-        for j in [j for j in range(t + 1, m) if prow[j]]:
-            q = prow[j] // d
+        for k in [k for k in prow if k != kt]:
+            q = prow[k] // d
             if q:
                 for r, x in col_t:
-                    r[j] -= q * x
-                vrow = v_t[j]
-                for k, x in v_nz:
-                    vrow[k] -= q * x
-                for k, x in vinv[j].items():
-                    vt[k] = vt.get(k, 0) + q * x
-            if prow[j]:
+                    y = r.get(k, 0) - q * x
+                    if y:
+                        r[k] = y
+                    else:
+                        del r[k]
+                j = col[k]
+                _add_scaled(v_t[j], -q, v_nz)
+                _add_scaled(vt, q, vinv[j].items())
+            if k in prow:
                 dirty = True
         if dirty:
             continue
@@ -318,45 +343,21 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         # below t are now zero in columns up to t, so whole rows are read.
         if d != 1:
             culprit = next((i for i in range(t + 1, n)
-                            if any(x % d for x in s[i])), None)
+                            if any(x % d for x in s[i].values())), None)
             if culprit is not None:
                 # row_t += row_culprit; column culprit of Uinv loses column t
-                s[t] = [x + y for x, y in zip(prow, s[culprit])]
-                u[t] = [x + y for x, y in zip(u[t], u[culprit])]
-                uc = uinv_t[culprit]
-                for k, x in uinv_t[t].items():
-                    uc[k] = uc.get(k, 0) - x
+                _add_scaled(prow, 1, s[culprit].items())
+                _add_scaled(u[t], 1, u[culprit].items())
+                _add_scaled(uinv_t[culprit], -1, uinv_t[t].items())
                 continue
         t += 1
 
-    return SmithForm(U=_from_rows(n, n, u), S=_from_rows(n, m, s),
-                     V=_from_rows(m, m, zip(*v_t)),
-                     Uinv=_from_rows(n, n, zip(*_dense(uinv_t, n))),
-                     Vinv=_from_rows(m, m, _dense(vinv, m)))
-
-
-def _identity_rows(n: int) -> List[List[int]]:
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
-def _dense(rows: List[Dict[int, int]], n: int) -> List[List[int]]:
-    out = [[0] * n for _ in rows]
-    for row, sparse in zip(out, rows):
-        for k, x in sparse.items():
-            row[k] = x
-    return out
-
-
-def _nonzeros(row: Sequence[int]) -> List[Tuple[int, int]]:
-    """(column, entry) for the nonzero entries of ``row``."""
-    return [(j, row[j]) for j in compress(range(len(row)), row)]
-
-
-def _from_rows(rows: int, cols: int, data: Iterable[Sequence[int]]) -> IntMatrix:
-    return IntMatrix._of(rows, cols, tuple(chain.from_iterable(data)))
+    s = [{col[k]: x for k, x in r.items()} for r in s]
+    return SmithForm(U=IntMatrix._sparse(n, n, u),
+                     S=IntMatrix._sparse(n, m, s),
+                     V=IntMatrix._sparse(m, m, _transposed(v_t, m)),
+                     Uinv=IntMatrix._sparse(n, n, _transposed(uinv_t, n)),
+                     Vinv=IntMatrix._sparse(m, m, vinv))
 
 
 def rank(a: IntMatrix) -> int:
@@ -476,7 +477,6 @@ def identity_chain_map(c: ChainComplex) -> ChainMap:
 # Homology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class HomologyBasis:
     """Deterministic basis data for H_i of a complex.
 
@@ -487,23 +487,32 @@ class HomologyBasis:
     ``image_rank`` vectors.  The remaining vectors represent H_i.
     """
 
-    kernel: IntMatrix
-    coord_change: IntMatrix
-    coord_change_inv: IntMatrix
-    image_rank: int
-    boundary_snf: "SmithForm"
+    __slots__ = ("kernel", "coord_change", "coord_change_inv", "image_rank",
+                 "boundary_snf")
+
+    def __init__(self, kernel: IntMatrix, coord_change: IntMatrix,
+                 coord_change_inv: IntMatrix, image_rank: int,
+                 boundary_snf: SmithForm):
+        self.kernel = kernel
+        self.coord_change = coord_change
+        self.coord_change_inv = coord_change_inv
+        self.image_rank = image_rank
+        self.boundary_snf = boundary_snf
 
     @property
     def betti(self) -> int:
         return self.kernel.cols - self.image_rank
 
 
-@dataclass(frozen=True)
 class HomologySummary:
     """Betti numbers and torsion coefficients per degree."""
 
-    betti: Tuple[int, ...]
-    torsion: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("betti", "torsion")
+
+    def __init__(self, betti: Tuple[int, ...],
+                 torsion: Tuple[Tuple[int, ...], ...]):
+        self.betti = betti
+        self.torsion = torsion
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * b for i, b in enumerate(self.betti))
@@ -518,10 +527,9 @@ def _kernel_coordinates(snf_i: SmithForm, mat: IntMatrix) -> IntMatrix:
     """
     r = snf_i.rank
     y = snf_i.Vinv * mat
-    split = r * mat.cols
-    if any(y.entries[:split]):
+    if any(y._data[:r]):
         raise ExactAlgError("columns do not lie in the kernel lattice")
-    return IntMatrix._of(y.rows - r, mat.cols, y.entries[split:])
+    return IntMatrix._sparse(y.rows - r, mat.cols, y._data[r:])
 
 
 def _homology_basis(c: ChainComplex, i: int) -> HomologyBasis:
@@ -530,9 +538,8 @@ def _homology_basis(c: ChainComplex, i: int) -> HomologyBasis:
     r = snf_i.rank
     n = c.rank(i)
     # kernel columns: columns of V past the rank
-    v = snf_i.V.entries
-    kernel = IntMatrix._of(n, n - r, tuple(chain.from_iterable(
-        v[row * n + r:(row + 1) * n] for row in range(n))))
+    kernel = IntMatrix._sparse(n, n - r, [
+        {j - r: x for j, x in row.items() if j >= r} for row in snf_i.V._data])
     d_next = c.boundary(i + 1)
     m = _kernel_coordinates(snf_i, d_next)
     snf_m = smith_normal_form(m)

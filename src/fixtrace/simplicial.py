@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -299,12 +298,12 @@ def chain_complex(k: SimplicialComplex) -> ChainComplex:
         rows = degrees[d - 1]
         cols = degrees[d]
         pos = {s: i for i, s in enumerate(k.simplices[d - 1])}
-        ent = [0] * (rows * cols)
+        data = [{} for _ in range(rows)]
         for j, s in enumerate(k.simplices[d]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                ent[pos[face] * cols + j] += (-1) ** i
-        boundaries.append(IntMatrix(rows, cols, ent))
+            # the d + 1 faces of s are distinct rows of column j
+            for i in range(d + 1):
+                data[pos[s[:i] + s[i + 1:]]][j] = -1 if i % 2 else 1
+        boundaries.append(IntMatrix._sparse(rows, cols, data))
     return ChainComplex(degrees, boundaries)
 
 
@@ -324,17 +323,16 @@ def induced_chain_map(f: SimplicialMap) -> ChainMap:
     comps = []
     for d in range(top + 1):
         rows = tgt.rank(d)
-        cols = src.rank(d)
-        ent = [0] * (rows * cols)
+        data = [{} for _ in range(rows)]
         if d <= f.source.dim:
             pos = {s: i for i, s in enumerate(f.target.n_simplices(d))}
             for j, s in enumerate(f.source.n_simplices(d)):
                 img = [f.apply_index(i) for i in s]
                 if len(set(img)) != len(img):
                     continue
-                sign = _sort_sign(img)
-                ent[pos[tuple(sorted(img))] * cols + j] += sign
-        comps.append(IntMatrix(rows, cols, ent))
+                # column j holds the one entry of a nondegenerate image
+                data[pos[tuple(sorted(img))]][j] = _sort_sign(img)
+        comps.append(IntMatrix._sparse(rows, src.rank(d), data))
     return ChainMap(src, tgt, comps)
 
 
@@ -503,24 +501,38 @@ FREE_ABELIAN = "free_abelian"
 UNSUPPORTED = "unsupported"
 
 
-@dataclass
 class Pi1Presentation:
-    """Edge-path presentation of pi_1 of the basepoint component."""
+    """Edge-path presentation of pi_1 of the basepoint component.
 
-    complex: SimplicialComplex
-    basepoint: object
-    spanning_tree: Tuple[Tuple[int, int], ...]
-    generators: Tuple[Tuple[int, int], ...]   # non-tree edges (index pairs)
-    recognized_class: str
-    rank: int
-    group: object  # FreeGroup / FreeAbelianGroup, or None when unsupported
-    component: Tuple[int, ...]
-    _parent: Dict[int, Optional[int]] = field(repr=False, default_factory=dict)
-    _gen_index: Dict[Tuple[int, int], int] = field(repr=False, default_factory=dict)
-    _tree_set: Set[Tuple[int, int]] = field(repr=False, default_factory=set)
-    _final_gens: List[int] = field(repr=False, default_factory=list)
-    _final_pos: Dict[int, int] = field(repr=False, default_factory=dict)
-    _subst: Dict[int, Word] = field(repr=False, default_factory=dict)
+    Built unrecognized by :func:`pi1_presentation`, which then fills in
+    the recognized class, rank and group once the relators simplify.
+    """
+
+    __slots__ = ("complex", "basepoint", "spanning_tree", "generators",
+                 "recognized_class", "rank", "group", "component",
+                 "_parent", "_gen_index", "_tree_set", "_final_gens",
+                 "_final_pos", "_subst")
+
+    def __init__(self, complex: SimplicialComplex, basepoint,
+                 spanning_tree: Tuple[Tuple[int, int], ...],
+                 generators: Tuple[Tuple[int, int], ...],
+                 component: Tuple[int, ...],
+                 parent: Dict[int, Optional[int]]):
+        self.complex = complex
+        self.basepoint = basepoint
+        self.spanning_tree = spanning_tree
+        self.generators = generators   # non-tree edges (index pairs)
+        self.component = component
+        self.recognized_class = UNSUPPORTED
+        self.rank = 0
+        self.group = None  # FreeGroup / FreeAbelianGroup once recognized
+        self._parent = parent
+        self._gen_index = {e: i for i, e in enumerate(generators)}
+        self._tree_set = set(spanning_tree)
+        self._final_gens: List[int] = []
+        self._final_pos: Dict[int, int] = {}
+        self._subst: Dict[int, Word] = {
+            g: ((g, 1),) for g in range(len(generators))}
 
     # -- paths and words -------------------------------------------------
 
@@ -614,20 +626,8 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
                               if set(e) <= comp_set and e not in tree_set))
     # Unrecognized until its own edge letters give the relators and they
     # simplify below.
-    pres = Pi1Presentation(
-        complex=k,
-        basepoint=basepoint,
-        spanning_tree=tree_edges,
-        generators=generators,
-        recognized_class=UNSUPPORTED,
-        rank=0,
-        group=None,
-        component=component,
-        _parent=parent,
-        _gen_index={e: i for i, e in enumerate(generators)},
-        _tree_set=tree_set,
-        _subst={g: ((g, 1),) for g in range(len(generators))},
-    )
+    pres = Pi1Presentation(k, basepoint, tree_edges, generators, component,
+                           parent)
     relators = [pres.relator(s) for s in k.n_simplices(2)
                 if set(s) <= comp_set]
     simplified = _simplify_presentation(len(generators), relators)

@@ -296,7 +296,8 @@ def assert_same_smith_form(a):
     want = reference_smith_normal_form(a)
     for name in ("U", "S", "V", "Uinv", "Vinv"):
         x, y = getattr(got, name), getattr(want, name)
-        assert (x.rows, x.cols, x.entries) == (y.rows, y.cols, y.entries), name
+        assert (x.rows, x.cols, x.tolists()) == (y.rows, y.cols,
+                                                 y.tolists()), name
 
 
 SNF_VALUES = (0, 1, -1, 2, -2, 3, 4, -6)
@@ -344,8 +345,72 @@ def test_product_matches_triple_loop(a, cols, data):
         max_size=a.cols * cols)))
     got = a * b
     want = naive_product(a, b)
-    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols,
-                                                 want.entries)
+    assert (got.rows, got.cols, got.tolists()) == (want.rows, want.cols,
+                                                   want.tolists())
+
+
+def same_shape_matrix(a, data):
+    return IntMatrix(a.rows, a.cols, data.draw(st.lists(
+        st.sampled_from(SNF_VALUES), min_size=a.rows * a.cols,
+        max_size=a.rows * a.cols)))
+
+
+def dense_transpose(a):
+    rows = a.tolists()
+    return [[rows[i][j] for i in range(a.rows)] for j in range(a.cols)]
+
+
+@given(small_matrices(), st.data())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_sum_negation_transpose_match_dense(a, data):
+    b = same_shape_matrix(a, data)
+    ra, rb = a.tolists(), b.tolists()
+    assert (a + b).tolists() == [[x + y for x, y in zip(r, s)]
+                                 for r, s in zip(ra, rb)]
+    assert (a - b).tolists() == [[x - y for x, y in zip(r, s)]
+                                 for r, s in zip(ra, rb)]
+    assert (-a).tolists() == [[-x for x in r] for r in ra]
+    t = a.transpose()
+    assert (t.rows, t.cols, t.tolists()) == (a.cols, a.rows,
+                                             dense_transpose(a))
+    assert a.is_zero() == (not any(map(any, ra)))
+
+
+@given(small_matrices(), st.data())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_equality_and_hash_match_dense(a, data):
+    b = same_shape_matrix(a, data)
+    assert (a == b) == (a.tolists() == b.tolists())
+    # (a + b) - b drops and re-adds the entries b cancels, in another order
+    for same in ((a + b) - b, a.transpose().transpose(),
+                 IntMatrix.from_rows(a.tolists()) if a.rows else a):
+        assert same == a and hash(same) == hash(a)
+    assert a != IntMatrix.zero(a.rows, a.cols + 1)
+
+
+@given(small_matrices())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_pickle_round_trip_matches_dense(a):
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
+    assert (back.rows, back.cols, back.tolists()) == (a.rows, a.cols,
+                                                      a.tolists())
+
+
+@given(small_matrices())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_cancelling_sum_stores_no_zero(a):
+    z = a + (-a)
+    assert z == IntMatrix.zero(a.rows, a.cols)
+    assert z.is_zero()
+    # [a | a] * [I; -I] = a - a: every entry of the product cancels
+    m = a.cols
+    doubled = IntMatrix(a.rows, 2 * m, [x for r in a.tolists() for x in r + r])
+    eye = [int(i == j) for i in range(m) for j in range(m)]
+    signs = IntMatrix(2 * m, m, eye + [-x for x in eye])
+    p = doubled * signs
+    assert p == IntMatrix.zero(a.rows, m)
+    assert p.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -53,21 +53,28 @@ COMMANDS = {
 }
 
 
+# Commands whose start-up must not import ``dataclasses`` (which pulls in
+# ``inspect``): the homology layers define plain classes instead.
+NO_DATACLASSES = {"import", "homology", "homology-malformed", "lefschetz"}
+
+
 def _loaded_fixtrace_modules(argv, tmp_path):
-    """Exit code and the fixtrace modules a fresh interpreter imports, read
-    from ``-X importtime``; bytecode is not written, as in a read-only
-    install."""
+    """Exit code, the fixtrace modules a fresh interpreter imports and
+    whether it imports ``dataclasses``, read from ``-X importtime``;
+    bytecode is not written, as in a read-only install."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           capture_output=True, text=True, cwd=tmp_path,
                           env=env, timeout=120)
     modules = set()
+    dataclasses = False
     for line in proc.stderr.splitlines():
         if line.startswith("import time:"):
             name = line.rsplit("|", 1)[1].strip()
             if name == "fixtrace" or name.startswith("fixtrace."):
                 modules.add(name)
-    return proc.returncode, modules
+            dataclasses = dataclasses or name == "dataclasses"
+    return proc.returncode, modules, dataclasses
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -81,9 +88,11 @@ def test_command_loads_only_its_layers(tmp_path, name):
             path = tmp_path / "doc.json"
             path.write_text(json.dumps(make_doc()), encoding="utf-8")
             argv.append(str(path))
-    code, modules = _loaded_fixtrace_modules(argv, tmp_path)
+    code, modules, dataclasses = _loaded_fixtrace_modules(argv, tmp_path)
     assert code == want_code
     assert modules == want_modules
+    if name in NO_DATACLASSES:
+        assert not dataclasses
 
 
 @pytest.mark.parametrize("name", [*fixtrace.__all__, "no_such_export"])
