@@ -18,7 +18,6 @@ versions) are compared side by side in verification reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -214,10 +213,14 @@ class GraphSelfMap:
 # Bundles
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Transport:
-    forward: SimplicialMap
-    inverse: SimplicialMap
+    """A transport map over an edge with its designated homotopy inverse."""
+
+    __slots__ = ("forward", "inverse")
+
+    def __init__(self, forward: SimplicialMap, inverse: SimplicialMap):
+        self.forward = forward
+        self.inverse = inverse
 
     def preimages(self) -> Optional[Dict]:
         """The forward vertex map inverted, or None when two fiber
@@ -444,12 +447,18 @@ def _chart_vertex(chart: Tuple, x) -> Tuple:
     return chart + (x,)
 
 
-@dataclass
 class TotalSpace:
-    complex: SimplicialComplex
-    bundle: DiscreteBundle
-    square_corners: Dict[Tuple, Tuple] = field(default_factory=dict)
-    center_by_corners: Dict[frozenset, Tuple] = field(default_factory=dict)
+    """The glued total-space complex with the prism data of its bundle."""
+
+    __slots__ = ("complex", "bundle", "square_corners", "center_by_corners")
+
+    def __init__(self, complex: SimplicialComplex, bundle: DiscreteBundle,
+                 square_corners: Dict[Tuple, Tuple],
+                 center_by_corners: Dict[frozenset, Tuple]):
+        self.complex = complex
+        self.bundle = bundle
+        self.square_corners = square_corners
+        self.center_by_corners = center_by_corners
 
     def track(self, edge_id, fiber_vertex) -> List[Tuple]:
         """Vertex path realizing transport along an edge, as total ids."""
@@ -784,14 +793,19 @@ def _as_index_steps(k: SimplicialComplex, vertex_path: List) -> List[Tuple[int, 
 # Verification reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
-    theorem: str
-    rows: List[Dict]
-    lhs: object
-    rhs: object
-    verdict: str  # "pass" | "fail" | "indeterminate"
-    flags: List[str]
+    """One theorem's table, both sides, verdict and flags."""
+
+    __slots__ = ("theorem", "rows", "lhs", "rhs", "verdict", "flags")
+
+    def __init__(self, theorem: str, rows: List[Dict], lhs, rhs,
+                 verdict: str, flags: List[str]):
+        self.theorem = theorem
+        self.rows = rows
+        self.lhs = lhs
+        self.rhs = rhs
+        self.verdict = verdict  # "pass" | "fail" | "indeterminate"
+        self.flags = flags
 
     @property
     def passed(self) -> bool:

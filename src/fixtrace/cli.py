@@ -521,14 +521,14 @@ def cmd_bundle_verify(args) -> int:
             tables.append({"theorem": "lefschetz", "rows": rep.rows})
             lhs["lefschetz"] = rep.lhs
             rhs["lefschetz"] = rep.rhs
-            flags.extend(rep.flags)
+            flags.extend(f for f in rep.flags if f not in flags)
             verdicts.append(rep.verdict)
         if args.theorem in ("reidemeister", "both"):
             rep = verify_reidemeister_mult(pair, depth)
             tables.append({"theorem": "reidemeister", "rows": rep.rows})
             lhs["reidemeister"] = rep.lhs
             rhs["reidemeister"] = rep.rhs
-            flags.extend(rep.flags)
+            flags.extend(f for f in rep.flags if f not in flags)
             verdicts.append(rep.verdict)
             if rep.verdict == "pass":
                 n_total, n_sum, per_class = nielsen_additivity(pair, depth)

@@ -21,12 +21,17 @@ group-ring matrices and of Reidemeister traces.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import IntMatrix, smith_normal_form
-from .words import GroupError, cyclic_normal_form, invert_word, reduce_word
+from .words import (
+    GroupError,
+    cyclic_normal_form,
+    invert_word,
+    join_reduced,
+    reduce_word,
+)
 
 DEFAULT_DEPTH = 8
 
@@ -102,7 +107,13 @@ class FreeGroup:
         return g
 
     def mul(self, a, b):
-        return reduce_word(tuple(a) + tuple(b))
+        """Product of two reduced words, cancelling only at the join.
+
+        Every caller passes reduced words: elements returned by ``check``,
+        ``mul``, ``inv`` and ``identity``, homomorphism images, group-ring
+        terms and presentation elements (``element_of_word`` reduces).
+        """
+        return join_reduced(tuple(a), tuple(b))
 
     def inv(self, a):
         return invert_word(a)
@@ -288,17 +299,35 @@ def identity_endomorphism(group) -> GroupEndomorphism:
 CERTAIN = "certain"
 
 
-@dataclass(frozen=True)
 class TwistedClass:
-    """Canonical representative of a twisted conjugacy class."""
+    """Canonical representative of a twisted conjugacy class; equal and
+    hashed by value."""
 
-    key: object
-    rep: object
-    certainty: object  # CERTAIN or ("heuristic", depth)
+    __slots__ = ("key", "rep", "certainty")
+
+    def __init__(self, key, rep, certainty):
+        self.key = key
+        self.rep = rep
+        self.certainty = certainty  # CERTAIN or ("heuristic", depth)
 
     @property
     def is_certain(self) -> bool:
         return self.certainty == CERTAIN
+
+    def _value(self):
+        return (self.key, self.rep, self.certainty)
+
+    def __eq__(self, other):
+        if not isinstance(other, TwistedClass):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        return (f"TwistedClass(key={self.key!r}, rep={self.rep!r}, "
+                f"certainty={self.certainty!r})")
 
 
 class _FreeAbelianClassifier:
@@ -354,11 +383,35 @@ def _free_orbit_walk(moves, g, depth: int):
         if d < depth:
             for m, (s, t) in enumerate(moves):
                 if last is None or m != last ^ 1:
-                    stack.append((reduce_word(s + x + t), m, d + 1))
+                    stack.append((join_reduced(join_reduced(s, x), t), m,
+                                  d + 1))
 
 
-def _shortlex_key(word):
-    return (len(word), word)
+def _shortlex_min_in_ball(moves, g, depth: int):
+    """The shortlex-least word of ``_free_orbit_walk(moves, g, depth)``
+    (shorter first, then lexicographic), found by a depth-first branch
+    and bound.
+
+    One move changes the length by at most ``reach``, the longest
+    |s| + |phi(s)^-1|, so every word below x at depth d is at least
+    ``len(x) - (depth - d) * reach`` letters long.  When that exceeds
+    the length of the best word so far, nothing below x can be shortlex
+    smaller, and the branch is cut.
+    """
+    reach = max(len(s) + len(t) for s, t in moves)
+    best, best_len = g, len(g)
+    stack = [(g, None, 0)]
+    while stack:
+        x, last, d = stack.pop()
+        n = len(x)
+        if n < best_len or (n == best_len and x < best):
+            best, best_len = x, n
+        if d < depth and n - (depth - d) * reach <= best_len:
+            for m, (s, t) in enumerate(moves):
+                if last is None or m != last ^ 1:
+                    stack.append((join_reduced(join_reduced(s, x), t), m,
+                                  d + 1))
+    return best
 
 
 def twisted_class(group, endo: GroupEndomorphism, g,
@@ -391,7 +444,7 @@ def twisted_class(group, endo: GroupEndomorphism, g,
     moves = _twisted_moves(group, endo)
     current = g
     while True:
-        best = min(_free_orbit_walk(moves, current, depth), key=_shortlex_key)
+        best = _shortlex_min_in_ball(moves, current, depth)
         if best == current:
             break
         current = best
@@ -497,6 +550,34 @@ class GroupRingElement:
         return f"GroupRingElement({sorted(self.terms.items())})"
 
 
+def add_product(acc: Dict, a: "GroupRingMatrix", b: "GroupRingMatrix",
+                sign: int = 1, image: Optional[Callable] = None) -> None:
+    """Add ``sign * a * b`` to ``acc``, one coefficient per
+    (row, col, group element); ``image``, when given, maps the group
+    elements of ``a`` first (``image(a) * b``).
+
+    A sum of products vanishes exactly when every coefficient it leaves
+    in ``acc`` is zero, so an identity between matrix products can be
+    checked without building the product, negated and sum matrices.
+    """
+    b_rows: Dict[int, List] = {}
+    for (t, c), y in b.entries.items():
+        b_rows.setdefault(t, []).append((c, y.terms.values()))
+    mul = a.group.mul
+    for (r, t), x in a.entries.items():
+        row = b_rows.get(t)
+        if row is None:
+            continue
+        for g, u in x.terms.values():
+            if image is not None:
+                g = image(g)
+            u *= sign
+            for c, y_terms in row:
+                for h, v in y_terms:
+                    k = (r, c, mul(g, h))
+                    acc[k] = acc.get(k, 0) + u * v
+
+
 class GroupRingMatrix:
     """Sparse matrix over a group ring; square shape required only for traces.
 
@@ -538,16 +619,11 @@ class GroupRingMatrix:
         if self.cols != other.rows:
             raise GroupError("shape mismatch")
         group = self.group
-        other_rows: Dict[int, List[Tuple[int, GroupRingElement]]] = {}
-        for (t, j), b in other.entries.items():
-            other_rows.setdefault(t, []).append((j, b))
+        acc: Dict = {}
+        add_product(acc, self, other)
         cells: Dict[Tuple[int, int], list] = {}
-        for (i, t), a in self.entries.items():
-            for j, b in other_rows.get(t, ()):
-                cell = cells.setdefault((i, j), [])
-                for g, c in a.terms.values():
-                    for h, d in b.terms.values():
-                        cell.append((group.mul(g, h), c * d))
+        for (i, j, g), c in acc.items():
+            cells.setdefault((i, j), []).append((g, c))
         return GroupRingMatrix(group, self.rows, other.cols, {
             ij: GroupRingElement(group, terms) for ij, terms in cells.items()})
 

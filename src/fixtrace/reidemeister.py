@@ -19,7 +19,6 @@ Complexes of dimension at least three are not supported by this model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .grouprings import (
@@ -28,8 +27,8 @@ from .grouprings import (
     GroupRingElement,
     GroupRingMatrix,
     ShadowElement,
+    add_product,
     twisted_class,
-    twisted_hs_trace,
 )
 from .simplicial import (
     Pi1Presentation,
@@ -128,7 +127,9 @@ class EquivariantChainComplex:
             if b.rows != self.ranks[i] or b.cols != self.ranks[i - 1]:
                 raise LiftError(f"boundary {i} has shape {b.rows}x{b.cols}")
         for i in range(2, len(self.ranks)):
-            if not (self.boundary(i) * self.boundary(i - 1)).is_zero():
+            acc: Dict = {}
+            add_product(acc, self.boundary(i), self.boundary(i - 1))
+            if any(acc.values()):
                 raise LiftError("boundary composite is nonzero over the group ring")
 
     @property
@@ -169,10 +170,21 @@ class TwistedChainMap:
         for i, f in enumerate(self.components):
             if f.rows != complex.rank(i) or f.cols != complex.rank(i):
                 raise LiftError(f"component {i} has wrong shape")
+        phi: Dict = {}
+
+        def image(g):
+            h = phi.get(g)
+            if h is None:
+                h = phi[g] = endo.apply(g)
+            return h
+
         for i in range(1, complex.top_degree + 1):
-            lhs = self.components[i] * complex.boundary(i)
-            rhs = complex.boundary(i).apply(endo) * self.components[i - 1]
-            if not (lhs + (-rhs)).is_zero():
+            # f_i * d_i - phi(d_i) * f_{i-1} must vanish
+            acc: Dict = {}
+            add_product(acc, self.components[i], complex.boundary(i))
+            add_product(acc, complex.boundary(i), self.components[i - 1],
+                        -1, image)
+            if any(acc.values()):
                 raise LiftError(
                     f"twisted boundary commutation fails in degree {i}")
 
@@ -283,21 +295,38 @@ def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
 
 def reidemeister_trace_chain(m: TwistedChainMap,
                              depth: int = DEFAULT_DEPTH) -> ShadowElement:
-    """Alternating sum of twisted traces of the components."""
-    total = ShadowElement.zero(m.complex.group, m.endo)
+    """Alternating sum of twisted traces of the components.
+
+    The diagonal terms of every degree are first summed by group element,
+    and only elements with a nonzero net coefficient are classified: the
+    rest would cancel in their class anyway.
+    """
+    net: Dict = {}
     for i in range(m.complex.top_degree + 1):
-        t = twisted_hs_trace(m.component(i), m.endo, depth)
-        total = total + (t if i % 2 == 0 else t.scale(-1))
-    return total
+        sign = 1 if i % 2 == 0 else -1
+        f = m.component(i)
+        for j in range(f.rows):
+            a = f.entries.get((j, j))
+            if a is not None:
+                for g, c in a.terms.values():
+                    net[g] = net.get(g, 0) + sign * c
+    group = m.complex.group
+    return ShadowElement(group, m.endo, [
+        (twisted_class(group, m.endo, g, depth), c)
+        for g, c in net.items() if c])
 
 
-@dataclass
 class LiftedSelfMap:
     """A self-map lifted to the universal-cover model, ready for traces."""
 
-    presentation: Pi1Presentation
-    chain_map: TwistedChainMap
-    basepath: Tuple[Tuple[int, int], ...]
+    __slots__ = ("presentation", "chain_map", "basepath")
+
+    def __init__(self, presentation: Pi1Presentation,
+                 chain_map: TwistedChainMap,
+                 basepath: Tuple[Tuple[int, int], ...]):
+        self.presentation = presentation
+        self.chain_map = chain_map
+        self.basepath = basepath
 
     @property
     def endo(self) -> GroupEndomorphism:
@@ -340,7 +369,6 @@ def lift_on_cover(cover: EquivariantChainComplex, f: SimplicialMap,
 # Geometric route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FixedPointRecord:
     """An isolated fixed point: local index plus a path class witness.
 
@@ -349,9 +377,12 @@ class FixedPointRecord:
     class datum of the fixed point.
     """
 
-    label: object
-    index: int
-    class_witness: object
+    __slots__ = ("label", "index", "class_witness")
+
+    def __init__(self, label, index: int, class_witness):
+        self.label = label
+        self.index = index
+        self.class_witness = class_witness
 
 
 def reidemeister_trace_geometric(records: Sequence[FixedPointRecord], group,

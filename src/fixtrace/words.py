@@ -32,6 +32,23 @@ def reduce_word(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ..
     return tuple(out)
 
 
+def join_reduced(a, b) -> Tuple[Tuple[int, int], ...]:
+    """Product of two freely reduced words (tuples): only letters meeting
+    at the join can cancel, so the work is the length of the result, not
+    a reduction of the whole concatenation.  Both words must already be
+    reduced; the result is reduced then."""
+    n = len(a)
+    k = 0
+    m = min(n, len(b))
+    while k < m:
+        g, e = a[n - 1 - k]
+        h, f = b[k]
+        if g != h or e != -f:
+            break
+        k += 1
+    return a[:n - k] + b[k:]
+
+
 def invert_word(word) -> Tuple[Tuple[int, int], ...]:
     """Inverse of a signed word: its letters (x, +-1) reversed, signs flipped."""
     return tuple((g, -e) for g, e in reversed(word))

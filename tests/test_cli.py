@@ -223,7 +223,10 @@ def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
     path = write(tmp_path, "pair.json", doc)
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
     assert code == EXIT_UNSUPPORTED
-    assert json.loads(out)["verdict"] == "indeterminate"
+    report = json.loads(out)
+    assert report["verdict"] == "indeterminate"
+    # both verifiers flag the heuristic base classes; the report says it once
+    assert report["flags"] == ["heuristic base classes (depth 2)"]
 
 
 def _one_loop_reflection_pair():
@@ -880,9 +883,21 @@ def _figure_eight_map_documents():
             for m, images in maps.items()}
 
 
+def _complete_graph_map_document(n, images):
+    """A vertex map of the complete graph K_n, whose pi_1 is free of rank
+    (n - 1)(n - 2) / 2."""
+    names = [str(i) for i in range(n)]
+    return {"complex": {"vertices": names,
+                        "simplices": [[a, b] for i, a in enumerate(names)
+                                      for b in names[i + 1:]]},
+            "vertex_images": {str(i): str(j) for i, j in enumerate(images)},
+            "basepath": []}
+
+
 # Exit code and SHA-256 of the ``reidemeister`` report for maps over Z^2 and
-# over the free group of rank 2, which exercise the group-ring lift.  The
-# C10 x C10 negation's presentation has 201 generators before elimination.
+# over the free groups of rank 2 and 3, which exercise the group-ring lift
+# and the twisted-class search.  The C10 x C10 negation's presentation has
+# 201 generators before elimination.
 REIDEMEISTER_REPORTS = {
     "torus6-negation": (
         0, "9658a5861686d473fe56b9280e8efef6700824c6ee312949f15f4eceff01163b"),
@@ -900,18 +915,49 @@ REIDEMEISTER_REPORTS = {
         0, "7c230d11bab019d84a454ffd8526d12a2c29e2c549d3970b059afecf5461d050"),
     "fig8-flip-both": (
         0, "b69f2b85f794a1a1189681c10fd5cc80129356c40fdfd6e6b1dc354b3018e2aa"),
+    "k4-cycle": (
+        0, "afe9dc10a0e16856a93af2e3ea9a4f1d8f7a7111d749bd0a2571fab84bee4378"),
 }
 
 
 def test_reidemeister_reports_byte_identical(tmp_path, capsys):
     docs = {**_torus_map_documents(6), **_figure_eight_map_documents(),
-            "torus10-negation": _torus_map_documents(10)["torus10-negation"]}
+            "torus10-negation": _torus_map_documents(10)["torus10-negation"],
+            # K4 fixing vertex 0 and cycling 1 -> 2 -> 3: free pi_1 of rank 3
+            "k4-cycle": _complete_graph_map_document(4, [0, 2, 3, 1])}
     assert set(docs) == set(REIDEMEISTER_REPORTS)
     for name, doc in docs.items():
         code, out, _ = run_cli(capsys, "reidemeister",
                                write(tmp_path, f"{name}.json", doc))
         got_sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, got_sha) == REIDEMEISTER_REPORTS[name], name
+
+
+def test_k5_cycle_cancels_before_any_class_search(tmp_path, capsys,
+                                                 monkeypatch):
+    # The vertex 5-cycle of K5 (free pi_1 of rank 6) has no fixed point:
+    # every diagonal term of its lift cancels by group element, so no
+    # twisted class is ever searched, even at the default depth.
+    from fixtrace import grouprings, reidemeister
+    calls = []
+    twisted_class = grouprings.twisted_class
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return twisted_class(*args, **kwargs)
+
+    monkeypatch.setattr(grouprings, "twisted_class", counting)
+    monkeypatch.setattr(reidemeister, "twisted_class", counting)
+    doc = _complete_graph_map_document(5, [1, 2, 3, 4, 0])
+    code, out, _ = run_cli(capsys, "reidemeister",
+                           write(tmp_path, "k5.json", doc))
+    report = json.loads(out)
+    assert code == EXIT_OK
+    assert report["parameters"] == {"depth": 8}
+    assert report["lhs"] == {"classes": [], "nielsen": 0, "augmentation": 0,
+                             "lefschetz": 0}
+    assert report["verdict"] == "pass" and report["flags"] == []
+    assert calls == []
 
 
 # Exit code and SHA-256 of ``bundle-verify --theorem both`` on the

@@ -30,6 +30,7 @@ from fixtrace.grouprings import (
     twisted_hs_trace,
 )
 from fixtrace.grouprings import _power
+from fixtrace.words import expand_word, invert_word, join_reduced, reduce_word
 
 Z = FreeAbelianGroup(1)
 
@@ -443,7 +444,6 @@ def test_free_group_associative(a, b, c):
 @given(letters)
 @settings(max_examples=100, deadline=None)
 def test_reduce_word_idempotent(a):
-    from fixtrace.words import reduce_word
     w = reduce_word(tuple(a))
     assert reduce_word(w) == w
     for (g, e), (g2, e2) in zip(w, w[1:]):
@@ -462,7 +462,8 @@ def test_twisted_class_invariant_under_move(g, h):
 
 
 def _bfs_ball(group, endo, g, depth):
-    """Reference ball: breadth-first search over s * x * phi(s)^-1."""
+    """Reference ball: breadth-first search over s * x * phi(s)^-1, each
+    product reduced from its whole concatenation."""
     seen, frontier = {g}, [g]
     for _ in range(depth):
         nxt = []
@@ -470,7 +471,8 @@ def _bfs_ball(group, endo, g, depth):
             for i in range(group.rank):
                 for e in (1, -1):
                     s = ((i, e),)
-                    y = group.mul(group.mul(s, x), group.inv(endo.apply(s)))
+                    phi_s = reduce_word(expand_word(s, endo.images.__getitem__))
+                    y = reduce_word(s + x + invert_word(phi_s))
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -501,6 +503,82 @@ def test_orbit_walk_matches_breadth_first_ball(a, b, g, h, depth):
     if verdict != DISTINCT:
         near = h in _bfs_ball(f2, endo, g, 2 * depth)
         assert verdict == (EQUAL if near else UNKNOWN)
+
+
+reduced_words = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
+    max_size=12).map(lambda w: reduce_word(tuple(w)))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two reduced words a and b; in most draws b starts with the inverse
+    of a tail of a (all of it or part of it), so the join cancels."""
+    a = draw(reduced_words)
+    b = draw(reduced_words)
+    if a and draw(st.integers(0, 3)):
+        k = draw(st.integers(1, len(a)))
+        b = reduce_word(invert_word(a[len(a) - k:]) + b)
+    return a, b
+
+
+@given(cancelling_pairs())
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_join_reduced_matches_full_reduction(pair):
+    a, b = pair
+    want = reduce_word(a + b)
+    assert join_reduced(a, b) == want
+    assert join_reduced(b, a) == reduce_word(b + a)
+    assert join_reduced(a, ()) == a and join_reduced((), b) == b
+    assert FreeGroup(3).mul(a, b) == want
+
+
+def test_join_reduced_hand_cases():
+    a = ((0, 1), (1, -1), (2, 1))
+    assert join_reduced(a, invert_word(a)) == ()
+    assert join_reduced(a, invert_word(a[1:]) + ((0, 1),)) == ((0, 1), (0, 1))
+
+
+@st.composite
+def free_endomorphisms(draw):
+    """A random endomorphism of F_2 or F_3 (identity included) and a word."""
+    rank = draw(st.sampled_from((2, 3)))
+    letter = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    images = [tuple(draw(st.lists(letter, max_size=4))) for _ in range(rank)]
+    g = tuple(draw(st.lists(letter, max_size=8)))
+    group = FreeGroup(rank)
+    return group, GroupEndomorphism(group, images), group.check(g)
+
+
+def _assert_branch_and_bound_minimum(group, endo, g, depth):
+    from fixtrace.grouprings import (_free_orbit_walk, _shortlex_min_in_ball,
+                                     _twisted_moves)
+    moves = _twisted_moves(group, endo)
+    want = min(_free_orbit_walk(moves, g, depth), key=lambda w: (len(w), w))
+    assert _shortlex_min_in_ball(moves, g, depth) == want
+
+
+# Endomorphisms of F_2 and words whose depth-4 minimum a bound one letter
+# per move too weak would cut off.
+TIGHT_BOUND_CASES = [
+    ([((0, -1), (1, -1)), ((0, 1), (1, 1), (0, 1))], ((1, -1), (0, -1))),
+    ([((0, 1), (0, 1)), ((0, -1), (0, -1))],
+     ((1, 1), (0, -1), (0, -1), (1, -1), (0, -1))),
+    ([((0, -1), (0, -1), (0, -1)), ((0, 1),)], ((0, 1), (0, 1), (1, -1))),
+]
+
+
+@pytest.mark.parametrize("images, g", TIGHT_BOUND_CASES)
+def test_branch_and_bound_keeps_minima_that_need_the_full_reach(images, g):
+    group = FreeGroup(2)
+    _assert_branch_and_bound_minimum(group, GroupEndomorphism(group, images),
+                                     g, 4)
+
+
+@given(free_endomorphisms(), st.integers(0, 4))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_branch_and_bound_minimum_matches_orbit_walk(case, depth):
+    _assert_branch_and_bound_minimum(*case, depth)
 
 
 def reference_cyclic_normal_form(word):

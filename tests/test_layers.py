@@ -54,8 +54,10 @@ COMMANDS = {
 
 
 # Commands whose start-up must not import ``dataclasses`` (which pulls in
-# ``inspect``): the homology layers define plain classes instead.
-NO_DATACLASSES = {"import", "homology", "homology-malformed", "lefschetz"}
+# ``inspect``): the homology, group-ring, Reidemeister and bundle layers
+# define plain classes instead.
+NO_DATACLASSES = {"import", "homology", "homology-malformed", "lefschetz",
+                  "reidemeister", "bundle-verify"}
 
 
 def _loaded_fixtrace_modules(argv, tmp_path):

@@ -7,6 +7,7 @@ from fixtrace.grouprings import (
     FreeGroup,
     GroupEndomorphism,
     GroupRingElement,
+    GroupRingMatrix,
     augment,
     nielsen,
     reduce_word,
@@ -14,8 +15,10 @@ from fixtrace.grouprings import (
     twisted_class,
 )
 from fixtrace.reidemeister import (
+    EquivariantChainComplex,
     FixedPointRecord,
     LiftError,
+    TwistedChainMap,
     UnsupportedComplexError,
     fox_derivative,
     lift_map,
@@ -259,6 +262,46 @@ def test_lift_map_rejects_mismatched_complex():
     f = identity_map(k2)
     with pytest.raises(LiftError):
         lift_map(f, [], cover)
+
+
+def _changed_at_one_entry(m, ij=None):
+    """A copy of the group-ring matrix ``m`` with 1 added to the entry at
+    ``ij``, by default its least nonzero index."""
+    group = m.group
+    ij = min(m.entries) if ij is None else ij
+    entries = dict(m.entries)
+    entries[ij] = entries[ij] + GroupRingElement.of(group, group.identity())
+    return GroupRingMatrix(group, m.rows, m.cols, entries)
+
+
+@pytest.mark.parametrize("complex_name, degree", [
+    ("torus7", 1), ("torus7", 2), ("figure_eight", 1)])
+def test_twisted_chain_map_rejects_a_changed_entry(complex_name, degree):
+    from fixtrace.catalog import figure_eight_complex
+    if complex_name == "torus7":
+        k = torus7()
+        f = identity_map(k)
+    else:
+        k = figure_eight_complex()
+        f = SimplicialMap(k, k, {"0": "0", "1": "3", "2": "4", "3": "1",
+                                 "4": "2"})
+    cm = lift_self_map(k, f).chain_map
+    comps = list(cm.components)
+    TwistedChainMap(cm.complex, cm.endo, comps)  # the lift itself commutes
+    comps[degree] = _changed_at_one_entry(comps[degree])
+    with pytest.raises(LiftError, match=(
+            f"twisted boundary commutation fails in degree {degree}")):
+        TwistedChainMap(cm.complex, cm.endo, comps)
+
+
+def test_equivariant_complex_rejects_nonzero_boundary_composite():
+    cover = lift_to_universal_cover(pi1_presentation(torus7(), 0))
+    d1, d2 = cover.boundaries
+    # a 1-cell whose loop is not trivial in pi_1, so that d1 has a row there
+    ij = min((i, j) for i, j in d2.entries if (j, 0) in d1.entries)
+    with pytest.raises(LiftError, match="boundary composite is nonzero"):
+        EquivariantChainComplex(cover.group, cover.ranks,
+                                [d1, _changed_at_one_entry(d2, ij)])
 
 
 # ---------------------------------------------------------------------------
