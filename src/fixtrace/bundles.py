@@ -443,29 +443,36 @@ def fiber_composite(pair: BundleSelfMapPair, base_vertex, gamma: Sequence[EdgeSt
 # Total space
 # ---------------------------------------------------------------------------
 
-def _chart_vertex(chart: Tuple, x) -> Tuple:
-    return chart + (x,)
+def _edge_layers(bundle: DiscreteBundle, e: str
+                 ) -> Tuple[List[Tuple], List[Tuple[str, Dict]]]:
+    """Charts of the fiber copies over an edge, from source to target, and
+    the name and vertex map of the prism joining each copy to the next."""
+    s, d = bundle.base.edge_endpoints(e)
+    ident = {x: x for x in bundle.fiber(s).vertices}
+    return ([("v", s), ("m", e), ("v", d)],
+            [("lower", ident),
+             ("upper", bundle.transports[e].forward.vertex_images)])
 
 
 class TotalSpace:
     """The glued total-space complex with the prism data of its bundle."""
 
-    __slots__ = ("complex", "bundle", "square_corners", "center_by_corners")
+    __slots__ = ("complex", "bundle", "square_corners")
 
     def __init__(self, complex: SimplicialComplex, bundle: DiscreteBundle,
-                 square_corners: Dict[Tuple, Tuple],
-                 center_by_corners: Dict[frozenset, Tuple]):
+                 square_corners: Dict[Tuple, Tuple]):
         self.complex = complex
         self.bundle = bundle
         self.square_corners = square_corners
-        self.center_by_corners = center_by_corners
 
     def track(self, edge_id, fiber_vertex) -> List[Tuple]:
         """Vertex path realizing transport along an edge, as total ids."""
-        s, d = self.bundle.base.edge_endpoints(edge_id)
-        t = self.bundle.transports[edge_id].forward
-        return [("v", s, fiber_vertex), ("m", edge_id, fiber_vertex),
-                ("v", d, t.vertex_images[fiber_vertex])]
+        charts, joins = _edge_layers(self.bundle, edge_id)
+        path = [charts[0] + (fiber_vertex,)]
+        for chart, (_, images) in zip(charts[1:], joins):
+            fiber_vertex = images[fiber_vertex]
+            path.append(chart + (fiber_vertex,))
+        return path
 
     def transport_track(self, word: Sequence[EdgeStep], start_vertex,
                         fiber_vertex) -> Tuple[List[Tuple], object]:
@@ -501,89 +508,60 @@ class TotalSpace:
 def total_space(bundle: DiscreteBundle) -> TotalSpace:
     """Glue vertex fibers with prisms over the edges.
 
-    Each edge contributes two prisms through a midpoint copy of its
-    source fiber.  Over a loop edge the two prisms share their vertical
-    faces, so the glued complex is not the total space; the Euler
-    characteristic check below raises ``NotConstructibleError`` then.
-    For fibers of dimension at most one, each prism square receives a
-    center vertex (four cone triangles); this triangulation is symmetric
-    under direction reversal, so self-maps that flip base edges or fiber
-    orientations remain simplicial.  Higher-dimensional fibers use the
-    monotone staircase rule instead, which requires order-preserving
-    transports.
+    Each edge stacks the fiber copies listed by ``_edge_layers`` and joins
+    consecutive copies by a prism, whose vertex map must be injective on
+    every maximal simplex of the lower copy.  Over a loop edge two prisms
+    share their vertical faces, so the glued complex is not the total
+    space; the Euler characteristic check below raises
+    ``NotConstructibleError`` then.  In a fiber of dimension at most one,
+    an edge's square receives a center vertex (four cone triangles); this
+    triangulation is symmetric under direction reversal, so self-maps that
+    flip base edges or fiber orientations remain simplicial.  Every other
+    simplex becomes a staircase, which in fibers of dimension two and up
+    requires order-preserving transports.
     """
     base = bundle.base
     vertices: List[Tuple] = []
-    for b in base.vertices:
-        for x in bundle.fiber(b).vertices:
-            vertices.append(("v", b, x))
-    for (e, s, _) in base.edges:
-        for x in bundle.fiber(s).vertices:
-            vertices.append(("m", e, x))
     maximal: List[Tuple] = []
-    square_corners: Dict[Tuple, Tuple] = {}
     for b in base.vertices:
         fib = bundle.fiber(b)
+        vertices.extend(("v", b, x) for x in fib.vertices)
         for s in fib.maximal_simplices():
             maximal.append(tuple(("v", b, x) for x in fib.vertex_ids(s)))
-
-    def centered_prism(e: str, side: int, bot_chart, top_chart,
-                       fib: SimplicialComplex, images: Dict, label: str):
-        for s in fib.maximal_simplices():
-            ids = fib.vertex_ids(s)
-            img = [images[x] for x in ids]
-            if len(set(img)) != len(img):
-                raise NotConstructibleError(
-                    f"transport {label} is not injective on a simplex")
-            if len(ids) == 1:
-                maximal.append((_chart_vertex(bot_chart, ids[0]),
-                                _chart_vertex(top_chart, img[0])))
-            else:
-                x, y = ids
-                center = ("c", e, side, x, y)
-                vertices.append(center)
-                bx = _chart_vertex(bot_chart, x)
-                by = _chart_vertex(bot_chart, y)
-                tx = _chart_vertex(top_chart, images[x])
-                ty = _chart_vertex(top_chart, images[y])
-                square_corners[center] = (bx, by, tx, ty)
-                maximal.extend([(center, bx, by), (center, tx, ty),
-                                (center, bx, tx), (center, by, ty)])
-
-    def staircase_prism(bot_chart, top_chart, fib: SimplicialComplex,
-                        images: Dict, label: str):
-        for s in fib.maximal_simplices():
-            ids = fib.vertex_ids(s)
-            img = [images[x] for x in ids]
-            if len(set(img)) != len(img):
-                raise NotConstructibleError(
-                    f"transport {label} is not injective on a simplex")
-            order = [fib.index.get(y) for y in img]
-            if any(o is None for o in order) or order != sorted(order):
-                raise NotConstructibleError(
-                    f"transport {label} is not monotone on a simplex; "
-                    f"cannot triangulate the prism")
-            p = len(ids) - 1
-            for i in range(p + 1):
-                piece = ([_chart_vertex(bot_chart, x) for x in ids[:i + 1]]
-                         + [_chart_vertex(top_chart, images[x])
-                            for x in ids[i:]])
-                maximal.append(tuple(piece))
-
-    for (e, s, d) in base.edges:
+    square_corners: Dict[Tuple, Tuple] = {}
+    for (e, s, _) in base.edges:
         fib = bundle.fiber(s)
-        ident = {x: x for x in fib.vertices}
-        t = bundle.transports[e].forward
-        if fib.dim <= 1:
-            centered_prism(e, 0, ("v", s), ("m", e), fib, ident, f"{e} (lower)")
-            centered_prism(e, 1, ("m", e), ("v", d), fib, t.vertex_images,
-                           f"{e} (upper)")
-        else:
-            staircase_prism(("v", s), ("m", e), fib, ident, f"{e} (lower)")
-            staircase_prism(("m", e), ("v", d), fib, t.vertex_images,
-                            f"{e} (upper)")
+        simplices = [fib.vertex_ids(m) for m in fib.maximal_simplices()]
+        charts, joins = _edge_layers(bundle, e)
+        for chart in charts[1:-1]:
+            vertices.extend(chart + (x,) for x in fib.vertices)
+        for side, (bot, top, (name, images)) in enumerate(
+                zip(charts, charts[1:], joins)):
+            for ids in simplices:
+                img = [images[x] for x in ids]
+                if len(set(img)) != len(img):
+                    raise NotConstructibleError(
+                        f"transport {e} ({name}) is not injective on a simplex")
+                if len(ids) == 2 and fib.dim <= 1:
+                    x, y = ids
+                    center = ("c", e, side, x, y)
+                    bx, by = bot + (x,), bot + (y,)
+                    tx, ty = top + (img[0],), top + (img[1],)
+                    square_corners[center] = (bx, by, tx, ty)
+                    maximal.extend([(center, bx, by), (center, tx, ty),
+                                    (center, bx, tx), (center, by, ty)])
+                    continue
+                if fib.dim >= 2:
+                    order = [fib.index.get(y) for y in img]
+                    if any(o is None for o in order) or order != sorted(order):
+                        raise NotConstructibleError(
+                            f"transport {e} ({name}) is not monotone on a "
+                            f"simplex; cannot triangulate the prism")
+                for i in range(len(ids)):
+                    maximal.append(tuple([bot + (x,) for x in ids[:i + 1]]
+                                         + [top + (y,) for y in img[i:]]))
 
-    complex = build_complex(maximal, vertices=vertices)
+    complex = build_complex(maximal, vertices=vertices + list(square_corners))
     # A bundle over a graph has chi(E) = chi(B) chi(F).  Prisms whose faces
     # coincide (as over a loop edge) glue to another space, on which every
     # verdict would be about the wrong total space.
@@ -594,11 +572,20 @@ def total_space(bundle: DiscreteBundle) -> TotalSpace:
         raise NotConstructibleError(
             f"total space has Euler characteristic {chi_total}, but "
             f"(|V_B| - |E_B|) * chi(F) = {chi_want}")
-    center_by_corners = {frozenset(corners): c
-                         for c, corners in square_corners.items()}
     return TotalSpace(complex=complex, bundle=bundle,
-                      square_corners=square_corners,
-                      center_by_corners=center_by_corners)
+                      square_corners=square_corners)
+
+
+def _fiber_chart_images(pair: BundleSelfMapPair) -> Dict[Tuple, Tuple]:
+    """Images (v, b, x) -> (v, f(b), f_b(x)) of the vertex fiber charts,
+    by base vertex and then by fiber vertex."""
+    images = {}
+    for b in pair.bundle.base.vertices:
+        fb = pair.base_map.vertex_images[b]
+        fm = pair.fiber_maps[b]
+        for x in pair.bundle.fiber(b).vertices:
+            images[("v", b, x)] = ("v", fb, fm.vertex_images[x])
+    return images
 
 
 def total_map(pair: BundleSelfMapPair) -> Tuple[TotalSpace, SimplicialMap]:
@@ -618,19 +605,13 @@ def total_map(pair: BundleSelfMapPair) -> Tuple[TotalSpace, SimplicialMap]:
         f = SimplicialMap(k, k, images)
         _validate_total_map(pair, total, f)
         return total, f
-    images = {}
-    for b in base.vertices:
-        fb = pair.base_map.vertex_images[b]
-        fm = pair.fiber_maps[b]
-        for x in pair.bundle.fiber(b).vertices:
-            images[("v", b, x)] = ("v", fb, fm.vertex_images[x])
+    images = _fiber_chart_images(pair)
     for (e, s, d) in base.edges:
         word = pair.base_map.edge_words[e]
         fm = pair.fiber_maps[s]
         if len(word) == 0:
             for x in pair.bundle.fiber(s).vertices:
-                images[("m", e, x)] = ("v", pair.base_map.vertex_images[s],
-                                       fm.vertex_images[x])
+                images[("m", e, x)] = images[("v", s, x)]
         elif len(word) == 1:
             (e2, sign) = word[0]
             if sign == 1:
@@ -668,6 +649,8 @@ def _fill_center_images(total: TotalSpace, images: Dict) -> None:
     the triangulation (its center is the image); a collapsed square sends
     its center along with its first corner.
     """
+    center_by_corners = {frozenset(corners): c
+                         for c, corners in total.square_corners.items()}
     for center, corners in total.square_corners.items():
         if center in images:
             continue
@@ -677,7 +660,7 @@ def _fill_center_images(total: TotalSpace, images: Dict) -> None:
             raise NotConstructibleError(f"missing corner image: {exc}")
         distinct = set(img)
         if len(distinct) == 4:
-            c2 = total.center_by_corners.get(frozenset(distinct))
+            c2 = center_by_corners.get(frozenset(distinct))
             if c2 is None:
                 raise NotConstructibleError(
                     "a prism square maps onto four vertices that do not "
@@ -693,24 +676,14 @@ def _fill_center_images(total: TotalSpace, images: Dict) -> None:
 def _validate_total_map(pair: BundleSelfMapPair, total: TotalSpace,
                         f: SimplicialMap) -> None:
     base = pair.bundle.base
-    for b in base.vertices:
-        fb = pair.base_map.vertex_images[b]
-        fm = pair.fiber_maps[b]
-        for x in pair.bundle.fiber(b).vertices:
-            got = f.vertex_images[("v", b, x)]
-            want = ("v", fb, fm.vertex_images[x])
-            if got != want:
-                raise BundleError(
-                    f"total map does not restrict to the fiber map over {b}")
+    for v, want in _fiber_chart_images(pair).items():
+        if f.vertex_images[v] != want:
+            raise BundleError(
+                f"total map does not restrict to the fiber map over {v[1]}")
     for (e, s, d) in base.edges:
-        word = pair.base_map.edge_words[e]
         allowed = {("v", pair.base_map.vertex_images[s])}
-        cur = pair.base_map.vertex_images[s]
-        for step in word:
-            eid, sign = step
-            allowed.add(("m", eid))
-            cur = base.step_endpoints(step)[1]
-            allowed.add(("v", cur))
+        for eid, _ in pair.base_map.edge_words[e]:
+            allowed.update(_edge_layers(pair.bundle, eid)[0])
         for x in pair.bundle.fiber(s).vertices:
             got = f.vertex_images[("m", e, x)]
             if got[:2] not in allowed:

@@ -363,7 +363,7 @@ def _read_input(path: str) -> Tuple[Dict, str]:
         raise InputError(f"cannot read {path}: {exc}")
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: not valid UTF-8 JSON ({exc})")
     return doc, _digest(raw)
 
@@ -594,14 +594,17 @@ def cmd_catalog(args) -> int:
         key, value = p.split("=", 1)
         try:
             params[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             params[key] = value
     filename, text = _emit_document(args.name, params)
     if args.out:
         import os
         path = os.path.join(args.out, filename)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}")
         sys.stdout.write(path + "\n")
     else:
         sys.stdout.write(text)

@@ -344,6 +344,9 @@ def lift_self_map(k: SimplicialComplex, f: SimplicialMap,
     The basepoint is the first vertex.  When no basepath is given the
     spanning-tree path from the basepoint to its image is used.
     """
+    if not k.vertices:
+        raise UnsupportedComplexError(
+            "universal-cover lifts need a connected complex")
     p = pi1_presentation(k, k.vertices[0])
     return lift_on_cover(lift_to_universal_cover(p), f, basepath)
 

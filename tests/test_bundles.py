@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,10 +197,64 @@ def test_lift_tracks_realize_transport():
     total = total_space(pair.bundle)
     path, end = total.transport_track([("e3", 1)], "b3", "0")
     assert end == "1"
+    assert path == [("v", "b3", "0"), ("m", "e3", "0"), ("v", "b0", "1")]
     k = total.complex
     for a, b in zip(path, path[1:]):
         i, j = k.index[a], k.index[b]
         assert k.has_simplex((min(i, j), max(i, j)))
+
+
+# SHA-256 of json.dumps([vertices, maximal simplices]) of each total space:
+# the vertex declaration order and every prism piece, staircase prisms on
+# the S^2 product, centered squares under a reflection transport on the
+# Klein bottle, 0-simplex prisms on the double cover of the circle.
+TOTAL_SPACE_SHA256 = {
+    "sphere": "743655d02f2b47b3fab3a76d166d7bcf0da30b2ca4886b0d536ec151f17c6c0a",
+    "klein": "acdad9d4310577b9b55e1111ecc1a528ed21cc3ce0208823dcd531c90231ddc2",
+    "double_cover":
+        "9c8627a10b9d89e053187dc852b0aef9cdb74fc38b6cc58b3077dfc67e34115e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOTAL_SPACE_SHA256))
+def test_total_space_triangulation_pinned(name):
+    pair = {"sphere": lambda: sphere_product_pair(0, "identity"),
+            "klein": klein_bundle_pair,
+            "double_cover": double_cover_reflection_pair}[name]()
+    k = total_space(pair.bundle).complex
+    doc = [list(k.vertices),
+           [list(k.vertex_ids(s)) for s in k.maximal_simplices()]]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == TOTAL_SPACE_SHA256[name]
+
+
+def _interval_bundle(simplices, images):
+    from fixtrace.bundles import DiscreteBundle, Transport
+    from fixtrace.catalog import interval_base
+    from fixtrace.simplicial import SimplicialMap, build_complex
+    base = interval_base()
+    fib = build_complex(simplices)
+    t = SimplicialMap(fib, fib, images)
+    return DiscreteBundle(base, {v: fib for v in base.vertices},
+                          {"e0": Transport(t, t)})
+
+
+def test_total_space_rejects_transport_not_injective_on_a_simplex():
+    bundle = _interval_bundle([("a", "b")], {"a": "a", "b": "a"})
+    with pytest.raises(NotConstructibleError,
+                       match=r"^transport e0 \(upper\) is not injective "
+                             r"on a simplex$"):
+        total_space(bundle)
+
+
+def test_total_space_rejects_transport_not_monotone_on_a_simplex():
+    # the same swap on a circle fiber is accepted (the Klein bottle)
+    bundle = _interval_bundle([("0", "1", "2")],
+                              {"0": "0", "1": "2", "2": "1"})
+    with pytest.raises(NotConstructibleError,
+                       match=r"^transport e0 \(upper\) is not monotone on a "
+                             r"simplex; cannot triangulate the prism$"):
+        total_space(bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +439,6 @@ def sphere_product_pair(base_degree, fiber_map_name):
 ])
 def test_sphere_fiber_staircase_prisms(tmp_path, capsys, base_degree,
                                        fiber_map_name, fiber_values):
-    import json
     from fixtrace.cli import EXIT_UNSUPPORTED, main, serialize_pair
     pair = sphere_product_pair(base_degree, fiber_map_name)
     total, _ = pair.total
@@ -442,7 +498,6 @@ def test_klein_bottle_reidemeister_unsupported():
 
 
 def test_klein_bottle_cli_both_prints_lefschetz_table(tmp_path, capsys):
-    import json
     from fixtrace.cli import EXIT_UNSUPPORTED, main, serialize_pair
     path = tmp_path / "klein.json"
     path.write_text(json.dumps(serialize_pair(klein_bundle_pair())),

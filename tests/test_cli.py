@@ -73,6 +73,14 @@ def test_homology_malformed_exit2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_homology_deeply_nested_document_exit2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "homology", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ")
+
+
 def test_homology_invalid_complex_exit2(tmp_path, capsys):
     path = write(tmp_path, "bad.json",
                  {"vertices": ["0"], "simplices": [["0", "0"]]})
@@ -227,6 +235,26 @@ def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
     assert report["verdict"] == "indeterminate"
     # both verifiers flag the heuristic base classes; the report says it once
     assert report["flags"] == ["heuristic base classes (depth 2)"]
+
+
+def test_bundle_verify_empty_fiber_exit3(tmp_path, capsys):
+    # the empty fiber over a point base: the Lefschetz side reads 0 = 0,
+    # and the total space has no vertex to lift from
+    from fixtrace.bundles import (BundleSelfMapPair, DiscreteBundle,
+                                  GraphSelfMap)
+    from fixtrace.simplicial import SimplicialMap, build_complex
+    base = cat.point_base()
+    fib = build_complex([])
+    pair = BundleSelfMapPair(DiscreteBundle(base, {"b0": fib}, {}),
+                             GraphSelfMap(base, {"b0": "b0"}, {}),
+                             {"b0": SimplicialMap(fib, fib, {})})
+    path = write(tmp_path, "pair.json", serialize_pair(pair))
+    code, out, _ = run_cli(capsys, "bundle-verify", path)
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (EXIT_UNSUPPORTED, "unsupported")
+    assert [t["theorem"] for t in rep["tables"]] == ["lefschetz"]
+    assert rep["lhs"] == rep["rhs"] == {"lefschetz": 0}
+    assert rep["flags"] == ["universal-cover lifts need a connected complex"]
 
 
 def _one_loop_reflection_pair():
@@ -536,16 +564,20 @@ def test_integer_fields_reject_lookalikes(tmp_path, capsys, field):
 
 
 def test_reidemeister_disconnected_complex_exit3(tmp_path, capsys):
-    doc = {"complex": {"vertices": ["a0", "a1", "a2", "b0", "b1", "b2"],
-                       "simplices": [["a0", "a1"], ["a1", "a2"], ["a0", "a2"],
-                                     ["b0", "b1"], ["b1", "b2"], ["b0", "b2"]]},
-           "vertex_images": {v: v for v in ["a0", "a1", "a2", "b0", "b1", "b2"]}}
-    path = write(tmp_path, "two.json", doc)
-    code, out, _ = run_cli(capsys, "reidemeister", path)
-    assert code == EXIT_UNSUPPORTED
-    rep = json.loads(out)
-    assert rep["verdict"] == "unsupported"
-    assert "connected" in rep["flags"][0]
+    two_triangles = {
+        "vertices": ["a0", "a1", "a2", "b0", "b1", "b2"],
+        "simplices": [["a0", "a1"], ["a1", "a2"], ["a0", "a2"],
+                      ["b0", "b1"], ["b1", "b2"], ["b0", "b2"]]}
+    empty = {"vertices": [], "simplices": []}
+    for k in (two_triangles, empty):
+        doc = {"complex": k, "vertex_images": {v: v for v in k["vertices"]}}
+        path = write(tmp_path, "k.json", doc)
+        code, out, _ = run_cli(capsys, "reidemeister", path)
+        assert code == EXIT_UNSUPPORTED
+        rep = json.loads(out)
+        assert rep["verdict"] == "unsupported"
+        assert rep["flags"] == [
+            "universal-cover lifts need a connected complex"]
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +616,8 @@ def test_catalog_emit_unknown_exit2(capsys):
     ("circle_degree_map", "d=-1001", "an integer in [-1000, 1000]"),
     ("circle", "n=3.5", "an integer in [3, 10000]"),
     ("circle", "n=1e999", "an integer in [3, 10000]"),
+    pytest.param("circle", "n=" + "[" * 3000, "an integer in [3, 10000]",
+                 id="circle-deeply-nested-n"),
 ])
 def test_catalog_emit_size_out_of_range_exit2(capsys, name, param, bounds):
     code, out, err = run_cli(capsys, "catalog", "emit", name, "--param", param)
@@ -597,6 +631,15 @@ def test_catalog_emit_size_out_of_range_exit2(capsys, name, param, bounds):
 def test_catalog_emit_size_at_bound(capsys, name, param):
     code, _, _ = run_cli(capsys, "catalog", "emit", name, "--param", param)
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("out", ["a-file", "missing"])
+def test_catalog_emit_unwritable_out_exit2(tmp_path, capsys, out):
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "catalog", "emit", "circle",
+                                "--out", str(tmp_path / out))
+    assert (code, stdout) == (EXIT_INPUT, "")
+    assert err.startswith("error: cannot write ")
 
 
 def test_catalog_emit_circle(capsys):
