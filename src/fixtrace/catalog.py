@@ -258,7 +258,7 @@ def trivial_product_pair(base_map_name: str = "reflection",
     for kind, name, known in (("base", base_map_name, base_maps),
                               ("fiber", fiber_map_name, triangle_maps)):
         if name not in known:
-            raise ValueError(f"unknown {kind} map {name!r}; known maps: "
+            raise ValueError(f"unknown {kind}_map {shown(name)}; known maps: "
                              f"{', '.join(sorted(known))}")
     bmap = base_maps[base_map_name]
     fmap = triangle_maps[fiber_map_name](fib)
@@ -327,6 +327,12 @@ class CatalogEntry:
 CATALOG: Dict[str, CatalogEntry] = {}
 
 
+def shown(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def _bounded(name: str, value, lo: int, hi: int, even: bool = False) -> int:
     """An integer size parameter, rejected when it is not an integer, lies
     outside [lo, hi] or (with ``even``) is odd, before anything is built."""
@@ -334,7 +340,7 @@ def _bounded(name: str, value, lo: int, hi: int, even: bool = False) -> int:
             or not lo <= value <= hi or (even and value % 2)):
         what = "an even integer" if even else "an integer"
         raise ValueError(f"{name} must be {what} in [{lo}, {hi}], "
-                         f"got {value!r}")
+                         f"got {shown(value)}")
     return value
 
 

@@ -560,12 +560,14 @@ def _emit_document(name: str, params: Dict) -> Tuple[str, str]:
     entry = cat.CATALOG.get(name)
     if entry is None:
         raise InputError(f"unknown catalog entry {name!r}")
-    merged = dict(entry.default_params)
-    merged.update(params)
+    for key in params:
+        if key not in entry.default_params:
+            raise InputError(
+                f"catalog entry {name!r} has no parameter {cat.shown(key)}")
     try:
-        obj = entry.build(**merged)
+        obj = entry.build(**{**entry.default_params, **params})
     except (TypeError, ValueError) as exc:
-        raise InputError(f"cannot build {name!r} with {params}: {exc}")
+        raise InputError(f"cannot build {name!r}: {exc}")
     if entry.kind == "complex":
         return f"{name}.complex.json", json.dumps(
             serialize_complex(obj), indent=2) + "\n"
@@ -590,11 +592,13 @@ def cmd_catalog(args) -> int:
     params = {}
     for p in args.param or []:
         if "=" not in p:
-            raise InputError(f"bad --param {p!r}; use key=value")
+            raise InputError(f"bad --param {cat.shown(p)}; use key=value")
         key, value = p.split("=", 1)
         try:
             params[key] = json.loads(value)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
+            # not JSON, too deeply nested, or an integer past the
+            # interpreter's digit limit: the value is the raw text
             params[key] = value
     filename, text = _emit_document(args.name, params)
     if args.out:

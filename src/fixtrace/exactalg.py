@@ -16,17 +16,27 @@ Matrices act on column vectors: a boundary operator from degree i to
 degree i-1 is an (n_{i-1} x n_i) matrix, and a chain map component in
 degree i composes as target_boundary * f_i = f_{i-1} * source_boundary.
 
-The homology basis in degree i is chosen deterministically: the kernel
-of the i-th boundary is spanned by the kernel columns of the V matrix of
-its Smith decomposition, the image of the (i+1)-st boundary is expressed
-in those kernel coordinates, and the Smith decomposition of that
-coordinate matrix splits off a complement on which induced maps are
-reported.  Only traces of the induced matrices are contractual; the
-basis itself is fixed so results are reproducible.
+The homology basis in degree i is chosen deterministically from two
+Smith forms, which ``ChainComplex.homology_basis(i)`` keeps:
+
+* U d_i V = S with r = rank(d_i).  The columns of V past the first r
+  span ker(d_i) as a direct summand of the chain group; call that
+  matrix K.  A cycle c has kernel coordinates y = the rows of Vinv * c
+  past the first r (the first r rows are zero), so that c = K y.
+* M is d_(i+1) in those kernel coordinates, and W M V' = S' is its Smith
+  form, with b = rank(M).  In the basis K * W^-1 of ker(d_i), the image
+  of d_(i+1) is spanned by multiples of the first b vectors; the
+  remaining K.cols - b vectors represent H_i modulo torsion.
+
+So a chain map f: C -> D induces, in degree i, the block of rows past
+b_D and columns past b_C of W_D * (kernel coordinates of f * K_C) *
+W_C^-1.  Only traces of the induced matrices are contractual; the basis
+itself is fixed so results are reproducible.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 SparseRow = Dict[int, int]  # {column: entry}, nonzero entries only
@@ -210,20 +220,64 @@ def _transposed(data: Sequence[SparseRow], cols: int) -> List[SparseRow]:
     return out
 
 
+def _replay(n: int, ops: Sequence[tuple], inverse: bool) -> IntMatrix:
+    """The n x n identity with the logged row operations applied in order.
+
+    An entry ``(i, j, q)`` adds q times row j to row i, ``(i, j)`` swaps
+    rows i and j and ``(i,)`` negates row i.  With ``inverse``, each
+    operation E is applied as the transpose of its inverse instead: swaps
+    and negations are their own inverse transposes, and the one of
+    ``(i, j, q)`` adds -q times row i to row j.
+    """
+    rows: List[SparseRow] = [{i: 1} for i in range(n)]
+    for op in ops:
+        if len(op) == 3:
+            i, j, q = (op[1], op[0], -op[2]) if inverse else op
+            _add_scaled(rows[i], q, rows[j].items())
+        elif len(op) == 2:
+            i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[op[0]] = {k: -x for k, x in rows[op[0]].items()}
+    return IntMatrix._sparse(n, n, rows)
+
+
 class SmithForm:
     """Decomposition U * A * V = S with U, V unimodular and S diagonal.
 
     The diagonal of S is nonnegative and each entry divides the next.
-    The exact inverses of U and V are tracked during the reduction.
+    The reduction logs its row operations E_1, E_2, ... and its column
+    operations F_1, F_2, ..., so U = ... E_2 E_1 and V = F_1 F_2 ...;
+    U, V and their exact inverses are replayed from the logs the first
+    time a caller reads them.  A column operation is logged as the row
+    operation of its transpose, so V is the transpose of a replay, and so
+    is Uinv = E_1^-1 E_2^-1 ..., whose transpose is a replay of the
+    inverse transposes.
     """
 
-    __slots__ = ("U", "S", "V", "Uinv", "Vinv")
+    def __init__(self, S: IntMatrix, row_ops: List[tuple],
+                 col_ops: List[tuple]):
+        self.S = S
+        self._row_ops = row_ops
+        self._col_ops = col_ops
 
-    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix,
-                 Uinv: IntMatrix, Vinv: IntMatrix):
-        self.U, self.S, self.V, self.Uinv, self.Vinv = U, S, V, Uinv, Vinv
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _replay(self.S.rows, self._row_ops, False)
 
-    @property
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        return _replay(self.S.rows, self._row_ops, True).transpose()
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return _replay(self.S.cols, self._col_ops, False).transpose()
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        return _replay(self.S.cols, self._col_ops, True)
+
+    @cached_property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x)
 
@@ -242,27 +296,23 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     its column by row operations and its row by column operations, and
     repeat until both are clear; then, if some entry of the remaining
     block is not divisible by the pivot, add its row to row t and go
-    again.  All five matrices are kept as sparse rows ``{column: entry}``
-    and every step reads only nonzero entries:
+    again.  Each operation is applied to S alone, which is kept as sparse
+    rows ``{column: entry}``, and logged for the transforms (see
+    :class:`SmithForm`).  Every step reads only nonzero entries:
 
     * the first row holding a unit gives the pivot (its lowest unit
       column), so the whole block is scanned only when it has no unit;
     * the divisibility scan is skipped when the pivot is 1;
     * a column swap of S is recorded as a renaming of the two columns,
       so it costs nothing per row;
-    * clearing column t adds multiples of row t of S and U to the rows
-      where column t is nonzero, and clearing row t adds multiples of
-      column t to the columns where row t is nonzero.
-
-    ``Uinv`` and ``V`` only see column operations, so they are kept
-    transposed, where those are row operations as for ``U`` and ``Vinv``.
+    * clearing column t adds multiples of row t to the rows where column
+      t is nonzero, and clearing row t adds multiples of column t to the
+      columns where row t is nonzero.
     """
     n, m = a.rows, a.cols
     s = [dict(r) for r in a._data]
-    u = [{i: 1} for i in range(n)]
-    v_t = [{j: 1} for j in range(m)]
-    uinv_t = [{i: 1} for i in range(n)]
-    vinv = [{j: 1} for j in range(m)]
+    row_ops: List[tuple] = []
+    col_ops: List[tuple] = []
     # Column swaps of S are recorded, not carried out: column c of S is
     # stored in its rows under the key key[c], and key k holds column
     # col[k].  The keys are renamed to columns once, at the end.
@@ -288,41 +338,32 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         pi, pj = pivot
         if pi != t:
             s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
-            uinv_t[t], uinv_t[pi] = uinv_t[pi], uinv_t[t]
+            row_ops.append((t, pi))
         if pj != t:
             key[t], key[pj] = key[pj], key[t]
             col[key[t]], col[key[pj]] = t, pj
-            v_t[t], v_t[pj] = v_t[pj], v_t[t]
-            vinv[t], vinv[pj] = vinv[pj], vinv[t]
+            col_ops.append((t, pj))
         kt = key[t]
         prow = s[t]
         if prow[kt] < 0:
             s[t] = prow = {k: -x for k, x in prow.items()}
-            u[t] = {j: -x for j, x in u[t].items()}
-            uinv_t[t] = {k: -x for k, x in uinv_t[t].items()}
+            row_ops.append((t,))
         d = prow[kt]
         dirty = False
-        # Clear column t: row_i -= q row_t, and column t of Uinv gains
-        # q times column i.
+        # Clear column t: row_i -= q row_t.
         s_nz = list(prow.items())
-        u_nz = list(u[t].items())
-        ut = uinv_t[t]
         below = [i for i in range(t + 1, n) if kt in s[i]]
         for i in below:
             row = s[i]
             q = row[kt] // d
             if q:
                 _add_scaled(row, -q, s_nz)
-                _add_scaled(u[i], -q, u_nz)
-                _add_scaled(ut, q, uinv_t[i].items())
+                row_ops.append((i, t, -q))
             if kt in row:
                 dirty = True
-        # Clear row t: column_j -= q column_t, and row t of Vinv gains
-        # q times row j.  The other keys of row t hold columns past t.
+        # Clear row t: column_j -= q column_t.  The other keys of row t
+        # hold columns past t.
         col_t = [(prow, d)] + [(s[i], s[i][kt]) for i in below if kt in s[i]]
-        v_nz = list(v_t[t].items())
-        vt = vinv[t]
         for k in [k for k in prow if k != kt]:
             q = prow[k] // d
             if q:
@@ -332,9 +373,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                         r[k] = y
                     else:
                         del r[k]
-                j = col[k]
-                _add_scaled(v_t[j], -q, v_nz)
-                _add_scaled(vt, q, vinv[j].items())
+                col_ops.append((col[k], t, -q))
             if k in prow:
                 dirty = True
         if dirty:
@@ -345,19 +384,13 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             culprit = next((i for i in range(t + 1, n)
                             if any(x % d for x in s[i].values())), None)
             if culprit is not None:
-                # row_t += row_culprit; column culprit of Uinv loses column t
                 _add_scaled(prow, 1, s[culprit].items())
-                _add_scaled(u[t], 1, u[culprit].items())
-                _add_scaled(uinv_t[culprit], -1, uinv_t[t].items())
+                row_ops.append((t, culprit, 1))
                 continue
         t += 1
 
     s = [{col[k]: x for k, x in r.items()} for r in s]
-    return SmithForm(U=IntMatrix._sparse(n, n, u),
-                     S=IntMatrix._sparse(n, m, s),
-                     V=IntMatrix._sparse(m, m, _transposed(v_t, m)),
-                     Uinv=IntMatrix._sparse(n, n, _transposed(uinv_t, n)),
-                     Vinv=IntMatrix._sparse(m, m, vinv))
+    return SmithForm(IntMatrix._sparse(n, m, s), row_ops, col_ops)
 
 
 def rank(a: IntMatrix) -> int:
@@ -388,7 +421,7 @@ class ChainComplex:
                                     f"expected {self.degrees[i-1]}x{self.degrees[i]}")
         if not self.boundary_squares_to_zero():
             raise ExactAlgError("boundary composite is nonzero")
-        self._bases: Dict[int, HomologyBasis] = {}
+        self._bases: Dict[int, Tuple[SmithForm, SmithForm]] = {}
 
     @property
     def top_degree(self) -> int:
@@ -405,8 +438,9 @@ class ChainComplex:
             return self.boundaries[i - 1]
         return IntMatrix.zero(self.rank(i - 1), self.rank(i))
 
-    def homology_basis(self, i: int) -> "HomologyBasis":
-        """Basis data of H_i, built by ``_homology_basis`` once per degree."""
+    def homology_basis(self, i: int) -> Tuple[SmithForm, SmithForm]:
+        """Smith forms of d_i and of d_(i+1) in ker(d_i) coordinates, which
+        fix the basis of H_i; built by ``_homology_basis`` once per degree."""
         if i not in self._bases:
             self._bases[i] = _homology_basis(self, i)
         return self._bases[i]
@@ -430,7 +464,7 @@ class ChainMap:
     """Degreewise map of chain complexes commuting with the boundaries."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
-                 components: Sequence[IntMatrix], check: bool = True):
+                 components: Sequence[IntMatrix]):
         self.source = source
         self.target = target
         self.components = tuple(components)
@@ -440,13 +474,12 @@ class ChainMap:
         for i, f in enumerate(self.components):
             if f.rows != target.rank(i) or f.cols != source.rank(i):
                 raise ExactAlgError(f"component {i} has wrong shape")
-        if check:
-            for i in range(1, top + 1):
-                lhs = self.target.boundary(i) * self.component(i)
-                rhs = self.component(i - 1) * self.source.boundary(i)
-                if lhs != rhs:
-                    raise ExactAlgError(
-                        f"chain map does not commute with boundary in degree {i}")
+        for i in range(1, top + 1):
+            lhs = self.target.boundary(i) * self.component(i)
+            rhs = self.component(i - 1) * self.source.boundary(i)
+            if lhs != rhs:
+                raise ExactAlgError(
+                    f"chain map does not commute with boundary in degree {i}")
 
     def component(self, i: int) -> IntMatrix:
         if 0 <= i < len(self.components):
@@ -462,7 +495,7 @@ class ChainMap:
             raise ExactAlgError("composition shape mismatch")
         top = max(len(self.components), len(other.components))
         comps = [self.component(i) * other.component(i) for i in range(top)]
-        return ChainMap(other.source, self.target, comps, check=False)
+        return ChainMap(other.source, self.target, comps)
 
     def __repr__(self):
         return f"ChainMap(degrees={self.source.degrees}->{self.target.degrees})"
@@ -470,39 +503,12 @@ class ChainMap:
 
 def identity_chain_map(c: ChainComplex) -> ChainMap:
     comps = [IntMatrix.identity(c.rank(i)) for i in range(c.top_degree + 1)]
-    return ChainMap(c, c, comps, check=False)
+    return ChainMap(c, c, comps)
 
 
 # ---------------------------------------------------------------------------
 # Homology
 # ---------------------------------------------------------------------------
-
-class HomologyBasis:
-    """Deterministic basis data for H_i of a complex.
-
-    ``kernel``: integer matrix whose columns span ker(boundary_i) as a
-    direct summand of the chain group.
-    ``coord_change``: unimodular W so that in the basis kernel * W^{-1}
-    the image of boundary_{i+1} is spanned by multiples of the first
-    ``image_rank`` vectors.  The remaining vectors represent H_i.
-    """
-
-    __slots__ = ("kernel", "coord_change", "coord_change_inv", "image_rank",
-                 "boundary_snf")
-
-    def __init__(self, kernel: IntMatrix, coord_change: IntMatrix,
-                 coord_change_inv: IntMatrix, image_rank: int,
-                 boundary_snf: SmithForm):
-        self.kernel = kernel
-        self.coord_change = coord_change
-        self.coord_change_inv = coord_change_inv
-        self.image_rank = image_rank
-        self.boundary_snf = boundary_snf
-
-    @property
-    def betti(self) -> int:
-        return self.kernel.cols - self.image_rank
-
 
 class HomologySummary:
     """Betti numbers and torsion coefficients per degree."""
@@ -519,7 +525,7 @@ class HomologySummary:
 
 
 def _kernel_coordinates(snf_i: SmithForm, mat: IntMatrix) -> IntMatrix:
-    """Coordinates of columns lying in ker(d_i), via the tracked V inverse.
+    """Coordinates of columns lying in ker(d_i), via the Vinv of d_i.
 
     A column c in the kernel satisfies c = V y with the first rank(d_i)
     entries of y zero, so y = Vinv c and the kernel coordinates are the
@@ -532,20 +538,10 @@ def _kernel_coordinates(snf_i: SmithForm, mat: IntMatrix) -> IntMatrix:
     return IntMatrix._sparse(y.rows - r, mat.cols, y._data[r:])
 
 
-def _homology_basis(c: ChainComplex, i: int) -> HomologyBasis:
-    d_i = c.boundary(i)
-    snf_i = smith_normal_form(d_i)
-    r = snf_i.rank
-    n = c.rank(i)
-    # kernel columns: columns of V past the rank
-    kernel = IntMatrix._sparse(n, n - r, [
-        {j - r: x for j, x in row.items() if j >= r} for row in snf_i.V._data])
-    d_next = c.boundary(i + 1)
-    m = _kernel_coordinates(snf_i, d_next)
-    snf_m = smith_normal_form(m)
-    return HomologyBasis(kernel=kernel, coord_change=snf_m.U,
-                         coord_change_inv=snf_m.Uinv,
-                         image_rank=snf_m.rank, boundary_snf=snf_i)
+def _homology_basis(c: ChainComplex, i: int) -> Tuple[SmithForm, SmithForm]:
+    snf_i = smith_normal_form(c.boundary(i))
+    return snf_i, smith_normal_form(
+        _kernel_coordinates(snf_i, c.boundary(i + 1)))
 
 
 def homology(c: ChainComplex) -> HomologySummary:
@@ -570,24 +566,28 @@ def homology_maps(m: ChainMap) -> List[List[List[int]]]:
     per degree; their traces are the traces on rational homology.
 
     Works for maps between different complexes; both sides use the
-    deterministic basis from :func:`_homology_basis`, shared through
-    :meth:`ChainComplex.homology_basis`.
+    deterministic basis of the module docstring, from the Smith forms that
+    :meth:`ChainComplex.homology_basis` keeps.
     """
     top = max(m.source.top_degree, m.target.top_degree)
     out = []
     for i in range(top + 1):
-        src = m.source.homology_basis(i)
-        tgt = m.target.homology_basis(i)
-        hs, ht = src.betti, tgt.betti
+        src_d, src_m = m.source.homology_basis(i)
+        tgt_d, tgt_m = m.target.homology_basis(i)
+        # ker(d_i) has rank M.rows; the image of d_(i+1) has rank(M).
+        hs, ht = src_m.S.rows - src_m.rank, tgt_m.S.rows - tgt_m.rank
         if hs == 0 or ht == 0:
             out.append([[0] * hs for _ in range(ht)])
             continue
-        f = m.component(i)
-        y = _kernel_coordinates(tgt.boundary_snf, f * src.kernel)
-        a = tgt.coord_change * y * src.coord_change_inv
-        block = [[a[row, col]
-                  for col in range(src.image_rank, a.cols)]
-                 for row in range(tgt.image_rank, a.rows)]
+        # kernel columns of the source: columns of V past the rank
+        r = src_d.rank
+        kernel = IntMatrix._sparse(src_d.S.cols, src_m.S.rows, [
+            {j - r: x for j, x in row.items() if j >= r}
+            for row in src_d.V._data])
+        y = _kernel_coordinates(tgt_d, m.component(i) * kernel)
+        a = tgt_m.U * y * src_m.Uinv
+        block = [[a[row, col] for col in range(src_m.rank, a.cols)]
+                 for row in range(tgt_m.rank, a.rows)]
         out.append(block)
     return out
 

@@ -626,6 +626,27 @@ def test_catalog_emit_size_out_of_range_exit2(capsys, name, param, bounds):
 
 
 @pytest.mark.parametrize("name, param", [
+    ("circle", "n=" + "9" * 2998),
+    ("circle", "n=" + "x" * 2998),
+    ("circle", "n=" + "[" * 2998),
+    ("circle", "n" * 2998 + "=3"),
+    ("circle", "n" * 3000),
+    ("trivial_product", "base_map=" + "x" * 2991),
+    # past the interpreter's digit limit, json.loads raises ValueError
+    ("circle", "n=" + "9" * 5000),
+], ids=["digits", "text", "nested", "key", "no-equals", "map-name",
+        "digit-limit"])
+def test_catalog_emit_long_parameter_gives_one_short_line(capsys, name,
+                                                          param):
+    # The error names the offending key and cuts the echoed value short.
+    code, out, err = run_cli(capsys, "catalog", "emit", name, "--param", param)
+    assert (code, out) == (EXIT_INPUT, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[0]) < 300
+
+
+@pytest.mark.parametrize("name, param", [
     ("circle", "n=10000"), ("circle_reflection", "n=10000"),
     ("circle_degree_map", "d=1000"), ("circle_degree_map", "d=-1000")])
 def test_catalog_emit_size_at_bound(capsys, name, param):

@@ -1,5 +1,6 @@
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from fixtrace.exactalg import (
     ChainMap,
     ExactAlgError,
     IntMatrix,
-    SmithForm,
     homology,
+    homology_maps,
     hopf_chain_trace,
     identity_chain_map,
     induced_homology_map,
@@ -177,8 +178,9 @@ def test_intmatrix_pickle_round_trip():
 # it must return exactly these five matrices.
 # ---------------------------------------------------------------------------
 
-def reference_smith_normal_form(a: IntMatrix) -> SmithForm:
-    """Smith normal form with unimodular transforms.
+def reference_smith_normal_form(a: IntMatrix) -> SimpleNamespace:
+    """Smith normal form with unimodular transforms, as a plain record of
+    the five matrices U, S, V, Uinv and Vinv.
 
     Pivots are chosen by least nonzero absolute value, ties broken by
     lowest row index then lowest column index, so the output is
@@ -288,16 +290,25 @@ def reference_smith_normal_form(a: IntMatrix) -> SmithForm:
     Ui = IntMatrix.from_rows(uinv) if n else IntMatrix(0, 0, [])
     Vi = IntMatrix.from_rows(vinv) if m else IntMatrix(0, 0, [])
     S = IntMatrix.from_rows(s) if n and m else IntMatrix.zero(n, m)
-    return SmithForm(U=U, S=S, V=V, Uinv=Ui, Vinv=Vi)
+    return SimpleNamespace(U=U, S=S, V=V, Uinv=Ui, Vinv=Vi)
 
 
-def assert_same_smith_form(a):
-    got = smith_normal_form(a)
-    want = reference_smith_normal_form(a)
-    for name in ("U", "S", "V", "Uinv", "Vinv"):
+SNF_MATRICES = ("U", "S", "V", "Uinv", "Vinv")
+TRANSFORMS = ("U", "V", "Uinv", "Vinv")
+
+
+def assert_same_matrices(got, want, names):
+    for name in names:
         x, y = getattr(got, name), getattr(want, name)
         assert (x.rows, x.cols, x.tolists()) == (y.rows, y.cols,
                                                  y.tolists()), name
+
+
+def assert_same_smith_form(a, names=SNF_MATRICES):
+    """The five matrices, read in the order ``names``, equal the dense
+    reference; the transforms are built when first read."""
+    assert_same_matrices(smith_normal_form(a), reference_smith_normal_form(a),
+                         names)
 
 
 SNF_VALUES = (0, 1, -1, 2, -2, 3, 4, -6)
@@ -314,11 +325,26 @@ def small_matrices(draw):
     return IntMatrix(n, m, entries)
 
 
-@given(small_matrices())
+@given(small_matrices(), st.permutations(SNF_MATRICES),
+       st.permutations(SNF_MATRICES))
 @settings(derandomize=True, max_examples=250, deadline=None)
-def test_snf_matches_dense_reference(a):
-    assert_same_smith_form(a)
-    assert_same_smith_form(a.transpose())
+def test_snf_matches_dense_reference(a, order, transposed_order):
+    assert_same_smith_form(a, order)
+    assert_same_smith_form(a.transpose(), transposed_order)
+
+
+@given(small_matrices(), st.lists(st.sampled_from(TRANSFORMS), unique=True))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_snf_transforms_read_after_rank_match_dense_reference(a, names):
+    # rank reads S alone and builds no transform; any subset of the
+    # transforms read afterwards still equals the dense reference.
+    got = smith_normal_form(a)
+    want = reference_smith_normal_form(a)
+    assert got.rank == sum(1 for i in range(min(a.rows, a.cols))
+                           if want.S[i, i])
+    assert not any(name in vars(got) for name in TRANSFORMS)
+    assert_same_matrices(got, want, names)
+    assert_same_matrices(got, want, names)  # cached: same matrices again
 
 
 def test_snf_matches_dense_reference_on_torus_boundaries():
@@ -482,6 +508,81 @@ def test_hopf_trace_reflection():
 def test_hopf_trace_identity():
     m = identity_chain_map(triangle_circle())
     assert hopf_chain_trace(m) == 0
+
+
+# ---------------------------------------------------------------------------
+# Induced maps between different complexes
+# ---------------------------------------------------------------------------
+
+def _maps_between_complexes():
+    """Simplicial maps C6 -> C3 -> figure eight -> C3 and C3 <-> C3 x C3."""
+    from fixtrace import catalog as cat
+    from fixtrace.simplicial import SimplicialMap, product_complex
+    c6, c3 = cat.circle_complex(6), cat.circle_complex(3)
+    eight = cat.figure_eight_complex()
+    torus = product_complex(c3, c3)
+    return {
+        "wrap": SimplicialMap(c6, c3, {str(i): str(i % 3) for i in range(6)}),
+        "include": SimplicialMap(c3, eight, {v: v for v in c3.vertices}),
+        # the second loop 0-3-4 goes to the vertex 0
+        "collapse": SimplicialMap(eight, c3, {v: v if v in "012" else "0"
+                                              for v in eight.vertices}),
+        "project": SimplicialMap(torus, c3, {v: v[0] for v in torus.vertices}),
+        "diagonal": SimplicialMap(c3, torus, {v: (v, v) for v in c3.vertices}),
+    }
+
+
+def _homology_matrices(f, degrees=3):
+    """The induced maps of a simplicial map in degrees 0..degrees-1, as
+    matrices shaped by the betti numbers that ``homology`` computes on
+    each side (0 x 0 past the top degree of both)."""
+    from fixtrace.simplicial import induced_chain_map
+    m = induced_chain_map(f)
+    blocks = homology_maps(m)
+    src, tgt = homology(m.source).betti, homology(m.target).betti
+    out = []
+    for i in range(degrees):
+        block = blocks[i] if i < len(blocks) else []
+        rows = tgt[i] if i < len(tgt) else 0
+        cols = src[i] if i < len(src) else 0
+        out.append(IntMatrix(rows, cols, [x for r in block for x in r]))
+    return out
+
+
+@pytest.mark.parametrize("path", [
+    ("wrap", "include"), ("include", "collapse"),
+    ("wrap", "include", "collapse"), ("diagonal", "project"),
+    ("project", "diagonal"), ("project", "include"), ("wrap", "diagonal"),
+], ids="-".join)
+def test_homology_maps_between_complexes_are_functorial(path):
+    # h(g . f) = h(g) h(f) in every degree: each complex keeps one basis,
+    # so this holds whatever basis is chosen.
+    maps = _maps_between_complexes()
+    composite = maps[path[0]]
+    product = _homology_matrices(composite)
+    for name in path[1:]:
+        composite = maps[name].compose(composite)
+        product = [g * f for g, f in zip(_homology_matrices(maps[name]),
+                                         product)]
+    assert _homology_matrices(composite) == product
+
+
+def test_homology_maps_between_complexes_values():
+    maps = _maps_between_complexes()
+    h = {name: _homology_matrices(f) for name, f in maps.items()}
+    # wrapping C6 twice around C3 has degree 2 on H_1 (H_2 is 0 x 0)
+    assert [abs(m.determinant()) for m in h["wrap"]] == [1, 2, 1]
+    # the first loop of the figure eight is a direct summand of its H_1 and
+    # the collapse retracts onto it; the diagonal is a section of the
+    # projection
+    for retract, section in (("collapse", "include"),
+                             ("project", "diagonal")):
+        for r, s in zip(h[retract], h[section]):
+            assert r * s == IntMatrix.identity(r.rows)
+    assert [(m.rows, m.cols) for m in h["diagonal"]] == [(1, 1), (2, 1),
+                                                         (1, 0)]
+    assert [(m.rows, m.cols) for m in h["collapse"]] == [(1, 1), (1, 2),
+                                                         (0, 0)]
 
 
 # ---------------------------------------------------------------------------
