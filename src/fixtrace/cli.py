@@ -8,13 +8,14 @@ order, so identical inputs produce byte-identical reports.  Exit codes:
 Only the homology layers (``exactalg``, ``simplicial`` and ``words``) are
 imported with this module.  The group-ring, Reidemeister, bundle and
 catalog layers are imported by the commands and parsers that use them,
-once per command.
+once per command.  No command loads OpenSSL: the ``inputs_digest`` SHA-256
+comes from the interpreter's built-in module (``_sha2`` on CPython 3.12+,
+``_sha256`` before), and ``hashlib`` only when neither was built.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +30,14 @@ from .simplicial import (
     induced_chain_map,
     lefschetz_number,
 )
+
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 if TYPE_CHECKING:
     from .bundles import BundleSelfMapPair, DiscreteBundle, GraphBase
@@ -323,7 +332,7 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
 # ---------------------------------------------------------------------------
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return _sha256(data).hexdigest()
 
 
 def render_report(command: str, digest: str, tables: List, lhs, rhs,

@@ -14,6 +14,7 @@ from fixtrace.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNSUPPORTED,
+    _digest,
     _emit_document,
     main,
     parse_complex,
@@ -42,6 +43,18 @@ def triangle_doc():
 def reflection_doc():
     from fixtrace.cli import serialize_map_fixture
     return serialize_map_fixture(cat.circle_reflection_fixture(4))
+
+
+# ---------------------------------------------------------------------------
+# inputs digest
+# ---------------------------------------------------------------------------
+
+def test_digest_is_sha256():
+    # the FIPS 180-2 test vector
+    assert _digest(b"abc") == ("ba7816bf8f01cfea414140de5dae2223"
+                               "b00361a396177a9cb410ff61f20015ad")
+    for data in (b"", b"abc", bytes(range(256)) * 4096):  # the last is 1 MiB
+        assert _digest(data) == hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

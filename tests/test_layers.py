@@ -2,6 +2,7 @@
 codes ``main`` gives each error class."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,24 +60,30 @@ COMMANDS = {
 NO_DATACLASSES = {"import", "homology", "homology-malformed", "lefschetz",
                   "reidemeister", "bundle-verify"}
 
+# The inputs digest uses the interpreter's built-in SHA-256, so no command
+# loads ``_hashlib`` (OpenSSL) unless the interpreter was built without it.
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) is not None
+                     for name in ("_sha2", "_sha256"))
+
 
 def _loaded_fixtrace_modules(argv, tmp_path):
     """Exit code, the fixtrace modules a fresh interpreter imports and
-    whether it imports ``dataclasses``, read from ``-X importtime``;
-    bytecode is not written, as in a read-only install."""
+    whether it imports ``dataclasses`` and ``_hashlib``, read from
+    ``-X importtime``; bytecode is not written, as in a read-only install."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           capture_output=True, text=True, cwd=tmp_path,
                           env=env, timeout=120)
     modules = set()
-    dataclasses = False
+    dataclasses = openssl = False
     for line in proc.stderr.splitlines():
         if line.startswith("import time:"):
             name = line.rsplit("|", 1)[1].strip()
             if name == "fixtrace" or name.startswith("fixtrace."):
                 modules.add(name)
             dataclasses = dataclasses or name == "dataclasses"
-    return proc.returncode, modules, dataclasses
+            openssl = openssl or name == "_hashlib"
+    return proc.returncode, modules, dataclasses, openssl
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -90,11 +97,14 @@ def test_command_loads_only_its_layers(tmp_path, name):
             path = tmp_path / "doc.json"
             path.write_text(json.dumps(make_doc()), encoding="utf-8")
             argv.append(str(path))
-    code, modules, dataclasses = _loaded_fixtrace_modules(argv, tmp_path)
+    code, modules, dataclasses, openssl = _loaded_fixtrace_modules(argv,
+                                                                   tmp_path)
     assert code == want_code
     assert modules == want_modules
     if name in NO_DATACLASSES:
         assert not dataclasses
+    if BUILTIN_SHA256:
+        assert not openssl
 
 
 @pytest.mark.parametrize("name", [*fixtrace.__all__, "no_such_export"])
