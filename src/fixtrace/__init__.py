@@ -2,11 +2,13 @@
 
 The submodules mirror the layers of the computation: ``words`` (signed
 words), ``exactalg`` (integer linear algebra and chain
-complexes), ``simplicial`` (complexes, maps, fundamental groups),
+complexes), ``simplicial`` (complexes, maps and their chains),
+``presentations`` (fundamental groups and induced endomorphisms),
 ``grouprings`` (twisted conjugacy and shadow traces), ``reidemeister``
 (universal-cover chain models and the two Reidemeister-trace routes),
 ``bundles`` (discrete fibrations and the factorization verifiers),
-``catalog`` (fixtures with oracles) and ``cli`` (the command-line tool).
+``catalog`` (fixtures with oracles), ``documents`` and ``pairs`` (the
+JSON document formats) and ``cli`` (the command-line tool).
 The most common entry points are re-exported here.  Each one is imported
 on first access (PEP 562), so ``import fixtrace`` loads no submodule and
 a command loads only the layers it runs.
@@ -25,7 +27,6 @@ _EXPORTS = {
         "hopf_chain_trace",
         "lefschetz_from_homology",
         "smith_normal_form",
-        "tensor_chain_map",
     ),
     "simplicial": (
         "SimplicialComplex",
@@ -33,10 +34,12 @@ _EXPORTS = {
         "build_complex",
         "chain_complex",
         "induced_chain_map",
-        "induced_pi1_endo",
         "lefschetz_number",
-        "pi1_presentation",
         "product_complex",
+    ),
+    "presentations": (
+        "induced_pi1_endo",
+        "pi1_presentation",
     ),
     "grouprings": (
         "FiniteGroup",

@@ -39,6 +39,7 @@ from .grouprings import (
     shadow_equal,
     shadow_rendering,
 )
+from .presentations import pi1_presentation
 from .reidemeister import (
     EquivariantChainComplex,
     LiftedSelfMap,
@@ -58,7 +59,6 @@ from .simplicial import (
     identity_map,
     induced_chain_map,
     lefschetz_number,
-    pi1_presentation,
     reverse_path,
 )
 from .words import expand_word, invert_word, reduce_word

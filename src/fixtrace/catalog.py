@@ -7,10 +7,12 @@ maps' factors) are hand counts that never call the code paths they are
 used to check.  ``CATALOG`` holds the entries that ``fixtrace catalog``
 lists and emits, each with its default parameters; the integer size
 parameters are checked against fixed ranges before anything is built.
+``emit_document`` gives the text ``fixtrace catalog emit`` writes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
@@ -21,6 +23,7 @@ from .bundles import (
     GraphSelfMap,
     Transport,
 )
+from .documents import InputError, serialize_complex, serialize_map_fixture
 from .reidemeister import FixedPointRecord
 from .simplicial import SimplicialComplex, SimplicialMap, build_complex
 
@@ -389,3 +392,34 @@ _register(CatalogEntry(
     name="fixed_point_free_rotation", kind="bundle_pair",
     description="rotation base map on a trivial circle bundle",
     build=lambda: fixed_point_free_rotation_pair()))
+
+
+# ---------------------------------------------------------------------------
+# Emitted documents
+# ---------------------------------------------------------------------------
+
+def emit_document(name: str, params: Dict) -> Tuple[str, str]:
+    """File name and text of the document ``catalog emit`` writes for the
+    entry ``name`` built with ``params`` over its defaults."""
+    entry = CATALOG.get(name)
+    if entry is None:
+        raise InputError(f"unknown catalog entry {name!r}")
+    for key in params:
+        if key not in entry.default_params:
+            raise InputError(
+                f"catalog entry {name!r} has no parameter {shown(key)}")
+    try:
+        obj = entry.build(**{**entry.default_params, **params})
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cannot build {name!r}: {exc}")
+    if entry.kind == "complex":
+        return f"{name}.complex.json", json.dumps(
+            serialize_complex(obj), indent=2) + "\n"
+    if entry.kind == "selfmap":
+        return f"{name}.map.json", json.dumps(
+            serialize_map_fixture(obj), indent=2) + "\n"
+    if entry.kind == "bundle_pair":
+        from .pairs import serialize_pair
+        return f"{name}.pair.json", json.dumps(
+            serialize_pair(obj), indent=2) + "\n"
+    raise InputError(f"catalog entry {name!r} has unknown kind")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .documents import InputError, json_integer
 from .grouprings import (
     DEFAULT_DEPTH,
     GroupEndomorphism,
@@ -30,16 +31,14 @@ from .grouprings import (
     add_product,
     twisted_class,
 )
-from .simplicial import (
+from .presentations import (
     Pi1Presentation,
-    SimplicialComplex,
-    SimplicialMap,
     Word,
-    _sort_sign,
     induced_pi1_endo,
     pi1_presentation,
     validate_edge_path,
 )
+from .simplicial import SimplicialComplex, SimplicialMap, _sort_sign
 from .words import invert_word, reduce_word
 
 
@@ -386,6 +385,36 @@ class FixedPointRecord:
         self.label = label
         self.index = index
         self.class_witness = class_witness
+
+
+def parse_fixed_point_records(doc: Dict, group
+                              ) -> Optional[List[FixedPointRecord]]:
+    """The ``fixed_point_records`` of a map document, or None if it has none.
+
+    A witness is an integer vector over a free abelian ``group`` and a list
+    of ``[generator, exponent]`` letters over a free one.
+    """
+    raw = doc.get("fixed_point_records")
+    if raw is None:
+        return None
+    records = []
+    try:
+        for r in raw:
+            witness = r["witness"]
+            if group.kind == "free_abelian":
+                witness = tuple(json_integer(x, "witness entry")
+                                for x in witness)
+            else:
+                witness = tuple((json_integer(g, "witness generator"),
+                                 json_integer(e, "witness exponent"))
+                                for g, e in witness)
+            records.append(FixedPointRecord(
+                label=r.get("label"),
+                index=json_integer(r["index"], "fixed point index"),
+                class_witness=witness))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid fixed_point_records: {exc!r}")
+    return records
 
 
 def reidemeister_trace_geometric(records: Sequence[FixedPointRecord], group,

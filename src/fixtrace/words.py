@@ -3,8 +3,7 @@
 A word is a tuple of letters ``(x, e)`` with ``e`` = +-1.  The letters
 are generator indices for group elements and edge names for edge paths;
 nothing here depends on what they name.  No other ``fixtrace`` module
-is imported, so the homology layers use these without loading the group
-rings.
+is imported.
 """
 
 from __future__ import annotations

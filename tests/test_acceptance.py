@@ -22,7 +22,6 @@ from fixtrace.exactalg import (
     hopf_chain_trace,
     lefschetz_from_homology,
     smith_normal_form,
-    tensor_chain_map,
 )
 from fixtrace.grouprings import (
     EQUAL,
@@ -52,6 +51,7 @@ from fixtrace.simplicial import (
     lefschetz_number,
 )
 from tests import chain_models as cm
+from tests.tensor_products import tensor_chain_map
 
 
 def report(criterion, text):

@@ -10,12 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fixtrace import catalog as cat
+from fixtrace.catalog import emit_document
 from fixtrace.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNSUPPORTED,
     _digest,
-    _emit_document,
     main,
     parse_complex,
     parse_pair,
@@ -860,7 +860,7 @@ def test_torus_reports_byte_identical(tmp_path, capsys):
 
 
 # (command, document) for every catalog document and the command reading it
-CATALOG_DOCUMENTS = [(command, json.loads(_emit_document(name, {})[1]))
+CATALOG_DOCUMENTS = [(command, json.loads(emit_document(name, {})[1]))
                      for name, command, _, _ in CATALOG_REPORTS]
 WRONG_TYPED = [None, True, 0, -1, 2.5, "x", "", [], [[]], [1, 2], {}, {"x": 1}]
 
@@ -1056,8 +1056,8 @@ def test_fiber5_product_report_byte_identical(tmp_path, capsys):
 def test_relator_cap_reports_unsupported(tmp_path, capsys, monkeypatch):
     # An elimination that outgrows the relator cap leaves the group
     # unrecognized: exit 3, never a guessed group.
-    from fixtrace import simplicial
-    monkeypatch.setattr(simplicial, "_MAX_RELATOR_LENGTH", 3)
+    from fixtrace import presentations
+    monkeypatch.setattr(presentations, "_MAX_RELATOR_LENGTH", 3)
     doc = _torus_map_documents(6)["torus6-negation"]
     code, out, _ = run_cli(capsys, "reidemeister",
                            write(tmp_path, "map.json", doc))
@@ -1113,7 +1113,7 @@ def _invariants(tmp_path, capsys, doc):
     """pi_1 class and rank, Betti numbers, L, N and the sorted class
     coefficients of a map document."""
     from fixtrace.exactalg import homology
-    from fixtrace.simplicial import pi1_presentation
+    from fixtrace.presentations import pi1_presentation
     k = parse_complex(doc["complex"])
     p = pi1_presentation(k, k.vertices[0])
     code, out, _ = run_cli(capsys, "reidemeister",

@@ -18,9 +18,8 @@ from fixtrace.exactalg import (
     induced_homology_map,
     lefschetz_from_homology,
     smith_normal_form,
-    tensor_chain_map,
-    tensor_complex,
 )
+from tests.tensor_products import tensor_chain_map, tensor_complex
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,31 @@ from fixtrace.cli import serialize_complex, serialize_map_fixture, serialize_pai
 
 SRC = Path(fixtrace.__file__).resolve().parents[1]
 
-HOMOLOGY = {"fixtrace", "fixtrace.exactalg", "fixtrace.words",
+HOMOLOGY = {"fixtrace", "fixtrace.documents", "fixtrace.exactalg",
             "fixtrace.simplicial"}
-REIDEMEISTER = HOMOLOGY | {"fixtrace.grouprings", "fixtrace.reidemeister"}
-BUNDLES = REIDEMEISTER | {"fixtrace.bundles"}
-CATALOG = BUNDLES | {"fixtrace.catalog"}
+REIDEMEISTER = HOMOLOGY | {"fixtrace.words", "fixtrace.grouprings",
+                           "fixtrace.presentations", "fixtrace.reidemeister"}
+CATALOG = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.catalog"}
+BUNDLE_VERIFY = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.pairs"}
+
+# The fixtrace source lines a homology child compiles when bytecode is
+# not cached; compiling them is most of a small command's start-up.
+HOMOLOGY_LINES_CEILING = 1650
+# The largest module, bundles.py; compiling a module raises peak memory
+# in proportion to its size.
+MODULE_LINES_CEILING = 866
 
 
 def _reflection():
     return serialize_map_fixture(cat.circle_reflection_fixture(4))
+
+
+def _reflection_with_records():
+    doc = _reflection()
+    doc["fixed_point_records"] = [
+        {"label": "z=1", "index": 1, "witness": [[0, 1]]},
+        {"label": "z=-1", "index": 1, "witness": []}]
+    return doc
 
 
 def _reflection_by_reference():
@@ -47,10 +63,15 @@ COMMANDS = {
     "lefschetz": (["lefschetz"], _reflection, 0, HOMOLOGY),
     "lefschetz-ref": (["lefschetz"], _reflection_by_reference, 0, CATALOG),
     "reidemeister": (["reidemeister"], _reflection, 0, REIDEMEISTER),
+    "reidemeister-records": (["reidemeister"], _reflection_with_records, 0,
+                             REIDEMEISTER),
     "bundle-verify": (["bundle-verify"],
                       lambda: serialize_pair(cat.double_cover_reflection_pair()),
-                      0, BUNDLES),
+                      0, BUNDLE_VERIFY),
+    "catalog-list": (["catalog", "list"], None, 0, CATALOG),
     "catalog-emit": (["catalog", "emit", "circle"], None, 0, CATALOG),
+    "catalog-emit-pair": (["catalog", "emit", "trivial_product"], None, 0,
+                          CATALOG | {"fixtrace.pairs"}),
 }
 
 
@@ -58,7 +79,7 @@ COMMANDS = {
 # ``inspect``): the homology, group-ring, Reidemeister and bundle layers
 # define plain classes instead.
 NO_DATACLASSES = {"import", "homology", "homology-malformed", "lefschetz",
-                  "reidemeister", "bundle-verify"}
+                  "reidemeister", "reidemeister-records", "bundle-verify"}
 
 # The inputs digest uses the interpreter's built-in SHA-256, so no command
 # loads ``_hashlib`` (OpenSSL) unless the interpreter was built without it.
@@ -105,6 +126,35 @@ def test_command_loads_only_its_layers(tmp_path, name):
         assert not dataclasses
     if BUILTIN_SHA256:
         assert not openssl
+
+
+def _source_lines(module: str) -> int:
+    name = module.split(".")[1] if "." in module else "__init__"
+    return len((SRC / "fixtrace" / f"{name}.py").read_text().splitlines())
+
+
+def test_homology_compiles_at_most_the_ceiling(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(serialize_complex(cat.circle_complex(4))))
+    code, modules, _, _ = _loaded_fixtrace_modules(
+        ["-m", "fixtrace.cli", "homology", str(path)], tmp_path)
+    assert code == 0
+    # the command's own module runs as __main__, so importtime omits it
+    lines = sum(_source_lines(m) for m in modules | {"fixtrace.cli"})
+    assert lines <= HOMOLOGY_LINES_CEILING
+
+
+def test_no_module_outgrows_the_ceiling():
+    for path in (SRC / "fixtrace").glob("*.py"):
+        assert len(path.read_text().splitlines()) <= MODULE_LINES_CEILING, path
+
+
+def test_simplicial_reaches_the_presentation_functions():
+    from fixtrace import presentations, simplicial
+    assert simplicial.pi1_presentation is presentations.pi1_presentation
+    assert simplicial.induced_pi1_endo is presentations.induced_pi1_endo
+    with pytest.raises(AttributeError):
+        simplicial.Pi1Presentation
 
 
 @pytest.mark.parametrize("name", [*fixtrace.__all__, "no_such_export"])

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fixtrace import simplicial
+from fixtrace import presentations
 from fixtrace.exactalg import homology, hopf_chain_trace, lefschetz_from_homology
 from fixtrace.grouprings import FreeAbelianGroup, FreeGroup
-from fixtrace.simplicial import (
+from fixtrace.presentations import (
     FREE,
     FREE_ABELIAN,
+    induced_pi1_endo,
+    pi1_presentation,
+)
+from fixtrace.simplicial import (
     SimplicialError,
     SimplicialMap,
     build_complex,
@@ -18,9 +22,7 @@ from fixtrace.simplicial import (
     disjoint_union,
     identity_map,
     induced_chain_map,
-    induced_pi1_endo,
     lefschetz_number,
-    pi1_presentation,
     product_complex,
 )
 from fixtrace.words import cyclic_normal_form, cyclic_reduce, invert_word, reduce_word
@@ -402,7 +404,7 @@ def reference_simplify_presentation(ngens: int, relators: List[Word]):
         rels = [r2 for i, r2 in enumerate(rels) if i != ridx]
         rels = [_reference_substitute(r2, mapping) for r2 in rels]
         subst = {g: _reference_substitute(s, mapping) for g, s in subst.items()}
-        if any(len(r2) > simplicial._MAX_RELATOR_LENGTH for r2 in rels):
+        if any(len(r2) > presentations._MAX_RELATOR_LENGTH for r2 in rels):
             return None  # give up; caller reports Unsupported
     return sorted(alive), subst, normalize(rels)
 
@@ -429,14 +431,14 @@ def _presentation_input(k):
     """The (ngens, relators) that ``pi1_presentation`` hands to the
     elimination for the complex at its first vertex."""
     calls = []
-    real = simplicial._simplify_presentation
+    real = presentations._simplify_presentation
 
     def record(ngens, relators):
         calls.append((ngens, list(relators)))
         return real(ngens, relators)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplicial, "_simplify_presentation", record)
+        mp.setattr(presentations, "_simplify_presentation", record)
         pi1_presentation(k, k.vertices[0])
     return calls[0]
 
@@ -455,7 +457,7 @@ _oracle_settings = settings(derandomize=True, max_examples=600, deadline=None,
 @pytest.mark.parametrize("name", sorted(CATALOG_PRESENTATIONS))
 def test_simplify_matches_reference_on_catalog_presentations(name):
     ngens, rels = _presentation_input(CATALOG_PRESENTATIONS[name]())
-    got = simplicial._simplify_presentation(ngens, rels)
+    got = presentations._simplify_presentation(ngens, rels)
     assert got is not None
     assert got == reference_simplify_presentation(ngens, rels)
 
@@ -464,7 +466,7 @@ def test_simplify_matches_reference_on_catalog_presentations(name):
 @given(relator_lists())
 def test_simplify_matches_reference(case):
     ngens, rels = case
-    assert (simplicial._simplify_presentation(ngens, rels)
+    assert (presentations._simplify_presentation(ngens, rels)
             == reference_simplify_presentation(ngens, rels))
 
 
@@ -484,9 +486,9 @@ def test_simplify_gives_up_with_reference_on_fixed_inputs():
     inputs += [(*_presentation_input(make()), False)
                for _, make in sorted(CATALOG_PRESENTATIONS.items())]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplicial, "_MAX_RELATOR_LENGTH", 5)
+        mp.setattr(presentations, "_MAX_RELATOR_LENGTH", 5)
         for ngens, rels, gives_up in inputs:
-            got = simplicial._simplify_presentation(ngens, rels)
+            got = presentations._simplify_presentation(ngens, rels)
             assert (got is None) == gives_up
             assert got == reference_simplify_presentation(ngens, rels)
 
@@ -496,6 +498,6 @@ def test_simplify_gives_up_with_reference_on_fixed_inputs():
 def test_simplify_gives_up_with_reference(case):
     ngens, rels = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplicial, "_MAX_RELATOR_LENGTH", 5)
-        assert (simplicial._simplify_presentation(ngens, rels)
+        mp.setattr(presentations, "_MAX_RELATOR_LENGTH", 5)
+        assert (presentations._simplify_presentation(ngens, rels)
                 == reference_simplify_presentation(ngens, rels))
