@@ -42,7 +42,6 @@ from .grouprings import (
 from .presentations import pi1_presentation
 from .reidemeister import (
     EquivariantChainComplex,
-    LiftedSelfMap,
     TwistedChainMap,
     degree1_boundary,
     degree1_fox_lift,
@@ -134,9 +133,6 @@ class GraphBase:
         self.gen_index = {e: i for i, e in enumerate(self.generator_edges)}
         self.group = FreeGroup(len(self.generator_edges))
 
-    def edge_endpoints(self, e: str) -> Tuple[object, object]:
-        return self.edge_by_id[e]
-
     def step_endpoints(self, step: EdgeStep) -> Tuple[object, object]:
         e, sign = step
         s, d = self.edge_by_id[e]
@@ -204,6 +200,12 @@ class GraphSelfMap:
         for (e, s, d) in base.edges:
             base.validate_word(self.edge_words[e], self.vertex_images[s],
                                self.vertex_images[d])
+        for v in self.vertex_images:
+            if v not in base.vertex_index:
+                raise BundleError(f"unknown base vertex {v}")
+        for e in edge_words:
+            if e not in base.edge_by_id:
+                raise BundleError(f"unknown base edge {e}")
 
     def apply_word(self, steps: Sequence[EdgeStep]) -> List[EdgeStep]:
         return expand_word(steps, self.edge_words.__getitem__)
@@ -329,7 +331,7 @@ class BundleSelfMapPair:
         return total_map(self)
 
     @cached_property
-    def total_lift(self) -> LiftedSelfMap:
+    def total_lift(self) -> TwistedChainMap:
         """Universal-cover lift of the total map.
 
         Kept apart from ``total`` and built on first use: a total space
@@ -363,7 +365,8 @@ class BundleSelfMapPair:
     def total_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
         """Reidemeister trace of the total map."""
         return self._trace(("total", depth),
-                           lambda: self.total_lift.trace(depth))
+                           lambda: reidemeister_trace_chain(
+                               self.total_lift, depth))
 
     def base_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
         """Reidemeister trace of the base map."""
@@ -447,7 +450,7 @@ def _edge_layers(bundle: DiscreteBundle, e: str
                  ) -> Tuple[List[Tuple], List[Tuple[str, Dict]]]:
     """Charts of the fiber copies over an edge, from source to target, and
     the name and vertex map of the prism joining each copy to the next."""
-    s, d = bundle.base.edge_endpoints(e)
+    s, d = bundle.base.edge_by_id[e]
     ident = {x: x for x in bundle.fiber(s).vertices}
     return ([("v", s), ("m", e), ("v", d)],
             [("lower", ident),
@@ -713,7 +716,7 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
     fiber = pair.bundle.fiber(b)
     total, f_total = pair.total
     lifted = pair.total_lift
-    pe = lifted.presentation
+    pe = lifted.complex.presentation
     te = total.complex
     result = ShadowElement.zero(pe.group, lifted.endo)
     for comp in fiber.components():
@@ -726,7 +729,7 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
         k_sub = SimplicialMap(sub, sub, {x: k_map.vertex_images[x]
                                          for x in sub.vertices})
         lifted_f = lift_on_cover(cover, k_sub)
-        r_comp = lifted_f.trace(depth)
+        r_comp = reidemeister_trace_chain(lifted_f, depth)
         x0 = sub.vertices[0]
         # the fiber component over b, included in the total space
         incl = SimplicialMap(sub, te, {x: ("v", b, x) for x in sub.vertices})
@@ -745,7 +748,8 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
             invert_word(gamma), fb, y0)
         if end_vertex != k_map.vertex_images[x0]:
             raise BundleError("lift track does not land on the composite image")
-        rho = reverse_path(_as_index_steps(te, track_path))
+        rho = reverse_path([(te.index[u], te.index[v])
+                            for u, v in zip(track_path, track_path[1:])])
         word = (alpha + beta_f + rho + reverse_path(f_total.map_path(alpha))
                 + reverse_path(lifted.basepath))
         w_elem = pe.element_of_path(word)
@@ -755,34 +759,25 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
     return result
 
 
-def _as_index_steps(k: SimplicialComplex, vertex_path: List) -> List[Tuple[int, int]]:
-    out = []
-    for a, b in zip(vertex_path, vertex_path[1:]):
-        out.append((k.index[a], k.index[b]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Verification reports
 # ---------------------------------------------------------------------------
 
 class VerificationReport:
-    """One theorem's table, both sides, verdict and flags."""
+    """One statement's table, both sides, verdict and flags; ``key`` (the
+    theorem by default) names the sides' entry in a report's lhs and rhs."""
 
-    __slots__ = ("theorem", "rows", "lhs", "rhs", "verdict", "flags")
+    __slots__ = ("theorem", "rows", "lhs", "rhs", "verdict", "flags", "key")
 
     def __init__(self, theorem: str, rows: List[Dict], lhs, rhs,
-                 verdict: str, flags: List[str]):
+                 verdict: str, flags: List[str], key: Optional[str] = None):
         self.theorem = theorem
         self.rows = rows
         self.lhs = lhs
         self.rhs = rhs
         self.verdict = verdict  # "pass" | "fail" | "indeterminate"
         self.flags = flags
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+        self.key = key or theorem
 
 
 def verify_lefschetz_mult(pair: BundleSelfMapPair,
@@ -822,7 +817,7 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
     if rbar.has_heuristic:
         flags.append(f"heuristic base classes (depth {depth})")
     rows = []
-    rhs = ShadowElement.zero(lifted.presentation.group, lifted.endo)
+    rhs = ShadowElement.zero(lifted.complex.group, lifted.endo)
     for cls, ind in rbar.items():
         pushed = pair.fiber_trace(cls, depth)
         rows.append({"class": class_label(cls), "ind": ind,
@@ -845,22 +840,23 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
 
 
 def nielsen_additivity(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
-                       ) -> Tuple[int, int, List[Tuple[str, int]]]:
+                       ) -> VerificationReport:
     """Nielsen number of the total map against the per-class counts.
 
-    Returns (N(total), sum of the per-class counts, per-class table);
-    raises IndeterminateError when any comparison is Unknown.
+    The rows hold each essential base class with its count, ``lhs`` is
+    N(total) and ``rhs`` the sum of the counts, under the key
+    ``nielsen``; raises IndeterminateError when any comparison is Unknown.
     """
-    lhs = pair.total_trace(depth)
-    n_total = nielsen(lhs, depth)
-    rbar = pair.base_trace(depth)
-    per_class: List[Tuple[str, int]] = []
-    total = 0
-    for cls, ind in rbar.items():
+    lhs = nielsen(pair.total_trace(depth), depth)
+    rows = []
+    rhs = 0
+    for cls, ind in pair.base_trace(depth).items():
         if ind == 0:
             continue
-        pushed = pair.fiber_trace(cls, depth)
-        c = nielsen(pushed, depth)
-        per_class.append((class_label(cls), c))
-        total += c
-    return n_total, total, per_class
+        count = nielsen(pair.fiber_trace(cls, depth), depth)
+        rows.append({"class": class_label(cls), "count": count})
+        rhs += count
+    return VerificationReport(theorem="nielsen_additivity", rows=rows,
+                              lhs=lhs, rhs=rhs,
+                              verdict="pass" if lhs == rhs else "fail",
+                              flags=[], key="nielsen")

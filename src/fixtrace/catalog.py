@@ -193,7 +193,7 @@ def double_cover_reflection_pair() -> BundleSelfMapPair:
     reversal = {"e0": "e3", "e1": "e2", "e2": "e1", "e3": "e0"}
     for e, e2 in reversal.items():
         inv = transports[e2].preimages()
-        src = base.edge_endpoints(e)[0]
+        src = base.edge_by_id[e][0]
         for x in ("0", "1"):
             y = fiber_maps[src].vertex_images[x]
             total_images[("m", e, x)] = ("m", e2, inv[y])

@@ -165,6 +165,7 @@ def cmd_reidemeister(args) -> int:
         UnsupportedComplexError,
         lift_self_map,
         parse_fixed_point_records,
+        reidemeister_trace_chain,
         reidemeister_trace_geometric,
     )
     doc, digest = _read_input(args.input)
@@ -173,13 +174,13 @@ def cmd_reidemeister(args) -> int:
     parameters = {"depth": depth}
     flags: List[str] = []
     try:
-        lifted = lift_self_map(k, f, basepath=basepath or None)
+        lift = lift_self_map(k, f, basepath=basepath or None)
     except UnsupportedComplexError as exc:
         return _report("reidemeister", digest, [], lhs=None, rhs=None,
                        verdict="unsupported", flags=[str(exc)],
                        parameters=parameters)
-    trace = lifted.trace(depth)
-    group = lifted.presentation.group
+    trace = reidemeister_trace_chain(lift, depth)
+    group = lift.complex.group
     if trace.has_heuristic:
         flags.append(f"heuristic classes (depth {depth})")
     tables = [{"class": class_label(cls), "coefficient": c,
@@ -200,7 +201,7 @@ def cmd_reidemeister(args) -> int:
     records = parse_fixed_point_records(raw, group)
     geometric = None
     if records is not None:
-        geo = reidemeister_trace_geometric(records, group, lifted.endo, depth)
+        geo = reidemeister_trace_geometric(records, group, lift.endo, depth)
         geometric = shadow_rendering(geo)
         cmp = shadow_equal(trace, geo, depth)
         if cmp == UNKNOWN:
@@ -235,49 +236,35 @@ def cmd_bundle_verify(args) -> int:
     pair = parse_pair(doc)
     depth = DEFAULT_DEPTH if args.depth is None else args.depth
     parameters = {"theorem": args.theorem, "depth": depth}
-    tables = []
-    flags: List[str] = []
-    verdicts = []
-    lhs: Dict = {}
-    rhs: Dict = {}
+    reports = []
+    stopped = None
     try:
         if args.theorem in ("lefschetz", "both"):
-            rep = verify_lefschetz_mult(pair, depth)
-            tables.append({"theorem": "lefschetz", "rows": rep.rows})
-            lhs["lefschetz"] = rep.lhs
-            rhs["lefschetz"] = rep.rhs
-            flags.extend(f for f in rep.flags if f not in flags)
-            verdicts.append(rep.verdict)
+            reports.append(verify_lefschetz_mult(pair, depth))
         if args.theorem in ("reidemeister", "both"):
-            rep = verify_reidemeister_mult(pair, depth)
-            tables.append({"theorem": "reidemeister", "rows": rep.rows})
-            lhs["reidemeister"] = rep.lhs
-            rhs["reidemeister"] = rep.rhs
-            flags.extend(f for f in rep.flags if f not in flags)
-            verdicts.append(rep.verdict)
-            if rep.verdict == "pass":
-                n_total, n_sum, per_class = nielsen_additivity(pair, depth)
-                tables.append({"theorem": "nielsen_additivity",
-                               "rows": [{"class": c, "count": n}
-                                        for c, n in per_class]})
-                lhs["nielsen"] = n_total
-                rhs["nielsen"] = n_sum
-                verdicts.append("pass" if n_total == n_sum else "fail")
+            reports.append(verify_reidemeister_mult(pair, depth))
+            if reports[-1].verdict == "pass":
+                reports.append(nielsen_additivity(pair, depth))
     except (UnsupportedComplexError, NotConstructibleError,
             IndeterminateError) as exc:
-        return _report(
-            "bundle_verify", digest, tables, lhs=lhs or None, rhs=rhs or None,
-            verdict=("indeterminate" if isinstance(exc, IndeterminateError)
-                     else "unsupported"),
-            flags=flags + [str(exc)], parameters=parameters)
-    if any(v == "fail" for v in verdicts):
-        verdict = "fail"
-    elif any(v == "indeterminate" for v in verdicts):
-        verdict = "indeterminate"
-    else:
-        verdict = "pass"
-    return _report("bundle_verify", digest, tables, lhs=lhs, rhs=rhs,
-                   verdict=verdict, flags=flags, parameters=parameters)
+        stopped = exc
+    # one fold over the reports, also of those finished before an error
+    tables = [{"theorem": rep.theorem, "rows": rep.rows} for rep in reports]
+    lhs = {rep.key: rep.lhs for rep in reports}
+    rhs = {rep.key: rep.rhs for rep in reports}
+    flags: List[str] = []
+    for rep in reports:
+        flags.extend(f for f in rep.flags if f not in flags)
+    verdicts = {rep.verdict for rep in reports}
+    verdict = next((v for v in ("fail", "indeterminate") if v in verdicts),
+                   "pass")
+    if stopped is not None:
+        verdict = ("indeterminate" if isinstance(stopped, IndeterminateError)
+                   else "unsupported")
+        flags.append(str(stopped))
+    return _report("bundle_verify", digest, tables, lhs=lhs or None,
+                   rhs=rhs or None, verdict=verdict, flags=flags,
+                   parameters=parameters)
 
 
 def cmd_catalog(args) -> int:

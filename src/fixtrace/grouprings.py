@@ -14,8 +14,8 @@ are marked heuristic unless the endomorphism is the identity (ordinary
 conjugacy, decided by cyclic words) or the rank is at most one.
 
 A shadow element is a finite integer combination of twisted conjugacy
-classes; it is the value domain of Hattori-Stallings style traces of
-group-ring matrices and of Reidemeister traces.
+classes; it is the value domain of twisted traces of group-ring matrices
+and of Reidemeister traces.
 """
 
 from __future__ import annotations
@@ -762,18 +762,6 @@ def class_label(cls: TwistedClass) -> str:
 
 def shadow_rendering(s: ShadowElement) -> List[List]:
     return [[class_label(cls), c] for cls, c in s.items()]
-
-
-def twisted_hs_trace(m: GroupRingMatrix, endo: GroupEndomorphism,
-                     depth: int = DEFAULT_DEPTH) -> ShadowElement:
-    """Project the diagonal of a square group-ring matrix to twisted classes."""
-    if m.rows != m.cols:
-        raise GroupError("trace of non-square matrix")
-    terms = []
-    for i in range(m.rows):
-        for g, c in m[i, i].items():
-            terms.append((twisted_class(m.group, endo, g, depth), c))
-    return ShadowElement(m.group, endo, terms)
 
 
 def pushforward(hom: GroupHomomorphism, endo_src: GroupEndomorphism,

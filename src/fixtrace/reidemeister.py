@@ -6,8 +6,10 @@ complex has a single 0-cell, one 1-cell per non-tree edge and one 2-cell
 per 2-simplex.  Over the fundamental group the boundary of a 1-cell e is
 g_e - 1 and the boundary of a 2-cell is given by the free (Fox)
 derivatives of its attaching word.  The lift of a simplicial self-map is
-computed from the same data; its twisted trace, summed with alternating
-signs, is the chain-level Reidemeister trace.
+computed from the same data.  It is a ``TwistedChainMap`` that carries
+the basepath it was lifted through, and its twisted trace, summed with
+alternating signs (``reidemeister_trace_chain``), is the chain-level
+Reidemeister trace.
 
 Matrix convention: rows index source cells and columns target cells, so
 matrices of composable maps multiply in diagram order and the twisted
@@ -36,7 +38,6 @@ from .presentations import (
     Word,
     induced_pi1_endo,
     pi1_presentation,
-    validate_edge_path,
 )
 from .simplicial import SimplicialComplex, SimplicialMap, _sort_sign
 from .words import invert_word, reduce_word
@@ -157,13 +158,20 @@ class EquivariantChainComplex:
 
 
 class TwistedChainMap:
-    """Semilinear self-map: f(g . c) = phi(g) . f(c) on each degree."""
+    """Semilinear self-map: f(g . c) = phi(g) . f(c) on each degree.
+
+    A lift of a self-map is one of these: ``endo`` is the induced
+    endomorphism, ``complex.presentation`` the presentation it lives on,
+    and ``basepath`` the path from the basepoint to its image that the
+    lift went through.
+    """
 
     def __init__(self, complex: EquivariantChainComplex, endo: GroupEndomorphism,
-                 components: Sequence[GroupRingMatrix]):
+                 components: Sequence[GroupRingMatrix], basepath: Tuple = ()):
         self.complex = complex
         self.endo = endo
         self.components = tuple(components)
+        self.basepath = basepath
         if len(self.components) != complex.top_degree + 1:
             raise LiftError("need one component per degree")
         for i, f in enumerate(self.components):
@@ -237,12 +245,6 @@ def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
     return EquivariantChainComplex(group, ranks, boundaries, presentation=p)
 
 
-def _default_basepath(p: Pi1Presentation, f: SimplicialMap) -> List[Tuple[int, int]]:
-    """Tree path from the basepoint to its image; deterministic."""
-    b = p.complex.index[p.basepoint]
-    return p.tree_path(f.apply_index(b))
-
-
 def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
              l: EquivariantChainComplex) -> TwistedChainMap:
     """Lift of a simplicial self-map through the chosen basepath.
@@ -257,7 +259,7 @@ def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
         raise LiftError("complex carries no presentation data")
     if not f.is_endomorphism() or f.source != p.complex:
         raise LiftError("map does not match the lifted complex")
-    basepath = [tuple(s) for s in basepath]
+    basepath = tuple(tuple(s) for s in basepath)
     endo = induced_pi1_endo(f, p, basepath)
     group = l.group
     g0 = p.element_of_path(basepath)
@@ -289,7 +291,7 @@ def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
             m = group.mul(g0, p.element_of_word(m_word))
             ent2[i, pos[tau]] = GroupRingElement.of(group, m, sign)
         comps.append(GroupRingMatrix(group, len(two), len(two), ent2))
-    return TwistedChainMap(l, endo, comps)
+    return TwistedChainMap(l, endo, comps, basepath)
 
 
 def reidemeister_trace_chain(m: TwistedChainMap,
@@ -315,29 +317,9 @@ def reidemeister_trace_chain(m: TwistedChainMap,
         for g, c in net.items() if c])
 
 
-class LiftedSelfMap:
-    """A self-map lifted to the universal-cover model, ready for traces."""
-
-    __slots__ = ("presentation", "chain_map", "basepath")
-
-    def __init__(self, presentation: Pi1Presentation,
-                 chain_map: TwistedChainMap,
-                 basepath: Tuple[Tuple[int, int], ...]):
-        self.presentation = presentation
-        self.chain_map = chain_map
-        self.basepath = basepath
-
-    @property
-    def endo(self) -> GroupEndomorphism:
-        return self.chain_map.endo
-
-    def trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
-        return reidemeister_trace_chain(self.chain_map, depth)
-
-
 def lift_self_map(k: SimplicialComplex, f: SimplicialMap,
                   basepath: Optional[Sequence[Tuple[int, int]]] = None
-                  ) -> LiftedSelfMap:
+                  ) -> TwistedChainMap:
     """Convenience route: presentation, cover and lift in one call.
 
     The basepoint is the first vertex.  When no basepath is given the
@@ -352,19 +334,17 @@ def lift_self_map(k: SimplicialComplex, f: SimplicialMap,
 
 def lift_on_cover(cover: EquivariantChainComplex, f: SimplicialMap,
                   basepath: Optional[Sequence[Tuple[int, int]]] = None
-                  ) -> LiftedSelfMap:
+                  ) -> TwistedChainMap:
     """Lift of a self-map to a cover already built for its complex, so
-    that several maps of one complex share its presentation and cover."""
-    p = cover.presentation
+    that several maps of one complex share its presentation and cover.
+
+    When no basepath is given the spanning-tree path from the basepoint
+    to its image is used.
+    """
     if basepath is None:
-        basepath = _default_basepath(p, f)
-    else:
-        b = p.complex.index[p.basepoint]
-        validate_edge_path(p.complex, [tuple(s) for s in basepath], b,
-                           f.apply_index(b))
-    cm = lift_map(f, basepath, cover)
-    return LiftedSelfMap(presentation=p, chain_map=cm,
-                         basepath=tuple(tuple(s) for s in basepath))
+        p = cover.presentation
+        basepath = p.tree_path(f.apply_index(p.complex.index[p.basepoint]))
+    return lift_map(f, basepath, cover)
 
 
 # ---------------------------------------------------------------------------

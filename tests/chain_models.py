@@ -5,7 +5,8 @@ built by hand from Fox derivatives (the torus's degree-two component by
 exact division in the Laurent ring), not by lifting a simplicial map, and
 the fixed-point oracles count fixed points analytically (roots of unity on
 the circle, lattice points on the torus).  Tests compare
-``reidemeister_trace_chain`` and ``twisted_hs_trace`` against them.
+``reidemeister_trace_chain`` and ``twisted_hs_trace``, the twisted
+Hattori-Stallings trace of a square group-ring matrix, against them.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from fixtrace.exactalg import IntMatrix
 from fixtrace.grouprings import (
+    DEFAULT_DEPTH,
     FreeAbelianGroup,
     FreeGroup,
     GroupEndomorphism,
     GroupRingElement,
     GroupRingMatrix,
+    ShadowElement,
+    twisted_class,
 )
 from fixtrace.reidemeister import (
     EquivariantChainComplex,
@@ -31,6 +35,18 @@ from fixtrace.reidemeister import (
     fox_derivative,
 )
 from fixtrace.words import GroupError
+
+
+def twisted_hs_trace(m: GroupRingMatrix, endo: GroupEndomorphism,
+                     depth: int = DEFAULT_DEPTH) -> ShadowElement:
+    """Project the diagonal of a square group-ring matrix to twisted classes."""
+    if m.rows != m.cols:
+        raise GroupError("trace of non-square matrix")
+    terms = []
+    for i in range(m.rows):
+        for g, c in m[i, i].items():
+            terms.append((twisted_class(m.group, endo, g, depth), c))
+    return ShadowElement(m.group, endo, terms)
 
 
 def circle_degree_chain_model(d: int) -> TwistedChainMap:

@@ -32,7 +32,8 @@ from fixtrace.catalog import (
 from fixtrace.exactalg import homology
 from fixtrace.grouprings import (EQUAL, augment, nielsen, shadow_equal,
                                  twisted_class)
-from fixtrace.reidemeister import reidemeister_trace_geometric
+from fixtrace.reidemeister import (reidemeister_trace_chain,
+                                   reidemeister_trace_geometric)
 from fixtrace.simplicial import chain_complex, disjoint_union, lefschetz_number
 
 
@@ -264,7 +265,7 @@ def test_total_space_rejects_transport_not_monotone_on_a_simplex():
 def test_verify_lefschetz_example():
     pair = double_cover_reflection_pair()
     report = verify_lefschetz_mult(pair)
-    assert report.passed
+    assert report.verdict == "pass"
     assert report.lhs == 2
     assert report.rhs == 2
     assert sorted((row["ind"], row["fiber_lefschetz"]) for row in report.rows) \
@@ -277,14 +278,14 @@ def test_verify_lefschetz_trivial_products():
         for fname in ("identity", "reflection", "constant"):
             pair = trivial_product_pair(bname, fname)
             report = verify_lefschetz_mult(pair)
-            assert report.passed, (bname, fname, report)
+            assert report.verdict == "pass", (bname, fname, report)
             assert report.lhs == BASE_LEFSCHETZ[bname] * FIBER_LEFSCHETZ[fname]
 
 
 def test_verify_lefschetz_identity_pair_euler():
     pair = trivial_product_pair("identity", "identity")
     report = verify_lefschetz_mult(pair)
-    assert report.passed
+    assert report.verdict == "pass"
     assert report.lhs == 0
 
 
@@ -310,7 +311,7 @@ def test_verify_lefschetz_corrupted_transport_fails():
 def test_verify_reidemeister_example():
     pair = double_cover_reflection_pair()
     report = verify_reidemeister_mult(pair)
-    assert report.passed
+    assert report.verdict == "pass"
     assert report.lhs == report.rhs
     assert sorted(c for _, c in report.lhs) == [1, 1]
 
@@ -319,8 +320,8 @@ def test_verify_reidemeister_example_against_oracle():
     from tests.chain_models import materialize_records
     pair = double_cover_reflection_pair()
     lifted = pair.total_lift
-    group = lifted.presentation.group
-    lhs = lifted.trace()
+    group = lifted.complex.presentation.group
+    lhs = reidemeister_trace_chain(lifted)
     oracle = double_cover_oracle()
     records = materialize_records(oracle["records"], group)
     geo = reidemeister_trace_geometric(records, group, lifted.endo)
@@ -332,13 +333,13 @@ def test_verify_reidemeister_trivial_products():
         for fname in ("identity", "reflection", "constant"):
             pair = trivial_product_pair(bname, fname)
             report = verify_reidemeister_mult(pair)
-            assert report.passed, (bname, fname, report.flags)
+            assert report.verdict == "pass", (bname, fname, report.flags)
 
 
 def test_verify_reidemeister_fixed_point_free():
     pair = fixed_point_free_rotation_pair()
     report = verify_reidemeister_mult(pair)
-    assert report.passed
+    assert report.verdict == "pass"
     assert report.lhs == []
     assert report.rhs == []
 
@@ -347,7 +348,7 @@ def test_reflection_product_lattice_oracle():
     # base reflection x fiber reflection is the torus map -I:
     # N = det(I-(-I)) = 4 classes, all coefficients +1
     pair = trivial_product_pair("reflection", "reflection")
-    r = pair.total_lift.trace()
+    r = reidemeister_trace_chain(pair.total_lift)
     assert augment(r) == 4
     assert nielsen(r) == 4
     assert all(c == 1 for _, c in r.items())
@@ -355,25 +356,30 @@ def test_reflection_product_lattice_oracle():
 
 def test_nielsen_additivity_example():
     pair = double_cover_reflection_pair()
-    n_total, total, table = nielsen_additivity(pair)
-    assert n_total == 2
-    assert total == 2
+    report = nielsen_additivity(pair)
+    assert report.lhs == 2
+    assert report.rhs == 2
+    assert report.verdict == "pass"
+    assert (report.theorem, report.key, report.flags) == (
+        "nielsen_additivity", "nielsen", [])
+    assert all(set(row) == {"class", "count"} for row in report.rows)
+    assert sum(row["count"] for row in report.rows) == report.rhs
 
 
 def test_nielsen_additivity_fixed_point_free():
     pair = fixed_point_free_rotation_pair()
-    n_total, total, table = nielsen_additivity(pair)
-    assert n_total == 0
-    assert total == 0
-    assert table == []
+    report = nielsen_additivity(pair)
+    assert report.lhs == 0
+    assert report.rhs == 0
+    assert report.rows == []
 
 
 def test_nielsen_additivity_products():
     for bname in ("reflection", "constant"):
         for fname in ("identity", "reflection", "constant"):
             pair = trivial_product_pair(bname, fname)
-            n_total, total, _ = nielsen_additivity(pair)
-            assert n_total == total, (bname, fname)
+            report = nielsen_additivity(pair)
+            assert report.lhs == report.rhs, (bname, fname)
 
 
 def test_all_catalog_bundle_pairs_verify():
@@ -385,9 +391,9 @@ def test_all_catalog_bundle_pairs_verify():
         pair = entry.build(**entry.default_params)
         try:
             rep = verify_lefschetz_mult(pair)
-            assert rep.passed, (name, rep.flags)
+            assert rep.verdict == "pass", (name, rep.flags)
             rep2 = verify_reidemeister_mult(pair)
-            assert rep2.passed, (name, rep2.flags)
+            assert rep2.verdict == "pass", (name, rep2.flags)
         except NotConstructibleError:
             # degree-two dynamics need subdivision; the refined side still
             # computes and matches the analytic value
@@ -404,7 +410,7 @@ def test_two_component_euler():
     complexes = []
     for pair, expected in fixtures:
         report = verify_lefschetz_mult(pair)
-        assert report.passed
+        assert report.verdict == "pass"
         assert report.lhs == expected
         total = total_space(pair.bundle)
         complexes.append(total.complex)
@@ -445,7 +451,7 @@ def test_sphere_fiber_staircase_prisms(tmp_path, capsys, base_degree,
     assert total.complex.dim == 3
     assert homology(chain_complex(total.complex)).betti == (1, 1, 1, 1)
     report = verify_lefschetz_mult(pair)
-    assert report.passed
+    assert report.verdict == "pass"
     assert report.lhs == report.rhs == 2
     assert [row["fiber_lefschetz"] for row in report.rows] == fiber_values
     path = tmp_path / "sphere.json"
@@ -486,7 +492,7 @@ def test_klein_bottle_total_space():
 def test_klein_bottle_identity_lefschetz_verification():
     pair = klein_bundle_pair()
     report = verify_lefschetz_mult(pair)
-    assert report.passed
+    assert report.verdict == "pass"
     assert report.lhs == 0
 
 
@@ -514,7 +520,7 @@ def test_klein_bottle_cli_both_prints_lefschetz_table(tmp_path, capsys):
 def test_larger_fiber_product():
     pair = trivial_product_pair("reflection", "reflection", fiber_size=4)
     report = verify_reidemeister_mult(pair)
-    assert report.passed
+    assert report.verdict == "pass"
     assert sorted(c for _, c in report.lhs) == [1, 1, 1, 1]
 
 
@@ -656,15 +662,15 @@ def test_triple_cover_conjugation():
     assert len(total.complex.components()) == 1  # connected triple cover
     assert homology(chain_complex(total.complex)).betti == (1, 1)
     rep = verify_lefschetz_mult(pair)
-    assert rep.passed
+    assert rep.verdict == "pass"
     assert rep.lhs == 2
     assert sorted((r["ind"], r["fiber_lefschetz"]) for r in rep.rows) \
         == [(1, 1), (1, 1)]
     rep2 = verify_reidemeister_mult(pair)
-    assert rep2.passed
+    assert rep2.verdict == "pass"
     assert sorted(c for _, c in rep2.lhs) == [1, 1]
-    n_total, n_sum, _ = nielsen_additivity(pair)
-    assert n_total == n_sum == 2
+    rep3 = nielsen_additivity(pair)
+    assert rep3.lhs == rep3.rhs == 2
 
 
 def diagonal_reflection_double_cover_pair():
@@ -699,9 +705,9 @@ def test_diagonal_reflection_double_cover():
         values.append(lefschetz_number(class_composite(pair, cls)))
     assert sorted(values) == [0, 2]
     rep = verify_lefschetz_mult(pair)
-    assert rep.passed and rep.lhs == 2
+    assert rep.verdict == "pass" and rep.lhs == 2
     rep2 = verify_reidemeister_mult(pair)
-    assert rep2.passed
+    assert rep2.verdict == "pass"
     assert sorted(c for _, c in rep2.lhs) == [1, 1]
 
 

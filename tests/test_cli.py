@@ -318,7 +318,6 @@ def test_bundle_verify_loop_edges_unsupported_not_fail(tmp_path, capsys, make,
 def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
                                                        monkeypatch):
     from fixtrace import bundles
-    from fixtrace.reidemeister import LiftedSelfMap
     pair = cat.trivial_product_pair("reflection", "reflection")
     path = write(tmp_path, "pair.json", serialize_pair(pair))
     built = []
@@ -330,7 +329,7 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
     real_lift = bundles.lift_self_map
     real_endo = bundles.GroupEndomorphism
     real_base_trace = bundles.base_reidemeister
-    real_trace = LiftedSelfMap.trace
+    real_trace = bundles.reidemeister_trace_chain
 
     def counting_total_space(bundle):
         total = real_total_space(bundle)
@@ -350,15 +349,15 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
         base_traces.append(args)
         return real_base_trace(*args, **kwargs)
 
-    def counting_trace(self, *args, **kwargs):
-        traced.append(self)
-        return real_trace(self, *args, **kwargs)
+    def counting_trace(lift, *args, **kwargs):
+        traced.append(lift)
+        return real_trace(lift, *args, **kwargs)
 
     monkeypatch.setattr(bundles, "total_space", counting_total_space)
     monkeypatch.setattr(bundles, "lift_self_map", counting_lift)
     monkeypatch.setattr(bundles, "GroupEndomorphism", counting_endo)
     monkeypatch.setattr(bundles, "base_reidemeister", counting_base_trace)
-    monkeypatch.setattr(LiftedSelfMap, "trace", counting_trace)
+    monkeypatch.setattr(bundles, "reidemeister_trace_chain", counting_trace)
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--theorem", "both")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "pass"
@@ -1160,3 +1159,82 @@ def test_basepath_keeps_invariants(tmp_path, capsys, name):
     want = _invariants(tmp_path, capsys, doc)
     moved = {**doc, "basepath": BASEPATHS[name]}
     assert _invariants(tmp_path, capsys, moved) == want
+
+
+# ---------------------------------------------------------------------------
+# empty basepaths and unknown base-map ids
+# ---------------------------------------------------------------------------
+
+# Self-maps of C4 that move the basepoint "0" to "1": the rotation, and the
+# reflection across the midpoints of the edges 01 and 23 (L = 2).
+C4_MAPS = {"rotation": {"0": "1", "1": "2", "2": "3", "3": "0"},
+           "reflection": {"0": "1", "1": "0", "2": "3", "3": "2"}}
+
+
+def _c4_map(name, **fields):
+    return {"complex": serialize_complex(cat.circle_complex(4)),
+            "vertex_images": dict(C4_MAPS[name]), **fields}
+
+
+@pytest.mark.parametrize("name", sorted(C4_MAPS))
+def test_empty_map_basepath_means_the_tree_path(tmp_path, capsys, name):
+    # In a map document, "basepath": [] on a map that moves the basepoint
+    # reads as no basepath: the lift goes through the spanning-tree path,
+    # here the edge 01.
+    reports = []
+    for fields in ({}, {"basepath": []}, {"basepath": [["0", "1"]]}):
+        path = write(tmp_path, "map.json", _c4_map(name, **fields))
+        code, out, _ = run_cli(capsys, "reidemeister", path)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        del rep["inputs_digest"]
+        reports.append(rep)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["lhs"]["lefschetz"] == (0 if name == "rotation" else 2)
+
+
+def test_wrong_map_basepath_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "map.json",
+                 _c4_map("rotation", basepath=[["0", "3"]]))
+    code, out, err = run_cli(capsys, "reidemeister", path)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: edge path ends at the wrong vertex\n"
+
+
+def test_empty_pair_basepath_is_taken_literally(tmp_path, capsys):
+    # A pair's base_map.basepath [] is the empty edge word, which a base
+    # map that moves the basepoint rejects; without the field the tree
+    # path is used.
+    doc = serialize_pair(cat.trivial_product_pair("rotation", "identity"))
+    del doc["base_map"]["basepath"]
+    code, _, _ = run_cli(capsys, "bundle-verify",
+                         write(tmp_path, "pair.json", doc))
+    assert code == EXIT_OK
+    doc["base_map"]["basepath"] = []
+    code, out, err = run_cli(capsys, "bundle-verify",
+                             write(tmp_path, "pair.json", doc))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: invalid pair: edge word ends at the wrong vertex\n"
+
+
+# A key of the base map that names no base vertex or edge, and the mutation
+# that adds it to the constant x reflection pair.
+UNKNOWN_BASE_IDS = {
+    "edge": ("E3", lambda bm: bm["edge_words"].update(
+        E3=[["e0", 1], ["e1", 1]])),
+    "vertex": ("B9", lambda bm: bm["vertex_images"].update(B9="b0")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNKNOWN_BASE_IDS))
+def test_base_map_unknown_id_exits_2(tmp_path, capsys, kind):
+    name, mutate = UNKNOWN_BASE_IDS[kind]
+    doc = serialize_pair(cat.trivial_product_pair("constant", "reflection"))
+    code, _, _ = run_cli(capsys, "bundle-verify",
+                         write(tmp_path, "pair.json", doc))
+    assert code == EXIT_OK
+    mutate(doc["base_map"])
+    code, out, err = run_cli(capsys, "bundle-verify",
+                             write(tmp_path, "pair.json", doc))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: invalid base map: unknown base {kind} {name}\n"

@@ -27,10 +27,10 @@ from fixtrace.grouprings import (
     pushforward,
     shadow_equal,
     twisted_class,
-    twisted_hs_trace,
 )
 from fixtrace.grouprings import _power
 from fixtrace.words import expand_word, invert_word, join_reduced, reduce_word
+from tests.chain_models import twisted_hs_trace
 
 Z = FreeAbelianGroup(1)
 

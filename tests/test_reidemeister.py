@@ -22,6 +22,7 @@ from fixtrace.reidemeister import (
     UnsupportedComplexError,
     fox_derivative,
     lift_map,
+    lift_on_cover,
     lift_self_map,
     lift_to_universal_cover,
     reidemeister_trace_chain,
@@ -91,7 +92,7 @@ def test_lift_takes_one_fox_pass_per_word(monkeypatch):
 
     monkeypatch.setattr(reidemeister, "fox_derivative", counting)
     lifted = lift_self_map(k, identity_map(k))
-    n_gens = len(lifted.presentation.generators)
+    n_gens = len(lifted.complex.presentation.generators)
     # one call per 2-simplex boundary word and one per generator loop image
     assert len(words) == len(k.n_simplices(2)) + n_gens == 72 + n_gens
 
@@ -155,9 +156,9 @@ def test_lift_unrecognized_group_unsupported():
 def test_lift_identity_components():
     k = circle(3)
     lifted = lift_self_map(k, identity_map(k))
-    f1 = lifted.chain_map.component(1)
-    e = GroupRingElement.of(lifted.presentation.group,
-                            lifted.presentation.group.identity())
+    f1 = lifted.component(1)
+    e = GroupRingElement.of(lifted.complex.presentation.group,
+                            lifted.complex.presentation.group.identity())
     assert f1[0, 0] == e
 
 
@@ -165,9 +166,9 @@ def test_lift_reflection_component():
     k = circle(3)
     f = SimplicialMap(k, k, {0: 0, 1: 2, 2: 1})
     lifted = lift_self_map(k, f)
-    p = lifted.presentation
+    p = lifted.complex.presentation
     # degree-1 component is minus a single power of the generator
-    items = lifted.chain_map.component(1)[0, 0].items()
+    items = lifted.component(1)[0, 0].items()
     assert len(items) == 1
     g, c = items[0]
     assert c == -1
@@ -178,7 +179,7 @@ def test_reflection_trace_two_classes():
     k = circle(3)
     f = SimplicialMap(k, k, {0: 0, 1: 2, 2: 1})
     lifted = lift_self_map(k, f)
-    r = lifted.trace()
+    r = reidemeister_trace_chain(lifted)
     assert augment(r) == 2
     assert nielsen(r) == 2
     assert sorted(c for _, c in r.items()) == [1, 1]
@@ -188,7 +189,7 @@ def test_rotation_trace_zero():
     k = circle(4)
     f = SimplicialMap(k, k, {v: (v + 1) % 4 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    r = lifted.trace()
+    r = reidemeister_trace_chain(lifted)
     assert r.is_zero()
     assert lefschetz_number(f) == 0
 
@@ -197,7 +198,7 @@ def test_constant_map_trace():
     k = circle(3)
     f = SimplicialMap(k, k, {0: 0, 1: 0, 2: 0})
     lifted = lift_self_map(k, f)
-    r = lifted.trace()
+    r = reidemeister_trace_chain(lifted)
     assert augment(r) == 1
     assert nielsen(r) == 1
 
@@ -205,7 +206,7 @@ def test_constant_map_trace():
 def test_torus_identity_trace_vanishes():
     k = torus7()
     lifted = lift_self_map(k, identity_map(k))
-    r = lifted.trace()
+    r = reidemeister_trace_chain(lifted)
     assert augment(r) == 0
     assert r.is_zero()
 
@@ -214,14 +215,14 @@ def test_torus_rotation_trace_vanishes():
     k = torus7()
     f = SimplicialMap(k, k, {v: (v + 1) % 7 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    assert lifted.trace().is_zero()
+    assert reidemeister_trace_chain(lifted).is_zero()
 
 
 def test_torus_involution_augmentation():
     k = torus7()
     f = SimplicialMap(k, k, {v: (-v) % 7 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    r = lifted.trace()
+    r = reidemeister_trace_chain(lifted)
     assert augment(r) == lefschetz_number(f)
 
 
@@ -238,7 +239,7 @@ def test_augmentation_identity_many_maps():
     for k, imgs in cases:
         f = SimplicialMap(k, k, imgs)
         lifted = lift_self_map(k, f)
-        assert augment(lifted.trace()) == lefschetz_number(f)
+        assert augment(reidemeister_trace_chain(lifted)) == lefschetz_number(f)
 
 
 def test_trace_uses_the_requested_depth():
@@ -247,11 +248,11 @@ def test_trace_uses_the_requested_depth():
     k = figure_eight_complex()
     f = SimplicialMap(k, k, {"0": "0", "1": "3", "2": "4", "3": "1", "4": "2"})
     lifted = lift_self_map(k, f)
-    shallow = lifted.trace(3)
+    shallow = reidemeister_trace_chain(lifted, 3)
     assert shallow.items()
     assert all(cls.certainty == ("heuristic", 3) for cls, _ in shallow.items())
     assert all(cls.certainty == ("heuristic", DEFAULT_DEPTH)
-               for cls, _ in lifted.trace().items())
+               for cls, _ in reidemeister_trace_chain(lifted).items())
 
 
 def test_lift_map_rejects_mismatched_complex():
@@ -285,7 +286,7 @@ def test_twisted_chain_map_rejects_a_changed_entry(complex_name, degree):
         k = figure_eight_complex()
         f = SimplicialMap(k, k, {"0": "0", "1": "3", "2": "4", "3": "1",
                                  "4": "2"})
-    cm = lift_self_map(k, f).chain_map
+    cm = lift_self_map(k, f)
     comps = list(cm.components)
     TwistedChainMap(cm.complex, cm.endo, comps)  # the lift itself commutes
     comps[degree] = _changed_at_one_entry(comps[degree])
@@ -338,9 +339,9 @@ def test_route_agreement_circle_reflection():
     k = circle(4)
     f = SimplicialMap(k, k, {v: (-v) % 4 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    chain = lifted.trace()
+    chain = reidemeister_trace_chain(lifted)
     # fixed vertices 0 and 2, both of index +1; witnesses whiskered to 0
-    p = lifted.presentation
+    p = lifted.complex.presentation
     w0 = p.element_of_path([])
     path = p.tree_path(2) + [(f.apply_index(b), f.apply_index(a))
                              for (a, b) in reversed(p.tree_path(2))]
@@ -364,6 +365,11 @@ def test_basepath_covariance():
     path2 = [(0, 1), (1, 2), (2, 3)]
     m1 = lift_map(f, path1, cover)
     m2 = lift_map(f, path2, cover)
+    # each lift carries the basepath it went through; the default is the
+    # tree path from the basepoint 0 to its image 3
+    assert (m1.basepath, m2.basepath) == (tuple(path1), tuple(path2))
+    assert lift_on_cover(cover, f).basepath == tuple(p.tree_path(3))
+    assert p.tree_path(3) == [(0, 3)]
     r1 = reidemeister_trace_chain(m1)
     r2 = reidemeister_trace_chain(m2)
     assert augment(r1) == augment(r2)
