@@ -1,5 +1,6 @@
-"""Which layers each command loads, the source lines it compiles, and the
-exit codes ``main`` gives each error class."""
+"""Which layers each command loads, the source lines it compiles, where the
+names the package once re-exported live, and the exit codes ``main`` gives
+each error class."""
 
 import importlib
 import importlib.util
@@ -167,6 +168,49 @@ def test_simplicial_reaches_the_presentation_functions():
     assert simplicial.induced_pi1_endo is presentations.induced_pi1_endo
     with pytest.raises(AttributeError):
         simplicial.Pi1Presentation
+
+
+# The names ``fixtrace`` once re-exported lazily, by the module that now
+# defines each; callers import them from there.
+FORMER_EXPORTS = {
+    "fixtrace.exactalg": (
+        "ChainComplex", "ChainMap", "IntMatrix", "homology",
+        "hopf_chain_trace", "lefschetz_from_homology", "smith_normal_form"),
+    "fixtrace.simplicial": (
+        "SimplicialComplex", "SimplicialMap", "build_complex",
+        "chain_complex", "induced_chain_map", "lefschetz_number",
+        "product_complex"),
+    "fixtrace.presentations": ("induced_pi1_endo", "pi1_presentation"),
+    "fixtrace.grouprings": (
+        "FiniteGroup", "FreeAbelianGroup", "FreeGroup", "GroupEndomorphism",
+        "GroupHomomorphism", "ShadowElement", "augment", "classes_equal",
+        "nielsen", "pushforward", "twisted_class"),
+    "tests.chain_models": ("twisted_hs_trace",),
+    "fixtrace.reidemeister": (
+        "FixedPointRecord", "lift_map", "lift_self_map",
+        "lift_to_universal_cover", "reidemeister_trace_chain",
+        "reidemeister_trace_geometric"),
+    "fixtrace.bundles": (
+        "BundleSelfMapPair", "DiscreteBundle", "GraphBase", "GraphSelfMap",
+        "Transport", "base_reidemeister", "fiber_composite",
+        "nielsen_additivity", "refined_reidemeister", "total_map",
+        "total_space", "transport", "verify_lefschetz_mult",
+        "verify_reidemeister_mult"),
+}
+HOME_OF = {name: module for module, names in FORMER_EXPORTS.items()
+           for name in names}
+
+
+@pytest.mark.parametrize("name", [*HOME_OF, "no_such_export"])
+def test_lazy_exports_are_the_defining_modules_objects(name):
+    # the package aliases nothing: each name is reached only at its home
+    with pytest.raises(AttributeError):
+        getattr(fixtrace, name)
+    if name not in HOME_OF:
+        return
+    home = importlib.import_module(HOME_OF[name])
+    value = getattr(home, name)
+    assert value.__module__ == home.__name__
 
 
 def _error(module, name):
