@@ -7,13 +7,15 @@ base map (vertices to vertices, edges to edge words) and fiber maps over
 the vertices; compatibility is checked on fiber homology.
 
 The total space is assembled from one fiber copy per base vertex and per
-edge midpoint, glued by prisms (centered squares for graph fibers,
-staircases above that); the prism verticals are the lift tracks
-realizing transport.  Everything downstream is exact: the
-base Reidemeister trace is computed on the tree-contracted chain model
-of the graph, the per-class fiber data by composing transports, and the
-two factorization statements (Lefschetz-number and Reidemeister-trace
-versions) are compared side by side in verification reports.
+edge midpoint (two over a loop), glued by prisms (centered squares for
+graph fibers, staircases above that); the prism verticals are the lift
+tracks realizing transport.  Everything downstream is exact: the base
+Reidemeister trace is computed on the tree-contracted chain model of the
+graph, the per-class Lefschetz numbers by composing designated inverses,
+the total map and the per-class fiber maps of the Reidemeister side by
+walking lift tracks, and the two factorization statements
+(Lefschetz-number and Reidemeister-trace versions) are compared side by
+side in verification reports.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .reidemeister import (
     TwistedChainMap,
     degree1_boundary,
     degree1_fox_lift,
-    lift_on_cover,
+    lift_map,
     lift_self_map,
     lift_to_universal_cover,
     reidemeister_trace_chain,
@@ -433,7 +435,8 @@ def fiber_composite(pair: BundleSelfMapPair, base_vertex, gamma: Sequence[EdgeSt
     """Self-map transport(reversed gamma) . f_b of the fiber over the vertex.
 
     ``gamma`` must run from the vertex to its base-map image; transporting
-    backwards along it plays the role of the path-lifting equivalence.
+    backwards along it by the designated inverses gives a class's
+    Lefschetz number and the fiber components its fiber map keeps.
     """
     base = pair.bundle.base
     fb = pair.base_map.vertex_images[base_vertex]
@@ -449,12 +452,16 @@ def fiber_composite(pair: BundleSelfMapPair, base_vertex, gamma: Sequence[EdgeSt
 def _edge_layers(bundle: DiscreteBundle, e: str
                  ) -> Tuple[List[Tuple], List[Tuple[str, Dict]]]:
     """Charts of the fiber copies over an edge, from source to target, and
-    the name and vertex map of the prism joining each copy to the next."""
+    the name and vertex map of the prism joining each copy to the next.
+    The midpoint chart ``("m", e)`` is the one inner copy, except over a
+    loop, which gets a second, ``("n", e)``, so no two prisms share faces."""
     s, d = bundle.base.edge_by_id[e]
     ident = {x: x for x in bundle.fiber(s).vertices}
-    return ([("v", s), ("m", e), ("v", d)],
-            [("lower", ident),
-             ("upper", bundle.transports[e].forward.vertex_images)])
+    upper = ("upper", bundle.transports[e].forward.vertex_images)
+    if s == d:
+        return ([("v", s), ("m", e), ("n", e), ("v", d)],
+                [("lower", ident), ("middle", ident), upper])
+    return [("v", s), ("m", e), ("v", d)], [("lower", ident), upper]
 
 
 class TotalSpace:
@@ -468,44 +475,34 @@ class TotalSpace:
         self.bundle = bundle
         self.square_corners = square_corners
 
-    def track(self, edge_id, fiber_vertex) -> List[Tuple]:
-        """Vertex path realizing transport along an edge, as total ids."""
-        charts, joins = _edge_layers(self.bundle, edge_id)
-        path = [charts[0] + (fiber_vertex,)]
-        for chart, (_, images) in zip(charts[1:], joins):
-            fiber_vertex = images[fiber_vertex]
-            path.append(chart + (fiber_vertex,))
-        return path
-
     def transport_track(self, word: Sequence[EdgeStep], start_vertex,
                         fiber_vertex) -> Tuple[List[Tuple], object]:
         """Total-space path realizing transport along a base edge word.
 
-        Returns (total vertex path, final fiber vertex).  Reversed steps
-        need vertex-bijective transports.
+        Returns (total vertex path, final fiber vertex).  This is the one
+        rule by which a fiber vertex moves along base edges: a forward step
+        climbs the edge's layers, a reversed step climbs them from the
+        vertex's preimage and is walked back, so it needs a vertex-bijective
+        transport.
         """
-        base = self.bundle.base
-        base.validate_word(word, start_vertex)
+        self.bundle.base.validate_word(word, start_vertex)
         path = [("v", start_vertex, fiber_vertex)]
-        cur = fiber_vertex
         for (e, sign) in word:
-            if sign == 1:
-                seg = self.track(e, cur)
-            else:
+            x = path[-1][2]
+            if sign == -1:
                 inverse_images = self.bundle.transports[e].preimages()
-                if inverse_images is None:
+                if inverse_images is None or x not in inverse_images:
                     raise NotConstructibleError(
                         f"transport over {e} is not vertex-bijective; "
                         f"reversed lift track unavailable")
-                if cur not in inverse_images:
-                    raise NotConstructibleError(
-                        f"no preimage for fiber vertex under transport {e}")
-                seg = self.track(e, inverse_images[cur])[::-1]
-            if seg[0] != path[-1]:
-                raise BundleError("track does not start where expected")
-            path.extend(seg[1:])
-            cur = seg[-1][2]
-        return path, cur
+                x = inverse_images[x]
+            charts, joins = _edge_layers(self.bundle, e)
+            seg = [charts[0] + (x,)]
+            for chart, (_, images) in zip(charts[1:], joins):
+                x = images[x]
+                seg.append(chart + (x,))
+            path.extend(seg[1:] if sign == 1 else seg[-2::-1])
+        return path, path[-1][2]
 
 
 def total_space(bundle: DiscreteBundle) -> TotalSpace:
@@ -513,15 +510,13 @@ def total_space(bundle: DiscreteBundle) -> TotalSpace:
 
     Each edge stacks the fiber copies listed by ``_edge_layers`` and joins
     consecutive copies by a prism, whose vertex map must be injective on
-    every maximal simplex of the lower copy.  Over a loop edge two prisms
-    share their vertical faces, so the glued complex is not the total
-    space; the Euler characteristic check below raises
-    ``NotConstructibleError`` then.  In a fiber of dimension at most one,
-    an edge's square receives a center vertex (four cone triangles); this
-    triangulation is symmetric under direction reversal, so self-maps that
-    flip base edges or fiber orientations remain simplicial.  Every other
-    simplex becomes a staircase, which in fibers of dimension two and up
-    requires order-preserving transports.
+    every maximal simplex of the lower copy; a loop edge stacks three.  In
+    a fiber of dimension at most one, an edge's square receives a center
+    vertex (four cone triangles); this triangulation is symmetric under
+    direction reversal, so self-maps that flip base edges or fiber
+    orientations remain simplicial.  Every other simplex becomes a
+    staircase, which in fibers of dimension two and up requires
+    order-preserving transports.
     """
     base = bundle.base
     vertices: List[Tuple] = []
@@ -566,8 +561,8 @@ def total_space(bundle: DiscreteBundle) -> TotalSpace:
 
     complex = build_complex(maximal, vertices=vertices + list(square_corners))
     # A bundle over a graph has chi(E) = chi(B) chi(F).  Prisms whose faces
-    # coincide (as over a loop edge) glue to another space, on which every
-    # verdict would be about the wrong total space.
+    # coincide would glue to another space, on which every verdict would
+    # be about the wrong total space.
     chi_total = complex.euler_characteristic()
     chi_want = ((len(base.vertices) - len(base.edges))
                 * bundle.fiber(base.basepoint).euler_characteristic())
@@ -596,8 +591,11 @@ def total_map(pair: BundleSelfMapPair) -> Tuple[TotalSpace, SimplicialMap]:
 
     Constructed automatically when every edge maps to a word of length at
     most one; otherwise the pair must supply total vertex images, which
-    are validated against the projection and the fiber maps.  Callers
-    that hold a pair read ``pair.total``, which calls this once.
+    are validated against the projection and the fiber maps.  The
+    automatic map sends chart i of an edge e over x to vertex i of the
+    lift track of f_s(x) along e's word (to its one vertex if the word is
+    empty).  Callers that hold a pair read ``pair.total``, which calls
+    this once.
     """
     total = total_space(pair.bundle)
     base = pair.bundle.base
@@ -608,34 +606,27 @@ def total_map(pair: BundleSelfMapPair) -> Tuple[TotalSpace, SimplicialMap]:
         f = SimplicialMap(k, k, images)
         _validate_total_map(pair, total, f)
         return total, f
-    images = _fiber_chart_images(pair)
-    for (e, s, d) in base.edges:
-        word = pair.base_map.edge_words[e]
-        fm = pair.fiber_maps[s]
-        if len(word) == 0:
-            for x in pair.bundle.fiber(s).vertices:
-                images[("m", e, x)] = images[("v", s, x)]
-        elif len(word) == 1:
-            (e2, sign) = word[0]
-            if sign == 1:
-                for x in pair.bundle.fiber(s).vertices:
-                    images[("m", e, x)] = ("m", e2, fm.vertex_images[x])
-            else:
-                inv = pair.bundle.transports[e2].preimages()
-                if inv is None:
-                    raise NotConstructibleError(
-                        f"edge {e} reverses over {e2} whose transport is "
-                        f"not vertex-bijective")
-                for x in pair.bundle.fiber(s).vertices:
-                    y = fm.vertex_images[x]
-                    if y not in inv:
-                        raise NotConstructibleError(
-                            f"edge {e}: no transport preimage over {e2}")
-                    images[("m", e, x)] = ("m", e2, inv[y])
-        else:
+    for (e, _, _) in base.edges:
+        n = len(pair.base_map.edge_words[e])
+        if n > 1:
             raise NotConstructibleError(
-                f"edge {e} maps to a word of length {len(word)}; the chosen "
+                f"edge {e} maps to a word of length {n}; the chosen "
                 f"prism subdivision cannot realize it")
+    images = _fiber_chart_images(pair)
+    for (e, s, _) in base.edges:
+        word = pair.base_map.edge_words[e]
+        fs = pair.base_map.vertex_images[s]
+        fm = pair.fiber_maps[s].vertex_images
+        for x in pair.bundle.fiber(s).vertices:
+            own, _ = total.transport_track([(e, 1)], s, x)
+            track, _ = total.transport_track(word, fs, fm[x])
+            if not word:
+                track = track * len(own)
+            elif len(track) != len(own):
+                raise NotConstructibleError(
+                    f"edge {e} has {len(own)} layers but the edge word it "
+                    f"maps to has {len(track)}; no prism map realizes it")
+            images.update(zip(own[1:-1], track[1:-1]))
     _fill_center_images(total, images)
     try:
         f = SimplicialMap(k, k, images)
@@ -687,12 +678,12 @@ def _validate_total_map(pair: BundleSelfMapPair, total: TotalSpace,
         allowed = {("v", pair.base_map.vertex_images[s])}
         for eid, _ in pair.base_map.edge_words[e]:
             allowed.update(_edge_layers(pair.bundle, eid)[0])
-        for x in pair.bundle.fiber(s).vertices:
-            got = f.vertex_images[("m", e, x)]
-            if got[:2] not in allowed:
-                raise BundleError(
-                    f"total map sends midpoint chart of {e} outside the "
-                    f"image of the base edge")
+        for chart in _edge_layers(pair.bundle, e)[0][1:-1]:
+            for x in pair.bundle.fiber(s).vertices:
+                if f.vertex_images[chart + (x,)][:2] not in allowed:
+                    raise BundleError(
+                        f"total map sends midpoint chart of {e} outside "
+                        f"the image of the base edge")
 
 
 # ---------------------------------------------------------------------------
@@ -701,19 +692,24 @@ def _validate_total_map(pair: BundleSelfMapPair, total: TotalSpace,
 
 def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
                          depth: int = DEFAULT_DEPTH) -> ShadowElement:
-    """Pushforward of the fiber Reidemeister trace of the class composite.
+    """Pushforward of the fiber Reidemeister trace of the class's fiber map.
 
-    The fiber self-map is lifted per invariant component, on the cover the
-    pair builds once per component (``fiber_cover``); each component's
-    trace is pushed into the total space with the correction word built
-    from the reversed lift track of the class path, exactly the whiskering
-    that identifies a fiber fixed point with a total-space fixed point.
+    The fiber map sends x to the end of the lift track of f_b(x) back
+    along the class path.  It is lifted on each fiber component that
+    ``fiber_composite`` keeps (the map on components is homotopy
+    invariant), on the cover the pair builds once per component
+    (``fiber_cover``); each component's trace is pushed into the total
+    space with the correction word read off its first vertex's track,
+    the whiskering that identifies a fiber fixed point with a
+    total-space fixed point.
     """
     b = pair.bundle.base.basepoint
     fb = pair.base_map.vertex_images[b]
     gamma = pair.class_path(cls)
+    back = invert_word(gamma)
     k_map = fiber_composite(pair, b, gamma)
     fiber = pair.bundle.fiber(b)
+    fm = pair.fiber_maps[b].vertex_images
     total, f_total = pair.total
     lifted = pair.total_lift
     pe = lifted.complex.presentation
@@ -726,9 +722,15 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
         cover = pair.fiber_cover(comp)
         pf = cover.presentation
         sub = pf.complex
-        k_sub = SimplicialMap(sub, sub, {x: k_map.vertex_images[x]
-                                         for x in sub.vertices})
-        lifted_f = lift_on_cover(cover, k_sub)
+        tracks = {x: total.transport_track(back, fb, fm[x])
+                  for x in sub.vertices}
+        try:
+            k_sub = SimplicialMap(sub, sub, {x: end for x, (_, end)
+                                             in tracks.items()})
+        except SimplicialError as exc:
+            raise NotConstructibleError(
+                f"lift tracks give no simplicial fiber map: {exc}")
+        lifted_f = lift_map(k_sub, None, cover)
         r_comp = reidemeister_trace_chain(lifted_f, depth)
         x0 = sub.vertices[0]
         # the fiber component over b, included in the total space
@@ -741,13 +743,9 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
             alpha + incl.map_path(pf.generator_loop(gi)) + alpha_back)
             for gi in pf._final_gens]
         iota = GroupHomomorphism(pf.group, pe.group, images)
-        # correction word
+        # correction word, along x0's track
         beta_f = incl.map_path(lifted_f.basepath)
-        y0 = pair.fiber_maps[b].vertex_images[x0]
-        track_path, end_vertex = total.transport_track(
-            invert_word(gamma), fb, y0)
-        if end_vertex != k_map.vertex_images[x0]:
-            raise BundleError("lift track does not land on the composite image")
+        track_path = tracks[x0][0]
         rho = reverse_path([(te.index[u], te.index[v])
                             for u, v in zip(track_path, track_path[1:])])
         word = (alpha + beta_f + rho + reverse_path(f_total.map_path(alpha))

@@ -103,6 +103,16 @@ def _report(command: str, digest: str, tables: List, lhs, rhs, verdict: str,
     return _EXIT_OF_VERDICT[verdict]
 
 
+def _distinct_keys(pairs: List[Tuple[str, object]]) -> Dict:
+    """JSON object hook of every document: a repeated key is malformed."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError(f"repeated key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def _read_input(path: str) -> Tuple[Dict, str]:
     try:
         with open(path, "rb") as fh:
@@ -110,7 +120,7 @@ def _read_input(path: str) -> Tuple[Dict, str]:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_distinct_keys)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: not valid UTF-8 JSON ({exc})")
     return doc, _digest(raw)

@@ -592,22 +592,12 @@ def homology_maps(m: ChainMap) -> List[List[List[int]]]:
     return out
 
 
-def induced_homology_map(m: ChainMap) -> List[List[List[int]]]:
-    """Induced endomorphism of rational homology, one square matrix per degree.
-
-    Requires a self-map; the matrices are reported in the documented
-    deterministic basis, and only their traces are basis-independent.
-    """
-    if not m.is_endomorphism():
-        raise ExactAlgError("induced_homology_map requires source == target")
-    return homology_maps(m)
-
-
 def lefschetz_from_homology(m: ChainMap) -> int:
-    """Alternating sum of traces on rational homology."""
-    mats = induced_homology_map(m)
+    """Alternating sum of traces on rational homology of a self-map."""
+    if not m.is_endomorphism():
+        raise ExactAlgError("lefschetz_from_homology requires source == target")
     return sum((-1) ** i * sum(mat[j][j] for j in range(len(mat)))
-               for i, mat in enumerate(mats))
+               for i, mat in enumerate(homology_maps(m)))
 
 
 def hopf_chain_trace(m: ChainMap) -> int:

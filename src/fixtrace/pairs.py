@@ -68,19 +68,29 @@ def serialize_bundle(bundle: DiscreteBundle) -> Dict:
     }
 
 
+def _only_keys(doc, names, what: str, kind: str) -> Dict:
+    """The JSON object ``doc``, if each of its keys is one of ``names``."""
+    for key in json_object(doc, what):
+        if key not in names:
+            raise InputError(f"{what}: {key!r} names no base {kind}")
+    return doc
+
+
 def parse_bundle(doc: Dict) -> DiscreteBundle:
     json_object(doc, "bundle document")
     for field in ("base", "fibers", "transports"):
         if field not in doc:
             raise InputError(f"bundle document is missing field {field!r}")
     base = parse_graph_base(doc["base"])
-    fiber_docs = json_object(doc["fibers"], "bundle fibers")
+    fiber_docs = _only_keys(doc["fibers"], {str(v) for v in base.vertices},
+                            "bundle fibers", "vertex")
     fibers = {}
     for v in base.vertices:
         if str(v) not in fiber_docs:
             raise InputError(f"bundle document has no fiber over {v!r}")
         fibers[v] = parse_complex(fiber_docs[str(v)])
-    transport_docs = json_object(doc["transports"], "bundle transports")
+    transport_docs = _only_keys(doc["transports"], base.edge_by_id,
+                                "bundle transports", "edge")
     transports = {}
     for (e, s, d) in base.edges:
         tdoc = transport_docs.get(e)
@@ -154,7 +164,9 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
                                      "base map edge words").items()})
     except (BundleError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid base map: {exc}")
-    fiber_map_docs = json_object(doc["fiber_maps"], "pair fiber maps")
+    fiber_map_docs = _only_keys(doc["fiber_maps"],
+                                {str(v) for v in base.vertices},
+                                "pair fiber maps", "vertex")
     fiber_maps = {}
     for v in base.vertices:
         fdoc = fiber_map_docs.get(str(v))

@@ -245,10 +245,12 @@ def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
     return EquivariantChainComplex(group, ranks, boundaries, presentation=p)
 
 
-def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
+def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
              l: EquivariantChainComplex) -> TwistedChainMap:
     """Lift of a simplicial self-map through the chosen basepath.
 
+    Several maps of one complex may share its cover ``l``.  A basepath of
+    ``None`` means the spanning-tree path from the basepoint to its image.
     The canonical basepoint lift is sent through the basepath; the
     components are expressed by Fox derivatives of image words in degree
     one and by a deck translate with an orientation sign in degree two.
@@ -259,6 +261,8 @@ def lift_map(f: SimplicialMap, basepath: Sequence[Tuple[int, int]],
         raise LiftError("complex carries no presentation data")
     if not f.is_endomorphism() or f.source != p.complex:
         raise LiftError("map does not match the lifted complex")
+    if basepath is None:
+        basepath = p.tree_path(f.apply_index(p.complex.index[p.basepoint]))
     basepath = tuple(tuple(s) for s in basepath)
     endo = induced_pi1_endo(f, p, basepath)
     group = l.group
@@ -329,22 +333,7 @@ def lift_self_map(k: SimplicialComplex, f: SimplicialMap,
         raise UnsupportedComplexError(
             "universal-cover lifts need a connected complex")
     p = pi1_presentation(k, k.vertices[0])
-    return lift_on_cover(lift_to_universal_cover(p), f, basepath)
-
-
-def lift_on_cover(cover: EquivariantChainComplex, f: SimplicialMap,
-                  basepath: Optional[Sequence[Tuple[int, int]]] = None
-                  ) -> TwistedChainMap:
-    """Lift of a self-map to a cover already built for its complex, so
-    that several maps of one complex share its presentation and cover.
-
-    When no basepath is given the spanning-tree path from the basepoint
-    to its image is used.
-    """
-    if basepath is None:
-        p = cover.presentation
-        basepath = p.tree_path(f.apply_index(p.complex.index[p.basepoint]))
-    return lift_map(f, basepath, cover)
+    return lift_map(f, basepath, lift_to_universal_cover(p))
 
 
 # ---------------------------------------------------------------------------

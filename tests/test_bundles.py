@@ -758,6 +758,103 @@ def test_homotopy_inverse_transports():
         induced_chain_map(ident))
 
 
+def rotation_inverse_pair(fiber_map_name):
+    # identity transports on a C4 fiber, but over e3 the designated inverse
+    # is a rotation, which inverts the identity on homology only; the base
+    # map has degree -1
+    from fixtrace.bundles import (BundleSelfMapPair, DiscreteBundle,
+                                  Transport)
+    from fixtrace.simplicial import SimplicialMap
+    base = circle_base(4)
+    fib = circle_complex(4)
+    ident = SimplicialMap(fib, fib, {v: v for v in fib.vertices})
+    rot = SimplicialMap(fib, fib, {str(i): str((i + 1) % 4) for i in range(4)})
+    refl = SimplicialMap(fib, fib, {str(i): str((-i) % 4) for i in range(4)})
+    transports = {e: Transport(ident, ident) for (e, _, _) in base.edges}
+    transports["e3"] = Transport(ident, rot)
+    bundle = DiscreteBundle(base, {v: fib for v in base.vertices}, transports)
+    fmap = {"identity": ident, "reflection": refl}[fiber_map_name]
+    return BundleSelfMapPair(bundle, degree_base_map(base, -1),
+                             {v: fmap for v in base.vertices})
+
+
+@pytest.mark.parametrize("fiber_map_name, value", [("reflection", 4),
+                                                   ("identity", 0)])
+def test_rotation_designated_inverse_passes(tmp_path, capsys, fiber_map_name,
+                                            value):
+    # The class fiber maps come from the lift tracks, which reverse e3 by
+    # the transport's preimages, not by the rotation; L = L(B) L(F) = 2 * 2
+    # for the reflection and 2 * 0 for the identity.
+    from fixtrace.cli import EXIT_OK, main, serialize_pair
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(serialize_pair(
+        rotation_inverse_pair(fiber_map_name))), encoding="utf-8")
+    code = main(["bundle-verify", str(path)])
+    rep = json.loads(capsys.readouterr().out)
+    assert (code, rep["verdict"], rep["flags"]) == (EXIT_OK, "pass", [])
+    assert rep["lhs"]["lefschetz"] == rep["rhs"]["lefschetz"] == value
+    assert rep["lhs"]["nielsen"] == rep["rhs"]["nielsen"] == value
+
+
+def test_double_cover_supplied_total_map_is_the_automatic_one():
+    from fixtrace.bundles import BundleSelfMapPair
+    supplied = double_cover_reflection_pair()
+    automatic = BundleSelfMapPair(supplied.bundle, supplied.base_map,
+                                  supplied.fiber_maps)
+    assert (total_map(supplied)[1].vertex_images
+            == total_map(automatic)[1].vertex_images)
+
+
+def test_edge_onto_a_loop_names_both_layer_counts():
+    # an edge of two prisms cannot map simplicially onto a loop of three
+    from fixtrace.bundles import BundleSelfMapPair, GraphBase, GraphSelfMap
+    from fixtrace.catalog import point_complex, point_fiber_bundle
+    from fixtrace.simplicial import SimplicialMap
+    base = GraphBase(["b0", "b1"], [("e0", "b0", "b1"), ("a", "b1", "b1")],
+                     ["e0"], "b0")
+    pt = point_complex()
+    bmap = GraphSelfMap(base, {"b0": "b1", "b1": "b1"},
+                        {"e0": [("a", 1)], "a": [("a", 1)]})
+    pair = BundleSelfMapPair(point_fiber_bundle(base), bmap,
+                             {v: SimplicialMap(pt, pt, {"p": "p"})
+                              for v in base.vertices})
+    with pytest.raises(NotConstructibleError,
+                       match=r"^edge e0 has 3 layers but the edge word it "
+                             r"maps to has 4; no prism map realizes it$"):
+        total_map(pair)
+
+
+def test_track_fiber_map_not_simplicial_is_not_constructible():
+    # The transport over e0 is the identity on vertices from a square with a
+    # whisker 0-4 into the square with a filled triangle 0-1-4; its
+    # designated inverse folds 4 onto 0.  The class fiber map follows the
+    # lift tracks back through the transport's preimages, which send the
+    # whisker to the edge 1-4, missing from the fiber over b0.
+    from fixtrace.bundles import (BundleSelfMapPair, DiscreteBundle,
+                                  GraphSelfMap, Transport)
+    from fixtrace.catalog import interval_base
+    from fixtrace.simplicial import SimplicialMap, build_complex
+    base = interval_base()
+    whisker = build_complex([("0", "1"), ("1", "2"), ("2", "3"), ("0", "3"),
+                             ("0", "4")])
+    filled = build_complex([("0", "1", "4"), ("1", "2"), ("2", "3"),
+                            ("0", "3")])
+    t = SimplicialMap(whisker, filled, {v: v for v in whisker.vertices})
+    fold = SimplicialMap(filled, whisker, {"0": "0", "1": "1", "2": "2",
+                                           "3": "3", "4": "0"})
+    bundle = DiscreteBundle(base, {"b0": whisker, "b1": filled},
+                            {"e0": Transport(t, fold)})
+    rot = {"0": "1", "1": "2", "2": "3", "3": "0"}
+    pair = BundleSelfMapPair(
+        bundle, GraphSelfMap(base, {"b0": "b1", "b1": "b1"}, {"e0": []}),
+        {"b0": SimplicialMap(whisker, filled, {**rot, "4": "4"}),
+         "b1": SimplicialMap(filled, filled, {**rot, "4": "1"})})
+    assert verify_lefschetz_mult(pair).verdict == "pass"
+    with pytest.raises(NotConstructibleError,
+                       match=r"^lift tracks give no simplicial fiber map: "):
+        verify_reidemeister_mult(pair)
+
+
 def test_class_disjointness():
     # distinct base classes push to disjoint total-space class sets
     for pair in [double_cover_reflection_pair(),

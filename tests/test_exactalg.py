@@ -15,7 +15,6 @@ from fixtrace.exactalg import (
     homology_maps,
     hopf_chain_trace,
     identity_chain_map,
-    induced_homology_map,
     lefschetz_from_homology,
     smith_normal_form,
 )
@@ -468,19 +467,19 @@ def test_homology_rejects_bad_complex():
 
 def test_induced_map_identity():
     m = identity_chain_map(triangle_circle())
-    mats = induced_homology_map(m)
+    mats = homology_maps(m)
     assert mats == [[[1]], [[1]]]
     assert all(type(x) is int for mat in mats for row in mat for x in row)
 
 
 def test_induced_map_reflection():
-    mats = induced_homology_map(reflection_map())
+    mats = homology_maps(reflection_map())
     assert sum(mats[0][i][i] for i in range(len(mats[0]))) == 1
     assert sum(mats[1][i][i] for i in range(len(mats[1]))) == -1
 
 
 def test_induced_map_degree2():
-    mats = induced_homology_map(degree2_circle_chain_map())
+    mats = homology_maps(degree2_circle_chain_map())
     assert sum(mats[0][i][i] for i in range(len(mats[0]))) == 1
     assert sum(mats[1][i][i] for i in range(len(mats[1]))) == 2
 

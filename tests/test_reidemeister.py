@@ -22,7 +22,6 @@ from fixtrace.reidemeister import (
     UnsupportedComplexError,
     fox_derivative,
     lift_map,
-    lift_on_cover,
     lift_self_map,
     lift_to_universal_cover,
     reidemeister_trace_chain,
@@ -368,7 +367,7 @@ def test_basepath_covariance():
     # each lift carries the basepath it went through; the default is the
     # tree path from the basepoint 0 to its image 3
     assert (m1.basepath, m2.basepath) == (tuple(path1), tuple(path2))
-    assert lift_on_cover(cover, f).basepath == tuple(p.tree_path(3))
+    assert lift_map(f, None, cover).basepath == tuple(p.tree_path(3))
     assert p.tree_path(3) == [(0, 3)]
     r1 = reidemeister_trace_chain(m1)
     r2 = reidemeister_trace_chain(m2)
