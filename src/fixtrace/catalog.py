@@ -7,12 +7,15 @@ maps' factors) are hand counts that never call the code paths they are
 used to check.  ``CATALOG`` holds the entries that ``fixtrace catalog``
 lists and emits, each with its default parameters; the integer size
 parameters are checked against fixed ranges before anything is built.
-``emit_document`` gives the text ``fixtrace catalog emit`` writes.
+``emit_document`` gives the text ``fixtrace catalog emit`` writes, and
+``command`` runs ``fixtrace catalog``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
@@ -423,3 +426,37 @@ def emit_document(name: str, params: Dict) -> Tuple[str, str]:
         return f"{name}.pair.json", json.dumps(
             serialize_pair(obj), indent=2) + "\n"
     raise InputError(f"catalog entry {name!r} has unknown kind")
+
+
+def command(action: str, name, param_texts, out) -> None:
+    """``fixtrace catalog list``, or ``fixtrace catalog emit`` of the entry
+    ``name`` with its ``--param key=value`` texts, to stdout or into the
+    directory ``out``."""
+    if action == "list":
+        for key in sorted(CATALOG):
+            entry = CATALOG[key]
+            sys.stdout.write(f"{key}\t{entry.kind}\t{entry.description}\n")
+        return
+    if name is None:
+        raise InputError("catalog emit requires a fixture name")
+    params = {}
+    for p in param_texts:
+        if "=" not in p:
+            raise InputError(f"bad --param {shown(p)}; use key=value")
+        key, value = p.split("=", 1)
+        try:
+            params[key] = json.loads(value)
+        except (ValueError, RecursionError):
+            # not JSON, too deeply nested, or an integer past the
+            # interpreter's digit limit: the value is the raw text
+            params[key] = value
+    filename, text = emit_document(name, params)
+    if out:
+        path = os.path.join(out, filename)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}")
+        text = path + "\n"
+    sys.stdout.write(text)

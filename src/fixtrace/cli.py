@@ -5,21 +5,18 @@ order, so identical inputs produce byte-identical reports.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 input error,
 3 unsupported or indeterminate.
 
-Only the homology layers (``exactalg`` and ``simplicial``) and the
-complex and map documents (``documents``) are imported with this module.
-The presentation, group-ring, Reidemeister, bundle, bundle-pair format
-(``pairs``) and catalog layers are imported by the commands and parsers
-that use them, once per command.  No command loads OpenSSL: the
-``inputs_digest`` SHA-256 comes from the interpreter's built-in module
-(``_sha2`` on CPython 3.12+, ``_sha256`` before), and ``hashlib`` only
-when neither was built.
+Only the homology layers and the complex and map documents are imported
+with this module; the commands import the other layers they use.  The
+``inputs_digest`` SHA-256 comes from the interpreter's built-in module,
+so no command loads OpenSSL.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 # The document formats are reachable from here as well: the benchmark and
@@ -160,24 +157,13 @@ def cmd_lefschetz(args) -> int:
 
 
 def cmd_reidemeister(args) -> int:
-    from .grouprings import (
-        DEFAULT_DEPTH,
-        EQUAL,
-        UNKNOWN,
-        IndeterminateError,
-        augment,
-        class_label,
-        nielsen,
-        shadow_equal,
-        shadow_rendering,
-    )
-    from .reidemeister import (
-        UnsupportedComplexError,
-        lift_self_map,
-        parse_fixed_point_records,
-        reidemeister_trace_chain,
-        reidemeister_trace_geometric,
-    )
+    from .grouprings import (DEFAULT_DEPTH, EQUAL, UNKNOWN, IndeterminateError,
+                             augment, class_label, nielsen, shadow_equal,
+                             shadow_rendering)
+    from .reidemeister import (UnsupportedComplexError, lift_self_map,
+                               parse_fixed_point_records,
+                               reidemeister_trace_chain,
+                               reidemeister_trace_geometric)
     doc, digest = _read_input(args.input)
     k, f, basepath, raw = parse_map(doc)
     depth = DEFAULT_DEPTH if args.depth is None else args.depth
@@ -234,12 +220,8 @@ def cmd_reidemeister(args) -> int:
 
 
 def cmd_bundle_verify(args) -> int:
-    from .bundles import (
-        NotConstructibleError,
-        nielsen_additivity,
-        verify_lefschetz_mult,
-        verify_reidemeister_mult,
-    )
+    from .bundles import (NotConstructibleError, nielsen_additivity,
+                          verify_lefschetz_mult, verify_reidemeister_mult)
     from .grouprings import DEFAULT_DEPTH, IndeterminateError
     from .reidemeister import UnsupportedComplexError
     doc, digest = _read_input(args.input)
@@ -278,37 +260,8 @@ def cmd_bundle_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    from . import catalog as cat
-    if args.action == "list":
-        for name in sorted(cat.CATALOG):
-            entry = cat.CATALOG[name]
-            sys.stdout.write(f"{name}\t{entry.kind}\t{entry.description}\n")
-        return EXIT_OK
-    if args.name is None:
-        raise InputError("catalog emit requires a fixture name")
-    params = {}
-    for p in args.param or []:
-        if "=" not in p:
-            raise InputError(f"bad --param {cat.shown(p)}; use key=value")
-        key, value = p.split("=", 1)
-        try:
-            params[key] = json.loads(value)
-        except (ValueError, RecursionError):
-            # not JSON, too deeply nested, or an integer past the
-            # interpreter's digit limit: the value is the raw text
-            params[key] = value
-    filename, text = cat.emit_document(args.name, params)
-    if args.out:
-        import os
-        path = os.path.join(args.out, filename)
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}")
-        sys.stdout.write(path + "\n")
-    else:
-        sys.stdout.write(text)
+    from . import catalog
+    catalog.command(args.action, args.name, args.param, args.out)
     return EXIT_OK
 
 
@@ -316,50 +269,81 @@ def cmd_catalog(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def nonnegative_int(text: str) -> int:
-    """Argument type of ``--depth``: a nonnegative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"depth must be nonnegative, got {value}")
-    return value
+USAGE = """\
+usage: fixtrace homology INPUT
+       fixtrace lefschetz INPUT
+       fixtrace reidemeister INPUT [--depth N]
+       fixtrace bundle-verify INPUT [--theorem lefschetz|reidemeister|both]
+                              [--depth N]
+       fixtrace catalog list
+       fixtrace catalog emit NAME [--param KEY=VALUE]... [--out DIR]
+"""
+
+# command -> (its function's name, looked up at each call so that a patched
+# function runs; its positional arguments, the first required; its options)
+_COMMANDS = {
+    "homology": ("cmd_homology", ("input",), ()),
+    "lefschetz": ("cmd_lefschetz", ("input",), ()),
+    "reidemeister": ("cmd_reidemeister", ("input",), ("--depth",)),
+    "bundle-verify": ("cmd_bundle_verify", ("input",),
+                      ("--theorem", "--depth")),
+    "catalog": ("cmd_catalog", ("action", "name"), ("--param", "--out")),
+}
+_CHOICES = {"theorem": ("lefschetz", "reidemeister", "both"),
+            "action": ("list", "emit")}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fixtrace",
-        description="exact fixed-point invariants for simplicial complexes "
-                    "and discrete fiber bundles")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _exit_usage(error: Optional[str] = None):
+    """Print the usage and exit 0, or with ``error`` to stderr and exit 2."""
+    if error is None:
+        sys.stdout.write(USAGE)
+        raise SystemExit(EXIT_OK)
+    sys.stderr.write(f"{USAGE}fixtrace: error: {error}\n")
+    raise SystemExit(EXIT_INPUT)
 
-    p = sub.add_parser("homology", help="betti numbers and torsion")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("lefschetz", help="Lefschetz number of a self-map")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_lefschetz)
-
-    p = sub.add_parser("reidemeister",
-                       help="Reidemeister trace / Nielsen number")
-    p.add_argument("input")
-    p.add_argument("--depth", type=nonnegative_int)
-    p.set_defaults(func=cmd_reidemeister)
-
-    p = sub.add_parser("bundle-verify",
-                       help="verify the factorization theorems on a pair")
-    p.add_argument("input")
-    p.add_argument("--theorem", choices=["lefschetz", "reidemeister", "both"],
-                   default="both")
-    p.add_argument("--depth", type=nonnegative_int)
-    p.set_defaults(func=cmd_bundle_verify)
-
-    p = sub.add_parser("catalog", help="list or emit bundled fixtures")
-    p.add_argument("action", choices=["list", "emit"])
-    p.add_argument("name", nargs="?")
-    p.add_argument("--param", action="append")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_catalog)
-    return parser
+def parse_args(argv: Sequence[str]) -> Tuple[str, SimpleNamespace]:
+    """The command's function name and its arguments.  An option's value
+    follows as ``--opt value`` or ``--opt=value``, before or after INPUT."""
+    command, rest, values = (argv or [""])[0], iter(argv[1:]), []
+    if command not in _COMMANDS:
+        _exit_usage(None if command in ("-h", "--help") else
+                    f"the command must be one of {', '.join(_COMMANDS)}")
+    func, positional, options = _COMMANDS[command]
+    args = SimpleNamespace(input=None, action=None, name=None, depth=None,
+                           theorem="both", param=(), out=None)
+    for arg in rest:
+        option, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            _exit_usage()
+        elif not arg.startswith("-"):
+            values.append(arg)
+        elif option not in options:
+            _exit_usage(f"{command} has no option {option}")
+        elif not eq and (value := next(rest, None)) is None:
+            _exit_usage(f"{option} needs a value")
+        elif option == "--param":
+            args.param += (value,)
+        else:
+            setattr(args, option[2:], value)
+    if not values:
+        _exit_usage(f"{command} needs {positional[0].upper()}")
+    if len(values) > len(positional):
+        _exit_usage(f"unrecognized arguments: {values[len(positional):]}")
+    for name, value in zip(positional, values):
+        setattr(args, name, value)
+    for name, choices in _CHOICES.items():
+        value = getattr(args, name)
+        if value not in (None, *choices):
+            _exit_usage(f"{name} must be one of {', '.join(choices)}, "
+                        f"got {value!r}")
+    try:
+        args.depth = None if args.depth is None else int(args.depth)
+    except ValueError:
+        _exit_usage(f"--depth must be an integer, got {args.depth!r}")
+    if args.depth is not None and args.depth < 0:
+        _exit_usage(f"depth must be nonnegative, got {args.depth}")
+    return func, args
 
 
 # The errors main maps to exit codes, as (defining module, class name).  A
@@ -385,10 +369,9 @@ def _loaded(errors) -> Tuple[type, ...]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return globals()[func](args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -400,5 +383,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
 
 
+def run() -> None:
+    """Entry point of ``python -m fixtrace.cli`` and the ``fixtrace`` script.
+
+    ``gc.freeze()`` moves the heap to the permanent generation, which the
+    collections of interpreter shutdown skip.  Shutdown still runs atexit
+    handlers and flushes stdio, which ``os._exit`` would skip."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

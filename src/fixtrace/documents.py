@@ -30,6 +30,19 @@ def json_object(doc, what: str) -> Dict:
     return doc
 
 
+def json_fields(doc, what: str, required, optional=None) -> Dict:
+    """The JSON object ``doc``, if it has each ``required`` field and, where
+    ``optional`` is given, no field outside the two."""
+    json_object(doc, what)
+    for field in required:
+        if field not in doc:
+            raise InputError(f"{what} is missing field {field!r}")
+    for key in () if optional is None else doc:
+        if key not in required and key not in optional:
+            raise InputError(f"{what} has unknown field {key!r}")
+    return doc
+
+
 def json_integer(x, what: str) -> int:
     """``x`` itself, if it is a JSON integer; ``true``, 1.0 and "1" are not."""
     if type(x) is not int:
@@ -51,9 +64,7 @@ def _is_name(x) -> bool:
 
 def json_vertex_images(doc, what: str) -> Dict:
     """The ``vertex_images`` object of the map document ``doc``."""
-    doc = json_object(doc, what)
-    if "vertex_images" not in doc:
-        raise InputError(f"{what} is missing field 'vertex_images'")
+    doc = json_fields(doc, what, ("vertex_images",))
     images = json_object(doc["vertex_images"], f"{what} vertex_images")
     if not all(_is_name(w) for w in images.values()):
         raise InputError(f"{what} vertex images must be vertex names")
@@ -78,10 +89,7 @@ def serialize_complex(k: SimplicialComplex) -> Dict:
 
 
 def parse_complex(doc: Dict) -> SimplicialComplex:
-    json_object(doc, "complex document")
-    for field in ("vertices", "simplices"):
-        if field not in doc:
-            raise InputError(f"complex document is missing field {field!r}")
+    json_fields(doc, "complex document", ("vertices", "simplices"))
     try:
         # looked up on the module at each call, where bench/tracer.py
         # wraps it as the simplicial.complex span
@@ -115,10 +123,8 @@ def _resolve_complex_doc(doc) -> SimplicialComplex:
 
 def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
                                   List[Tuple[int, int]], Dict]:
-    json_object(doc, "map document")
-    for field in ("complex", "vertex_images"):
-        if field not in doc:
-            raise InputError(f"map document is missing field {field!r}")
+    json_fields(doc, "map document", ("complex", "vertex_images"),
+                ("basepath", "fixed_point_records"))
     k = _resolve_complex_doc(doc["complex"])
     try:
         f = SimplicialMap(k, k, json_vertex_images(doc, "map document"))

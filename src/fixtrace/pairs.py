@@ -19,6 +19,7 @@ from .bundles import (
 )
 from .documents import (
     InputError,
+    json_fields,
     json_object,
     json_sign,
     json_steps,
@@ -40,10 +41,8 @@ def serialize_graph_base(base: GraphBase) -> Dict:
 
 
 def parse_graph_base(doc: Dict) -> GraphBase:
-    json_object(doc, "base document")
-    for field in ("vertices", "edges", "tree", "basepoint"):
-        if field not in doc:
-            raise InputError(f"base document is missing field {field!r}")
+    json_fields(doc, "base document",
+                ("vertices", "edges", "tree", "basepoint"))
     try:
         return GraphBase(list(doc["vertices"]),
                          [(e["id"], e["src"], e["dst"]) for e in doc["edges"]],
@@ -77,10 +76,7 @@ def _only_keys(doc, names, what: str, kind: str) -> Dict:
 
 
 def parse_bundle(doc: Dict) -> DiscreteBundle:
-    json_object(doc, "bundle document")
-    for field in ("base", "fibers", "transports"):
-        if field not in doc:
-            raise InputError(f"bundle document is missing field {field!r}")
+    json_fields(doc, "bundle document", ("base", "fibers", "transports"), ())
     base = parse_graph_base(doc["base"])
     fiber_docs = _only_keys(doc["fibers"], {str(v) for v in base.vertices},
                             "bundle fibers", "vertex")
@@ -149,10 +145,8 @@ def serialize_pair(pair: BundleSelfMapPair) -> Dict:
 
 
 def parse_pair(doc: Dict) -> BundleSelfMapPair:
-    json_object(doc, "pair document")
-    for field in ("bundle", "base_map", "fiber_maps"):
-        if field not in doc:
-            raise InputError(f"pair document is missing field {field!r}")
+    json_fields(doc, "pair document", ("bundle", "base_map", "fiber_maps"),
+                ("total_map",))
     bundle = parse_bundle(doc["bundle"])
     base = bundle.base
     bm = json_object(doc["base_map"], "base map")

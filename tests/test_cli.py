@@ -3,7 +3,11 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,13 +19,17 @@ from fixtrace.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNSUPPORTED,
+    USAGE,
     _digest,
     main,
+    parse_args,
     parse_complex,
     parse_pair,
     serialize_complex,
     serialize_pair,
 )
+
+SRC = Path(cat.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -462,6 +470,142 @@ def test_negative_depth_exit2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+# argv -> the arguments it parses to; options go before or after INPUT and
+# take their value as the next word or after ``=``
+ACCEPTED = [
+    (["homology", "k.json"], {"input": "k.json"}),
+    (["reidemeister", "m.json", "--depth", "3"], {"input": "m.json",
+                                                  "depth": 3}),
+    (["reidemeister", "--depth", "3", "m.json"], {"input": "m.json",
+                                                  "depth": 3}),
+    (["reidemeister", "--depth=0", "m.json"], {"input": "m.json", "depth": 0}),
+    (["reidemeister", "m.json", "--depth", "2", "--depth=5"], {"depth": 5}),
+    (["bundle-verify", "p.json"], {"input": "p.json", "theorem": "both",
+                                   "depth": None}),
+    (["bundle-verify", "--theorem=lefschetz", "p.json", "--depth", "4"],
+     {"input": "p.json", "theorem": "lefschetz", "depth": 4}),
+    (["bundle-verify", "p.json", "--theorem", "reidemeister"],
+     {"theorem": "reidemeister"}),
+    (["catalog", "list"], {"action": "list", "name": None, "param": ()}),
+    (["catalog", "emit", "circle", "--param", "n=4", "--param=m=a=b",
+      "--out", "d"],
+     {"action": "emit", "name": "circle", "param": ("n=4", "m=a=b"),
+      "out": "d"}),
+    (["catalog", "--out=d", "emit", "--param", "n=5", "circle"],
+     {"action": "emit", "name": "circle", "param": ("n=5",), "out": "d"}),
+]
+
+
+@pytest.mark.parametrize("argv, want", ACCEPTED)
+def test_parse_args_accepts_each_form(argv, want):
+    func, args = parse_args(argv)
+    assert func == "cmd_" + argv[0].replace("-", "_")
+    assert {key: getattr(args, key) for key in want} == want
+
+
+# argv that is not a command line of fixtrace, and what its error line says
+USAGE_ERRORS = [
+    ([], "the command must be one of homology, lefschetz, reidemeister, "
+         "bundle-verify, catalog"),
+    (["bogus", "k.json"], "the command must be one of"),
+    (["--depth", "2", "reidemeister", "m.json"], "the command must be one of"),
+    (["homology"], "homology needs INPUT"),
+    (["catalog"], "catalog needs ACTION"),
+    (["homology", "a.json", "b.json"], "unrecognized arguments: ['b.json']"),
+    (["homology", "k.json", "--depth", "2"], "homology has no option --depth"),
+    (["reidemeister", "m.json", "--dep", "2"],
+     "reidemeister has no option --dep"),
+    (["reidemeister", "m.json", "-d", "2"], "reidemeister has no option -d"),
+    (["homology", "-"], "homology has no option -"),
+    (["reidemeister", "m.json", "--depth"], "--depth needs a value"),
+    (["reidemeister", "m.json", "--depth", "x"],
+     "--depth must be an integer, got 'x'"),
+    (["reidemeister", "m.json", "--depth="],
+     "--depth must be an integer, got ''"),
+    (["bundle-verify", "p.json", "--depth=-3"],
+     "depth must be nonnegative, got -3"),
+    (["bundle-verify", "p.json", "--theorem", "bad"],
+     "theorem must be one of lefschetz, reidemeister, both, got 'bad'"),
+    (["catalog", "bogus"], "action must be one of list, emit, got 'bogus'"),
+    (["catalog", "list", "--param"], "--param needs a value"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_exits_2_with_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(USAGE)
+    last = err[len(USAGE):]
+    assert last.startswith("fixtrace: error: ") and last.endswith("\n")
+    assert message in last and last.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["homology", "-h"],
+                                  ["catalog", "emit", "circle", "--help"],
+                                  ["reidemeister", "--depth", "x", "-h"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr() == (USAGE, "")
+
+
+def _documents_by_exit_code(tmp_path):
+    """(argv, exit code): one document for each exit code of a command."""
+    wrong_records = reflection_doc()
+    wrong_records["fixed_point_records"] = [
+        {"label": "bogus", "index": 5, "witness": []}]
+    disconnected = {"vertices": ["a", "b"], "simplices": [["a"], ["b"]]}
+    return [
+        (["homology", write(tmp_path, "k.json", triangle_doc())], EXIT_OK),
+        (["reidemeister", write(tmp_path, "w.json", wrong_records)], 1),
+        (["lefschetz", write(tmp_path, "x.json", {"complex": {}})],
+         EXIT_INPUT),
+        (["reidemeister", write(tmp_path, "d.json", {
+            "complex": disconnected,
+            "vertex_images": {"a": "a", "b": "b"}})], EXIT_UNSUPPORTED),
+    ]
+
+
+def test_module_run_matches_main(tmp_path, capsys):
+    """``python -m fixtrace.cli`` ends through ``run``: it prints what
+    ``main`` prints in-process and exits with the code ``main`` returns."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, want_code in _documents_by_exit_code(tmp_path):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want_code, argv
+        proc = subprocess.run([sys.executable, "-m", "fixtrace.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == code, argv
+        assert proc.stdout == out.encode("utf-8"), argv
+        assert proc.stderr.decode("utf-8") == err, argv
+
+
+def test_run_freezes_the_heap_and_keeps_atexit_handlers():
+    script = ("import atexit, gc, sys\n"
+              "def report():\n"
+              "    print('frozen', gc.get_freeze_count() > 0)\n"
+              "atexit.register(report)\n"
+              "sys.argv = ['fixtrace', 'catalog', 'list']\n"
+              "from fixtrace.cli import run\n"
+              "run()\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith("circle\t")
+    assert proc.stdout.endswith("\nfrozen True\n")
+
+
+# ---------------------------------------------------------------------------
 # malformed documents
 # ---------------------------------------------------------------------------
 
@@ -525,6 +669,12 @@ MALFORMED = {
         lambda d: d["fiber_maps"]["b0"].update(vertex_images=[[]])),
     "base-basepath-list-edge": lambda: _mutated_degree_pair(
         lambda d: d["base_map"].update(basepath=[[["a", "b"], 1]])),
+    "map-unknown-key": lambda: _mutated_map(
+        "lefschetz", lambda d: d.update(fixed_pointz=[])),
+    "pair-unknown-key": lambda: _mutated_pair(
+        lambda d: d.update(total_mapp={})),
+    "bundle-unknown-key": lambda: _mutated_pair(
+        lambda d: d["bundle"].update(extra=1)),
 }
 
 
@@ -536,6 +686,22 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case, command, message", [
+    ("map-unknown-key", "lefschetz",
+     "map document has unknown field 'fixed_pointz'"),
+    ("map-unknown-key", "reidemeister",
+     "map document has unknown field 'fixed_pointz'"),
+    ("pair-unknown-key", "bundle-verify",
+     "pair document has unknown field 'total_mapp'"),
+    ("bundle-unknown-key", "bundle-verify",
+     "bundle document has unknown field 'extra'"),
+])
+def test_unknown_key_is_named(tmp_path, capsys, case, command, message):
+    doc = MALFORMED[case]()[1]
+    code, out, err = run_cli(capsys, command, write(tmp_path, "d.json", doc))
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
 
 
 def _reflection_records(index, witness):

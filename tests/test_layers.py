@@ -30,7 +30,7 @@ BUNDLE_VERIFY = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.pairs"}
 # not cached; compiling them is most of a small command's start-up.
 HOMOLOGY_LINES_CEILING = 1545
 # The same for the commands that lift to universal covers.
-LINES_CEILINGS = {"reidemeister": 3163, "bundle-verify": 4224}
+LINES_CEILINGS = {"reidemeister": 3163, "bundle-verify": 4218}
 # The largest module, bundles.py; compiling a module raises peak memory
 # in proportion to its size.
 MODULE_LINES_CEILING = 866
@@ -83,6 +83,9 @@ COMMANDS = {
 # define plain classes instead.
 NO_DATACLASSES = {"import", "homology", "homology-malformed", "lefschetz",
                   "reidemeister", "reidemeister-records", "bundle-verify"}
+# No command, the catalog ones included, parses its arguments with
+# ``argparse``, which loads ``gettext``: neither module is imported.
+ARGPARSE_MODULES = {"argparse", "gettext"}
 
 # The inputs digest uses the interpreter's built-in SHA-256, so no command
 # loads ``_hashlib`` (OpenSSL) unless the interpreter was built without it.
@@ -91,23 +94,22 @@ BUILTIN_SHA256 = any(importlib.util.find_spec(name) is not None
 
 
 def _loaded_fixtrace_modules(argv, tmp_path):
-    """Exit code, the fixtrace modules a fresh interpreter imports and
-    whether it imports ``dataclasses`` and ``_hashlib``, read from
-    ``-X importtime``; bytecode is not written, as in a read-only install."""
+    """Exit code, the fixtrace modules a fresh interpreter imports and the
+    other modules it imports, read from ``-X importtime``; bytecode is not
+    written, as in a read-only install."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           capture_output=True, text=True, cwd=tmp_path,
                           env=env, timeout=120)
-    modules = set()
-    dataclasses = openssl = False
+    modules, others = set(), set()
     for line in proc.stderr.splitlines():
         if line.startswith("import time:"):
             name = line.rsplit("|", 1)[1].strip()
             if name == "fixtrace" or name.startswith("fixtrace."):
                 modules.add(name)
-            dataclasses = dataclasses or name == "dataclasses"
-            openssl = openssl or name == "_hashlib"
-    return proc.returncode, modules, dataclasses, openssl
+            else:
+                others.add(name)
+    return proc.returncode, modules, others
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -121,14 +123,14 @@ def test_command_loads_only_its_layers(tmp_path, name):
             path = tmp_path / "doc.json"
             path.write_text(json.dumps(make_doc()), encoding="utf-8")
             argv.append(str(path))
-    code, modules, dataclasses, openssl = _loaded_fixtrace_modules(argv,
-                                                                   tmp_path)
+    code, modules, others = _loaded_fixtrace_modules(argv, tmp_path)
     assert code == want_code
     assert modules == want_modules
     if name in NO_DATACLASSES:
-        assert not dataclasses
+        assert "dataclasses" not in others
+    assert not others & ARGPARSE_MODULES
     if BUILTIN_SHA256:
-        assert not openssl
+        assert "_hashlib" not in others
 
 
 def _source_lines(module: str) -> int:
@@ -141,7 +143,7 @@ def _compiled_lines(tmp_path, name):
     args, make_doc, want_code, _ = COMMANDS[name]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(make_doc()), encoding="utf-8")
-    code, modules, _, _ = _loaded_fixtrace_modules(
+    code, modules, _ = _loaded_fixtrace_modules(
         ["-m", "fixtrace.cli", *args, str(path)], tmp_path)
     assert code == want_code
     # the command's own module runs as __main__, so importtime omits it
