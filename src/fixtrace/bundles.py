@@ -15,7 +15,8 @@ graph, the per-class Lefschetz numbers by composing designated inverses,
 the total map and the per-class fiber maps of the Reidemeister side by
 walking lift tracks, and the two factorization statements
 (Lefschetz-number and Reidemeister-trace versions) are compared side by
-side in verification reports.
+side in verification reports.  The total map is never given: it is built
+from the base map and the fiber maps alone.
 """
 
 from __future__ import annotations
@@ -291,8 +292,7 @@ class BundleSelfMapPair:
 
     def __init__(self, bundle: DiscreteBundle, base_map: GraphSelfMap,
                  fiber_maps: Dict[object, SimplicialMap],
-                 basepath: Optional[Sequence[EdgeStep]] = None,
-                 total_map_images: Optional[Dict] = None):
+                 basepath: Optional[Sequence[EdgeStep]] = None):
         self.bundle = bundle
         self.base_map = base_map
         if base_map.base is not bundle.base:
@@ -311,7 +311,6 @@ class BundleSelfMapPair:
         self.basepath = [tuple(s) for s in basepath]
         base.validate_word(self.basepath, base.basepoint,
                            base_map.vertex_images[base.basepoint])
-        self.total_map_images = dict(total_map_images) if total_map_images else None
         self._traces: Dict[tuple, ShadowElement] = {}
         self._fiber_covers: Dict[Tuple[int, ...], EquivariantChainComplex] = {}
         # homological compatibility over every edge
@@ -574,52 +573,34 @@ def total_space(bundle: DiscreteBundle) -> TotalSpace:
                       square_corners=square_corners)
 
 
-def _fiber_chart_images(pair: BundleSelfMapPair) -> Dict[Tuple, Tuple]:
-    """Images (v, b, x) -> (v, f(b), f_b(x)) of the vertex fiber charts,
-    by base vertex and then by fiber vertex."""
-    images = {}
-    for b in pair.bundle.base.vertices:
-        fb = pair.base_map.vertex_images[b]
-        fm = pair.fiber_maps[b]
-        for x in pair.bundle.fiber(b).vertices:
-            images[("v", b, x)] = ("v", fb, fm.vertex_images[x])
-    return images
-
-
 def total_map(pair: BundleSelfMapPair) -> Tuple[TotalSpace, SimplicialMap]:
     """Total space and its simplicial self-map covering the base map.
 
-    Constructed automatically when every edge maps to a word of length at
-    most one; otherwise the pair must supply total vertex images, which
-    are validated against the projection and the fiber maps.  The
-    automatic map sends chart i of an edge e over x to vertex i of the
-    lift track of f_s(x) along e's word (to its one vertex if the word is
-    empty).  Callers that hold a pair read ``pair.total``, which calls
-    this once.
+    The one rule: the map is the fiber map on each vertex fiber chart and
+    sends chart i of an edge e over x to vertex i of the lift track of
+    f_s(x) along e's word (to its one vertex if the word is empty).  An
+    edge whose word is longer than one letter, or whose word's track has
+    another number of layers, is not constructible.  Callers that hold a
+    pair read ``pair.total``, which calls this once.
     """
     total = total_space(pair.bundle)
     base = pair.bundle.base
     k = total.complex
-    if pair.total_map_images is not None:
-        images = dict(pair.total_map_images)
-        _fill_center_images(total, images)
-        f = SimplicialMap(k, k, images)
-        _validate_total_map(pair, total, f)
-        return total, f
     for (e, _, _) in base.edges:
         n = len(pair.base_map.edge_words[e])
         if n > 1:
             raise NotConstructibleError(
                 f"edge {e} maps to a word of length {n}; the chosen "
                 f"prism subdivision cannot realize it")
-    images = _fiber_chart_images(pair)
+    fb = pair.base_map.vertex_images
+    images = {("v", b, x): ("v", fb[b], pair.fiber_maps[b].vertex_images[x])
+              for b in base.vertices for x in pair.bundle.fiber(b).vertices}
     for (e, s, _) in base.edges:
         word = pair.base_map.edge_words[e]
-        fs = pair.base_map.vertex_images[s]
         fm = pair.fiber_maps[s].vertex_images
         for x in pair.bundle.fiber(s).vertices:
             own, _ = total.transport_track([(e, 1)], s, x)
-            track, _ = total.transport_track(word, fs, fm[x])
+            track, _ = total.transport_track(word, fb[s], fm[x])
             if not word:
                 track = track * len(own)
             elif len(track) != len(own):
@@ -646,12 +627,7 @@ def _fill_center_images(total: TotalSpace, images: Dict) -> None:
     center_by_corners = {frozenset(corners): c
                          for c, corners in total.square_corners.items()}
     for center, corners in total.square_corners.items():
-        if center in images:
-            continue
-        try:
-            img = [images[c] for c in corners]
-        except KeyError as exc:
-            raise NotConstructibleError(f"missing corner image: {exc}")
+        img = [images[c] for c in corners]
         distinct = set(img)
         if len(distinct) == 4:
             c2 = center_by_corners.get(frozenset(distinct))
@@ -665,25 +641,6 @@ def _fill_center_images(total: TotalSpace, images: Dict) -> None:
         else:
             raise NotConstructibleError(
                 "a prism square maps onto three distinct vertices")
-
-
-def _validate_total_map(pair: BundleSelfMapPair, total: TotalSpace,
-                        f: SimplicialMap) -> None:
-    base = pair.bundle.base
-    for v, want in _fiber_chart_images(pair).items():
-        if f.vertex_images[v] != want:
-            raise BundleError(
-                f"total map does not restrict to the fiber map over {v[1]}")
-    for (e, s, d) in base.edges:
-        allowed = {("v", pair.base_map.vertex_images[s])}
-        for eid, _ in pair.base_map.edge_words[e]:
-            allowed.update(_edge_layers(pair.bundle, eid)[0])
-        for chart in _edge_layers(pair.bundle, e)[0][1:-1]:
-            for x in pair.bundle.fiber(s).vertices:
-                if f.vertex_images[chart + (x,)][:2] not in allowed:
-                    raise BundleError(
-                        f"total map sends midpoint chart of {e} outside "
-                        f"the image of the base edge")
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,7 @@ def double_cover_reflection_pair() -> BundleSelfMapPair:
     Base: square graph; fibers: two points; monodromy around the base is
     the sheet swap.  Over one fixed point of the base reflection the
     fiber map is the identity, over the other it is the transposition.
-    The total map (the reflection of the covering circle) is supplied
-    explicitly.
+    The total map is the reflection of the covering circle.
     """
     base = circle_base(4)
     fib = two_point_complex()
@@ -188,20 +187,7 @@ def double_cover_reflection_pair() -> BundleSelfMapPair:
     }
     bmap = GraphSelfMap(base, vertex_images, edge_words)
     fiber_maps = {"b0": ident, "b1": swap, "b2": swap, "b3": swap}
-    total_images = {}
-    for b, fm in fiber_maps.items():
-        for x in ("0", "1"):
-            total_images[("v", b, x)] = ("v", vertex_images[b],
-                                         fm.vertex_images[x])
-    reversal = {"e0": "e3", "e1": "e2", "e2": "e1", "e3": "e0"}
-    for e, e2 in reversal.items():
-        inv = transports[e2].preimages()
-        src = base.edge_by_id[e][0]
-        for x in ("0", "1"):
-            y = fiber_maps[src].vertex_images[x]
-            total_images[("m", e, x)] = ("m", e2, inv[y])
-    return BundleSelfMapPair(bundle, bmap, fiber_maps,
-                             total_map_images=total_images)
+    return BundleSelfMapPair(bundle, bmap, fiber_maps)
 
 
 def double_cover_oracle() -> Dict:

@@ -30,14 +30,14 @@ def json_object(doc, what: str) -> Dict:
     return doc
 
 
-def json_fields(doc, what: str, required, optional=None) -> Dict:
-    """The JSON object ``doc``, if it has each ``required`` field and, where
-    ``optional`` is given, no field outside the two."""
+def json_fields(doc, what: str, required, optional) -> Dict:
+    """The JSON object ``doc``, if it has each ``required`` field and no
+    field outside ``required`` and ``optional``."""
     json_object(doc, what)
     for field in required:
         if field not in doc:
             raise InputError(f"{what} is missing field {field!r}")
-    for key in () if optional is None else doc:
+    for key in doc:
         if key not in required and key not in optional:
             raise InputError(f"{what} has unknown field {key!r}")
     return doc
@@ -62,10 +62,9 @@ def _is_name(x) -> bool:
     return not isinstance(x, (list, dict))
 
 
-def json_vertex_images(doc, what: str) -> Dict:
-    """The ``vertex_images`` object of the map document ``doc``."""
-    doc = json_fields(doc, what, ("vertex_images",))
-    images = json_object(doc["vertex_images"], f"{what} vertex_images")
+def json_vertex_images(images, what: str) -> Dict:
+    """``images`` itself, if it is an object whose values name vertices."""
+    images = json_object(images, f"{what} vertex_images")
     if not all(_is_name(w) for w in images.values()):
         raise InputError(f"{what} vertex images must be vertex names")
     return images
@@ -89,7 +88,7 @@ def serialize_complex(k: SimplicialComplex) -> Dict:
 
 
 def parse_complex(doc: Dict) -> SimplicialComplex:
-    json_fields(doc, "complex document", ("vertices", "simplices"))
+    json_fields(doc, "complex document", ("vertices", "simplices"), ())
     try:
         # looked up on the module at each call, where bench/tracer.py
         # wraps it as the simplicial.complex span
@@ -127,7 +126,8 @@ def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
                 ("basepath", "fixed_point_records"))
     k = _resolve_complex_doc(doc["complex"])
     try:
-        f = SimplicialMap(k, k, json_vertex_images(doc, "map document"))
+        f = SimplicialMap(k, k, json_vertex_images(doc["vertex_images"],
+                                                   "map document"))
     except SimplicialError as exc:
         raise InputError(f"invalid self-map: {exc}")
     basepath = []

@@ -1,13 +1,13 @@
 """Graph-base, bundle and bundle-pair documents.
 
 Only ``bundle-verify`` and ``catalog emit`` of a bundle pair load this
-module.  A pair document may carry the total map, with each total-space
-vertex written as its parts joined by ``|``.
+module.  A pair document names the bundle, the base map and the fiber
+maps; the total map is always built from them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .bundles import (
     BundleError,
@@ -42,13 +42,16 @@ def serialize_graph_base(base: GraphBase) -> Dict:
 
 def parse_graph_base(doc: Dict) -> GraphBase:
     json_fields(doc, "base document",
-                ("vertices", "edges", "tree", "basepoint"))
+                ("vertices", "edges", "tree", "basepoint"), ())
     try:
-        return GraphBase(list(doc["vertices"]),
+        base = GraphBase(list(doc["vertices"]),
                          [(e["id"], e["src"], e["dst"]) for e in doc["edges"]],
                          list(doc["tree"]), doc["basepoint"])
     except (BundleError, KeyError, TypeError) as exc:
         raise InputError(f"invalid base graph: {exc}")
+    for e in doc["edges"]:
+        json_fields(e, f"base edge {e['id']}", ("id", "src", "dst"), ())
+    return base
 
 
 def _serialize_simplicial_map(f: SimplicialMap) -> Dict:
@@ -65,6 +68,12 @@ def serialize_bundle(bundle: DiscreteBundle) -> Dict:
                            "inverse": _serialize_simplicial_map(t.inverse)}
                        for e, t in sorted(bundle.transports.items())},
     }
+
+
+def _map_images(doc, what: str) -> Dict:
+    """The vertex images of the map object ``doc``, its one field."""
+    doc = json_fields(doc, what, ("vertex_images",), ())
+    return json_vertex_images(doc["vertex_images"], what)
 
 
 def _only_keys(doc, names, what: str, kind: str) -> Dict:
@@ -93,15 +102,15 @@ def parse_bundle(doc: Dict) -> DiscreteBundle:
         if tdoc is None:
             raise InputError(f"bundle document has no transport for edge {e}")
         tdoc = json_object(tdoc, f"transport over {e}")
-        fwd_images = json_vertex_images(tdoc.get("map"),
-                                        f"transport map over {e}")
-        inv_images = json_vertex_images(tdoc.get("inverse"),
-                                    f"transport inverse over {e}")
+        fwd_images = _map_images(tdoc.get("map"), f"transport map over {e}")
+        inv_images = _map_images(tdoc.get("inverse"),
+                                 f"transport inverse over {e}")
         try:
             fwd = SimplicialMap(fibers[s], fibers[d], fwd_images)
             inv = SimplicialMap(fibers[d], fibers[s], inv_images)
         except SimplicialError as exc:
             raise InputError(f"invalid transport over {e}: {exc}")
+        json_fields(tdoc, f"transport over {e}", ("map", "inverse"), ())
         transports[e] = Transport(forward=fwd, inverse=inv)
     try:
         return DiscreteBundle(base, fibers, transports)
@@ -109,20 +118,9 @@ def parse_bundle(doc: Dict) -> DiscreteBundle:
         raise InputError(f"invalid bundle: {exc}")
 
 
-def encode_total_vertex(v: Tuple) -> str:
-    return "|".join(str(part) for part in v)
-
-
-def decode_total_vertex(s: str) -> Tuple:
-    parts = s.split("|")
-    if parts[0] == "c":
-        return ("c", parts[1], int(parts[2]), parts[3], parts[4])
-    return tuple(parts)
-
-
 def serialize_pair(pair: BundleSelfMapPair) -> Dict:
     base = pair.bundle.base
-    doc = {
+    return {
         "bundle": serialize_bundle(pair.bundle),
         "base_map": {
             "vertex_images": {str(v): str(pair.base_map.vertex_images[v])
@@ -135,18 +133,10 @@ def serialize_pair(pair: BundleSelfMapPair) -> Dict:
         "fiber_maps": {str(v): _serialize_simplicial_map(pair.fiber_maps[v])
                        for v in base.vertices},
     }
-    if pair.total_map_images is not None:
-        doc["total_map"] = {
-            "vertex_images": {encode_total_vertex(k): encode_total_vertex(w)
-                              for k, w in sorted(
-                                  pair.total_map_images.items(),
-                                  key=lambda kv: encode_total_vertex(kv[0]))}}
-    return doc
 
 
 def parse_pair(doc: Dict) -> BundleSelfMapPair:
-    json_fields(doc, "pair document", ("bundle", "base_map", "fiber_maps"),
-                ("total_map",))
+    json_fields(doc, "pair document", ("bundle", "base_map", "fiber_maps"), ())
     bundle = parse_bundle(doc["bundle"])
     base = bundle.base
     bm = json_object(doc["base_map"], "base map")
@@ -158,6 +148,7 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
                                      "base map edge words").items()})
     except (BundleError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid base map: {exc}")
+    json_fields(bm, "base map", ("vertex_images",), ("edge_words", "basepath"))
     fiber_map_docs = _only_keys(doc["fiber_maps"],
                                 {str(v) for v in base.vertices},
                                 "pair fiber maps", "vertex")
@@ -167,7 +158,7 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
         if fdoc is None:
             raise InputError(f"pair document has no fiber map over {v!r}")
         fv = base_map.vertex_images[v]
-        images = json_vertex_images(fdoc, f"fiber map over {v!r}")
+        images = _map_images(fdoc, f"fiber map over {v!r}")
         try:
             fiber_maps[v] = SimplicialMap(bundle.fiber(v), bundle.fiber(fv),
                                           images)
@@ -178,18 +169,8 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
              else json_steps(raw_basepath, "base map basepath"))
     basepath = None if steps is None else [
         (e, json_sign(s, "basepath sign")) for (e, s) in steps]
-    total_images = None
-    if "total_map" in doc:
-        try:
-            total_images = {
-                decode_total_vertex(k): decode_total_vertex(w)
-                for k, w in doc["total_map"]["vertex_images"].items()}
-        except (AttributeError, IndexError, KeyError, TypeError,
-                ValueError) as exc:
-            raise InputError(f"invalid total map: {exc!r}")
     try:
         return BundleSelfMapPair(bundle, base_map, fiber_maps,
-                                 basepath=basepath,
-                                 total_map_images=total_images)
+                                 basepath=basepath)
     except BundleError as exc:
         raise InputError(f"invalid pair: {exc}")

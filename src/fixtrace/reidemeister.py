@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .documents import InputError, json_integer
+from .documents import InputError, json_fields, json_integer
 from .grouprings import (
     DEFAULT_DEPTH,
     GroupEndomorphism,
@@ -145,13 +145,6 @@ class EquivariantChainComplex:
         if 1 <= i <= self.top_degree:
             return self.boundaries[i - 1]
         return GroupRingMatrix(self.group, self.rank(i), self.rank(i - 1))
-
-    def augmented_complex(self):
-        """Integral complex obtained by sending every group element to 1."""
-        from .exactalg import ChainComplex
-        bnds = [self.boundary(i).augmented().transpose()
-                for i in range(1, self.top_degree + 1)]
-        return ChainComplex(self.ranks, bnds)
 
     def __repr__(self):
         return f"EquivariantChainComplex(ranks={self.ranks}, group={self.group!r})"
@@ -383,6 +376,8 @@ def parse_fixed_point_records(doc: Dict, group
                 class_witness=witness))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid fixed_point_records: {exc!r}")
+    for r in raw:
+        json_fields(r, "fixed point record", ("index", "witness"), ("label",))
     return records
 
 

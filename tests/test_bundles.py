@@ -181,7 +181,7 @@ def test_total_map_identity_pair():
     assert f.is_identity()
 
 
-def test_total_map_supplied_double_cover():
+def test_total_map_double_cover():
     pair = double_cover_reflection_pair()
     total, f = total_map(pair)
     assert lefschetz_number(f) == 2
@@ -794,15 +794,6 @@ def test_rotation_designated_inverse_passes(tmp_path, capsys, fiber_map_name,
     assert (code, rep["verdict"], rep["flags"]) == (EXIT_OK, "pass", [])
     assert rep["lhs"]["lefschetz"] == rep["rhs"]["lefschetz"] == value
     assert rep["lhs"]["nielsen"] == rep["rhs"]["nielsen"] == value
-
-
-def test_double_cover_supplied_total_map_is_the_automatic_one():
-    from fixtrace.bundles import BundleSelfMapPair
-    supplied = double_cover_reflection_pair()
-    automatic = BundleSelfMapPair(supplied.bundle, supplied.base_map,
-                                  supplied.fiber_maps)
-    assert (total_map(supplied)[1].vertex_images
-            == total_map(automatic)[1].vertex_images)
 
 
 def test_edge_onto_a_loop_names_both_layer_counts():

@@ -635,6 +635,12 @@ def _mutated_degree_pair(mutate):
     return _mutated_pair(mutate, serialize_pair(cat.circle_degree_pair(2)))
 
 
+def _record_with_unknown_key():
+    command, doc = _reflection_records(1, [[0, 1]])
+    doc["fixed_point_records"][0]["extra"] = 1
+    return [command, doc]
+
+
 # Each builder returns argv; dict entries are written to a file first.
 MALFORMED = {
     "simplices-not-lists": lambda: [
@@ -675,6 +681,22 @@ MALFORMED = {
         lambda d: d.update(total_mapp={})),
     "bundle-unknown-key": lambda: _mutated_pair(
         lambda d: d["bundle"].update(extra=1)),
+    "complex-unknown-key": lambda: ["homology", dict(triangle_doc(), extra=1)],
+    "base-unknown-key": lambda: _mutated_pair(
+        lambda d: d["bundle"]["base"].update(extra=1)),
+    "base-edge-unknown-key": lambda: _mutated_pair(
+        lambda d: d["bundle"]["base"]["edges"][0].update(extra=1)),
+    "base-map-unknown-key": lambda: _mutated_pair(
+        lambda d: d["base_map"].update(extra=1)),
+    "transport-unknown-key": lambda: _mutated_pair(
+        lambda d: d["bundle"]["transports"]["e0"].update(extra=1)),
+    "transport-map-unknown-key": lambda: _mutated_pair(
+        lambda d: d["bundle"]["transports"]["e0"]["map"].update(extra=1)),
+    "transport-inverse-unknown-key": lambda: _mutated_pair(
+        lambda d: d["bundle"]["transports"]["e0"]["inverse"].update(extra=1)),
+    "fiber-map-unknown-key": lambda: _mutated_pair(
+        lambda d: d["fiber_maps"]["b0"].update(extra=1)),
+    "record-unknown-key": _record_with_unknown_key,
 }
 
 
@@ -697,11 +719,65 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
      "pair document has unknown field 'total_mapp'"),
     ("bundle-unknown-key", "bundle-verify",
      "bundle document has unknown field 'extra'"),
+    ("total-map-bad-vertex", "bundle-verify",
+     "pair document has unknown field 'total_map'"),
+    ("complex-unknown-key", "homology",
+     "complex document has unknown field 'extra'"),
+    ("base-unknown-key", "bundle-verify",
+     "base document has unknown field 'extra'"),
+    ("base-edge-unknown-key", "bundle-verify",
+     "base edge e0 has unknown field 'extra'"),
+    ("base-map-unknown-key", "bundle-verify",
+     "base map has unknown field 'extra'"),
+    ("transport-unknown-key", "bundle-verify",
+     "transport over e0 has unknown field 'extra'"),
+    ("transport-map-unknown-key", "bundle-verify",
+     "transport map over e0 has unknown field 'extra'"),
+    ("transport-inverse-unknown-key", "bundle-verify",
+     "transport inverse over e0 has unknown field 'extra'"),
+    ("fiber-map-unknown-key", "bundle-verify",
+     "fiber map over 'b0' has unknown field 'extra'"),
+    ("record-unknown-key", "reidemeister",
+     "fixed point record has unknown field 'extra'"),
 ])
 def test_unknown_key_is_named(tmp_path, capsys, case, command, message):
     doc = MALFORMED[case]()[1]
     code, out, err = run_cli(capsys, command, write(tmp_path, "d.json", doc))
     assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+def _backtracking_pair_doc():
+    """A point fiber over the 2-cycle; the base map sends both vertices to
+    b0, e0 round the loop e0 e1 (a word of length 2) and e1 to no edge."""
+    from fixtrace.bundles import BundleSelfMapPair, GraphSelfMap
+    from fixtrace.simplicial import SimplicialMap
+    base = cat.circle_base(2)
+    pt = cat.point_complex()
+    bmap = GraphSelfMap(base, {"b0": "b0", "b1": "b0"},
+                        {"e0": [("e0", 1), ("e1", 1)], "e1": []})
+    return serialize_pair(BundleSelfMapPair(
+        cat.point_fiber_bundle(base), bmap,
+        {v: SimplicialMap(pt, pt, {"p": "p"}) for v in base.vertices}))
+
+
+def test_backtracking_pair_is_malformed_or_not_constructible(tmp_path, capsys):
+    # Both theorems hold, so no pair may verify as fail.  A total map given
+    # in chart names could go up e0 and back instead of round the loop, and
+    # did; the format has no such field.
+    doc = _backtracking_pair_doc()
+    code, out, err = run_cli(capsys, "bundle-verify",
+                             write(tmp_path, "plain.json", doc))
+    assert (code, err) == (EXIT_UNSUPPORTED, "")
+    assert json.loads(out)["flags"] == [
+        "edge e0 maps to a word of length 2; the chosen prism subdivision "
+        "cannot realize it"]
+    doc["total_map"] = {"vertex_images": {
+        "v|b0|p": "v|b0|p", "v|b1|p": "v|b0|p", "m|e1|p": "v|b0|p",
+        "m|e0|p": "m|e0|p"}}
+    code, out, err = run_cli(capsys, "bundle-verify",
+                             write(tmp_path, "total.json", doc))
+    assert (code, out, err) == (
+        EXIT_INPUT, "", "error: pair document has unknown field 'total_map'\n")
 
 
 def _reflection_records(index, witness):
@@ -949,7 +1025,7 @@ CATALOG_REPORTS = [
     ("circle_reflection", "reidemeister", 0,
      "498046f0e026e07f2d559ee9f33382a13c71666b2470fdb2f9d50efed13c8b07"),
     ("double_cover_reflection", "bundle-verify", 0,
-     "00189bfb8cab8186cc7ec668623c171a33745045c97da72dba2cf24214bb0cd1"),
+     "8abc5577f6e548f22d35814f5568a16829980642474a731c815c04870223da8b"),
     ("figure_eight", "homology", 0,
      "6239fe39f33d8db9b8dd3e2474327d032e3b95001077b83f6592cdae7bcdd26b"),
     ("fixed_point_free_rotation", "bundle-verify", 0,
@@ -983,9 +1059,9 @@ CATALOG_THEOREM_REPORTS = {
     ("circle_degree_map", "reidemeister"): (
         3, "496837747f19e1970d727179ec37643dfc3ffbe142a1d02e97a973cc92447cb1"),
     ("double_cover_reflection", "lefschetz"): (
-        0, "c64c9b50adf3d7c777d7bc9dae2bef89a71883bb8812f3be1f0ffbb70610997b"),
+        0, "3c952f292dd5d49739eaea8303b0ad6cda0bf4a7deb17f7ab084420228a595ca"),
     ("double_cover_reflection", "reidemeister"): (
-        0, "4f1426fa1d7711197c4281b905cd51890ebd157519af086ecf8622d8072d9730"),
+        0, "befb674e2d9a6ae09ebcafeb986e4b0790fbd572f5ecdc205003903109650d57"),
     ("fixed_point_free_rotation", "lefschetz"): (
         0, "c375f3d6d7c9f3361cb1a04278822174dfc41c6af6d6dfc27c558180501fb26f"),
     ("fixed_point_free_rotation", "reidemeister"): (
@@ -1048,6 +1124,8 @@ def test_torus_reports_byte_identical(tmp_path, capsys):
 CATALOG_DOCUMENTS = [(command, json.loads(emit_document(name, {})[1]))
                      for name, command, _, _ in CATALOG_REPORTS]
 WRONG_TYPED = [None, True, 0, -1, 2.5, "x", "", [], [[]], [1, 2], {}, {"x": 1}]
+# No object of any document format has this key.
+UNKNOWN_KEY = "zz_unknown"
 
 
 def _paths(doc, prefix=()):
@@ -1059,19 +1137,29 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
 @st.composite
 def mutated_documents(draw):
-    """A catalog document with one or two keys deleted or values retyped."""
+    """A catalog document with one or two keys deleted, values retyped or
+    ``UNKNOWN_KEY`` inserted into an object."""
     command, doc = draw(st.sampled_from(CATALOG_DOCUMENTS))
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
+        if draw(st.integers(0, 2)) == 2:
+            objects = [p for p in [(), *paths] if isinstance(_at(doc, p), dict)]
+            _at(doc, draw(st.sampled_from(objects)))[UNKNOWN_KEY] = (
+                copy.deepcopy(draw(st.sampled_from(WRONG_TYPED))))
+            continue
         if not paths:
             break
         *parent_path, key = draw(st.sampled_from(paths))
-        parent = doc
-        for step in parent_path:
-            parent = parent[step]
+        parent = _at(doc, parent_path)
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[key]
         else:
@@ -1091,6 +1179,9 @@ def test_mutated_catalog_documents_never_crash(tmp_path_factory, case):
         code = main([command, str(path), *(["--depth", "2"] if command in (
             "reidemeister", "bundle-verify") else [])])
     assert code in (0, 1, 2, 3)
+    # an unknown key that a later mutation did not take out again
+    if any(path[-1] == UNKNOWN_KEY for path in _paths(doc)):
+        assert code == EXIT_INPUT
     if code == EXIT_INPUT:
         assert out.getvalue() == ""
 
