@@ -67,13 +67,11 @@ from .words import expand_word, invert_word, reduce_word
 
 
 class BundleError(ValueError):
-    pass
+    exit_code = 2
 
 
 class NotConstructibleError(BundleError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    exit_code = 3
 
 
 EdgeStep = Tuple[str, int]  # (edge id, +1 forward / -1 reversed)
@@ -752,14 +750,9 @@ def verify_lefschetz_mult(pair: BundleSelfMapPair,
         rows.append({"class": class_label(cls), "ind": ind,
                      "fiber_lefschetz": value})
         rhs += ind * value
-    if flags:
-        verdict = "indeterminate"
-    elif lhs == rhs:
-        verdict = "pass"
-    else:
-        verdict = "fail"
     return VerificationReport(theorem="lefschetz", rows=rows, lhs=lhs,
-                              rhs=rhs, verdict=verdict, flags=flags)
+                              rhs=rhs, verdict="pass" if lhs == rhs else "fail",
+                              flags=flags)
 
 
 def verify_reidemeister_mult(pair: BundleSelfMapPair,
@@ -782,8 +775,6 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
     if comparison == UNKNOWN:
         verdict = "indeterminate"
         flags.append("class comparison returned Unknown")
-    elif flags:
-        verdict = "indeterminate"
     elif comparison == EQUAL:
         verdict = "pass"
     else:
@@ -805,7 +796,8 @@ def nielsen_additivity(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
     lhs = nielsen(pair.total_trace(depth), depth)
     rows = []
     rhs = 0
-    for cls, ind in pair.base_trace(depth).items():
+    # a heuristic key may split a base class; consolidating counts it once
+    for cls, ind in pair.base_trace(depth).consolidated(depth).items():
         if ind == 0:
             continue
         count = nielsen(pair.fiber_trace(cls, depth), depth)

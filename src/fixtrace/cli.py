@@ -165,7 +165,7 @@ def cmd_reidemeister(args) -> int:
                                reidemeister_trace_chain,
                                reidemeister_trace_geometric)
     doc, digest = _read_input(args.input)
-    k, f, basepath, raw = parse_map(doc)
+    k, f, basepath, records = parse_map(doc)
     depth = DEFAULT_DEPTH if args.depth is None else args.depth
     parameters = {"depth": depth}
     flags: List[str] = []
@@ -194,7 +194,7 @@ def cmd_reidemeister(args) -> int:
             verdict="indeterminate",
             flags=flags + ["nielsen count depends on an Unknown comparison"],
             parameters=parameters)
-    records = parse_fixed_point_records(raw, group)
+    records = parse_fixed_point_records(records, group)
     geometric = None
     if records is not None:
         geo = reidemeister_trace_geometric(records, group, lift.endo, depth)
@@ -346,41 +346,19 @@ def parse_args(argv: Sequence[str]) -> Tuple[str, SimpleNamespace]:
     return func, args
 
 
-# The errors main maps to exit codes, as (defining module, class name).  A
-# module that was never loaded raised none of its errors, so main looks
-# only in the loaded ones and loads none itself.
-_UNSUPPORTED_ERRORS = (("reidemeister", "UnsupportedComplexError"),
-                       ("grouprings", "IndeterminateError"),
-                       ("bundles", "NotConstructibleError"))
-_INPUT_ERRORS = (("simplicial", "SimplicialError"),
-                 ("exactalg", "ExactAlgError"),
-                 ("bundles", "BundleError"),
-                 ("words", "GroupError"))
-
-
-def _loaded(errors) -> Tuple[type, ...]:
-    """The classes among ``errors`` whose defining modules are loaded."""
-    found = []
-    for module, name in errors:
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            found.append(getattr(loaded, name))
-    return tuple(found)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  An error that states its ``exit_code`` is reported
+    on stderr; any other exception is a bug and propagates."""
     func, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return globals()[func](args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except _loaded(_UNSUPPORTED_ERRORS) as exc:
-        sys.stderr.write(f"unsupported: {exc}\n")
-        return EXIT_UNSUPPORTED
-    except _loaded(_INPUT_ERRORS) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    except Exception as exc:
+        code = getattr(exc, "exit_code", None)
+        if code is None:
+            raise
+        prefix = "unsupported" if code == EXIT_UNSUPPORTED else "error"
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 def run() -> None:

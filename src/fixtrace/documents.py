@@ -1,16 +1,16 @@
 """Complex and self-map documents, and the checks every document reader uses.
 
 Documents are JSON values with a fixed field order.  A reader rejects a
-malformed document with :class:`InputError`, which the command line maps
-to exit code 2.  Besides ``simplicial`` this module imports no layer: a
-complex given as ``{"ref": <catalog name>}`` loads ``catalog`` when it is
-read.  The bundle-pair formats are in ``pairs``.
+malformed document with :class:`InputError`, which carries exit code 2.
+Besides ``simplicial`` this module imports no layer: a complex given as
+``{"ref": <catalog name>}`` loads ``catalog`` when it is read.  The
+bundle-pair formats are in ``pairs``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from . import simplicial
 from .simplicial import SimplicialComplex, SimplicialError, SimplicialMap
@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 
 
 class InputError(ValueError):
-    pass
+    exit_code = 2
 
 
 def json_object(doc, what: str) -> Dict:
@@ -121,7 +121,9 @@ def _resolve_complex_doc(doc) -> SimplicialComplex:
 
 
 def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
-                                  List[Tuple[int, int]], Dict]:
+                                  List[Tuple[int, int]], Optional[List[Dict]]]:
+    """The complex, the self-map, the basepath as vertex-index steps and the
+    fixed point records (None if the document has none)."""
     json_fields(doc, "map document", ("complex", "vertex_images"),
                 ("basepath", "fixed_point_records"))
     k = _resolve_complex_doc(doc["complex"])
@@ -135,4 +137,13 @@ def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
         if not _is_name(v) or u not in k.index or v not in k.index:
             raise InputError(f"basepath step {[u, v]} uses unknown vertices")
         basepath.append((k.index[u], k.index[v]))
-    return k, f, basepath, doc
+    # a witness's letters depend on the group, which reidemeister reads
+    records = doc.get("fixed_point_records")
+    if records is not None and not isinstance(records, list):
+        raise InputError("fixed_point_records must be a list")
+    for r in records or ():
+        json_fields(r, "fixed point record", ("index", "witness"), ("label",))
+        json_integer(r["index"], "fixed point index")
+        if not isinstance(r["witness"], list):
+            raise InputError("fixed point witness must be a list")
+    return k, f, basepath, records

@@ -44,6 +44,7 @@ SparseRow = Dict[int, int]  # {column: entry}, nonzero entries only
 
 class ExactAlgError(ValueError):
     """Raised for malformed matrices, complexes or chain maps."""
+    exit_code = 2
 
 
 # ---------------------------------------------------------------------------

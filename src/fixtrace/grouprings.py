@@ -38,6 +38,7 @@ DEFAULT_DEPTH = 8
 
 class IndeterminateError(RuntimeError):
     """A result depends on a twisted-conjugacy comparison that returned Unknown."""
+    exit_code = 3
 
 
 # ---------------------------------------------------------------------------

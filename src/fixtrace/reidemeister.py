@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .documents import InputError, json_fields, json_integer
+from .documents import InputError, json_integer
 from .grouprings import (
     DEFAULT_DEPTH,
     GroupEndomorphism,
@@ -44,11 +44,11 @@ from .words import invert_word, reduce_word
 
 
 class UnsupportedComplexError(ValueError):
-    pass
+    exit_code = 3
 
 
 class LiftError(ValueError):
-    pass
+    """A broken invariant of a lift: it has no exit code, so it is a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +349,13 @@ class FixedPointRecord:
         self.class_witness = class_witness
 
 
-def parse_fixed_point_records(doc: Dict, group
+def parse_fixed_point_records(raw: Optional[List[Dict]], group
                               ) -> Optional[List[FixedPointRecord]]:
-    """The ``fixed_point_records`` of a map document, or None if it has none.
-
-    A witness is an integer vector over a free abelian ``group`` and a list
-    of ``[generator, exponent]`` letters over a free one.
+    """The records ``documents.parse_map`` read, or None if it read none,
+    with each witness read over ``group``: an integer vector over a free
+    abelian group and a list of ``[generator, exponent]`` letters over a
+    free one.
     """
-    raw = doc.get("fixed_point_records")
     if raw is None:
         return None
     records = []
@@ -370,14 +369,11 @@ def parse_fixed_point_records(doc: Dict, group
                 witness = tuple((json_integer(g, "witness generator"),
                                  json_integer(e, "witness exponent"))
                                 for g, e in witness)
-            records.append(FixedPointRecord(
-                label=r.get("label"),
-                index=json_integer(r["index"], "fixed point index"),
-                class_witness=witness))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            records.append(FixedPointRecord(label=r.get("label"),
+                                            index=r["index"],
+                                            class_witness=witness))
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid fixed_point_records: {exc!r}")
-    for r in raw:
-        json_fields(r, "fixed point record", ("index", "witness"), ("label",))
     return records
 
 

@@ -23,7 +23,7 @@ from .exactalg import ChainComplex, ChainMap, IntMatrix, hopf_chain_trace
 
 
 class SimplicialError(ValueError):
-    pass
+    exit_code = 2
 
 
 # ---------------------------------------------------------------------------

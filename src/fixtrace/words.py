@@ -12,7 +12,7 @@ from typing import Iterable, List, Tuple
 
 
 class GroupError(ValueError):
-    pass
+    exit_code = 2
 
 
 def reduce_word(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:

@@ -233,11 +233,13 @@ def test_bundle_verify_not_constructible_exit3(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "unsupported"
 
 
-def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
+def test_bundle_verify_heuristic_base_classes_pass(tmp_path, capsys):
     # theta base (three edges b0 -> b1, tree [x]) with a map fixing x and
     # swapping y and z: pi_1 is free of rank two, whose twisted classes are
-    # only heuristic, so the verdict is flagged indeterminate.  The base
-    # has no loop edge, so the total space passes its Euler check.
+    # only heuristic.  A heuristic key can split a class but never merges
+    # two, so each side is still exact: the verdict comes from the
+    # comparisons, and the flag only informs.  The base has no loop edge,
+    # so the total space passes its Euler check.
     from fixtrace.bundles import BundleSelfMapPair, GraphBase, GraphSelfMap
     from fixtrace.simplicial import SimplicialMap
     base = GraphBase(["b0", "b1"], [("x", "b0", "b1"), ("y", "b0", "b1"),
@@ -251,11 +253,74 @@ def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
     doc = serialize_pair(pair)
     path = write(tmp_path, "pair.json", doc)
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    sides = {"lefschetz": 1, "reidemeister": [["[]", 1]], "nielsen": 1}
+    assert report["lhs"] == report["rhs"] == sides
+    # both verifiers flag the heuristic base classes; the report says it once
+    assert report["flags"] == ["heuristic base classes (depth 2)"]
+
+
+def _k4_point_fiber_pair(images):
+    """A point fiber over K4 (the three edges at b0 as the tree) and the
+    base map sending b_i to b_images[i], each edge to the edge between the
+    images or, where they agree, to no edge."""
+    from fixtrace.bundles import BundleSelfMapPair, GraphBase, GraphSelfMap
+    from fixtrace.simplicial import SimplicialMap
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    base = GraphBase([f"b{i}" for i in range(4)],
+                     [(f"e{i}{j}", f"b{i}", f"b{j}") for i, j in pairs],
+                     ["e01", "e02", "e03"], "b0")
+    words = {}
+    for i, j in pairs:
+        a, b = images[i], images[j]
+        words[f"e{i}{j}"] = ([] if a == b else [(f"e{a}{b}", 1)] if a < b
+                             else [(f"e{b}{a}", -1)])
+    bmap = GraphSelfMap(base, {f"b{i}": f"b{images[i]}" for i in range(4)},
+                        words)
+    pt = cat.point_complex()
+    return BundleSelfMapPair(
+        cat.point_fiber_bundle(base), bmap,
+        {v: SimplicialMap(pt, pt, {"p": "p"}) for v in base.vertices})
+
+
+def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
+    # K4's pi_1 is free of rank three; at depth 2 the class search decides
+    # neither way whether the total trace's class [g2^-1] is the pushed
+    # class [g2^1], so the Reidemeister comparison is Unknown, while L
+    # reads 2 = 2.
+    path = write(tmp_path, "pair.json",
+                 serialize_pair(_k4_point_fiber_pair((1, 1, 3, 2))))
+    code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
     assert code == EXIT_UNSUPPORTED
     report = json.loads(out)
     assert report["verdict"] == "indeterminate"
-    # both verifiers flag the heuristic base classes; the report says it once
-    assert report["flags"] == ["heuristic base classes (depth 2)"]
+    assert [t["theorem"] for t in report["tables"]] == ["lefschetz",
+                                                        "reidemeister"]
+    assert report["lhs"]["lefschetz"] == report["rhs"]["lefschetz"] == 2
+    assert report["lhs"]["reidemeister"] == [["[]", 1], ["[g2^-1]", 1]]
+    assert report["rhs"]["reidemeister"] == [["[]", 1], ["[g2^1]", 1]]
+    assert report["flags"] == ["heuristic base classes (depth 2)",
+                               "class comparison returned Unknown"]
+
+
+def test_bundle_verify_split_base_class_counts_once(tmp_path, capsys):
+    # At depth 2 the heuristic keys split one base class of this K4 map into
+    # [] (index 2) and [g0^1] (index -1).  The Lefschetz and Reidemeister
+    # sides are sums over the pieces and agree; Nielsen additivity counts
+    # the consolidated class once, so N(total) = 1 = the sum of the counts.
+    path = write(tmp_path, "pair.json",
+                 serialize_pair(_k4_point_fiber_pair((3, 2, 1, 2))))
+    code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (EXIT_OK, "pass")
+    assert [row["ind"] for row in report["tables"][0]["rows"]] == [2, -1]
+    assert report["tables"][2] == {"theorem": "nielsen_additivity",
+                                   "rows": [{"class": "[]", "count": 1}]}
+    assert report["lhs"]["nielsen"] == report["rhs"]["nielsen"] == 1
+    assert report["lhs"]["reidemeister"] == [["[g0^-1]", 1]]
+    assert report["rhs"]["reidemeister"] == [["[]", 2], ["[g0^-1]", -1]]
 
 
 def test_bundle_verify_empty_fiber_exit3(tmp_path, capsys):
@@ -837,13 +902,42 @@ def test_integer_fields_reject_lookalikes(tmp_path, capsys, field):
         assert err.startswith("error: "), value
 
 
+TWO_TRIANGLES = {
+    "vertices": ["a0", "a1", "a2", "b0", "b1", "b2"],
+    "simplices": [["a0", "a1"], ["a1", "a2"], ["a0", "a2"],
+                  ["b0", "b1"], ["b1", "b2"], ["b0", "b2"]]}
+
+
+@pytest.mark.parametrize("records, message", [
+    (5, "fixed_point_records must be a list"),
+    ([5], "fixed point record must be an object"),
+    ([{"index": 1}], "fixed point record is missing field 'witness'"),
+    ([{"index": 1.0, "witness": []}],
+     "fixed point index must be an integer, got 1.0"),
+    ([{"index": 1, "witness": 0}], "fixed point witness must be a list"),
+    ([{"index": 1, "witness": [], "extra": 1}],
+     "fixed point record has unknown field 'extra'"),
+])
+def test_malformed_records_exit_2_on_every_map_command(tmp_path, capsys,
+                                                       records, message):
+    # the records are checked before any computation: lefschetz, which
+    # never reads them, and a reidemeister whose lift is unsupported reject
+    # them alike
+    disconnected = {"complex": TWO_TRIANGLES, "vertex_images": {
+        v: v for v in TWO_TRIANGLES["vertices"]}}
+    for command, doc in [("lefschetz", reflection_doc()),
+                         ("reidemeister", reflection_doc()),
+                         ("lefschetz", disconnected),
+                         ("reidemeister", disconnected)]:
+        doc["fixed_point_records"] = records
+        code, out, err = run_cli(capsys, command,
+                                 write(tmp_path, "d.json", doc))
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
 def test_reidemeister_disconnected_complex_exit3(tmp_path, capsys):
-    two_triangles = {
-        "vertices": ["a0", "a1", "a2", "b0", "b1", "b2"],
-        "simplices": [["a0", "a1"], ["a1", "a2"], ["a0", "a2"],
-                      ["b0", "b1"], ["b1", "b2"], ["b0", "b2"]]}
     empty = {"vertices": [], "simplices": []}
-    for k in (two_triangles, empty):
+    for k in (TWO_TRIANGLES, empty):
         doc = {"complex": k, "vertex_images": {v: v for v in k["vertices"]}}
         path = write(tmp_path, "k.json", doc)
         code, out, _ = run_cli(capsys, "reidemeister", path)
