@@ -1,14 +1,14 @@
 """Fixture catalog: deterministic complexes, self-maps and bundle pairs.
 
 Every entry builds its objects from scratch on each call.  The oracle
-data some fixtures carry (the circle reflection's fixed points, the
-double cover's per-class table, the Lefschetz numbers of the product
-maps' factors) are hand counts that never call the code paths they are
-used to check.  ``CATALOG`` holds the entries that ``fixtrace catalog``
-lists and emits, each with its default parameters; the integer size
-parameters are checked against fixed ranges before anything is built.
-``emit_document`` gives the text ``fixtrace catalog emit`` writes, and
-``command`` runs ``fixtrace catalog``.
+data some fixtures carry (the double cover's per-class table, the
+Lefschetz numbers of the product maps' factors) are hand counts that
+never call the code paths they are used to check.  ``CATALOG`` holds
+the entries that ``fixtrace catalog`` lists and emits, each with its
+default parameters; the integer size parameters are checked against
+fixed ranges before anything is built.  ``emit_document`` gives the text
+``fixtrace catalog emit`` writes, and ``command`` runs ``fixtrace
+catalog``.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class SelfMapFixture:
     complex: SimplicialComplex
     map: SimplicialMap
     basepath: List[Tuple[int, int]]
-    oracle: Dict
 
 
 def circle_reflection_fixture(n: int = 4) -> SelfMapFixture:
@@ -87,14 +86,7 @@ def circle_reflection_fixture(n: int = 4) -> SelfMapFixture:
         raise ValueError("use an even n so the reflection fixes two vertices")
     k = circle_complex(n)
     f = SimplicialMap(k, k, {str(i): str((-i) % n) for i in range(n)})
-    oracle = {
-        "lefschetz": 2,
-        "nielsen": 2,
-        "coefficients": [1, 1],
-        "note": "two transversal fixed points of a circle reflection, "
-                "each of local index 1, in distinct path classes",
-    }
-    return SelfMapFixture(complex=k, map=f, basepath=[], oracle=oracle)
+    return SelfMapFixture(complex=k, map=f, basepath=[])
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +188,8 @@ def double_cover_oracle() -> Dict:
                       {"ind": 1, "fiber_lefschetz": 0}],
         "total_lefschetz": 2,
         "nielsen": 2,
-        "records": [FixedPointRecord(label="z=1", index=1, class_witness=0),
-                    FixedPointRecord(label="z=-1", index=1, class_witness=1)],
+        "records": [FixedPointRecord(index=1, class_witness=0),
+                    FixedPointRecord(index=1, class_witness=1)],
         "note": "conjugation on the covering circle fixes +-1, both of "
                 "index 1 and in distinct path classes",
     }
@@ -261,46 +253,6 @@ def trivial_product_pair(base_map_name: str = "reflection",
 def fixed_point_free_rotation_pair() -> BundleSelfMapPair:
     """Rotation base map on a trivial circle bundle: no fixed points at all."""
     return trivial_product_pair("rotation", "identity")
-
-
-def interval_base() -> GraphBase:
-    return GraphBase(["b0", "b1"], [("e0", "b0", "b1")], ["e0"], "b0")
-
-
-def figure_eight_base() -> GraphBase:
-    """One vertex, two loop edges; the free group of rank two."""
-    return GraphBase(["b0"], [("a", "b0", "b0"), ("b", "b0", "b0")], [], "b0")
-
-
-def point_base() -> GraphBase:
-    return GraphBase(["b0"], [], [], "b0")
-
-
-def two_component_euler_fixtures() -> List[Tuple[BundleSelfMapPair, int]]:
-    """Identity pairs on two bundles with different fiber characteristics.
-
-    Models a disconnected base as two connected pieces: a point base with
-    a two-point fiber and an interval base with a circle fiber.  Returns
-    (pair, expected chi contribution) per piece.
-    """
-    out = []
-    base1 = point_base()
-    fib1 = two_point_complex()
-    bundle1 = DiscreteBundle(base1, {"b0": fib1}, {})
-    ident1 = SimplicialMap(fib1, fib1, {v: v for v in fib1.vertices})
-    bmap1 = GraphSelfMap(base1, {"b0": "b0"}, {})
-    pair1 = BundleSelfMapPair(bundle1, bmap1, {"b0": ident1})
-    out.append((pair1, 1 * 2))
-    base2 = interval_base()
-    fib2 = circle_complex(3)
-    ident2 = SimplicialMap(fib2, fib2, {v: v for v in fib2.vertices})
-    bundle2 = DiscreteBundle(base2, {"b0": fib2, "b1": fib2},
-                             {"e0": Transport(ident2, ident2)})
-    bmap2 = GraphSelfMap(base2, {"b0": "b0", "b1": "b1"},
-                         {"e0": [("e0", 1)]})
-    pair2 = BundleSelfMapPair(bundle2, bmap2, {"b0": ident2, "b1": ident2})
-    out.append((pair2, 1 * 0))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
         basepath.append((k.index[u], k.index[v]))
     # a witness's letters depend on the group, which reidemeister reads
     records = doc.get("fixed_point_records")
-    if records is not None and not isinstance(records, list):
+    if "fixed_point_records" in doc and not isinstance(records, list):
         raise InputError("fixed_point_records must be a list")
     for r in records or ():
         json_fields(r, "fixed point record", ("index", "witness"), ("label",))

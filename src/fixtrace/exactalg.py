@@ -93,10 +93,6 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    def __reduce__(self):
-        # The default slot-state restore would go through __setattr__.
-        return (IntMatrix._sparse, (self.rows, self.cols, self._data))
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         nrows = len(rows)
@@ -128,10 +124,6 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self._data == other._data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(tuple(sorted(r.items())) for r in self._data)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.tolists()})"
@@ -173,32 +165,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._data)
-
-    def determinant(self) -> int:
-        """Fraction-free (Bareiss) determinant; square matrices only."""
-        if self.rows != self.cols:
-            raise ExactAlgError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.tolists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 def _add_scaled(row: SparseRow, q: int, items: Iterable[Tuple[int, int]]):
@@ -490,21 +456,8 @@ class ChainMap:
     def is_endomorphism(self) -> bool:
         return self.source == self.target
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other."""
-        if other.target != self.source:
-            raise ExactAlgError("composition shape mismatch")
-        top = max(len(self.components), len(other.components))
-        comps = [self.component(i) * other.component(i) for i in range(top)]
-        return ChainMap(other.source, self.target, comps)
-
     def __repr__(self):
         return f"ChainMap(degrees={self.source.degrees}->{self.target.degrees})"
-
-
-def identity_chain_map(c: ChainComplex) -> ChainMap:
-    comps = [IntMatrix.identity(c.rank(i)) for i in range(c.top_degree + 1)]
-    return ChainMap(c, c, comps)
 
 
 # ---------------------------------------------------------------------------

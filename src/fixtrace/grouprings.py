@@ -74,6 +74,10 @@ class FreeAbelianGroup:
         return [tuple(1 if i == j else 0 for j in range(self.rank))
                 for i in range(self.rank)]
 
+    def element(self, word) -> Tuple[int, ...]:
+        """The element a word in the generators names: its exponent sums."""
+        return _exponent_sums(self.rank, word)
+
     def abelianized(self, g) -> Tuple[int, ...]:
         return g
 
@@ -112,9 +116,13 @@ class FreeGroup:
 
         Every caller passes reduced words: elements returned by ``check``,
         ``mul``, ``inv`` and ``identity``, homomorphism images, group-ring
-        terms and presentation elements (``element_of_word`` reduces).
+        terms and presentation elements (``element`` reduces).
         """
         return join_reduced(tuple(a), tuple(b))
+
+    def element(self, word):
+        """The element a word in the generators names: its free reduction."""
+        return reduce_word(word)
 
     def inv(self, a):
         return invert_word(a)
@@ -123,10 +131,7 @@ class FreeGroup:
         return [((i, 1),) for i in range(self.rank)]
 
     def abelianized(self, g) -> Tuple[int, ...]:
-        v = [0] * self.rank
-        for gen, e in g:
-            v[gen] += e
-        return tuple(v)
+        return _exponent_sums(self.rank, g)
 
     def __eq__(self, other):
         return isinstance(other, FreeGroup) and other.rank == self.rank
@@ -136,6 +141,14 @@ class FreeGroup:
 
     def __repr__(self):
         return f"FreeGroup({self.rank})"
+
+
+def _exponent_sums(rank: int, word) -> Tuple[int, ...]:
+    """The exponent sum of each of ``rank`` generators in a word."""
+    v = [0] * rank
+    for gen, e in word:
+        v[gen] += e
+    return tuple(v)
 
 
 class FiniteGroup:
@@ -287,10 +300,6 @@ class GroupEndomorphism(GroupHomomorphism):
 
     def __repr__(self):
         return f"GroupEndomorphism({self.group!r})"
-
-
-def identity_endomorphism(group) -> GroupEndomorphism:
-    return GroupEndomorphism(group, group.generators())
 
 
 # ---------------------------------------------------------------------------

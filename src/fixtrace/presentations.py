@@ -142,22 +142,16 @@ def _is_commutator_pattern(word: Word) -> Optional[Tuple[int, int]]:
     return None
 
 
-FREE = "free"
-FREE_ABELIAN = "free_abelian"
-UNSUPPORTED = "unsupported"
-
-
 class Pi1Presentation:
     """Edge-path presentation of pi_1 of the basepoint component.
 
     Built unrecognized by :func:`pi1_presentation`, which then fills in
-    the recognized class, rank and group once the relators simplify.
+    the group once the relators simplify.
     """
 
     __slots__ = ("complex", "basepoint", "spanning_tree", "generators",
-                 "recognized_class", "rank", "group", "component",
-                 "_parent", "_gen_index", "_tree_set", "_final_gens",
-                 "_final_pos", "_subst")
+                 "group", "component", "_parent", "_gen_index", "_tree_set",
+                 "_final_gens", "_final_pos", "_subst")
 
     def __init__(self, complex: SimplicialComplex, basepoint,
                  spanning_tree: Tuple[Tuple[int, int], ...],
@@ -169,8 +163,6 @@ class Pi1Presentation:
         self.spanning_tree = spanning_tree
         self.generators = generators   # non-tree edges (index pairs)
         self.component = component
-        self.recognized_class = UNSUPPORTED
-        self.rank = 0
         self.group = None  # FreeGroup / FreeAbelianGroup once recognized
         self._parent = parent
         self._gen_index = {e: i for i, e in enumerate(generators)}
@@ -225,13 +217,8 @@ class Pi1Presentation:
         if self.group is None:
             raise SimplicialError("fundamental group not recognized")
         w = _substitute(word, self._subst)
-        letters = tuple((self._final_pos[g], e) for g, e in w)
-        if self.recognized_class == FREE:
-            return reduce_word(letters)
-        vec = [0] * self.rank
-        for g, e in letters:
-            vec[g] += e
-        return tuple(vec)
+        return self.group.element(
+            tuple((self._final_pos[g], e) for g, e in w))
 
     def element_of_path(self, steps: Sequence[Tuple[int, int]]):
         return self.element_of_word(self.word_of_path(steps))
@@ -280,7 +267,6 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
         pos = {g: i for i, g in enumerate(final_gens)}
         pres._final_gens, pres._final_pos, pres._subst = final_gens, pos, subst
         if not final_rels:
-            pres.recognized_class, pres.rank = FREE, n
             pres.group = FreeGroup(n)
         else:
             ok = True
@@ -298,7 +284,6 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
                 if pat is not None:
                     pairs_found.add(pat)
             if ok and n >= 2 and pairs_found >= pairs_needed:
-                pres.recognized_class, pres.rank = FREE_ABELIAN, n
                 pres.group = FreeAbelianGroup(n)
     return pres
 

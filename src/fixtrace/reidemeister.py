@@ -211,7 +211,7 @@ def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
     k = p.complex
     if p.group is None:
         raise UnsupportedComplexError(
-            f"fundamental group not recognized ({p.recognized_class})")
+            "fundamental group not recognized (unsupported)")
     if set(p.component) != set(range(len(k.vertices))):
         raise UnsupportedComplexError(
             "universal-cover lifts need a connected complex")
@@ -341,10 +341,9 @@ class FixedPointRecord:
     class datum of the fixed point.
     """
 
-    __slots__ = ("label", "index", "class_witness")
+    __slots__ = ("index", "class_witness")
 
-    def __init__(self, label, index: int, class_witness):
-        self.label = label
+    def __init__(self, index: int, class_witness):
         self.index = index
         self.class_witness = class_witness
 
@@ -369,8 +368,7 @@ def parse_fixed_point_records(raw: Optional[List[Dict]], group
                 witness = tuple((json_integer(g, "witness generator"),
                                  json_integer(e, "witness exponent"))
                                 for g, e in witness)
-            records.append(FixedPointRecord(label=r.get("label"),
-                                            index=r["index"],
+            records.append(FixedPointRecord(index=r["index"],
                                             class_witness=witness))
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid fixed_point_records: {exc!r}")

@@ -81,10 +81,6 @@ class SimplicialComplex:
         d = len(s) - 1
         return 0 <= d < len(self._sets) and tuple(s) in self._sets[d]
 
-    def simplex_index(self, s: Tuple[int, ...]) -> int:
-        d = len(s) - 1
-        return self.simplices[d].index(tuple(s))
-
     def counts(self) -> Tuple[int, ...]:
         return tuple(len(level) for level in self.simplices)
 
@@ -190,19 +186,6 @@ def build_complex(maximal_simplices: Iterable[Sequence], vertices: Optional[Sequ
     return SimplicialComplex(vertices, [sorted(level) for level in by_dim])
 
 
-def disjoint_union(k: SimplicialComplex, l: SimplicialComplex,
-                   tags=(0, 1)) -> SimplicialComplex:
-    """Disjoint union with vertices relabeled (tag, original id)."""
-    verts = [(tags[0], v) for v in k.vertices] + [(tags[1], v) for v in l.vertices]
-    shift = len(k.vertices)
-    levels = []
-    for d in range(max(k.dim, l.dim) + 1):
-        level = list(k.n_simplices(d)) + [tuple(i + shift for i in s)
-                                          for s in l.n_simplices(d)]
-        levels.append(level)
-    return SimplicialComplex(verts, levels)
-
-
 # ---------------------------------------------------------------------------
 # Simplicial maps
 # ---------------------------------------------------------------------------
@@ -246,10 +229,6 @@ class SimplicialMap:
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
-
-    def is_identity(self) -> bool:
-        return (self.is_endomorphism()
-                and all(self.vertex_images[v] == v for v in self.source.vertices))
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""

@@ -35,6 +35,7 @@ from fixtrace.reidemeister import (
     fox_derivative,
 )
 from fixtrace.words import GroupError
+from tests.oracles import determinant
 
 
 def twisted_hs_trace(m: GroupRingMatrix, endo: GroupEndomorphism,
@@ -70,7 +71,7 @@ def rank1_witness(group, k: int):
 def materialize_records(records: Sequence[FixedPointRecord], group
                         ) -> List[FixedPointRecord]:
     """Convert integer witnesses into elements of the given rank-1 group."""
-    return [FixedPointRecord(label=r.label, index=r.index,
+    return [FixedPointRecord(index=r.index,
                              class_witness=rank1_witness(group,
                                                          r.class_witness))
             for r in records]
@@ -89,7 +90,7 @@ def circle_degree_oracle(d: int) -> Dict:
                 "note": "identity-degree map: empty trace"}
     count = abs(1 - d)
     sign = 1 if 1 - d > 0 else -1
-    records = [FixedPointRecord(label=f"z{k}", index=sign, class_witness=k)
+    records = [FixedPointRecord(index=sign, class_witness=k)
                for k in range(count)]
     return {
         "lefschetz": 1 - d,
@@ -183,10 +184,11 @@ def torus_lattice_oracle(a: Sequence[Sequence[int]]) -> Dict:
     """
     (a00, a01), (a10, a11) = a
     m = IntMatrix.from_rows([[a00 - 1, a01], [a10, a11 - 1]])
-    det = m.determinant()
+    det = determinant(m)
     if det == 0:
         raise ValueError("det(I - A) must be nonzero")
-    det_ima = IntMatrix.from_rows([[1 - a00, -a01], [-a10, 1 - a11]]).determinant()
+    det_ima = determinant(
+        IntMatrix.from_rows([[1 - a00, -a01], [-a10, 1 - a11]]))
     sign = 1 if det_ima > 0 else -1
     bound = abs(a00 - 1) + abs(a01) + abs(a10) + abs(a11 - 1) + 1
     records = []
@@ -197,9 +199,8 @@ def torus_lattice_oracle(a: Sequence[Sequence[int]]) -> Dict:
             x0 = inv[0][0] * k0 + inv[0][1] * k1
             x1 = inv[1][0] * k0 + inv[1][1] * k1
             if 0 <= x0 < 1 and 0 <= x1 < 1:
-                records.append(FixedPointRecord(
-                    label=f"x=({x0},{x1})", index=sign,
-                    class_witness=(k0, k1)))
+                records.append(FixedPointRecord(index=sign,
+                                                class_witness=(k0, k1)))
     assert len(records) == abs(det)
     return {
         "lefschetz": det_ima,

@@ -1,0 +1,115 @@
+"""Test oracles and fixtures that no command computes.
+
+The determinant checks that Smith transforms are unimodular and counts
+torus fixed points; composing chain maps checks that the chain functor
+is functorial; disjoint unions and the two-piece identity pairs check
+that Euler characteristics add over components; the small graph bases
+build test pairs.  None of them runs in a command, so they live with the
+tests.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+from fixtrace.bundles import (
+    BundleSelfMapPair,
+    DiscreteBundle,
+    GraphBase,
+    GraphSelfMap,
+    Transport,
+)
+from fixtrace.catalog import circle_complex, two_point_complex
+from fixtrace.exactalg import ChainComplex, ChainMap, ExactAlgError, IntMatrix
+from fixtrace.simplicial import SimplicialComplex, identity_map
+
+
+def determinant(m: IntMatrix) -> int:
+    """Fraction-free (Bareiss) determinant; square matrices only."""
+    if m.rows != m.cols:
+        raise ExactAlgError("determinant of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.tolists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def identity_chain_map(c: ChainComplex) -> ChainMap:
+    comps = [IntMatrix.identity(c.rank(i)) for i in range(c.top_degree + 1)]
+    return ChainMap(c, c, comps)
+
+
+def compose(g: ChainMap, f: ChainMap) -> ChainMap:
+    """The chain map g after f."""
+    if f.target != g.source:
+        raise ExactAlgError("composition shape mismatch")
+    top = max(len(g.components), len(f.components))
+    comps = [g.component(i) * f.component(i) for i in range(top)]
+    return ChainMap(f.source, g.target, comps)
+
+
+def disjoint_union(k: SimplicialComplex, l: SimplicialComplex,
+                   tags=(0, 1)) -> SimplicialComplex:
+    """Disjoint union with vertices relabeled (tag, original id)."""
+    verts = ([(tags[0], v) for v in k.vertices]
+             + [(tags[1], v) for v in l.vertices])
+    shift = len(k.vertices)
+    levels = []
+    for d in range(max(k.dim, l.dim) + 1):
+        level = list(k.n_simplices(d)) + [tuple(i + shift for i in s)
+                                          for s in l.n_simplices(d)]
+        levels.append(level)
+    return SimplicialComplex(verts, levels)
+
+
+def interval_base() -> GraphBase:
+    return GraphBase(["b0", "b1"], [("e0", "b0", "b1")], ["e0"], "b0")
+
+
+def figure_eight_base() -> GraphBase:
+    """One vertex, two loop edges; the free group of rank two."""
+    return GraphBase(["b0"], [("a", "b0", "b0"), ("b", "b0", "b0")], [], "b0")
+
+
+def point_base() -> GraphBase:
+    return GraphBase(["b0"], [], [], "b0")
+
+
+def two_component_euler_fixtures() -> List[Tuple[BundleSelfMapPair, int]]:
+    """Identity pairs on two bundles with different fiber characteristics.
+
+    Models a disconnected base as two connected pieces: a point base with
+    a two-point fiber and an interval base with a circle fiber.  Returns
+    (pair, expected chi contribution) per piece.
+    """
+    base1 = point_base()
+    fib1 = two_point_complex()
+    bundle1 = DiscreteBundle(base1, {"b0": fib1}, {})
+    bmap1 = GraphSelfMap(base1, {"b0": "b0"}, {})
+    pair1 = BundleSelfMapPair(bundle1, bmap1, {"b0": identity_map(fib1)})
+    base2 = interval_base()
+    fib2 = circle_complex(3)
+    ident2 = identity_map(fib2)
+    bundle2 = DiscreteBundle(base2, {"b0": fib2, "b1": fib2},
+                             {"e0": Transport(ident2, ident2)})
+    bmap2 = GraphSelfMap(base2, {"b0": "b0", "b1": "b1"},
+                         {"e0": [("e0", 1)]})
+    pair2 = BundleSelfMapPair(bundle2, bmap2, {"b0": ident2, "b1": ident2})
+    return [(pair1, 1 * 2), (pair2, 1 * 0)]

@@ -320,8 +320,7 @@ def test_geometric_empty():
 def test_geometric_reflection_records():
     z = FreeAbelianGroup(1)
     endo = GroupEndomorphism(z, [(-1,)])
-    records = [FixedPointRecord("b0", 1, (0,)),
-               FixedPointRecord("b2", 1, (1,))]
+    records = [FixedPointRecord(1, (0,)), FixedPointRecord(1, (1,))]
     r = reidemeister_trace_geometric(records, z, endo)
     assert augment(r) == 2
     assert nielsen(r) == 2
@@ -331,7 +330,7 @@ def test_geometric_torus_record():
     z2 = FreeAbelianGroup(2)
     endo = GroupEndomorphism(z2, [(2, 1), (1, 1)])
     r = reidemeister_trace_geometric(
-        [FixedPointRecord("origin", -1, (0, 0))], z2, endo)
+        [FixedPointRecord(-1, (0, 0))], z2, endo)
     assert augment(r) == -1
     assert nielsen(r) == 1
 
@@ -348,7 +347,7 @@ def test_route_agreement_circle_reflection():
                              for (a, b) in reversed(p.tree_path(2))]
     w2 = p.element_of_path(path)
     geo = reidemeister_trace_geometric(
-        [FixedPointRecord(0, 1, w0), FixedPointRecord(2, 1, w2)],
+        [FixedPointRecord(1, w0), FixedPointRecord(1, w2)],
         p.group, lifted.endo)
     assert shadow_equal(chain, geo) == EQUAL
 
