@@ -1,9 +1,10 @@
 """Fixture catalog: deterministic complexes, self-maps and bundle pairs.
 
 Every entry builds its objects from scratch on each call.  The oracle
-data some fixtures carry (the double cover's per-class table, the
-Lefschetz numbers of the product maps' factors) are hand counts that
-never call the code paths they are used to check.  ``CATALOG`` holds
+data some fixtures carry (the double cover's per-class table, total
+Lefschetz and Nielsen numbers and fixed-point records, the Lefschetz
+numbers of the product maps' factors) are hand counts that never call
+the code paths they are used to check.  ``CATALOG`` holds
 the entries that ``fixtrace catalog`` lists and emits, each with its
 default parameters; the integer size parameters are checked against
 fixed ranges before anything is built.  ``emit_document`` gives the text
@@ -190,8 +191,6 @@ def double_cover_oracle() -> Dict:
         "nielsen": 2,
         "records": [FixedPointRecord(index=1, class_witness=0),
                     FixedPointRecord(index=1, class_witness=1)],
-        "note": "conjugation on the covering circle fixes +-1, both of "
-                "index 1 and in distinct path classes",
     }
 
 

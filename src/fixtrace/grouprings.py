@@ -310,8 +310,8 @@ CERTAIN = "certain"
 
 
 class TwistedClass:
-    """Canonical representative of a twisted conjugacy class; equal and
-    hashed by value."""
+    """Canonical representative of a twisted conjugacy class; two certain
+    classes over one endomorphism are equal exactly when their keys are."""
 
     __slots__ = ("key", "rep", "certainty")
 
@@ -323,17 +323,6 @@ class TwistedClass:
     @property
     def is_certain(self) -> bool:
         return self.certainty == CERTAIN
-
-    def _value(self):
-        return (self.key, self.rep, self.certainty)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedClass):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
 
     def __repr__(self):
         return (f"TwistedClass(key={self.key!r}, rep={self.rep!r}, "
@@ -365,10 +354,6 @@ class _FreeAbelianClassifier:
     def rep_of(self, reduced) -> Tuple[int, ...]:
         return tuple(sum(self.u_inv[i, j] * reduced[j] for j in range(self.n))
                      for i in range(self.n))
-
-
-def _free_rank1_exponent(word) -> int:
-    return sum(e for _, e in word)
 
 
 def _twisted_moves(group: FreeGroup, endo: GroupEndomorphism):
@@ -438,11 +423,9 @@ def twisted_class(group, endo: GroupEndomorphism, g,
         rep = min(orbit)
         return TwistedClass(key=rep, rep=rep, certainty=CERTAIN)
     # free group
-    if group.rank <= 1:
-        m = _free_rank1_exponent(g)
-        d = _free_rank1_exponent(endo.images[0]) if group.rank == 1 else 0
-        if group.rank == 0:
-            return TwistedClass(key=(), rep=(), certainty=CERTAIN)
+    if group.rank == 1:
+        (m,) = group.abelianized(g)
+        (d,) = group.abelianized(endo.images[0])
         c = 1 - d
         r = m % abs(c) if c != 0 else m
         rep = ((0, 1),) * r if r > 0 else ((0, -1),) * (-r) if r < 0 else ()
@@ -468,14 +451,11 @@ UNKNOWN = "unknown"
 
 def classes_equal(group, endo: GroupEndomorphism, g, h,
                   depth: int = DEFAULT_DEPTH) -> str:
-    """Decide whether [g] = [h]; free groups of rank >= 2 may answer Unknown."""
+    """Decide whether [g] = [h] for heuristic classes (free rank >= 2, phi
+    not the identity; certain classes compare by key): distinct abelianized
+    keys answer Distinct, meeting orbit balls Equal, and otherwise Unknown."""
     g = group.check(g)
     h = group.check(h)
-    if group.kind in ("free_abelian", "finite") or (
-            group.kind == "free" and (group.rank <= 1 or endo.is_identity())):
-        a = twisted_class(group, endo, g, depth)
-        b = twisted_class(group, endo, h, depth)
-        return EQUAL if a.key == b.key else DISTINCT
     cl = endo.classifier
     if cl.reduce(group.abelianized(g)) != cl.reduce(group.abelianized(h)):
         return DISTINCT
@@ -536,14 +516,6 @@ class GroupRingElement:
     def __neg__(self):
         return GroupRingElement(self.group,
                                 [(g, -c) for g, c in self.terms.values()])
-
-    def __mul__(self, other):
-        group = self.group
-        out = []
-        for g, c in self.terms.values():
-            for h, d in other.terms.values():
-                out.append((group.mul(g, h), c * d))
-        return GroupRingElement(group, out)
 
     def apply(self, endo: GroupEndomorphism):
         return GroupRingElement(self.group,
@@ -704,9 +676,6 @@ class ShadowElement:
         return ShadowElement(self.group, self.endo,
                              [(cls, c * x) for cls, x in self.terms.values()])
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __sub__(self, other):
         return self + other.scale(-1)
 
@@ -715,23 +684,25 @@ class ShadowElement:
         return any(not cls.is_certain for cls, _ in self.terms.values())
 
     def consolidated(self, depth: int = DEFAULT_DEPTH) -> "ShadowElement":
-        """Merge classes provably equal; raise if any comparison is Unknown."""
-        items = self.items()
+        """Merge classes provably equal; raise if any comparison is Unknown.
+
+        Terms are summed by key, and certain classes with distinct keys are
+        distinct, so only heuristic classes go to ``classes_equal``.
+        """
+        if not self.has_heuristic:
+            return self
         merged: List[Tuple[TwistedClass, int]] = []
-        for cls, c in items:
-            placed = False
+        for cls, c in self.items():
             for i, (cls2, c2) in enumerate(merged):
-                verdict = (EQUAL if cls.key == cls2.key else
-                           classes_equal(self.group, self.endo, cls.rep, cls2.rep,
-                                         depth))
+                verdict = classes_equal(self.group, self.endo, cls.rep,
+                                        cls2.rep, depth)
                 if verdict == EQUAL:
                     merged[i] = (cls2, c2 + c)
-                    placed = True
                     break
                 if verdict == UNKNOWN:
                     raise IndeterminateError(
                         "twisted class comparison returned Unknown")
-            if not placed:
+            else:
                 merged.append((cls, c))
         return ShadowElement(self.group, self.endo, merged)
 

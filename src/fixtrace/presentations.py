@@ -23,7 +23,13 @@ from .simplicial import (
     SimplicialMap,
     reverse_path,
 )
-from .words import cyclic_normal_form, cyclic_reduce, invert_word, reduce_word
+from .words import (
+    cyclic_normal_form,
+    cyclic_reduce,
+    expand_word,
+    invert_word,
+    reduce_word,
+)
 
 Word = Tuple[Tuple[int, int], ...]  # letters (generator index, +-1)
 
@@ -145,32 +151,32 @@ def _is_commutator_pattern(word: Word) -> Optional[Tuple[int, int]]:
 class Pi1Presentation:
     """Edge-path presentation of pi_1 of the basepoint component.
 
-    Built unrecognized by :func:`pi1_presentation`, which then fills in
-    the group once the relators simplify.
+    Built unrecognized from the breadth-first tree's ``parent`` map by
+    :func:`pi1_presentation`, which then fills in the group once the
+    relators simplify.  The generators are the non-tree edges of the
+    basepoint component, as sorted index pairs.
     """
 
-    __slots__ = ("complex", "basepoint", "spanning_tree", "generators",
-                 "group", "component", "_parent", "_gen_index", "_tree_set",
-                 "_final_gens", "_final_pos", "_subst")
+    __slots__ = ("complex", "basepoint", "generators", "group", "component",
+                 "_parent", "_gen_index", "_tree_set", "_final_gens",
+                 "_letters")
 
     def __init__(self, complex: SimplicialComplex, basepoint,
-                 spanning_tree: Tuple[Tuple[int, int], ...],
-                 generators: Tuple[Tuple[int, int], ...],
-                 component: Tuple[int, ...],
                  parent: Dict[int, Optional[int]]):
         self.complex = complex
         self.basepoint = basepoint
-        self.spanning_tree = spanning_tree
-        self.generators = generators   # non-tree edges (index pairs)
-        self.component = component
+        self.component = tuple(sorted(parent))
         self.group = None  # FreeGroup / FreeAbelianGroup once recognized
         self._parent = parent
-        self._gen_index = {e: i for i, e in enumerate(generators)}
-        self._tree_set = set(spanning_tree)
+        self._tree_set = {(min(v, u), max(v, u))
+                          for v, u in parent.items() if u is not None}
+        self.generators = tuple(
+            e for e in complex.edges()
+            if e[0] in parent and e[1] in parent and e not in self._tree_set)
+        self._gen_index = {e: i for i, e in enumerate(self.generators)}
         self._final_gens: List[int] = []
-        self._final_pos: Dict[int, int] = {}
-        self._subst: Dict[int, Word] = {
-            g: ((g, 1),) for g in range(len(generators))}
+        # each edge generator spelled in the surviving generators' positions
+        self._letters: Tuple[Word, ...] = ()
 
     # -- paths and words -------------------------------------------------
 
@@ -213,12 +219,11 @@ class Pi1Presentation:
         return self.tree_path(u) + [(u, v)] + reverse_path(self.tree_path(v))
 
     def element_of_word(self, word: Word):
-        """Image of a generator word in the recognized group."""
+        """Image of a generator word in the recognized group, read from each
+        edge generator's spelling in the surviving ones (fixed once)."""
         if self.group is None:
             raise SimplicialError("fundamental group not recognized")
-        w = _substitute(word, self._subst)
-        return self.group.element(
-            tuple((self._final_pos[g], e) for g, e in w))
+        return self.group.element(expand_word(word, self._letters.__getitem__))
 
     def element_of_path(self, steps: Sequence[Tuple[int, int]]):
         return self.element_of_word(self.word_of_path(steps))
@@ -247,25 +252,20 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
             if w not in parent:
                 parent[w] = v
                 queue.append(w)
-    component = tuple(sorted(parent.keys()))
-    comp_set = set(component)
-    tree_edges = tuple(sorted((min(v, parent[v]), max(v, parent[v]))
-                              for v in parent if parent[v] is not None))
-    tree_set = set(tree_edges)
-    generators = tuple(sorted(e for e in k.edges()
-                              if set(e) <= comp_set and e not in tree_set))
     # Unrecognized until its own edge letters give the relators and they
     # simplify below.
-    pres = Pi1Presentation(k, basepoint, tree_edges, generators, component,
-                           parent)
+    pres = Pi1Presentation(k, basepoint, parent)
+    generators = pres.generators
     relators = [pres.relator(s) for s in k.n_simplices(2)
-                if set(s) <= comp_set]
+                if all(v in parent for v in s)]
     simplified = _simplify_presentation(len(generators), relators)
     if simplified is not None:
         final_gens, subst, final_rels = simplified
         n = len(final_gens)
         pos = {g: i for i, g in enumerate(final_gens)}
-        pres._final_gens, pres._final_pos, pres._subst = final_gens, pos, subst
+        pres._final_gens = final_gens
+        pres._letters = tuple(tuple((pos[h], e) for h, e in subst[g])
+                              for g in range(len(generators)))
         if not final_rels:
             pres.group = FreeGroup(n)
         else:

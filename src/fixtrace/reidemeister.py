@@ -56,17 +56,17 @@ class LiftError(ValueError):
 # ---------------------------------------------------------------------------
 
 def fox_derivative(word: Word, element_of_word: Callable[[Word], object],
-                   group) -> Dict[int, GroupRingElement]:
-    """Free derivatives d(word)/d(x_j) with coefficients in Z[group].
+                   group, prefix) -> Dict[int, GroupRingElement]:
+    """Free derivatives prefix * d(word)/d(x_j) with coefficients in Z[group].
 
     One pass over the word: the rules D(uv) = D(u) + u D(v), D(x) = 1 and
     D(x^-1) = -x^-1 give each letter a signed prefix element.  The prefix
-    element is kept as a running product: ``element_of_word`` maps each
-    single letter to its group element, which is multiplied on once.
-    Only the nonzero derivatives appear, keyed by generator.
+    element is a running product that starts at ``prefix`` (the identity
+    for the plain derivatives): ``element_of_word`` maps each single
+    letter to its group element, which is multiplied on once.  Only the
+    nonzero derivatives appear, keyed by generator.
     """
     terms: Dict[int, List] = {}
-    prefix = group.identity()
     for g, e in word:
         letter = element_of_word(((g, e),))
         if e == -1:
@@ -94,13 +94,13 @@ def degree1_fox_lift(group, g0, words: Sequence[Word],
     """Degree-1 lift component: entry (e, j) is g0 * d(w_e)/d(x_j).
 
     ``words`` are the image words of the 1-cells' loops, one per 1-cell,
-    and ``g0`` is the group element of the basepath.
+    and ``g0`` is the group element of the basepath, where each word's one
+    Fox pass starts its running prefix.
     """
     n = len(words)
-    g0_elem = GroupRingElement.of(group, g0)
     return GroupRingMatrix(group, n, n, {
-        (e, j): g0_elem * d for e, w in enumerate(words)
-        for j, d in fox_derivative(w, element_of_word, group).items()})
+        (e, j): d for e, w in enumerate(words)
+        for j, d in fox_derivative(w, element_of_word, group, g0).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
         ent = {}
         for i, s in enumerate(two):
             for j, d in fox_derivative(p.relator(s), p.element_of_word,
-                                       group).items():
+                                       group, group.identity()).items():
                 ent[i, j] = d
         boundaries.append(GroupRingMatrix(group, len(two), len(gens), ent))
     return EquivariantChainComplex(group, ranks, boundaries, presentation=p)

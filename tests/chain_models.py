@@ -159,7 +159,8 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
     comm = ((0, 1), (1, 1), (0, -1), (1, -1))
     b1 = degree1_boundary(z2, z2.generators())
     b2 = GroupRingMatrix(z2, 1, 2, {
-        (0, j): d for j, d in fox_derivative(comm, elem, z2).items()})
+        (0, j): d for j, d in fox_derivative(comm, elem, z2,
+                                                z2.identity()).items()})
     cover = EquivariantChainComplex(z2, [1, 2, 1], [b1, b2])
 
     def power_word(gen, k):

@@ -586,8 +586,12 @@ def test_divide_one_minus_matches_reference(terms, v):
     from tests.chain_models import _divide_one_minus
     from fixtrace.grouprings import FreeAbelianGroup, GroupRingElement
     z2 = FreeAbelianGroup(2)
-    p = (GroupRingElement(z2, [((0, 0), 1), (v, -1)])
-         * GroupRingElement(z2, terms))
+    # p = (1 - v) * q, multiplied out term by term
+    one_minus_v = GroupRingElement(z2, [((0, 0), 1), (v, -1)])
+    q = GroupRingElement(z2, terms)
+    p = GroupRingElement(z2, [(z2.mul(g, h), c * d)
+                              for g, c in one_minus_v.terms.values()
+                              for h, d in q.terms.values()])
     assert (_division_outcome(_divide_one_minus, p, v)
             == _division_outcome(reference_divide_one_minus, p, v))
 

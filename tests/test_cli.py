@@ -190,10 +190,11 @@ def test_bundle_verify_double_cover(tmp_path, capsys):
     assert code == EXIT_OK
     rep = json.loads(out)
     assert rep["verdict"] == "pass"
-    assert rep["lhs"]["lefschetz"] == 2
+    oracle = cat.double_cover_oracle()
+    assert rep["lhs"]["lefschetz"] == oracle["total_lefschetz"]
     table = next(t for t in rep["tables"] if t["theorem"] == "lefschetz")
     assert sorted((r["ind"], r["fiber_lefschetz"]) for r in table["rows"]) \
-        == [(1, 0), (1, 2)]
+        == sorted((c["ind"], c["fiber_lefschetz"]) for c in oracle["per_class"])
 
 
 def test_bundle_verify_corrupted_transport_exit2(tmp_path, capsys):
@@ -322,6 +323,31 @@ def test_bundle_verify_split_base_class_counts_once(tmp_path, capsys):
     assert report["lhs"]["nielsen"] == report["rhs"]["nielsen"] == 1
     assert report["lhs"]["reidemeister"] == [["[g0^-1]", 1]]
     assert report["rhs"]["reidemeister"] == [["[]", 2], ["[g0^-1]", -1]]
+
+
+def test_bundle_verify_fixed_point_free_k4_maps_read_zero(tmp_path, capsys):
+    # A K4 vertex map that fixes no vertex and swaps no pair of vertices
+    # has no fixed point: no vertex stays put, and no edge goes onto itself
+    # reversed.  So L = 0, and R = 0 on both sides: N, the number of
+    # classes left after consolidation, is 0.
+    import itertools
+    images = [m for m in itertools.product(range(4), repeat=4)
+              if all(m[i] != i and m[m[i]] != i for i in range(4))]
+    assert len(images) == 30
+    codes = []
+    for m in images:
+        path = write(tmp_path, "pair.json",
+                     serialize_pair(_k4_point_fiber_pair(m)))
+        code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
+        codes.append(code)
+        if code == EXIT_OK:
+            report = json.loads(out)
+            assert report["lhs"]["lefschetz"] == report["rhs"]["lefschetz"] \
+                == 0, m
+            assert report["lhs"]["nielsen"] == report["rhs"]["nielsen"] \
+                == 0, m
+    # Indeterminate at depth 2: the class search decides too little.
+    assert (codes.count(EXIT_OK), codes.count(EXIT_UNSUPPORTED)) == (24, 6)
 
 
 def test_bundle_verify_empty_fiber_exit3(tmp_path, capsys):

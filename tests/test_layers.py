@@ -33,7 +33,7 @@ BUNDLE_VERIFY = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.pairs"}
 # not cached; compiling them is most of a small command's start-up.
 HOMOLOGY_LINES_CEILING = 1467
 # The same for the commands that lift to universal covers.
-LINES_CEILINGS = {"reidemeister": 3069, "bundle-verify": 4054}
+LINES_CEILINGS = {"reidemeister": 3040, "bundle-verify": 4025}
 # The largest module, bundles.py; compiling a module raises peak memory
 # in proportion to its size.
 MODULE_LINES_CEILING = 866

@@ -58,20 +58,20 @@ def test_fox_derivative_commutator():
     a, b = ((0, 1),), ((1, 1),)
     comm = ((0, 1), (1, 1), (0, -1), (1, -1))
     # d/da (a b a^-1 b^-1) = 1 - a b a^-1,  d/db = a - a b a^-1 b^-1
-    assert fox_derivative(comm, reduce_word, f2) == {
+    assert fox_derivative(comm, reduce_word, f2, ()) == {
         0: GroupRingElement(f2, [((), 1), (comm[:3], -1)]),
         1: GroupRingElement(f2, [(a, 1), (comm, -1)]),
     }
-    assert fox_derivative(b, reduce_word, f2) == {
+    assert fox_derivative(b, reduce_word, f2, ()) == {
         1: GroupRingElement.of(f2, ())}
 
 
 def test_fox_derivative_omits_cancelled_generators():
     f2 = FreeGroup(2)
-    assert fox_derivative(((0, 1), (0, -1)), reduce_word, f2) == {}
+    assert fox_derivative(((0, 1), (0, -1)), reduce_word, f2, ()) == {}
     # x y x^-1: d/dx = 1 - x y x^-1 stays, d/dy = x
     word = ((0, 1), (1, 1), (0, -1))
-    assert fox_derivative(word, reduce_word, f2) == {
+    assert fox_derivative(word, reduce_word, f2, ()) == {
         0: GroupRingElement(f2, [((), 1), (word, -1)]),
         1: GroupRingElement.of(f2, ((0, 1),)),
     }
