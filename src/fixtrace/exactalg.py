@@ -94,15 +94,6 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ExactAlgError("ragged rows")
-        return cls(nrows, ncols, [x for r in rows for x in r])
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._sparse(n, n, [{i: 1} for i in range(n)])
 
@@ -114,19 +105,12 @@ class IntMatrix:
         i, j = ij
         return self._data[i].get(j, 0)
 
-    def row(self, i: int) -> Tuple[int, ...]:
-        get = self._data[i].get
-        return tuple(get(j, 0) for j in range(self.cols))
-
-    def tolists(self) -> List[List[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self._data == other._data)
 
     def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols}, {self.tolists()})"
+        return f"IntMatrix({self.rows}x{self.cols}, {list(self._data)})"
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -415,9 +399,6 @@ class ChainComplex:
     def boundary_squares_to_zero(self) -> bool:
         return all((self.boundary(i) * self.boundary(i + 1)).is_zero()
                    for i in range(1, self.top_degree + 1))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * d for i, d in enumerate(self.degrees))
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex) and self.degrees == other.degrees

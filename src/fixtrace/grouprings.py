@@ -6,12 +6,16 @@ Three group classes are supported exactly:
 * free groups F_k (elements are reduced words),
 * finite groups given by a multiplication table.
 
-Twisted conjugacy is the relation g ~ h * g * phi(h)^-1 for an
-endomorphism phi.  For free abelian and finite groups the class of an
-element has a decisive canonical representative; for free groups of rank
-at least two the problem is attacked by bounded search and the results
-are marked heuristic unless the endomorphism is the identity (ordinary
-conjugacy, decided by cyclic words) or the rank is at most one.
+Twisted conjugacy is the relation g ~ phi(h) * g * h^-1 for an
+endomorphism phi.  It is the relation that ``lift_map``'s deck convention
+puts the diagonal terms in: deck elements act on cells from the left and a
+lift F satisfies F(h c) = phi(h) F(c), so lifting a cell as h c instead of
+c turns its diagonal term g into phi(h) * g * h^-1.  For free abelian and
+finite groups the class of an element has a decisive canonical
+representative; for free groups of rank at least two the problem is
+attacked by bounded search and the results are marked heuristic unless
+the endomorphism is the identity (ordinary conjugacy, decided by cyclic
+words) or the rank is at most one.
 
 A shadow element is a finite integer combination of twisted conjugacy
 classes; it is the value domain of twisted traces of group-ring matrices
@@ -84,9 +88,6 @@ class FreeAbelianGroup:
     def __eq__(self, other):
         return isinstance(other, FreeAbelianGroup) and other.rank == self.rank
 
-    def __hash__(self):
-        return hash(("free_abelian", self.rank))
-
     def __repr__(self):
         return f"FreeAbelianGroup({self.rank})"
 
@@ -135,9 +136,6 @@ class FreeGroup:
 
     def __eq__(self, other):
         return isinstance(other, FreeGroup) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("free", self.rank))
 
     def __repr__(self):
         return f"FreeGroup({self.rank})"
@@ -357,9 +355,9 @@ class _FreeAbelianClassifier:
 
 
 def _twisted_moves(group: FreeGroup, endo: GroupEndomorphism):
-    """The one-letter twisted conjugations g -> s * g * phi(s)^-1 as
-    (s, phi(s)^-1) pairs; move ``m ^ 1`` undoes move ``m``."""
-    return [(((i, e),), group.inv(endo.apply(((i, e),))))
+    """The one-letter twisted conjugations g -> phi(s) * g * s^-1 as
+    (phi(s), s^-1) pairs; move ``m ^ 1`` undoes move ``m``."""
+    return [(endo.apply(((i, e),)), ((i, -e),))
             for i in range(group.rank) for e in (1, -1)]
 
 
@@ -388,7 +386,7 @@ def _shortlex_min_in_ball(moves, g, depth: int):
     and bound.
 
     One move changes the length by at most ``reach``, the longest
-    |s| + |phi(s)^-1|, so every word below x at depth d is at least
+    |phi(s)| + |s^-1|, so every word below x at depth d is at least
     ``len(x) - (depth - d) * reach`` letters long.  When that exceeds
     the length of the best word so far, nothing below x can be shortlex
     smaller, and the branch is cut.
@@ -411,14 +409,16 @@ def _shortlex_min_in_ball(moves, g, depth: int):
 
 def twisted_class(group, endo: GroupEndomorphism, g,
                   depth: int = DEFAULT_DEPTH) -> TwistedClass:
-    """Canonical representative of [g] under g ~ h g phi(h)^-1."""
+    """Canonical representative of [g] under g ~ phi(h) g h^-1, the
+    relation that lifting a cell as h c instead of c applies to its
+    diagonal term (``lift_map`` makes lifts phi-semilinear)."""
     g = group.check(g)
     if group.kind == "free_abelian":
         cl = endo.classifier
         reduced = cl.reduce(g)
         return TwistedClass(key=reduced, rep=cl.rep_of(reduced), certainty=CERTAIN)
     if group.kind == "finite":
-        orbit = {group.mul(group.mul(h, g), group.inv(endo.apply(h)))
+        orbit = {group.mul(group.mul(endo.apply(h), g), group.inv(h))
                  for h in range(group.order)}
         rep = min(orbit)
         return TwistedClass(key=rep, rep=rep, certainty=CERTAIN)
@@ -503,12 +503,6 @@ class GroupRingElement:
     def of(cls, group, g, c: int = 1):
         return cls(group, [(g, c)])
 
-    def items(self):
-        return [self.terms[k] for k in sorted(self.terms.keys())]
-
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         return GroupRingElement(self.group,
                                 list(self.terms.values()) + list(other.terms.values()))
@@ -523,10 +517,6 @@ class GroupRingElement:
 
     def augmentation(self) -> int:
         return sum(c for _, c in self.terms.values())
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElement) and self.group == other.group
-                and self.terms == other.terms)
 
     def __repr__(self):
         return f"GroupRingElement({sorted(self.terms.items())})"
@@ -588,15 +578,6 @@ class GroupRingMatrix:
         return cls(group, r, c, {(i, j): a for i, row in enumerate(rows)
                                  for j, a in enumerate(row)})
 
-    @classmethod
-    def identity(cls, group, n):
-        one = GroupRingElement.of(group, group.identity())
-        return cls(group, n, n, {(i, i): one for i in range(n)})
-
-    def __getitem__(self, ij):
-        a = self.entries.get(ij)
-        return GroupRingElement(self.group) if a is None else a
-
     def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise GroupError("shape mismatch")
@@ -632,14 +613,6 @@ class GroupRingMatrix:
         for (i, j), a in self.entries.items():
             values[i * self.cols + j] = a.augmentation()
         return IntMatrix(self.rows, self.cols, values)
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingMatrix) and self.group == other.group
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
 
     def __repr__(self):
         return f"GroupRingMatrix({self.rows}x{self.cols} over {self.group!r})"

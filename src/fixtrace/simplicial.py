@@ -81,9 +81,6 @@ class SimplicialComplex:
         d = len(s) - 1
         return 0 <= d < len(self._sets) and tuple(s) in self._sets[d]
 
-    def counts(self) -> Tuple[int, ...]:
-        return tuple(len(level) for level in self.simplices)
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(level) for d, level in enumerate(self.simplices))
 
@@ -147,7 +144,7 @@ class SimplicialComplex:
                 and self.simplices == other.simplices)
 
     def __repr__(self):
-        return f"SimplicialComplex(counts={self.counts()})"
+        return f"SimplicialComplex(counts={[len(s) for s in self.simplices]})"
 
 
 def build_complex(maximal_simplices: Iterable[Sequence], vertices: Optional[Sequence] = None
@@ -237,11 +234,6 @@ class SimplicialMap:
         images = {v: self.vertex_images[other.vertex_images[v]]
                   for v in other.source.vertices}
         return SimplicialMap(other.source, self.target, images)
-
-    def __eq__(self, other):
-        return (isinstance(other, SimplicialMap) and self.source == other.source
-                and self.target == other.target
-                and self.vertex_images == other.vertex_images)
 
     def __repr__(self):
         return f"SimplicialMap({self.source!r} -> {self.target!r})"

@@ -45,9 +45,16 @@ def twisted_hs_trace(m: GroupRingMatrix, endo: GroupEndomorphism,
         raise GroupError("trace of non-square matrix")
     terms = []
     for i in range(m.rows):
-        for g, c in m[i, i].items():
+        a = m.entries.get((i, i))
+        for g, c in a.terms.values() if a is not None else ():
             terms.append((twisted_class(m.group, endo, g, depth), c))
     return ShadowElement(m.group, endo, terms)
+
+
+def unit_matrix(group) -> GroupRingMatrix:
+    """The 1 x 1 group-ring matrix holding the group's identity."""
+    return GroupRingMatrix.from_rows(
+        group, [[GroupRingElement.of(group, group.identity())]])
 
 
 def circle_degree_chain_model(d: int) -> TwistedChainMap:
@@ -55,7 +62,7 @@ def circle_degree_chain_model(d: int) -> TwistedChainMap:
     z = FreeAbelianGroup(1)
     endo = GroupEndomorphism(z, [(d,)])
     cover = EquivariantChainComplex(z, [1, 1], [degree1_boundary(z, [(1,)])])
-    f0 = GroupRingMatrix.identity(z, 1)
+    f0 = unit_matrix(z)
     word = ((0, 1),) * d if d >= 0 else ((0, -1),) * (-d)
     f1 = degree1_fox_lift(z, z.identity(), [word], FreeGroup(1).abelianized)
     return TwistedChainMap(cover, endo, [f0, f1])
@@ -168,10 +175,11 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
 
     words = [power_word(0, a00) + power_word(1, a10),
              power_word(0, a01) + power_word(1, a11)]
-    f0 = GroupRingMatrix.identity(z2, 1)
+    f0 = unit_matrix(z2)
     f1 = degree1_fox_lift(z2, z2.identity(), words, elem)
     # f2 * b2 = phi(b2) * f1, and b2's entry (0, 0) is 1 - t^(0,1)
-    f2_entry = _divide_one_minus((b2.apply(endo) * f1)[0, 0], (0, 1))
+    rhs = (b2.apply(endo) * f1).entries.get((0, 0), GroupRingElement(z2))
+    f2_entry = _divide_one_minus(rhs, (0, 1))
     f2 = GroupRingMatrix.from_rows(z2, [[f2_entry]])
     return TwistedChainMap(cover, endo, [f0, f1, f2])
 
@@ -184,12 +192,12 @@ def torus_lattice_oracle(a: Sequence[Sequence[int]]) -> Dict:
     sign(det(I - A)) and path-class witness k.
     """
     (a00, a01), (a10, a11) = a
-    m = IntMatrix.from_rows([[a00 - 1, a01], [a10, a11 - 1]])
+    m = IntMatrix(2, 2, [a00 - 1, a01, a10, a11 - 1])
     det = determinant(m)
     if det == 0:
         raise ValueError("det(I - A) must be nonzero")
     det_ima = determinant(
-        IntMatrix.from_rows([[1 - a00, -a01], [-a10, 1 - a11]]))
+        IntMatrix(2, 2, [1 - a00, -a01, -a10, 1 - a11]))
     sign = 1 if det_ima > 0 else -1
     bound = abs(a00 - 1) + abs(a01) + abs(a10) + abs(a11 - 1) + 1
     records = []

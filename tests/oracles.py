@@ -4,8 +4,8 @@ The determinant checks that Smith transforms are unimodular and counts
 torus fixed points; composing chain maps checks that the chain functor
 is functorial; disjoint unions and the two-piece identity pairs check
 that Euler characteristics add over components; the small graph bases
-build test pairs.  None of them runs in a command, so they live with the
-tests.
+and the K4 point-fiber pairs build test pairs.  None of them runs in a
+command, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -19,9 +19,14 @@ from fixtrace.bundles import (
     GraphSelfMap,
     Transport,
 )
-from fixtrace.catalog import circle_complex, two_point_complex
+from fixtrace.catalog import (
+    circle_complex,
+    point_complex,
+    point_fiber_bundle,
+    two_point_complex,
+)
 from fixtrace.exactalg import ChainComplex, ChainMap, ExactAlgError, IntMatrix
-from fixtrace.simplicial import SimplicialComplex, identity_map
+from fixtrace.simplicial import SimplicialComplex, SimplicialMap, identity_map
 
 
 def determinant(m: IntMatrix) -> int:
@@ -31,7 +36,7 @@ def determinant(m: IntMatrix) -> int:
     n = m.rows
     if n == 0:
         return 1
-    a = m.tolists()
+    a = [[m[i, j] for j in range(n)] for i in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -90,6 +95,27 @@ def figure_eight_base() -> GraphBase:
 
 def point_base() -> GraphBase:
     return GraphBase(["b0"], [], [], "b0")
+
+
+def k4_point_fiber_pair(images) -> BundleSelfMapPair:
+    """A point fiber over K4 (the three edges at b0 as the tree) and the
+    base map sending b_i to b_images[i], each edge to the edge between the
+    images or, where they agree, to no edge."""
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    base = GraphBase([f"b{i}" for i in range(4)],
+                     [(f"e{i}{j}", f"b{i}", f"b{j}") for i, j in pairs],
+                     ["e01", "e02", "e03"], "b0")
+    words = {}
+    for i, j in pairs:
+        a, b = images[i], images[j]
+        words[f"e{i}{j}"] = ([] if a == b else [(f"e{a}{b}", 1)] if a < b
+                             else [(f"e{b}{a}", -1)])
+    bmap = GraphSelfMap(base, {f"b{i}": f"b{images[i]}" for i in range(4)},
+                        words)
+    pt = point_complex()
+    return BundleSelfMapPair(
+        point_fiber_bundle(base), bmap,
+        {v: SimplicialMap(pt, pt, {"p": "p"}) for v in base.vertices})
 
 
 def two_component_euler_fixtures() -> List[Tuple[BundleSelfMapPair, int]]:

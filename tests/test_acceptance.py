@@ -199,8 +199,8 @@ def test_criterion_4_torus_family():
     tested = 0
     while tested < 20:
         a = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
-        det_ima = determinant(IntMatrix.from_rows(
-            [[1 - a[0][0], -a[0][1]], [-a[1][0], 1 - a[1][1]]]))
+        det_ima = determinant(IntMatrix(
+            2, 2, [1 - a[0][0], -a[0][1], -a[1][0], 1 - a[1][1]]))
         if det_ima == 0:
             continue
         model = cm.torus_linear_chain_model(a)
@@ -286,9 +286,8 @@ def test_criterion_7_augmentation_identity():
         checked += 1
     for a in ([[2, 1], [1, 1]], [[-1, 0], [0, -1]], [[2, 0], [0, 2]]):
         model = cm.torus_linear_chain_model(a)
-        det_ima = determinant(IntMatrix.from_rows(
-            [[1 - a[0][0], -a[0][1]],
-             [-a[1][0], 1 - a[1][1]]]))
+        det_ima = determinant(IntMatrix(
+            2, 2, [1 - a[0][0], -a[0][1], -a[1][0], 1 - a[1][1]]))
         assert augment(reidemeister_trace_chain(model)) == det_ima
         checked += 1
     # bundle total maps
@@ -438,8 +437,9 @@ def test_criterion_11a_canonicalization_stability():
             else:
                 h = tuple((rng.randrange(2), rng.choice((1, -1)))
                           for _ in range(rng.randrange(4)))
-            moved = group.mul(group.mul(group.check(h), group.check(base)),
-                              group.inv(endo.apply(h)))
+            h = group.check(h)
+            moved = group.mul(group.mul(endo.apply(h), group.check(base)),
+                              group.inv(h))
             assert twisted_class(group, endo, moved).key == want
     report("11a", f"canonical representative stable under 50 random orbit "
                   f"moves in {len(cases)} group cases")

@@ -28,7 +28,7 @@ from fixtrace.cli import (
     serialize_complex,
     serialize_pair,
 )
-from tests.oracles import figure_eight_base, point_base
+from tests.oracles import figure_eight_base, k4_point_fiber_pair, point_base
 
 SRC = Path(cat.__file__).resolve().parents[1]
 
@@ -264,36 +264,13 @@ def test_bundle_verify_heuristic_base_classes_pass(tmp_path, capsys):
     assert report["flags"] == ["heuristic base classes (depth 2)"]
 
 
-def _k4_point_fiber_pair(images):
-    """A point fiber over K4 (the three edges at b0 as the tree) and the
-    base map sending b_i to b_images[i], each edge to the edge between the
-    images or, where they agree, to no edge."""
-    from fixtrace.bundles import BundleSelfMapPair, GraphBase, GraphSelfMap
-    from fixtrace.simplicial import SimplicialMap
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    base = GraphBase([f"b{i}" for i in range(4)],
-                     [(f"e{i}{j}", f"b{i}", f"b{j}") for i, j in pairs],
-                     ["e01", "e02", "e03"], "b0")
-    words = {}
-    for i, j in pairs:
-        a, b = images[i], images[j]
-        words[f"e{i}{j}"] = ([] if a == b else [(f"e{a}{b}", 1)] if a < b
-                             else [(f"e{b}{a}", -1)])
-    bmap = GraphSelfMap(base, {f"b{i}": f"b{images[i]}" for i in range(4)},
-                        words)
-    pt = cat.point_complex()
-    return BundleSelfMapPair(
-        cat.point_fiber_bundle(base), bmap,
-        {v: SimplicialMap(pt, pt, {"p": "p"}) for v in base.vertices})
-
-
 def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
     # K4's pi_1 is free of rank three; at depth 2 the class search decides
-    # neither way whether the total trace's class [g2^-1] is the pushed
-    # class [g2^1], so the Reidemeister comparison is Unknown, while L
+    # neither way whether the total trace's class [g2^1] is the pushed
+    # class [g2^-1], so the Reidemeister comparison is Unknown, while L
     # reads 2 = 2.
     path = write(tmp_path, "pair.json",
-                 serialize_pair(_k4_point_fiber_pair((1, 1, 3, 2))))
+                 serialize_pair(k4_point_fiber_pair((1, 1, 3, 2))))
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
     assert code == EXIT_UNSUPPORTED
     report = json.loads(out)
@@ -301,28 +278,41 @@ def test_bundle_verify_indeterminate_exit3(tmp_path, capsys):
     assert [t["theorem"] for t in report["tables"]] == ["lefschetz",
                                                         "reidemeister"]
     assert report["lhs"]["lefschetz"] == report["rhs"]["lefschetz"] == 2
-    assert report["lhs"]["reidemeister"] == [["[]", 1], ["[g2^-1]", 1]]
-    assert report["rhs"]["reidemeister"] == [["[]", 1], ["[g2^1]", 1]]
+    assert report["lhs"]["reidemeister"] == [["[]", 1], ["[g2^1]", 1]]
+    assert report["rhs"]["reidemeister"] == [["[]", 1], ["[g2^-1]", 1]]
     assert report["flags"] == ["heuristic base classes (depth 2)",
                                "class comparison returned Unknown"]
 
 
 def test_bundle_verify_split_base_class_counts_once(tmp_path, capsys):
-    # At depth 2 the heuristic keys split one base class of this K4 map into
-    # [] (index 2) and [g0^1] (index -1).  The Lefschetz and Reidemeister
-    # sides are sums over the pieces and agree; Nielsen additivity counts
-    # the consolidated class once, so N(total) = 1 = the sum of the counts.
-    path = write(tmp_path, "pair.json",
-                 serialize_pair(_k4_point_fiber_pair((3, 2, 1, 2))))
-    code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
+    # A point fiber over the theta graph with five edges e0..e4 from b0 to
+    # b1 (tree [e0]), and the base map swapping e0 and e1.  At depth 1 the
+    # heuristic keys split one base class into [] (index -2) and [g0^-1]
+    # (index 1).  The Lefschetz and Reidemeister sides are sums over the
+    # pieces and agree; Nielsen additivity counts the consolidated class
+    # once, so N(total) = 1 = the sum of the counts.
+    from fixtrace.bundles import BundleSelfMapPair, GraphBase, GraphSelfMap
+    from fixtrace.simplicial import SimplicialMap
+    edges = [f"e{i}" for i in range(5)]
+    base = GraphBase(["b0", "b1"], [(e, "b0", "b1") for e in edges],
+                     ["e0"], "b0")
+    words = {e: [(e, 1)] for e in edges}
+    words["e0"], words["e1"] = [("e1", 1)], [("e0", 1)]
+    pt = cat.point_complex()
+    pair = BundleSelfMapPair(
+        cat.point_fiber_bundle(base),
+        GraphSelfMap(base, {"b0": "b0", "b1": "b1"}, words),
+        {v: SimplicialMap(pt, pt, {"p": "p"}) for v in base.vertices})
+    path = write(tmp_path, "pair.json", serialize_pair(pair))
+    code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "1")
     report = json.loads(out)
     assert (code, report["verdict"]) == (EXIT_OK, "pass")
-    assert [row["ind"] for row in report["tables"][0]["rows"]] == [2, -1]
+    assert [row["ind"] for row in report["tables"][0]["rows"]] == [-2, 1]
     assert report["tables"][2] == {"theorem": "nielsen_additivity",
                                    "rows": [{"class": "[]", "count": 1}]}
     assert report["lhs"]["nielsen"] == report["rhs"]["nielsen"] == 1
-    assert report["lhs"]["reidemeister"] == [["[g0^-1]", 1]]
-    assert report["rhs"]["reidemeister"] == [["[]", 2], ["[g0^-1]", -1]]
+    assert report["lhs"]["reidemeister"] == [["[]", -1]]
+    assert report["rhs"]["reidemeister"] == [["[]", -1]]
 
 
 def test_bundle_verify_fixed_point_free_k4_maps_read_zero(tmp_path, capsys):
@@ -337,7 +327,7 @@ def test_bundle_verify_fixed_point_free_k4_maps_read_zero(tmp_path, capsys):
     codes = []
     for m in images:
         path = write(tmp_path, "pair.json",
-                     serialize_pair(_k4_point_fiber_pair(m)))
+                     serialize_pair(k4_point_fiber_pair(m)))
         code, out, _ = run_cli(capsys, "bundle-verify", path, "--depth", "2")
         codes.append(code)
         if code == EXIT_OK:
@@ -346,8 +336,7 @@ def test_bundle_verify_fixed_point_free_k4_maps_read_zero(tmp_path, capsys):
                 == 0, m
             assert report["lhs"]["nielsen"] == report["rhs"]["nielsen"] \
                 == 0, m
-    # Indeterminate at depth 2: the class search decides too little.
-    assert (codes.count(EXIT_OK), codes.count(EXIT_UNSUPPORTED)) == (24, 6)
+    assert (codes.count(EXIT_OK), codes.count(EXIT_UNSUPPORTED)) == (30, 0)
 
 
 def test_bundle_verify_empty_fiber_exit3(tmp_path, capsys):
@@ -1248,6 +1237,17 @@ CATALOG_DOCUMENTS = [(command, json.loads(emit_document(name, {})[1]))
 WRONG_TYPED = [None, True, 0, -1, 2.5, "x", "", [], [[]], [1, 2], {}, {"x": 1}]
 # No object of any document format has this key.
 UNKNOWN_KEY = "zz_unknown"
+# The keys an object may lack; every other key of a document is required.
+OPTIONAL_KEYS = {"basepath", "edge_words", "fixed_point_records"}
+
+
+def _required(path):
+    """Whether the key at the end of ``path`` must be present: all keys
+    of the document formats are, but the optional fields and a fixed point
+    record's label."""
+    key = path[-1]
+    return key not in OPTIONAL_KEYS | {UNKNOWN_KEY} and not (
+        key == "label" and "fixed_point_records" in path[:-1])
 
 
 def _paths(doc, prefix=()):
@@ -1268,9 +1268,13 @@ def _at(doc, path):
 @st.composite
 def mutated_documents(draw):
     """A catalog document with one or two keys deleted, values retyped or
-    ``UNKNOWN_KEY`` inserted into an object."""
+    ``UNKNOWN_KEY`` inserted into an object, and the objects that lost a
+    required key."""
     command, doc = draw(st.sampled_from(CATALOG_DOCUMENTS))
     doc = copy.deepcopy(doc)
+    # the document's own objects, not those a retyped value brings in
+    own = [_at(doc, path) for path in [(), *_paths(doc)]]
+    lost = []
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
         if draw(st.integers(0, 2)) == 2:
@@ -1280,20 +1284,23 @@ def mutated_documents(draw):
             continue
         if not paths:
             break
-        *parent_path, key = draw(st.sampled_from(paths))
+        path = draw(st.sampled_from(paths))
+        *parent_path, key = path
         parent = _at(doc, parent_path)
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[key]
+            if _required(path) and any(parent is obj for obj in own):
+                lost.append(parent)
         else:
             parent[key] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPED)))
-    return command, doc
+    return command, doc, lost
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_documents())
 def test_mutated_catalog_documents_never_crash(tmp_path_factory, case):
-    command, doc = case
+    command, doc, lost = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -1303,6 +1310,11 @@ def test_mutated_catalog_documents_never_crash(tmp_path_factory, case):
     assert code in (0, 1, 2, 3)
     # an unknown key that a later mutation did not take out again
     if any(path[-1] == UNKNOWN_KEY for path in _paths(doc)):
+        assert code == EXIT_INPUT
+    # an object that lost a required key and that a later mutation did not
+    # replace
+    if any(_at(doc, path) is obj for path in [(), *_paths(doc)]
+           for obj in lost):
         assert code == EXIT_INPUT
     if code == EXIT_INPUT:
         assert out.getvalue() == ""
@@ -1433,6 +1445,21 @@ def test_k5_cycle_cancels_before_any_class_search(tmp_path, capsys,
                              "lefschetz": 0}
     assert report["verdict"] == "pass" and report["flags"] == []
     assert calls == []
+
+
+def test_fixed_point_free_k5_maps_read_zero(tmp_path, capsys):
+    # A K5 vertex map that fixes no vertex and reverses no edge has no
+    # fixed point, so R = 0: every class search at depth 3 must end in
+    # N = 0, with nothing left Unknown.
+    import itertools
+    images = [m for m in itertools.product(range(5), repeat=5)
+              if all(m[i] != i and m[m[i]] != i for i in range(5))]
+    assert len(images) == 444
+    for m in images:
+        path = write(tmp_path, "k5.json", _complete_graph_map_document(5, m))
+        code, out, _ = run_cli(capsys, "reidemeister", path, "--depth", "3")
+        assert code == EXIT_OK, m
+        assert json.loads(out)["lhs"]["nielsen"] == 0, m
 
 
 # Exit code and SHA-256 of ``bundle-verify --theorem both`` on the

@@ -1,14 +1,16 @@
 """Which layers each command loads, the source lines it compiles, where the
 names the package once re-exported live, the exit code each error class
-states and ``main`` gives, and that every definition has a caller outside
-the tests."""
+states and ``main`` gives, and that every definition runs in a command or
+the benchmark."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
-import re
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,9 +33,9 @@ BUNDLE_VERIFY = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.pairs"}
 
 # The fixtrace source lines a homology child compiles when bytecode is
 # not cached; compiling them is most of a small command's start-up.
-HOMOLOGY_LINES_CEILING = 1467
+HOMOLOGY_LINES_CEILING = 1440
 # The same for the commands that lift to universal covers.
-LINES_CEILINGS = {"reidemeister": 3040, "bundle-verify": 4025}
+LINES_CEILINGS = {"reidemeister": 2986, "bundle-verify": 3971}
 # The largest module, bundles.py; compiling a module raises peak memory
 # in proportion to its size.
 MODULE_LINES_CEILING = 866
@@ -280,81 +282,190 @@ def test_main_reraises_unmapped_errors(monkeypatch):
         cli.main(["homology", "doc.json"])
 
 
-# Definitions no command, catalog entry or benchmark reaches, kept because
-# ROADMAP items 11 (finite fundamental groups, by coset enumeration) and 18
-# (the Reidemeister theorem modulo finite quotients) build on them: the
-# finite group class and its two constructors.
-UNREACHED_ON_PURPOSE = {"grouprings.FiniteGroup",
-                        "grouprings.FiniteGroup.cyclic",
-                        "grouprings.FiniteGroup.symmetric3"}
+# The reachability guard.  A child interpreter installs a global trace
+# hook before it imports fixtrace, so calls made while modules load count
+# too, and then runs ``_run_set`` in process through ``cli.main``.  The
+# hook returns None, so it sees each call of a Python function and nothing
+# else: it costs less than a profile hook, which also fires on returns and
+# on every call of a built-in.
+
+BENCH = SRC.parent / "bench"
+
+# Definitions no run of ``_run_set`` reaches, each kept for its reason.  A
+# key names a definition (``module:qualname``), a class and so all of its
+# methods, or a method name in every class.
+UNREACHED_ON_PURPOSE = {
+    **{f"grouprings:GroupRingElement.{name}":
+       "a GroupRingMatrix method that bench/tracer.py wraps calls it "
+       "(ROADMAP item 8)"
+       for name in ("__add__", "__neg__", "apply", "augmentation")},
+    "grouprings:FiniteGroup":
+        "finite groups for ROADMAP items 11 (finite fundamental groups) "
+        "and 18 (the Reidemeister theorem modulo finite quotients)",
+    "exactalg:IntMatrix.__setattr__":
+        "refuses to mutate a matrix; no correct caller reaches it",
+    "__repr__": "debugging output, which no report prints",
+    "cli:run": "the entry point of the fixtrace script and of python -m "
+               "fixtrace.cli; the guard calls cli.main, which it wraps",
+}
+
+# A fixed-point-free map of K4 whose classes the depth-2 search compares
+# by orbit balls (and leaves Unknown).
+K4_BALLS = (1, 1, 3, 2)
 
 
-def _docstrings(tree):
-    """The string constants of ``tree`` that are docstrings."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr)
-                    and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                out.add(first.value)
-    return out
+def _cli(tmp_path, argv, doc=None):
+    """Exit code and stdout of ``cli.main(argv)``, with ``doc`` written to
+    a file and passed last; usage exits count as exit codes."""
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
 
-def _references(tree):
-    """(name, line) of every name, attribute, imported name and word of a
-    string other than a docstring in ``tree``."""
-    docstrings = _docstrings(tree)
-    for node in ast.walk(tree):
-        line = getattr(node, "lineno", 0)
-        if isinstance(node, ast.Name):
-            yield node.id, line
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, line
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], line
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node not in docstrings):
-            for word in re.findall(r"\w+", node.value):
-                yield word, line
+# The benchmark workloads each half of the run set runs; two children run
+# the halves side by side, which halves the wall time the hook costs.
+HALVES = (("reidemeister-trace",),
+          ("homology-lefschetz", "bundle-factorization"))
 
 
-def _definitions(node, prefix):
-    """(qualified name, node) of each function, class and method in
-    ``node``, dunder methods aside."""
+def _run_set(tmp_path, half):
+    """The commands the guard counts as reaching code: the seed-1
+    benchmark documents of the workloads of ``HALVES[half]``, checked by
+    their oracles, and in the first half also each catalog document with
+    each command that reads it, the catalog commands, a depth-2 K4 pair, a
+    map with fixed point records and ``--help``."""
+    sys.path.insert(0, str(BENCH))
+    import workloads
+    from tests.oracles import k4_point_fiber_pair
+    for name in HALVES[half]:
+        for command in workloads.WORKLOADS[name](random.Random(1)):
+            code, out = _cli(tmp_path, [command.command], command.document)
+            assert workloads.check_report(
+                command, code, out.encode("utf-8")) is None, command.name
+    if half:
+        return
+    for _, kind, doc in workloads.catalog_documents():
+        for command in workloads.COVERAGE_COMMANDS[kind]:
+            _cli(tmp_path, [command], doc)
+    assert _cli(tmp_path, ["catalog", "list"])[0] == 0
+    for name in sorted(cat.CATALOG):
+        assert _cli(tmp_path, ["catalog", "emit", name])[0] == 0
+    assert _cli(tmp_path, ["catalog", "emit", "circle", "--param",
+                           "n=2"])[0] == 2
+    assert _cli(tmp_path, ["bundle-verify", "--depth", "2"],
+                serialize_pair(k4_point_fiber_pair(K4_BALLS)))[0] == 3
+    assert _cli(tmp_path, ["reidemeister"], _reflection_with_records())[0] == 0
+    assert _cli(tmp_path, ["--help"])[0] == 0
+
+
+_CHILD = """\
+import json, sys
+from pathlib import Path
+reached = set()
+def hook(frame, event, arg, add=reached.add):
+    add(frame.f_code)
+sys.settrace(hook)
+from tests.test_layers import _run_set
+_run_set(Path(sys.argv[1]), int(sys.argv[2]))
+sys.settrace(None)
+json.dump(sorted({(c.co_filename, c.co_firstlineno, c.co_name)
+                  for c in reached}), sys.stdout)
+"""
+
+
+def _reached(tmp_path):
+    """(module, first line, name) of each fixtrace function the run set
+    called, read from the trace hooks of two child interpreters."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), str(SRC)]))
+    children = []
+    for half in range(len(HALVES)):
+        work = tmp_path / str(half)
+        work.mkdir()
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _CHILD, str(work), str(half)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=SRC.parent, env=env))
+    reached = set()
+    package = SRC / "fixtrace"
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        reached.update((Path(path).stem, line, name)
+                       for path, line, name in json.loads(out)
+                       if Path(path).parent == package)
+    return reached
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, first line, name) of each function and method under
+    ``node``, functions local to another aside; the first line is the first
+    decorator's, as code objects count it."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef)):
-            name = f"{prefix}.{child.name}"
-            if not (child.name.startswith("__")
-                    and child.name.endswith("__")):
-                yield name, child
-            yield from _definitions(child, name)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([child.lineno]
+                        + [d.lineno for d in child.decorator_list])
+            yield prefix + child.name, first, child.name
+        elif isinstance(child, ast.ClassDef):
+            yield from _definitions(child, prefix + child.name + ".")
         else:
             yield from _definitions(child, prefix)
 
 
-def test_every_definition_has_a_caller_outside_tests():
-    """Every function, class and method of ``src/fixtrace`` (dunder methods
-    aside) is named outside its own body in ``src/fixtrace`` or in
-    ``bench/*.py``: code only tests reach belongs with the tests.  Names are
-    matched alone, so a method that shares its name with a reached one
-    passes unseen."""
-    trees = {path: ast.parse(path.read_text())
-             for path in [*(SRC / "fixtrace").glob("*.py"),
-                          *(SRC.parent / "bench").glob("*.py")]}
-    where = {}  # name -> [(path, line)]
-    for path, tree in trees.items():
-        for name, line in _references(tree):
-            where.setdefault(name, []).append((path, line))
-    unreached = set()
-    for path, tree in trees.items():
-        if path.parent.name != "fixtrace":
-            continue
-        for name, node in _definitions(tree, path.stem):
-            if all(other == path and node.lineno <= line <= node.end_lineno
-                   for other, line in where.get(node.name, ())):
-                unreached.add(name)
-    assert unreached == UNREACHED_ON_PURPOSE
+def _tracer_targets():
+    """``module:qualname`` of the functions ``bench/tracer.py`` wraps, by
+    the module that defines each."""
+    from tests.test_tracer_spans import _tracer_module
+    tracer = _tracer_module()
+    targets = set(tracer.COUNTERS.values())
+    for names, _ in tracer.SPANS.values():
+        targets.update(names)
+    out = set()
+    for target in targets:
+        module, qualname = target.split(":")
+        obj = importlib.import_module(f"fixtrace.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        out.add(f"{obj.__module__.rsplit('.', 1)[-1]}:{obj.__qualname__}")
+    return out
+
+
+def _on_purpose(name):
+    """The key of ``UNREACHED_ON_PURPOSE`` that keeps ``name``, if any."""
+    module, qualname = name.split(":")
+    for key in (name, f"{module}:{qualname.split('.')[0]}",
+                qualname.rsplit(".", 1)[-1]):
+        if key in UNREACHED_ON_PURPOSE:
+            return key
+    return None
+
+
+def test_every_definition_runs_in_a_command_or_the_benchmark(tmp_path):
+    """Every function and method of ``src/fixtrace``, dunder methods
+    included, ran in ``_run_set``, is a ``bench/tracer.py`` target or is
+    kept on purpose: code that only tests reach belongs with the tests."""
+    reached = _reached(tmp_path)
+    targets = _tracer_targets()
+    unreached, kept = set(), set()
+    for path in sorted((SRC / "fixtrace").glob("*.py")):
+        for qualname, line, name in _definitions(ast.parse(path.read_text())):
+            full = f"{path.stem}:{qualname}"
+            if (path.stem, line, name) in reached or full in targets:
+                continue
+            key = _on_purpose(full)
+            if key is None:
+                unreached.add(full)
+            else:
+                kept.add(key)
+    assert not unreached, "only tests reach " + ", ".join(sorted(unreached))
+    # every entry still keeps something
+    assert kept == set(UNREACHED_ON_PURPOSE)
