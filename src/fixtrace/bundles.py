@@ -21,12 +21,12 @@ from the base map and the fiber maps alone.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import homology_maps
 from .grouprings import (
-    DEFAULT_DEPTH,
     EQUAL,
     UNKNOWN,
     FreeGroup,
@@ -115,9 +115,9 @@ class GraphBase:
             adj[s].append((d, e))
             adj[d].append((s, e))
         parent: Dict[object, Optional[Tuple[object, str, int]]] = {basepoint: None}
-        queue = [basepoint]
+        queue = deque([basepoint])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w, e in sorted(adj[v], key=lambda p: (self.vertex_index[p[0]], p[1])):
                 if w not in parent:
                     s, d = self.edge_by_id[e]
@@ -361,19 +361,18 @@ class BundleSelfMapPair:
             self._traces[key] = compute()
         return self._traces[key]
 
-    def total_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
+    def total_trace(self, depth: int) -> ShadowElement:
         """Reidemeister trace of the total map."""
         return self._trace(("total", depth),
                            lambda: reidemeister_trace_chain(
                                self.total_lift, depth))
 
-    def base_trace(self, depth: int = DEFAULT_DEPTH) -> ShadowElement:
+    def base_trace(self, depth: int) -> ShadowElement:
         """Reidemeister trace of the base map."""
         return self._trace(("base", depth),
                            lambda: base_reidemeister(self, depth))
 
-    def fiber_trace(self, cls: TwistedClass,
-                    depth: int = DEFAULT_DEPTH) -> ShadowElement:
+    def fiber_trace(self, cls: TwistedClass, depth: int) -> ShadowElement:
         """Pushed fiber Reidemeister trace of a class of ``base_trace(depth)``."""
         return self._trace(("fiber", depth, cls.key),
                            lambda: refined_reidemeister(self, cls, depth))
@@ -417,8 +416,7 @@ class BundleSelfMapPair:
         return self.bundle.base.expand_element(cls.rep) + self.basepath
 
 
-def base_reidemeister(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
-                      ) -> ShadowElement:
+def base_reidemeister(pair: BundleSelfMapPair, depth: int) -> ShadowElement:
     """Reidemeister trace of the base map, computed at chain level."""
     return reidemeister_trace_chain(pair.base_lift(), depth)
 
@@ -646,7 +644,7 @@ def _fill_center_images(total: TotalSpace, images: Dict) -> None:
 # ---------------------------------------------------------------------------
 
 def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
-                         depth: int = DEFAULT_DEPTH) -> ShadowElement:
+                         depth: int) -> ShadowElement:
     """Pushforward of the fiber Reidemeister trace of the class's fiber map.
 
     The fiber map sends x to the end of the lift track of f_b(x) back
@@ -734,7 +732,7 @@ class VerificationReport:
 
 
 def verify_lefschetz_mult(pair: BundleSelfMapPair,
-                          depth: int = DEFAULT_DEPTH) -> VerificationReport:
+                          depth: int) -> VerificationReport:
     """Check L(total map) against the index-weighted fiberwise values."""
     flags: List[str] = []
     _, tmap = pair.total
@@ -756,7 +754,7 @@ def verify_lefschetz_mult(pair: BundleSelfMapPair,
 
 
 def verify_reidemeister_mult(pair: BundleSelfMapPair,
-                             depth: int = DEFAULT_DEPTH) -> VerificationReport:
+                             depth: int) -> VerificationReport:
     """Check R(total map) against the pushed fiberwise Reidemeister data."""
     flags: List[str] = []
     lifted = pair.total_lift
@@ -785,8 +783,8 @@ def verify_reidemeister_mult(pair: BundleSelfMapPair,
                               verdict=verdict, flags=flags)
 
 
-def nielsen_additivity(pair: BundleSelfMapPair, depth: int = DEFAULT_DEPTH
-                       ) -> VerificationReport:
+def nielsen_additivity(pair: BundleSelfMapPair,
+                       depth: int) -> VerificationReport:
     """Nielsen number of the total map against the per-class counts.
 
     The rows hold each essential base class with its count, ``lhs`` is

@@ -94,7 +94,7 @@ def circle_reflection_fixture(n: int = 4) -> SelfMapFixture:
 # Circle degree-d dynamics over a graph base
 # ---------------------------------------------------------------------------
 
-def circle_base(n: int = 4) -> GraphBase:
+def circle_base(n: int) -> GraphBase:
     verts = [f"b{i}" for i in range(n)]
     edges = [(f"e{i}", f"b{i}", f"b{(i + 1) % n}") for i in range(n)]
     tree = [f"e{i}" for i in range(n - 1)]
@@ -228,8 +228,7 @@ BASE_LEFSCHETZ = {"identity": 0, "reflection": 2, "constant": 1,
                   "rotation": 0}
 
 
-def trivial_product_pair(base_map_name: str = "reflection",
-                         fiber_map_name: str = "reflection",
+def trivial_product_pair(base_map_name: str, fiber_map_name: str,
                          fiber_size: int = 3) -> BundleSelfMapPair:
     """Product bundle (circle base, circle fiber) with a product self-map."""
     base = circle_base(4)

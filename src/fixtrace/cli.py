@@ -72,7 +72,7 @@ def _digest(data: bytes) -> str:
 
 
 def render_report(command: str, digest: str, tables: List, lhs, rhs,
-                  verdict: str, flags: List[str], parameters: Optional[Dict] = None
+                  verdict: str, flags: List[str], parameters: Optional[Dict]
                   ) -> str:
     doc = {
         "command": command,
@@ -293,7 +293,7 @@ _CHOICES = {"theorem": ("lefschetz", "reidemeister", "both"),
             "action": ("list", "emit")}
 
 
-def _exit_usage(error: Optional[str] = None):
+def _exit_usage(error: Optional[str]):
     """Print the usage and exit 0, or with ``error`` to stderr and exit 2."""
     if error is None:
         sys.stdout.write(USAGE)
@@ -315,7 +315,7 @@ def parse_args(argv: Sequence[str]) -> Tuple[str, SimpleNamespace]:
     for arg in rest:
         option, eq, value = arg.partition("=")
         if arg in ("-h", "--help"):
-            _exit_usage()
+            _exit_usage(None)
         elif not arg.startswith("-"):
             values.append(arg)
         elif option not in options:

@@ -89,12 +89,19 @@ def serialize_complex(k: SimplicialComplex) -> Dict:
 
 def parse_complex(doc: Dict) -> SimplicialComplex:
     json_fields(doc, "complex document", ("vertices", "simplices"), ())
+    vertices, simplices = doc["vertices"], doc["simplices"]
+    if not isinstance(simplices, list) or not all(
+            isinstance(x, list) and all(map(_is_name, x))
+            for x in (vertices, *simplices)):
+        raise InputError("complex vertices and simplices must be arrays of "
+                         "vertex names")
+    if [] in simplices:
+        raise InputError("a complex simplex must not be empty")
     try:
         # looked up on the module at each call, where bench/tracer.py
         # wraps it as the simplicial.complex span
-        return simplicial.build_complex([tuple(s) for s in doc["simplices"]],
-                                        vertices=list(doc["vertices"]))
-    except (SimplicialError, TypeError) as exc:
+        return simplicial.build_complex(map(tuple, simplices), vertices)
+    except SimplicialError as exc:
         raise InputError(f"invalid complex: {exc}")
 
 

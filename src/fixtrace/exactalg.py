@@ -344,8 +344,10 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(IntMatrix._sparse(n, m, s), row_ops, col_ops)
 
 
-def rank(a: IntMatrix) -> int:
-    return smith_normal_form(a).rank
+def _snf(d: IntMatrix) -> SmithForm:
+    """Smith form of d, or of its transpose when d has more rows than
+    columns: the two share their diagonal, and the transpose reduces faster."""
+    return smith_normal_form(d.transpose() if d.rows > d.cols else d)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +432,7 @@ class ChainMap:
                     f"chain map does not commute with boundary in degree {i}")
 
     def component(self, i: int) -> IntMatrix:
-        if 0 <= i < len(self.components):
-            return self.components[i]
-        return IntMatrix.zero(self.target.rank(i), self.source.rank(i))
+        return self.components[i]
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -488,9 +488,9 @@ def homology(c: ChainComplex) -> HomologySummary:
     betti = []
     torsion = []
     for i in range(c.top_degree + 1):
-        b = c.rank(i) - rank(c.boundary(i)) - rank(c.boundary(i + 1))
-        t = tuple(d for d in smith_normal_form(c.boundary(i + 1)).diagonal()
-                  if d > 1)
+        low, high = c.boundary(i), c.boundary(i + 1)
+        b = c.rank(i) - _snf(low).rank - _snf(high).rank
+        t = tuple(d for d in _snf(high).diagonal() if d > 1)
         betti.append(b)
         torsion.append(t)
     return HomologySummary(betti=tuple(betti), torsion=tuple(torsion))

@@ -37,6 +37,7 @@ from .words import (
     reduce_word,
 )
 
+# The orbit-search depth of a command without --depth; only cli reads it.
 DEFAULT_DEPTH = 8
 
 
@@ -408,7 +409,7 @@ def _shortlex_min_in_ball(moves, g, depth: int):
 
 
 def twisted_class(group, endo: GroupEndomorphism, g,
-                  depth: int = DEFAULT_DEPTH) -> TwistedClass:
+                  depth: int) -> TwistedClass:
     """Canonical representative of [g] under g ~ phi(h) g h^-1, the
     relation that lifting a cell as h c instead of c applies to its
     diagonal term (``lift_map`` makes lifts phi-semilinear)."""
@@ -449,8 +450,7 @@ DISTINCT = "distinct"
 UNKNOWN = "unknown"
 
 
-def classes_equal(group, endo: GroupEndomorphism, g, h,
-                  depth: int = DEFAULT_DEPTH) -> str:
+def classes_equal(group, endo: GroupEndomorphism, g, h, depth: int) -> str:
     """Decide whether [g] = [h] for heuristic classes (free rank >= 2, phi
     not the identity; certain classes compare by key): distinct abelianized
     keys answer Distinct, meeting orbit balls Equal, and otherwise Unknown."""
@@ -495,7 +495,7 @@ def _collect(terms, key) -> Dict:
 class GroupRingElement:
     """Finite formal integer combination of group elements."""
 
-    def __init__(self, group, terms=()):
+    def __init__(self, group, terms):
         self.group = group
         self.terms = _collect(((group.check(g), c) for g, c in terms), lambda g: g)
 
@@ -558,12 +558,12 @@ class GroupRingMatrix:
     """
 
     def __init__(self, group, rows: int, cols: int,
-                 entries: Optional[Dict[Tuple[int, int], GroupRingElement]] = None):
+                 entries: Dict[Tuple[int, int], GroupRingElement]):
         self.group = group
         self.rows = rows
         self.cols = cols
         self.entries: Dict[Tuple[int, int], GroupRingElement] = {}
-        for (i, j), a in (entries or {}).items():
+        for (i, j), a in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise GroupError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
             if a.terms:
@@ -626,7 +626,7 @@ class ShadowElement:
     """Integer combination of twisted conjugacy classes over (group, endo)."""
 
     def __init__(self, group, endo: GroupEndomorphism,
-                 terms: Iterable[Tuple[TwistedClass, int]] = ()):
+                 terms: Iterable[Tuple[TwistedClass, int]]):
         self.group = group
         self.endo = endo
         self.terms = _collect(terms, operator.attrgetter("key"))
@@ -656,7 +656,7 @@ class ShadowElement:
     def has_heuristic(self) -> bool:
         return any(not cls.is_certain for cls, _ in self.terms.values())
 
-    def consolidated(self, depth: int = DEFAULT_DEPTH) -> "ShadowElement":
+    def consolidated(self, depth: int) -> "ShadowElement":
         """Merge classes provably equal; raise if any comparison is Unknown.
 
         Terms are summed by key, and certain classes with distinct keys are
@@ -685,13 +685,12 @@ def augment(s: ShadowElement) -> int:
     return sum(c for _, c in s.terms.values())
 
 
-def nielsen(s: ShadowElement, depth: int = DEFAULT_DEPTH) -> int:
+def nielsen(s: ShadowElement, depth: int) -> int:
     """Number of nonzero-coefficient classes; Indeterminate on Unknown merges."""
     return sum(1 for _, c in s.consolidated(depth).terms.values() if c != 0)
 
 
-def shadow_equal(s1: ShadowElement, s2: ShadowElement,
-                 depth: int = DEFAULT_DEPTH) -> str:
+def shadow_equal(s1: ShadowElement, s2: ShadowElement, depth: int) -> str:
     """Class-by-class comparison of two shadow elements over the same data."""
     if s1.group != s2.group:
         raise GroupError("shadow elements over different groups")
@@ -720,7 +719,7 @@ def shadow_rendering(s: ShadowElement) -> List[List]:
 
 def pushforward(hom: GroupHomomorphism, endo_src: GroupEndomorphism,
                 endo_dst: GroupEndomorphism, correction,
-                s: ShadowElement, depth: int = DEFAULT_DEPTH) -> ShadowElement:
+                s: ShadowElement, depth: int) -> ShadowElement:
     """Map classes along iota: [g] -> [iota(g) * w].
 
     Requires the intertwining iota(phi_src(g)) = w * phi_dst(iota(g)) * w^-1

@@ -13,7 +13,7 @@ this module; homology and Lefschetz numbers never need it.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grouprings import FreeAbelianGroup, FreeGroup, GroupEndomorphism
@@ -245,9 +245,9 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     for i in adj:
         adj[i].sort()
     parent: Dict[int, Optional[int]] = {b: None}
-    queue = [b]
+    queue = deque([b])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in adj[v]:
             if w not in parent:
                 parent[w] = v
@@ -289,7 +289,7 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
 
 
 def validate_edge_path(k: SimplicialComplex, steps: Sequence[Tuple[int, int]],
-                       start: int, end: Optional[int] = None) -> None:
+                       start: int, end: int) -> None:
     cur = start
     for a, b in steps:
         if a != cur:
@@ -297,12 +297,12 @@ def validate_edge_path(k: SimplicialComplex, steps: Sequence[Tuple[int, int]],
         if a != b and not k.has_simplex((min(a, b), max(a, b))):
             raise SimplicialError(f"({a},{b}) is not an edge")
         cur = b
-    if end is not None and cur != end:
+    if cur != end:
         raise SimplicialError("edge path ends at the wrong vertex")
 
 
 def induced_pi1_endo(f: SimplicialMap, p: Pi1Presentation,
-                     basepath: Sequence[Tuple[int, int]] = ()) -> GroupEndomorphism:
+                     basepath: Sequence[Tuple[int, int]]) -> GroupEndomorphism:
     """Endomorphism g -> basepath . f(g) . basepath^-1 in the recognized group.
 
     ``basepath`` is an edge path (as oriented vertex-index steps) from the

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .documents import InputError, json_integer
 from .grouprings import (
-    DEFAULT_DEPTH,
     GroupEndomorphism,
     GroupRingElement,
     GroupRingMatrix,
@@ -137,14 +136,10 @@ class EquivariantChainComplex:
         return len(self.ranks) - 1
 
     def rank(self, i: int) -> int:
-        if 0 <= i < len(self.ranks):
-            return self.ranks[i]
-        return 0
+        return self.ranks[i]
 
     def boundary(self, i: int) -> GroupRingMatrix:
-        if 1 <= i <= self.top_degree:
-            return self.boundaries[i - 1]
-        return GroupRingMatrix(self.group, self.rank(i), self.rank(i - 1))
+        return self.boundaries[i - 1]
 
     def __repr__(self):
         return f"EquivariantChainComplex(ranks={self.ranks}, group={self.group!r})"
@@ -291,8 +286,7 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     return TwistedChainMap(l, endo, comps, basepath)
 
 
-def reidemeister_trace_chain(m: TwistedChainMap,
-                             depth: int = DEFAULT_DEPTH) -> ShadowElement:
+def reidemeister_trace_chain(m: TwistedChainMap, depth: int) -> ShadowElement:
     """Alternating sum of twisted traces of the components.
 
     The diagonal terms of every degree are first summed by group element,
@@ -377,7 +371,7 @@ def parse_fixed_point_records(raw: Optional[List[Dict]], group
 
 def reidemeister_trace_geometric(records: Sequence[FixedPointRecord], group,
                                  endo: GroupEndomorphism,
-                                 depth: int = DEFAULT_DEPTH) -> ShadowElement:
+                                 depth: int) -> ShadowElement:
     """Sum of index-weighted twisted classes of the fixed-point witnesses."""
     terms = []
     for r in records:

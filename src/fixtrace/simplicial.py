@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .exactalg import ChainComplex, ChainMap, IntMatrix, hopf_chain_trace
 
@@ -147,23 +147,17 @@ class SimplicialComplex:
         return f"SimplicialComplex(counts={[len(s) for s in self.simplices]})"
 
 
-def build_complex(maximal_simplices: Iterable[Sequence], vertices: Optional[Sequence] = None
+def build_complex(maximal_simplices: Iterable[Sequence], vertices: Sequence
                   ) -> SimplicialComplex:
     """Face closure of the given maximal simplices.
 
     Vertex tuples are given by vertex identifiers; the global order is the
-    declaration order of ``vertices`` when supplied, else sorted order.
+    declaration order of ``vertices``.
     """
     maximal = [tuple(s) for s in maximal_simplices]
     for s in maximal:
         if len(set(s)) != len(s):
             raise SimplicialError(f"repeated vertex in simplex {s}")
-    if vertices is None:
-        seen = set()
-        for s in maximal:
-            seen.update(s)
-        vertices = sorted(seen)
-    vertices = list(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     for s in maximal:
         for v in s:
@@ -172,8 +166,6 @@ def build_complex(maximal_simplices: Iterable[Sequence], vertices: Optional[Sequ
     by_dim: List[Set[Tuple[int, ...]]] = []
     for s in maximal:
         idx = tuple(sorted(index[v] for v in s))
-        if len(set(idx)) != len(idx):
-            raise SimplicialError(f"repeated vertex in simplex {s}")
         for k in range(1, len(idx) + 1):
             for face in itertools.combinations(idx, k):
                 d = k - 1

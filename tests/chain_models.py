@@ -178,7 +178,7 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
     f0 = unit_matrix(z2)
     f1 = degree1_fox_lift(z2, z2.identity(), words, elem)
     # f2 * b2 = phi(b2) * f1, and b2's entry (0, 0) is 1 - t^(0,1)
-    rhs = (b2.apply(endo) * f1).entries.get((0, 0), GroupRingElement(z2))
+    rhs = (b2.apply(endo) * f1).entries.get((0, 0), GroupRingElement(z2, ()))
     f2_entry = _divide_one_minus(rhs, (0, 1))
     f2 = GroupRingMatrix.from_rows(z2, [[f2_entry]])
     return TwistedChainMap(cover, endo, [f0, f1, f2])

@@ -24,6 +24,7 @@ from fixtrace.exactalg import (
     smith_normal_form,
 )
 from fixtrace.grouprings import (
+    DEFAULT_DEPTH,
     EQUAL,
     FiniteGroup,
     FreeAbelianGroup,
@@ -137,7 +138,7 @@ def test_criterion_1_double_cover_end_to_end(tmp_path, capsys):
 
 def test_criterion_2_double_cover_reidemeister():
     pair = cat.double_cover_reflection_pair()
-    rep = verify_reidemeister_mult(pair)
+    rep = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
     assert rep.verdict == "pass"
     assert sorted(rep.lhs) == sorted(rep.rhs) == [["[0]", 1], ["[1]", 1]]
     lifted = pair.total_lift
@@ -147,9 +148,10 @@ def test_criterion_2_double_cover_reidemeister():
     assert lifted.endo.images[0] == ((0, -1),)
     oracle = cat.double_cover_oracle()
     records = cm.materialize_records(oracle["records"], group)
-    geo = reidemeister_trace_geometric(records, group, lifted.endo)
-    lhs = reidemeister_trace_chain(lifted)
-    assert shadow_equal(lhs, geo) == EQUAL
+    geo = reidemeister_trace_geometric(records, group, lifted.endo,
+                                       DEFAULT_DEPTH)
+    lhs = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
+    assert shadow_equal(lhs, geo, DEFAULT_DEPTH) == EQUAL
     report(2, "double cover: both sides [0]+[1] over (Z, -1); matches the "
               "conjugation fixed-point oracle")
 
@@ -165,27 +167,28 @@ def test_criterion_3_circle_family():
         sign = 1 if 1 - d > 0 else -1
         # chain route on the graph-base model
         pair = cat.circle_degree_pair(d)
-        r_graph = base_reidemeister(pair)
+        r_graph = base_reidemeister(pair, DEFAULT_DEPTH)
         assert len(r_graph.terms) == count
         assert all(c == sign for _, c in r_graph.items())
         assert augment(r_graph) == 1 - d == oracle["lefschetz"]
         # chain route on the one-cell circle model
         model = cm.circle_degree_chain_model(d)
-        r_cw = reidemeister_trace_chain(model)
+        r_cw = reidemeister_trace_chain(model, DEFAULT_DEPTH)
         assert len(r_cw.terms) == count
         assert all(c == sign for _, c in r_cw.items())
         assert augment(r_cw) == 1 - d
         # analytic oracle, matched on both models
         z = model.complex.group
         geo_cw = reidemeister_trace_geometric(
-            cm.materialize_records(oracle["records"], z), z, model.endo)
-        assert shadow_equal(r_cw, geo_cw) == EQUAL
+            cm.materialize_records(oracle["records"], z), z, model.endo,
+            DEFAULT_DEPTH)
+        assert shadow_equal(r_cw, geo_cw, DEFAULT_DEPTH) == EQUAL
         base_group = pair.bundle.base.group
         geo_graph = reidemeister_trace_geometric(
             cm.materialize_records(oracle["records"], base_group),
-            base_group, pair.base_endomorphism)
-        assert shadow_equal(r_graph, geo_graph) == EQUAL
-        assert nielsen(r_graph) == oracle["nielsen"]
+            base_group, pair.base_endomorphism, DEFAULT_DEPTH)
+        assert shadow_equal(r_graph, geo_graph, DEFAULT_DEPTH) == EQUAL
+        assert nielsen(r_graph, DEFAULT_DEPTH) == oracle["nielsen"]
     report(3, "circle family d in {-3,-2,-1,0,2,3,4}: |1-d| classes of sign "
               "(1-d), matching the analytic oracle on both chain models")
 
@@ -204,16 +207,17 @@ def test_criterion_4_torus_family():
         if det_ima == 0:
             continue
         model = cm.torus_linear_chain_model(a)
-        r = reidemeister_trace_chain(model)
+        r = reidemeister_trace_chain(model, DEFAULT_DEPTH)
         assert augment(r) == det_ima
-        assert nielsen(r) == abs(det_ima)
+        assert nielsen(r, DEFAULT_DEPTH) == abs(det_ima)
         sign = 1 if det_ima > 0 else -1
         assert all(c == sign for _, c in r.items())
         oracle = cm.torus_lattice_oracle(a)
         assert len(oracle["records"]) == abs(det_ima)
         z2 = model.complex.group
-        geo = reidemeister_trace_geometric(oracle["records"], z2, model.endo)
-        assert shadow_equal(r, geo) == EQUAL
+        geo = reidemeister_trace_geometric(oracle["records"], z2, model.endo,
+                                           DEFAULT_DEPTH)
+        assert shadow_equal(r, geo, DEFAULT_DEPTH) == EQUAL
         tested += 1
     report(4, "20 torus matrices: L = det(I-A), N = |det(I-A)|, all "
               "coefficients sign(det(I-A)), matching lattice enumeration")
@@ -277,18 +281,20 @@ def test_criterion_7_augmentation_identity():
     for k, imgs in fixtures:
         f = SimplicialMap(k, k, imgs)
         lifted = lift_self_map(k, f)
-        assert augment(reidemeister_trace_chain(lifted)) == lefschetz_number(f)
+        assert (augment(reidemeister_trace_chain(lifted, DEFAULT_DEPTH))
+                == lefschetz_number(f))
         checked += 1
     # circle and torus chain models
     for d in (-3, -2, -1, 0, 2, 3, 4):
         model = cm.circle_degree_chain_model(d)
-        assert augment(reidemeister_trace_chain(model)) == 1 - d
+        assert augment(reidemeister_trace_chain(model, DEFAULT_DEPTH)) == 1 - d
         checked += 1
     for a in ([[2, 1], [1, 1]], [[-1, 0], [0, -1]], [[2, 0], [0, 2]]):
         model = cm.torus_linear_chain_model(a)
         det_ima = determinant(IntMatrix(
             2, 2, [1 - a[0][0], -a[0][1], -a[1][0], 1 - a[1][1]]))
-        assert augment(reidemeister_trace_chain(model)) == det_ima
+        assert (augment(reidemeister_trace_chain(model, DEFAULT_DEPTH))
+                == det_ima)
         checked += 1
     # bundle total maps
     for pair in [cat.double_cover_reflection_pair(),
@@ -296,11 +302,11 @@ def test_criterion_7_augmentation_identity():
                  cat.trivial_product_pair("constant", "identity"),
                  cat.fixed_point_free_rotation_pair()]:
         _, f = pair.total
-        assert (augment(reidemeister_trace_chain(pair.total_lift))
-                == lefschetz_number(f))
+        r = reidemeister_trace_chain(pair.total_lift, DEFAULT_DEPTH)
+        assert augment(r) == lefschetz_number(f)
         # the homology route stays checked on total spaces
         assert (lefschetz_from_homology(induced_chain_map(f))
-                == verify_lefschetz_mult(pair).lhs)
+                == verify_lefschetz_mult(pair, DEFAULT_DEPTH).lhs)
         checked += 1
     report(7, f"augment(R(f)) = L(f) on {checked} fixtures")
 
@@ -349,7 +355,7 @@ def test_criterion_8_shadow_cyclicity():
             b = _random_ring_matrix(group, rng, n, elements)
             lhs = twisted_hs_trace(a * b, endo)
             rhs = twisted_hs_trace(b * a.apply(endo), endo)
-            assert shadow_equal(lhs, rhs) == EQUAL
+            assert shadow_equal(lhs, rhs, DEFAULT_DEPTH) == EQUAL
             count += 1
     assert count >= 100
     report(8, f"tr(AB) = tr(B phi(A)) on {count} random group-ring pairs")
@@ -361,7 +367,7 @@ def test_criterion_8_shadow_cyclicity():
 
 def test_criterion_9_euler_multiplicativity():
     pair = cat.trivial_product_pair("identity", "identity")
-    rep = verify_lefschetz_mult(pair)
+    rep = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert rep.verdict == "pass"
     total = total_space(pair.bundle)
     chi_e = total.complex.euler_characteristic()
@@ -374,7 +380,7 @@ def test_criterion_9_euler_multiplicativity():
     totals = []
     expected_sum = 0
     for piece, expected in fixtures:
-        rep = verify_lefschetz_mult(piece)
+        rep = verify_lefschetz_mult(piece, DEFAULT_DEPTH)
         assert rep.verdict == "pass"
         assert rep.lhs == expected
         totals.append(total_space(piece.bundle).complex)
@@ -400,10 +406,11 @@ def test_criterion_10_nielsen_additivity():
         ("fixed point free", cat.fixed_point_free_rotation_pair()),
     ]
     for name, pair in decisive:
-        rep = nielsen_additivity(pair)
+        rep = nielsen_additivity(pair, DEFAULT_DEPTH)
         assert rep.lhs == rep.rhs, name
     # the fixed-point-free fixture is the vacuous case
-    rep = nielsen_additivity(cat.fixed_point_free_rotation_pair())
+    rep = nielsen_additivity(cat.fixed_point_free_rotation_pair(),
+                             DEFAULT_DEPTH)
     assert rep.lhs == 0 and rep.rhs == 0 and rep.rows == []
     report(10, f"N(f) equals the per-class sum on {len(decisive)} decisive "
                "fixtures, including the vacuous fixed-point-free case")
@@ -428,7 +435,7 @@ def test_criterion_11a_canonicalization_stability():
     cases.append((f2, GroupEndomorphism(f2, f2.generators()),
                   ((0, 1), (1, 1), (0, -1))))
     for group, endo, base in cases:
-        want = twisted_class(group, endo, base).key
+        want = twisted_class(group, endo, base, DEFAULT_DEPTH).key
         for _ in range(50):
             if group.kind == "finite":
                 h = rng.randrange(group.order)
@@ -440,7 +447,7 @@ def test_criterion_11a_canonicalization_stability():
             h = group.check(h)
             moved = group.mul(group.mul(endo.apply(h), group.check(base)),
                               group.inv(h))
-            assert twisted_class(group, endo, moved).key == want
+            assert twisted_class(group, endo, moved, DEFAULT_DEPTH).key == want
     report("11a", f"canonical representative stable under 50 random orbit "
                   f"moves in {len(cases)} group cases")
 
@@ -454,7 +461,7 @@ def test_criterion_11b_representative_independence():
               [("e0", 1), ("e1", 1), ("e2", 1), ("e3", 1)],
               [("e3", -1), ("e3", 1)], [("e0", 1), ("e1", 1), ("e1", -1)]]
     assert len(alphas) == 10
-    for c, _ in base_reidemeister(pair).items():
+    for c, _ in base_reidemeister(pair, DEFAULT_DEPTH).items():
         want = lefschetz_number(fiber_composite(pair, base.basepoint,
                                                 pair.class_path(c)))
         for alpha in alphas:

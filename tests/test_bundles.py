@@ -29,8 +29,8 @@ from fixtrace.catalog import (
     trivial_product_pair,
 )
 from fixtrace.exactalg import homology
-from fixtrace.grouprings import (EQUAL, augment, nielsen, shadow_equal,
-                                 twisted_class)
+from fixtrace.grouprings import (DEFAULT_DEPTH, EQUAL, augment, nielsen,
+                                 shadow_equal, twisted_class)
 from fixtrace.reidemeister import (reidemeister_trace_chain,
                                    reidemeister_trace_geometric)
 from fixtrace.simplicial import chain_complex, lefschetz_number
@@ -83,16 +83,16 @@ def test_transport_functorial_on_homology():
 
 def test_base_reidemeister_reflection():
     pair = double_cover_reflection_pair()
-    r = base_reidemeister(pair)
+    r = base_reidemeister(pair, DEFAULT_DEPTH)
     assert augment(r) == 2
-    assert nielsen(r) == 2
+    assert nielsen(r, DEFAULT_DEPTH) == 2
     assert sorted(c for _, c in r.items()) == [1, 1]
 
 
 def test_base_reidemeister_degree_family():
     for d in (-3, -2, -1, 0, 2, 3, 4):
         pair = circle_degree_pair(d)
-        r = base_reidemeister(pair)
+        r = base_reidemeister(pair, DEFAULT_DEPTH)
         assert augment(r) == 1 - d
         count = abs(1 - d)
         assert len(r.terms) == count
@@ -102,7 +102,7 @@ def test_base_reidemeister_degree_family():
 
 def test_base_reidemeister_rotation_empty():
     pair = fixed_point_free_rotation_pair()
-    r = base_reidemeister(pair)
+    r = base_reidemeister(pair, DEFAULT_DEPTH)
     assert r.is_zero()
 
 
@@ -118,7 +118,7 @@ def class_composite(pair, cls):
 
 def test_fiber_composites_example():
     pair = double_cover_reflection_pair()
-    r = base_reidemeister(pair)
+    r = base_reidemeister(pair, DEFAULT_DEPTH)
     values = {}
     for cls, ind in r.items():
         values[cls.key] = lefschetz_number(class_composite(pair, cls))
@@ -128,7 +128,7 @@ def test_fiber_composites_example():
 def test_refined_lefschetz_representative_independent():
     pair = double_cover_reflection_pair()
     base = pair.bundle.base
-    for c, _ in base_reidemeister(pair).items():
+    for c, _ in base_reidemeister(pair, DEFAULT_DEPTH).items():
         want = lefschetz_number(class_composite(pair, c))
         # alternate representatives (b', alpha^-1 . gamma . fbar(alpha))
         alphas = [[], [("e0", 1)], [("e0", 1), ("e1", 1)],
@@ -240,7 +240,7 @@ def _interval_bundle(simplices, images):
     from fixtrace.simplicial import SimplicialMap, build_complex
     from tests.oracles import interval_base
     base = interval_base()
-    fib = build_complex(simplices)
+    fib = build_complex(simplices, sorted(images))
     t = SimplicialMap(fib, fib, images)
     return DiscreteBundle(base, {v: fib for v in base.vertices},
                           {"e0": Transport(t, t)})
@@ -270,7 +270,7 @@ def test_total_space_rejects_transport_not_monotone_on_a_simplex():
 
 def test_verify_lefschetz_example():
     pair = double_cover_reflection_pair()
-    report = verify_lefschetz_mult(pair)
+    report = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert report.verdict == "pass"
     assert report.lhs == 2
     assert report.rhs == 2
@@ -283,14 +283,14 @@ def test_verify_lefschetz_trivial_products():
     for bname in ("identity", "reflection", "constant", "rotation"):
         for fname in ("identity", "reflection", "constant"):
             pair = trivial_product_pair(bname, fname)
-            report = verify_lefschetz_mult(pair)
+            report = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
             assert report.verdict == "pass", (bname, fname, report)
             assert report.lhs == BASE_LEFSCHETZ[bname] * FIBER_LEFSCHETZ[fname]
 
 
 def test_verify_lefschetz_identity_pair_euler():
     pair = trivial_product_pair("identity", "identity")
-    report = verify_lefschetz_mult(pair)
+    report = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert report.verdict == "pass"
     assert report.lhs == 0
 
@@ -316,7 +316,7 @@ def test_verify_lefschetz_corrupted_transport_fails():
 
 def test_verify_reidemeister_example():
     pair = double_cover_reflection_pair()
-    report = verify_reidemeister_mult(pair)
+    report = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
     assert report.verdict == "pass"
     assert report.lhs == report.rhs
     assert sorted(c for _, c in report.lhs) == [1, 1]
@@ -327,24 +327,25 @@ def test_verify_reidemeister_example_against_oracle():
     pair = double_cover_reflection_pair()
     lifted = pair.total_lift
     group = lifted.complex.presentation.group
-    lhs = reidemeister_trace_chain(lifted)
+    lhs = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     oracle = double_cover_oracle()
     records = materialize_records(oracle["records"], group)
-    geo = reidemeister_trace_geometric(records, group, lifted.endo)
-    assert shadow_equal(lhs, geo) == EQUAL
+    geo = reidemeister_trace_geometric(records, group, lifted.endo,
+                                       DEFAULT_DEPTH)
+    assert shadow_equal(lhs, geo, DEFAULT_DEPTH) == EQUAL
 
 
 def test_verify_reidemeister_trivial_products():
     for bname in ("identity", "reflection", "constant", "rotation"):
         for fname in ("identity", "reflection", "constant"):
             pair = trivial_product_pair(bname, fname)
-            report = verify_reidemeister_mult(pair)
+            report = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
             assert report.verdict == "pass", (bname, fname, report.flags)
 
 
 def test_verify_reidemeister_fixed_point_free():
     pair = fixed_point_free_rotation_pair()
-    report = verify_reidemeister_mult(pair)
+    report = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
     assert report.verdict == "pass"
     assert report.lhs == []
     assert report.rhs == []
@@ -354,15 +355,15 @@ def test_reflection_product_lattice_oracle():
     # base reflection x fiber reflection is the torus map -I:
     # N = det(I-(-I)) = 4 classes, all coefficients +1
     pair = trivial_product_pair("reflection", "reflection")
-    r = reidemeister_trace_chain(pair.total_lift)
+    r = reidemeister_trace_chain(pair.total_lift, DEFAULT_DEPTH)
     assert augment(r) == 4
-    assert nielsen(r) == 4
+    assert nielsen(r, DEFAULT_DEPTH) == 4
     assert all(c == 1 for _, c in r.items())
 
 
 def test_nielsen_additivity_example():
     pair = double_cover_reflection_pair()
-    report = nielsen_additivity(pair)
+    report = nielsen_additivity(pair, DEFAULT_DEPTH)
     assert report.lhs == 2
     assert report.rhs == 2
     assert report.verdict == "pass"
@@ -374,7 +375,7 @@ def test_nielsen_additivity_example():
 
 def test_nielsen_additivity_fixed_point_free():
     pair = fixed_point_free_rotation_pair()
-    report = nielsen_additivity(pair)
+    report = nielsen_additivity(pair, DEFAULT_DEPTH)
     assert report.lhs == 0
     assert report.rhs == 0
     assert report.rows == []
@@ -384,7 +385,7 @@ def test_nielsen_additivity_products():
     for bname in ("reflection", "constant"):
         for fname in ("identity", "reflection", "constant"):
             pair = trivial_product_pair(bname, fname)
-            report = nielsen_additivity(pair)
+            report = nielsen_additivity(pair, DEFAULT_DEPTH)
             assert report.lhs == report.rhs, (bname, fname)
 
 
@@ -396,15 +397,15 @@ def test_all_catalog_bundle_pairs_verify():
             continue
         pair = entry.build(**entry.default_params)
         try:
-            rep = verify_lefschetz_mult(pair)
+            rep = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
             assert rep.verdict == "pass", (name, rep.flags)
-            rep2 = verify_reidemeister_mult(pair)
+            rep2 = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
             assert rep2.verdict == "pass", (name, rep2.flags)
         except NotConstructibleError:
             # degree-two dynamics need subdivision; the refined side still
             # computes and matches the analytic value
             assert name == "circle_degree_map"
-            r = base_reidemeister(pair)
+            r = base_reidemeister(pair, DEFAULT_DEPTH)
             rhs = sum(ind * lefschetz_number(class_composite(pair, cls))
                       for cls, ind in r.items())
             assert rhs == -1  # L(z -> z^2)
@@ -415,7 +416,7 @@ def test_two_component_euler():
     total_chi = 0
     complexes = []
     for pair, expected in fixtures:
-        report = verify_lefschetz_mult(pair)
+        report = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
         assert report.verdict == "pass"
         assert report.lhs == expected
         total = total_space(pair.bundle)
@@ -434,7 +435,7 @@ def sphere_product_pair(base_degree, fiber_map_name):
     from fixtrace.simplicial import SimplicialMap, build_complex
     base = circle_base(4)
     fib = build_complex([("0", "1", "2"), ("0", "1", "3"), ("0", "2", "3"),
-                         ("1", "2", "3")])
+                         ("1", "2", "3")], ["0", "1", "2", "3"])
     ident = SimplicialMap(fib, fib, {v: v for v in fib.vertices})
     fmap = {"identity": ident,
             "constant": SimplicialMap(fib, fib, {v: "0" for v in fib.vertices})
@@ -456,7 +457,7 @@ def test_sphere_fiber_staircase_prisms(tmp_path, capsys, base_degree,
     total, _ = pair.total
     assert total.complex.dim == 3
     assert homology(chain_complex(total.complex)).betti == (1, 1, 1, 1)
-    report = verify_lefschetz_mult(pair)
+    report = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert report.verdict == "pass"
     assert report.lhs == report.rhs == 2
     assert [row["fiber_lefschetz"] for row in report.rows] == fiber_values
@@ -497,7 +498,7 @@ def test_klein_bottle_total_space():
 
 def test_klein_bottle_identity_lefschetz_verification():
     pair = klein_bundle_pair()
-    report = verify_lefschetz_mult(pair)
+    report = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert report.verdict == "pass"
     assert report.lhs == 0
 
@@ -506,7 +507,7 @@ def test_klein_bottle_reidemeister_unsupported():
     from fixtrace.reidemeister import UnsupportedComplexError
     pair = klein_bundle_pair()
     with pytest.raises(UnsupportedComplexError):
-        verify_reidemeister_mult(pair)
+        verify_reidemeister_mult(pair, DEFAULT_DEPTH)
 
 
 def test_klein_bottle_cli_both_prints_lefschetz_table(tmp_path, capsys):
@@ -525,7 +526,7 @@ def test_klein_bottle_cli_both_prints_lefschetz_table(tmp_path, capsys):
 
 def test_larger_fiber_product():
     pair = trivial_product_pair("reflection", "reflection", fiber_size=4)
-    report = verify_reidemeister_mult(pair)
+    report = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
     assert report.verdict == "pass"
     assert sorted(c for _, c in report.lhs) == [1, 1, 1, 1]
 
@@ -538,13 +539,14 @@ def test_torus_linear_larger_entries():
                                        reidemeister_trace_geometric)
     for a in ([[3, 5], [1, 2]], [[0, -3], [4, 1]], [[-4, 1], [2, -3]]):
         model = torus_linear_chain_model(a)
-        r = reidemeister_trace_chain(model)
+        r = reidemeister_trace_chain(model, DEFAULT_DEPTH)
         oracle = torus_lattice_oracle(a)
         assert augment(r) == oracle["lefschetz"]
-        assert nielsen(r) == oracle["nielsen"]
+        assert nielsen(r, DEFAULT_DEPTH) == oracle["nielsen"]
         geo = reidemeister_trace_geometric(oracle["records"],
-                                           model.complex.group, model.endo)
-        assert shadow_equal(r, geo) == EQUAL
+                                           model.complex.group, model.endo,
+                                           DEFAULT_DEPTH)
+        assert shadow_equal(r, geo, DEFAULT_DEPTH) == EQUAL
 
 
 def reference_divide_one_minus(p, v):
@@ -671,15 +673,15 @@ def test_triple_cover_conjugation():
     total = total_space(pair.bundle)
     assert len(total.complex.components()) == 1  # connected triple cover
     assert homology(chain_complex(total.complex)).betti == (1, 1)
-    rep = verify_lefschetz_mult(pair)
+    rep = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert rep.verdict == "pass"
     assert rep.lhs == 2
     assert sorted((r["ind"], r["fiber_lefschetz"]) for r in rep.rows) \
         == [(1, 1), (1, 1)]
-    rep2 = verify_reidemeister_mult(pair)
+    rep2 = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
     assert rep2.verdict == "pass"
     assert sorted(c for _, c in rep2.lhs) == [1, 1]
-    rep3 = nielsen_additivity(pair)
+    rep3 = nielsen_additivity(pair, DEFAULT_DEPTH)
     assert rep3.lhs == rep3.rhs == 2
 
 
@@ -708,15 +710,15 @@ def diagonal_reflection_double_cover_pair():
 
 def test_diagonal_reflection_double_cover():
     pair = diagonal_reflection_double_cover_pair()
-    r = base_reidemeister(pair)
+    r = base_reidemeister(pair, DEFAULT_DEPTH)
     assert sorted(c for _, c in r.items()) == [1, 1]
     values = []
     for cls, ind in r.items():
         values.append(lefschetz_number(class_composite(pair, cls)))
     assert sorted(values) == [0, 2]
-    rep = verify_lefschetz_mult(pair)
+    rep = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert rep.verdict == "pass" and rep.lhs == 2
-    rep2 = verify_reidemeister_mult(pair)
+    rep2 = verify_reidemeister_mult(pair, DEFAULT_DEPTH)
     assert rep2.verdict == "pass"
     assert sorted(c for _, c in rep2.lhs) == [1, 1]
 
@@ -739,7 +741,7 @@ def test_degree2_cover_refined_value():
     const1 = SimplicialMap(fib, fib, {"0": "1", "1": "1"})
     fiber_maps = {"b0": const0, "b1": const0, "b2": const1, "b3": const1}
     pair = BundleSelfMapPair(bundle, bmap, fiber_maps)
-    r = base_reidemeister(pair)
+    r = base_reidemeister(pair, DEFAULT_DEPTH)
     items = r.items()
     assert len(items) == 1 and items[0][1] == -1
     (cls, ind), = items
@@ -837,9 +839,9 @@ def test_track_fiber_map_not_simplicial_is_not_constructible():
     from tests.oracles import interval_base
     base = interval_base()
     whisker = build_complex([("0", "1"), ("1", "2"), ("2", "3"), ("0", "3"),
-                             ("0", "4")])
+                             ("0", "4")], ["0", "1", "2", "3", "4"])
     filled = build_complex([("0", "1", "4"), ("1", "2"), ("2", "3"),
-                            ("0", "3")])
+                            ("0", "3")], ["0", "1", "2", "3", "4"])
     t = SimplicialMap(whisker, filled, {v: v for v in whisker.vertices})
     fold = SimplicialMap(filled, whisker, {"0": "0", "1": "1", "2": "2",
                                            "3": "3", "4": "0"})
@@ -850,20 +852,20 @@ def test_track_fiber_map_not_simplicial_is_not_constructible():
         bundle, GraphSelfMap(base, {"b0": "b1", "b1": "b1"}, {"e0": []}),
         {"b0": SimplicialMap(whisker, filled, {**rot, "4": "4"}),
          "b1": SimplicialMap(filled, filled, {**rot, "4": "1"})})
-    assert verify_lefschetz_mult(pair).verdict == "pass"
+    assert verify_lefschetz_mult(pair, DEFAULT_DEPTH).verdict == "pass"
     with pytest.raises(NotConstructibleError,
                        match=r"^lift tracks give no simplicial fiber map: "):
-        verify_reidemeister_mult(pair)
+        verify_reidemeister_mult(pair, DEFAULT_DEPTH)
 
 
 def test_class_disjointness():
     # distinct base classes push to disjoint total-space class sets
     for pair in [double_cover_reflection_pair(),
                  trivial_product_pair("reflection", "reflection")]:
-        rbar = base_reidemeister(pair)
+        rbar = base_reidemeister(pair, DEFAULT_DEPTH)
         supports = []
         for cls, ind in rbar.items():
-            pushed = refined_reidemeister(pair, cls)
+            pushed = refined_reidemeister(pair, cls, DEFAULT_DEPTH)
             supports.append(set(pushed.terms.keys()))
         for i in range(len(supports)):
             for j in range(i + 1, len(supports)):
@@ -874,7 +876,7 @@ def test_orientable_collapse():
     # all transports homologically trivial: refined L constant over classes
     pair = trivial_product_pair("reflection", "reflection")
     values = {lefschetz_number(class_composite(pair, c))
-              for c, _ in base_reidemeister(pair).items()}
+              for c, _ in base_reidemeister(pair, DEFAULT_DEPTH).items()}
     assert values == {2}
-    report = verify_lefschetz_mult(pair)
+    report = verify_lefschetz_mult(pair, DEFAULT_DEPTH)
     assert report.lhs == 2 * 2

@@ -346,7 +346,7 @@ def test_bundle_verify_empty_fiber_exit3(tmp_path, capsys):
                                   GraphSelfMap)
     from fixtrace.simplicial import SimplicialMap, build_complex
     base = point_base()
-    fib = build_complex([])
+    fib = build_complex([], [])
     pair = BundleSelfMapPair(DiscreteBundle(base, {"b0": fib}, {}),
                              GraphSelfMap(base, {"b0": "b0"}, {}),
                              {"b0": SimplicialMap(fib, fib, {})})
@@ -825,6 +825,127 @@ def test_unknown_key_is_named(tmp_path, capsys, case, command, message):
     doc = MALFORMED[case]()[1]
     code, out, err = run_cli(capsys, command, write(tmp_path, "d.json", doc))
     assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+# The degree-2 pair of ``_mutated_degree_pair`` lies over the 4-cycle
+# b0 -> b1 -> b2 -> b3 -> b0 with edges e0..e3 and tree e0, e1, e2.
+
+def _base(**fields):
+    return _mutated_degree_pair(
+        lambda d: d["bundle"]["base"].update(fields))
+
+
+def _base_edge(i, **fields):
+    return _mutated_degree_pair(
+        lambda d: d["bundle"]["base"]["edges"][i].update(fields))
+
+
+def _base_map(mutate):
+    return _mutated_degree_pair(lambda d: mutate(d["base_map"]))
+
+
+def _map_basepath(steps):
+    return ["reidemeister", dict(reflection_doc(), basepath=steps)]
+
+
+NOT_NAME_ARRAYS = ("complex vertices and simplices must be arrays of vertex "
+                   "names")
+
+# name -> (argv builder, start of the message); a dict argument is written
+# to a file first.  A string, an object or an empty array is no vertex list
+# or simplex of a complex, a bundle fiber included.
+EXIT_2_PATHS = {
+    "complex-strings": (
+        lambda: ["homology", {"vertices": "pq", "simplices": ["pq"]}],
+        NOT_NAME_ARRAYS),
+    "complex-vertices-string": (
+        lambda: ["homology", {"vertices": "pq", "simplices": [["p", "q"]]}],
+        NOT_NAME_ARRAYS),
+    "complex-simplices-string": (
+        lambda: ["homology", {"vertices": ["p"], "simplices": "p"}],
+        NOT_NAME_ARRAYS),
+    "complex-simplex-object": (
+        lambda: ["homology", {"vertices": ["p", "q"],
+                              "simplices": [{"p": 1, "q": 2}]}],
+        NOT_NAME_ARRAYS),
+    "complex-simplex-empty-object": (
+        lambda: ["homology", {"vertices": ["p"], "simplices": [{}]}],
+        NOT_NAME_ARRAYS),
+    "complex-vertex-array": (
+        lambda: ["homology", {"vertices": [["p"]], "simplices": []}],
+        NOT_NAME_ARRAYS),
+    "complex-simplex-empty": (
+        lambda: ["lefschetz", {"complex": {"vertices": ["p"],
+                                           "simplices": [[]]},
+                               "vertex_images": {"p": "p"}}],
+        "a complex simplex must not be empty"),
+    "bundle-fiber-strings": (lambda: _mutated_degree_pair(
+        lambda d: d["bundle"]["fibers"].update(
+            b0={"vertices": "p", "simplices": ["p"]})), NOT_NAME_ARRAYS),
+    "pair-without-transport": (lambda: _mutated_degree_pair(
+        lambda d: d["bundle"]["transports"].pop("e0")),
+        "bundle document has no transport for edge e0"),
+    "pair-without-fiber-map": (lambda: _mutated_degree_pair(
+        lambda d: d["fiber_maps"].pop("b0")),
+        "pair document has no fiber map over 'b0'"),
+    "base-repeated-vertex": (
+        lambda: _base(vertices=["b0", "b1", "b2", "b3", "b1"]),
+        "invalid base graph: duplicate base vertices"),
+    "base-repeated-edge-id": (lambda: _base_edge(1, id="e0"),
+                              "invalid base graph: duplicate edge id e0"),
+    "base-unknown-endpoint": (
+        lambda: _base_edge(0, dst="b9"),
+        "invalid base graph: edge e0 has unknown endpoint"),
+    "base-tree-not-an-edge": (
+        lambda: _base(tree=["e0", "e1", "e9"]),
+        "invalid base graph: tree edge e9 is not an edge"),
+    "base-repeated-tree-edge": (lambda: _base(tree=["e0", "e0", "e1"]),
+                                "invalid base graph: duplicate tree edge ids"),
+    "base-unknown-basepoint": (lambda: _base(basepoint="b9"),
+                               "invalid base graph: unknown basepoint"),
+    "base-tree-not-spanning": (
+        lambda: _base(tree=["e0", "e2"]),
+        "invalid base graph: tree does not span the graph"),
+    "base-tree-too-large": (
+        lambda: _base(tree=["e0", "e1", "e2", "e3"]),
+        "invalid base graph: tree has the wrong number of edges"),
+    "base-edge-word-not-a-path": (
+        lambda: _base_map(lambda m: m["edge_words"].update(e0=[["e2", 1]])),
+        "invalid base map: edge word is not a path"),
+    "base-map-missing-image": (
+        lambda: _base_map(lambda m: m["vertex_images"].pop("b1")),
+        "invalid base map: missing image for base vertex b1"),
+    "base-map-image-not-a-vertex": (
+        lambda: _base_map(lambda m: m["vertex_images"].update(b1="b9")),
+        "invalid base map: image of b1 is not a vertex"),
+    "map-basepath-unknown-vertex": (
+        lambda: _map_basepath([["0", "9"]]),
+        "basepath step ['0', '9'] uses unknown vertices"),
+    "map-basepath-not-an-edge": (lambda: _map_basepath([["0", "2"]]),
+                                 "(0,2) is not an edge"),
+    "map-basepath-gap": (lambda: _map_basepath([["0", "1"], ["2", "3"]]),
+                         "edge path is not connected"),
+    "unknown-complex-reference": (
+        lambda: ["lefschetz", {"complex": {"ref": "nowhere"},
+                               "vertex_images": {}}],
+        "unknown complex reference 'nowhere'"),
+    "catalog-emit-without-name": (lambda: ["catalog", "emit"],
+                                  "catalog emit requires a fixture name"),
+    "unreadable-input": (lambda: ["homology", "missing.json"],
+                         "cannot read missing.json: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2_PATHS))
+def test_input_error_paths_exit_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    build, message = EXIT_2_PATHS[case]
+    argv = [write(tmp_path, "doc.json", a) if isinstance(a, dict) else a
+            for a in build()]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
 
 
 def _backtracking_pair_doc():
@@ -1470,7 +1591,8 @@ FIBER5_PRODUCT_REPORT = (
 
 
 def test_fiber5_product_report_byte_identical(tmp_path, capsys):
-    doc = serialize_pair(cat.trivial_product_pair(fiber_size=5))
+    doc = serialize_pair(cat.trivial_product_pair("reflection", "reflection",
+                                                fiber_size=5))
     code, out, _ = run_cli(capsys, "bundle-verify",
                            write(tmp_path, "pair.json", doc),
                            "--theorem", "both")
@@ -1678,7 +1800,7 @@ UNKNOWN_PAIR_KEYS = [
 
 @pytest.mark.parametrize("where, key, message", UNKNOWN_PAIR_KEYS)
 def test_pair_unknown_key_exits_2(tmp_path, capsys, where, key, message):
-    doc = serialize_pair(cat.trivial_product_pair())
+    doc = serialize_pair(cat.trivial_product_pair("reflection", "reflection"))
     obj = doc
     for part in where:
         obj = obj[part]

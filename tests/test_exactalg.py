@@ -63,7 +63,7 @@ def rp2_complex():
     from fixtrace.simplicial import build_complex, chain_complex
     faces = [(0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 4, 5),
              (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5)]
-    return chain_complex(build_complex(faces))
+    return chain_complex(build_complex(faces, range(6)))
 
 
 def degree2_circle_chain_map():

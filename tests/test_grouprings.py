@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtrace.grouprings import (
+    DEFAULT_DEPTH,
     DISTINCT,
     EQUAL,
     UNKNOWN,
@@ -39,34 +40,44 @@ def z_endo(d):
     return GroupEndomorphism(Z, [(d,)])
 
 
+def _shadow(group, endo, terms, depth=DEFAULT_DEPTH):
+    """The shadow element of the ``(element, coefficient)`` terms."""
+    return ShadowElement(group, endo, [
+        (twisted_class(group, endo, g, depth), c) for g, c in terms])
+
+
 # ---------------------------------------------------------------------------
 # twisted_class
 # ---------------------------------------------------------------------------
 
 def test_twisted_class_identity_on_Z():
-    cls = twisted_class(Z, z_endo(1), (5,))
+    cls = twisted_class(Z, z_endo(1), (5,), DEFAULT_DEPTH)
     assert cls.rep == (5,)
     assert cls.is_certain
 
 
 def test_twisted_class_reflection_on_Z():
     endo = z_endo(-1)
-    keys = {twisted_class(Z, endo, (g,)).key for g in range(-6, 7)}
+    keys = {twisted_class(Z, endo, (g,), DEFAULT_DEPTH).key
+            for g in range(-6, 7)}
     assert len(keys) == 2
-    assert twisted_class(Z, endo, (0,)).key == twisted_class(Z, endo, (2,)).key
-    assert twisted_class(Z, endo, (1,)).key == twisted_class(Z, endo, (-3,)).key
+    key = {g: twisted_class(Z, endo, (g,), DEFAULT_DEPTH).key
+           for g in (0, 2, 1, -3)}
+    assert key[0] == key[2]
+    assert key[1] == key[-3]
 
 
 def test_twisted_class_doubling_on_Z():
     endo = z_endo(2)
-    keys = {twisted_class(Z, endo, (g,)).key for g in range(-8, 9)}
+    keys = {twisted_class(Z, endo, (g,), DEFAULT_DEPTH).key
+            for g in range(-8, 9)}
     assert len(keys) == 1
 
 
 def test_classes_equal_examples():
     # Certain classes need no comparison: their keys decide.
     def key(group, endo, g):
-        return twisted_class(group, endo, g).key
+        return twisted_class(group, endo, g, DEFAULT_DEPTH).key
 
     assert key(Z, z_endo(-1), (0,)) == key(Z, z_endo(-1), (2,))
     assert key(Z, z_endo(-1), (0,)) != key(Z, z_endo(-1), (1,))
@@ -78,7 +89,7 @@ def test_classes_equal_examples():
     # in one step, and the abelianized keys of 1 and a differ.
     swap = GroupEndomorphism(f2, [b, a])
     assert classes_equal(f2, swap, a, b, depth=1) == EQUAL
-    assert classes_equal(f2, swap, (), a) == DISTINCT
+    assert classes_equal(f2, swap, (), a, DEFAULT_DEPTH) == DISTINCT
 
 
 def _class_count(cl):
@@ -110,7 +121,8 @@ def test_counting_by_determinant():
         cl = endo.classifier
         assert _class_count(cl) == abs(det)
         reps = _class_reps(cl)
-        assert len({twisted_class(g, endo, r).key for r in reps}) == abs(det)
+        assert len({twisted_class(g, endo, r, DEFAULT_DEPTH).key
+                    for r in reps}) == abs(det)
 
 
 def test_classifier_of_rank1_endomorphisms():
@@ -126,11 +138,11 @@ def test_canonicalization_stability_free_abelian():
     g = FreeAbelianGroup(2)
     endo = GroupEndomorphism(g, [(2, 1), (1, 1)])
     base = (3, -4)
-    want = twisted_class(g, endo, base).key
+    want = twisted_class(g, endo, base, DEFAULT_DEPTH).key
     for _ in range(50):
         h = (rng.randint(-5, 5), rng.randint(-5, 5))
         moved = g.mul(g.mul(endo.apply(h), base), g.inv(h))
-        assert twisted_class(g, endo, moved).key == want
+        assert twisted_class(g, endo, moved, DEFAULT_DEPTH).key == want
 
 
 def test_canonicalization_stability_finite():
@@ -141,11 +153,11 @@ def test_canonicalization_stability_finite():
     endo = GroupEndomorphism(s3, [s3.mul(s3.mul(c, g), s3.inv(c))
                                   for g in range(6)])
     base = 4
-    want = twisted_class(s3, endo, base).key
+    want = twisted_class(s3, endo, base, DEFAULT_DEPTH).key
     for _ in range(50):
         h = rng.randrange(6)
         moved = s3.mul(s3.mul(endo.apply(h), base), s3.inv(h))
-        assert twisted_class(s3, endo, moved).key == want
+        assert twisted_class(s3, endo, moved, DEFAULT_DEPTH).key == want
 
 
 def test_canonicalization_stability_free_identity():
@@ -153,17 +165,17 @@ def test_canonicalization_stability_free_identity():
     f2 = FreeGroup(2)
     endo = GroupEndomorphism(f2, f2.generators())
     base = ((0, 1), (1, 1), (0, -1))
-    want = twisted_class(f2, endo, base).key
+    want = twisted_class(f2, endo, base, DEFAULT_DEPTH).key
     for _ in range(50):
         h = tuple((rng.randrange(2), rng.choice([1, -1])) for _ in range(3))
         moved = f2.mul(f2.mul(endo.apply(h), base), f2.inv(h))
-        assert twisted_class(f2, endo, moved).key == want
+        assert twisted_class(f2, endo, moved, DEFAULT_DEPTH).key == want
 
 
 def test_free_heuristic_flagged():
     f2 = FreeGroup(2)
     endo = GroupEndomorphism(f2, [((1, 1),), ((0, 1),)])  # swap
-    cls = twisted_class(f2, endo, ((0, 1), (1, 1)))
+    cls = twisted_class(f2, endo, ((0, 1), (1, 1)), DEFAULT_DEPTH)
     assert not cls.is_certain
 
 
@@ -206,7 +218,7 @@ def test_hs_trace_doubling_collapse():
 
 
 def test_hs_trace_zero():
-    m = GroupRingMatrix(Z, 2, 2)
+    m = GroupRingMatrix(Z, 2, 2, {})
     s = twisted_hs_trace(m, z_endo(3))
     assert s.is_zero()
 
@@ -225,7 +237,7 @@ def test_matrix_entry_out_of_range():
         with pytest.raises(GroupError):
             GroupRingMatrix(Z, 1, 2, {ij: one})
     # zero entries are dropped, not stored
-    assert GroupRingMatrix(Z, 1, 2, {(0, 1): GroupRingElement(Z)}).entries == {}
+    assert GroupRingMatrix(Z, 1, 2, {(0, 1): GroupRingElement(Z, ())}).entries == {}
 
 
 def _random_ring_matrix(group, endo, rng, n, elements):
@@ -261,7 +273,7 @@ def test_shadow_cyclicity_random():
             b = _random_ring_matrix(group, endo, rng, n, elements)
             lhs = twisted_hs_trace(a * b, endo)
             rhs = twisted_hs_trace(b * a.apply(endo), endo)
-            assert shadow_equal(lhs, rhs) == EQUAL
+            assert shadow_equal(lhs, rhs, DEFAULT_DEPTH) == EQUAL
             count += 1
     assert count >= 100
 
@@ -274,25 +286,22 @@ def test_augment_examples():
     endo = z_endo(-1)
     empty = ShadowElement.zero(Z, endo)
     assert augment(empty) == 0
-    s = ShadowElement(Z, endo, [(twisted_class(Z, endo, (0,)), 1),
-                                (twisted_class(Z, endo, (1,)), 1)])
+    s = _shadow(Z, endo, [((0,), 1), ((1,), 1)])
     assert augment(s) == 2
     endo3 = z_endo(3)
-    s3 = ShadowElement(Z, endo3, [(twisted_class(Z, endo3, (0,)), -1),
-                                  (twisted_class(Z, endo3, (1,)), -1)])
+    s3 = _shadow(Z, endo3, [((0,), -1), ((1,), -1)])
     assert augment(s3) == -2
 
 
 def test_nielsen_examples():
     endo = z_endo(-1)
-    assert nielsen(ShadowElement.zero(Z, endo)) == 0
-    s = ShadowElement(Z, endo, [(twisted_class(Z, endo, (0,)), 1),
-                                (twisted_class(Z, endo, (1,)), 1)])
-    assert nielsen(s) == 2
+    assert nielsen(ShadowElement.zero(Z, endo), DEFAULT_DEPTH) == 0
+    s = _shadow(Z, endo, [((0,), 1), ((1,), 1)])
+    assert nielsen(s, DEFAULT_DEPTH) == 2
     g2 = FreeAbelianGroup(2)
     endo_a = GroupEndomorphism(g2, [(2, 1), (1, 1)])
-    s2 = ShadowElement(g2, endo_a, [(twisted_class(g2, endo_a, (0, 0)), -1)])
-    assert nielsen(s2) == 1
+    s2 = _shadow(g2, endo_a, [((0, 0), -1)])
+    assert nielsen(s2, DEFAULT_DEPTH) == 1
 
 
 def test_consolidated_merges_equal_classes_with_different_keys():
@@ -321,8 +330,7 @@ def test_nielsen_indeterminate():
         f2, [((0, 1), (0, 1), (0, 1), (1, 1)), ((0, 1), (1, 1), (1, 1))])
     g = ()
     h = ((0, 1), (0, 1), (1, 1), (0, 1), (1, -1))
-    s = ShadowElement(f2, endo, [(twisted_class(f2, endo, g, depth=1), 1),
-                                 (twisted_class(f2, endo, h, depth=1), 1)])
+    s = _shadow(f2, endo, [(g, 1), (h, 1)], depth=1)
     with pytest.raises(IndeterminateError):
         nielsen(s, depth=1)
 
@@ -333,11 +341,10 @@ def test_nielsen_indeterminate():
 
 def test_pushforward_identity():
     endo = z_endo(-1)
-    s = ShadowElement(Z, endo, [(twisted_class(Z, endo, (0,)), 1),
-                                (twisted_class(Z, endo, (1,)), 2)])
+    s = _shadow(Z, endo, [((0,), 1), ((1,), 2)])
     hom = GroupHomomorphism(Z, Z, [(1,)])
-    out = pushforward(hom, endo, endo, (0,), s)
-    assert shadow_equal(out, s) == EQUAL
+    out = pushforward(hom, endo, endo, (0,), s, DEFAULT_DEPTH)
+    assert shadow_equal(out, s, DEFAULT_DEPTH) == EQUAL
 
 
 def test_pushforward_product_inclusion():
@@ -345,20 +352,20 @@ def test_pushforward_product_inclusion():
     endo_z = z_endo(-1)
     endo_z2 = GroupEndomorphism(z2, [(-1, 0), (0, 1)])
     hom = GroupHomomorphism(Z, z2, [(1, 0)])
-    s = ShadowElement(Z, endo_z, [(twisted_class(Z, endo_z, (1,)), 1)])
-    out = pushforward(hom, endo_z, endo_z2, (0, 0), s)
+    s = _shadow(Z, endo_z, [((1,), 1)])
+    out = pushforward(hom, endo_z, endo_z2, (0, 0), s, DEFAULT_DEPTH)
     assert augment(out) == 1
     (cls, c), = out.terms.values()
-    assert cls.key == twisted_class(z2, endo_z2, (1, 0)).key
+    assert cls.key == twisted_class(z2, endo_z2, (1, 0), DEFAULT_DEPTH).key
 
 
 def test_pushforward_checks_intertwining():
     endo_src = z_endo(2)
     endo_dst = z_endo(3)
     hom = GroupHomomorphism(Z, Z, [(1,)])
-    s = ShadowElement(Z, endo_src, [(twisted_class(Z, endo_src, (0,)), 1)])
+    s = _shadow(Z, endo_src, [((0,), 1)])
     with pytest.raises(GroupError):
-        pushforward(hom, endo_src, endo_dst, (0,), s)
+        pushforward(hom, endo_src, endo_dst, (0,), s, DEFAULT_DEPTH)
 
 
 def test_pushforward_preserves_augmentation():
@@ -366,10 +373,9 @@ def test_pushforward_preserves_augmentation():
     endo = z_endo(-1)
     hom = GroupHomomorphism(Z, Z, [(1,)])
     for _ in range(20):
-        terms = [(twisted_class(Z, endo, (rng.randint(-4, 4),)),
-                  rng.randint(-3, 3)) for _ in range(3)]
-        s = ShadowElement(Z, endo, terms)
-        out = pushforward(hom, endo, endo, (2,), s)
+        s = _shadow(Z, endo, [((rng.randint(-4, 4),), rng.randint(-3, 3))
+                              for _ in range(3)])
+        out = pushforward(hom, endo, endo, (2,), s, DEFAULT_DEPTH)
         assert augment(out) == augment(s)
 
 
@@ -393,7 +399,7 @@ def test_finite_hom_verified():
 def test_finite_twisted_classes():
     s3 = FiniteGroup.symmetric3()
     endo = GroupEndomorphism(s3, s3.generators())
-    keys = {twisted_class(s3, endo, g).key for g in range(6)}
+    keys = {twisted_class(s3, endo, g, DEFAULT_DEPTH).key for g in range(6)}
     assert len(keys) == 3  # conjugacy classes of S3
 
 
@@ -467,7 +473,8 @@ def test_twisted_class_invariant_under_move(g, h):
     group = FreeAbelianGroup(2)
     endo = GroupEndomorphism(group, [(2, 1), (1, 1)])
     moved = group.mul(group.mul(endo.apply(h), g), group.inv(h))
-    assert twisted_class(group, endo, moved).key == twisted_class(group, endo, g).key
+    assert (twisted_class(group, endo, moved, DEFAULT_DEPTH).key
+            == twisted_class(group, endo, g, DEFAULT_DEPTH).key)
 
 
 

@@ -5,6 +5,7 @@ the benchmark."""
 
 import ast
 import contextlib
+import gc
 import importlib
 import importlib.util
 import io
@@ -13,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -33,9 +35,9 @@ BUNDLE_VERIFY = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.pairs"}
 
 # The fixtrace source lines a homology child compiles when bytecode is
 # not cached; compiling them is most of a small command's start-up.
-HOMOLOGY_LINES_CEILING = 1440
+HOMOLOGY_LINES_CEILING = 1439
 # The same for the commands that lift to universal covers.
-LINES_CEILINGS = {"reidemeister": 2986, "bundle-verify": 3971}
+LINES_CEILINGS = {"reidemeister": 2978, "bundle-verify": 3961}
 # The largest module, bundles.py; compiling a module raises peak memory
 # in proportion to its size.
 MODULE_LINES_CEILING = 866
@@ -309,6 +311,14 @@ UNREACHED_ON_PURPOSE = {
                "fixtrace.cli; the guard calls cli.main, which it wraps",
 }
 
+# Defaults (``module:qualname(parameter)``) no call of ``_run_set`` leaves
+# unsupplied, each kept for its reason.
+UNSUPPLIED_ON_PURPOSE = {
+    "cli:main(argv)": "cli.run, the entry point of the fixtrace script and "
+                      "of python -m fixtrace.cli, calls main() to read "
+                      "sys.argv; the guard calls cli.main with its argv",
+}
+
 # A fixed-point-free map of K4 whose classes the depth-2 search compares
 # by orbit balls (and leaves Unknown).
 K4_BALLS = (1, 1, 3, 2)
@@ -370,21 +380,68 @@ def _run_set(tmp_path, half):
 _CHILD = """\
 import json, sys
 from pathlib import Path
-reached = set()
+reached, unsupplied, marked = set(), set(), {}
 def hook(frame, event, arg, add=reached.add):
-    add(frame.f_code)
+    code = frame.f_code
+    add(code)
+    if code in marked:
+        local = frame.f_locals
+        for name, (marker, value) in marked[code].items():
+            if local.get(name) is marker:
+                unsupplied.add((code, name))
+                local[name] = value
 sys.settrace(hook)
-from tests.test_layers import _run_set
+from tests.test_layers import _mark_defaults, _run_set
+marked.update(_mark_defaults())
 _run_set(Path(sys.argv[1]), int(sys.argv[2]))
 sys.settrace(None)
-json.dump(sorted({(c.co_filename, c.co_firstlineno, c.co_name)
-                  for c in reached}), sys.stdout)
+def where(c):
+    return c.co_filename, c.co_firstlineno, c.co_name
+json.dump({"reached": sorted(where(c) for c in reached),
+           "unsupplied": sorted((*where(c), n) for c, n in unsupplied)},
+          sys.stdout)
 """
+
+
+def _mark_defaults():
+    """Import every fixtrace module and give each default of each of its
+    functions a fresh marker object in place of its value.  Returns, by
+    code object, each such parameter's marker and value: the child's hook
+    sees the marker in a call's locals exactly when the call left that
+    parameter unsupplied, and puts the value back (a trace hook's writes to
+    ``f_locals`` reach the frame)."""
+    package = SRC / "fixtrace"
+    for path in package.glob("*.py"):
+        importlib.import_module("fixtrace" if path.stem == "__init__"
+                                else f"fixtrace.{path.stem}")
+    marked = {}
+    for fn in gc.get_objects():
+        if (not isinstance(fn, types.FunctionType)
+                or Path(fn.__code__.co_filename).parent != package):
+            continue
+        code, params = fn.__code__, {}
+        if fn.__defaults__:
+            names = code.co_varnames[code.co_argcount
+                                     - len(fn.__defaults__):code.co_argcount]
+            markers = tuple(object() for _ in names)
+            params.update(zip(names, zip(markers, fn.__defaults__)))
+            fn.__defaults__ = markers
+        if fn.__kwdefaults__:
+            keywords = {name: (object(), value)
+                        for name, value in fn.__kwdefaults__.items()}
+            params.update(keywords)
+            fn.__kwdefaults__ = {name: marker
+                                 for name, (marker, _) in keywords.items()}
+        if params:
+            marked[code] = params
+    return marked
 
 
 def _reached(tmp_path):
     """(module, first line, name) of each fixtrace function the run set
-    called, read from the trace hooks of two child interpreters."""
+    called, and (module, first line, name, parameter) of each default a
+    call left unsupplied, read from the trace hooks of two child
+    interpreters."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), str(SRC)]))
     children = []
@@ -395,26 +452,36 @@ def _reached(tmp_path):
             [sys.executable, "-c", _CHILD, str(work), str(half)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             cwd=SRC.parent, env=env))
-    reached = set()
+    reached, unsupplied = set(), set()
     package = SRC / "fixtrace"
     for child in children:
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
-        reached.update((Path(path).stem, line, name)
-                       for path, line, name in json.loads(out)
+        found = json.loads(out)
+        reached.update((Path(path).stem, *rest)
+                       for path, *rest in found["reached"]
                        if Path(path).parent == package)
-    return reached
+        unsupplied.update((Path(path).stem, *rest)
+                          for path, *rest in found["unsupplied"])
+    return reached, unsupplied
 
 
 def _definitions(node, prefix=""):
-    """(qualified name, first line, name) of each function and method under
-    ``node``, functions local to another aside; the first line is the first
-    decorator's, as code objects count it."""
+    """(qualified name, first line, name, parameters with a default) of each
+    function and method under ``node``, functions local to another aside;
+    the first line is the first decorator's, as code objects count it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([child.lineno]
                         + [d.lineno for d in child.decorator_list])
-            yield prefix + child.name, first, child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = [a.arg for a in
+                         positional[len(positional) - len(args.defaults):]]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                          if d is not None]
+            yield prefix + child.name, first, child.name, defaulted
         elif isinstance(child, ast.ClassDef):
             yield from _definitions(child, prefix + child.name + ".")
         else:
@@ -452,13 +519,23 @@ def _on_purpose(name):
 def test_every_definition_runs_in_a_command_or_the_benchmark(tmp_path):
     """Every function and method of ``src/fixtrace``, dunder methods
     included, ran in ``_run_set``, is a ``bench/tracer.py`` target or is
-    kept on purpose: code that only tests reach belongs with the tests."""
-    reached = _reached(tmp_path)
+    kept on purpose, and each of its defaults was left unsupplied by some
+    call of the run set or is kept on purpose: code, and a default, that
+    only tests reach belongs with the tests."""
+    reached, unsupplied = _reached(tmp_path)
     targets = _tracer_targets()
-    unreached, kept = set(), set()
+    unreached, kept, supplied = set(), set(), set()
     for path in sorted((SRC / "fixtrace").glob("*.py")):
-        for qualname, line, name in _definitions(ast.parse(path.read_text())):
+        for qualname, line, name, defaulted in _definitions(
+                ast.parse(path.read_text())):
             full = f"{path.stem}:{qualname}"
+            for param in defaulted:
+                if (path.stem, line, name, param) in unsupplied:
+                    continue
+                if f"{full}({param})" in UNSUPPLIED_ON_PURPOSE:
+                    kept.add(f"{full}({param})")
+                else:
+                    supplied.add(f"{full}({param})")
             if (path.stem, line, name) in reached or full in targets:
                 continue
             key = _on_purpose(full)
@@ -467,5 +544,7 @@ def test_every_definition_runs_in_a_command_or_the_benchmark(tmp_path):
             else:
                 kept.add(key)
     assert not unreached, "only tests reach " + ", ".join(sorted(unreached))
+    assert not supplied, ("only tests leave these defaults unsupplied: "
+                          + ", ".join(sorted(supplied)))
     # every entry still keeps something
-    assert kept == set(UNREACHED_ON_PURPOSE)
+    assert kept == set(UNREACHED_ON_PURPOSE) | set(UNSUPPLIED_ON_PURPOSE)

@@ -2,6 +2,7 @@ import pytest
 
 from fixtrace.exactalg import ChainComplex, homology
 from fixtrace.grouprings import (
+    DEFAULT_DEPTH,
     EQUAL,
     FreeAbelianGroup,
     FreeGroup,
@@ -117,7 +118,7 @@ def test_lift_circle_ranks_and_boundary():
 
 
 def test_lift_point():
-    k = build_complex([(0,)])
+    k = build_complex([(0,)], [0])
     p = pi1_presentation(k, 0)
     cover = lift_to_universal_cover(p)
     assert cover.ranks == (1,)
@@ -139,7 +140,7 @@ def test_lift_torus7_boundaries():
 
 
 def test_lift_dim3_unsupported():
-    k = build_complex([tuple(range(4))])  # solid 3-simplex
+    k = build_complex([tuple(range(4))], range(4))  # solid 3-simplex
     p = pi1_presentation(k, 0)
     with pytest.raises(UnsupportedComplexError):
         lift_to_universal_cover(p)
@@ -149,7 +150,7 @@ def test_lift_unrecognized_group_unsupported():
     # projective plane: pi1 = Z/2 is not recognized by the Tietze pass
     faces = [(0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 4, 5),
              (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5)]
-    k = build_complex(faces)
+    k = build_complex(faces, range(6))
     p = pi1_presentation(k, 0)
     with pytest.raises(UnsupportedComplexError):
         lift_to_universal_cover(p)
@@ -185,9 +186,9 @@ def test_reflection_trace_two_classes():
     k = circle(3)
     f = SimplicialMap(k, k, {0: 0, 1: 2, 2: 1})
     lifted = lift_self_map(k, f)
-    r = reidemeister_trace_chain(lifted)
+    r = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     assert augment(r) == 2
-    assert nielsen(r) == 2
+    assert nielsen(r, DEFAULT_DEPTH) == 2
     assert sorted(c for _, c in r.items()) == [1, 1]
 
 
@@ -195,7 +196,7 @@ def test_rotation_trace_zero():
     k = circle(4)
     f = SimplicialMap(k, k, {v: (v + 1) % 4 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    r = reidemeister_trace_chain(lifted)
+    r = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     assert r.is_zero()
     assert lefschetz_number(f) == 0
 
@@ -204,15 +205,15 @@ def test_constant_map_trace():
     k = circle(3)
     f = SimplicialMap(k, k, {0: 0, 1: 0, 2: 0})
     lifted = lift_self_map(k, f)
-    r = reidemeister_trace_chain(lifted)
+    r = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     assert augment(r) == 1
-    assert nielsen(r) == 1
+    assert nielsen(r, DEFAULT_DEPTH) == 1
 
 
 def test_torus_identity_trace_vanishes():
     k = torus7()
     lifted = lift_self_map(k, identity_map(k))
-    r = reidemeister_trace_chain(lifted)
+    r = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     assert augment(r) == 0
     assert r.is_zero()
 
@@ -221,14 +222,14 @@ def test_torus_rotation_trace_vanishes():
     k = torus7()
     f = SimplicialMap(k, k, {v: (v + 1) % 7 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    assert reidemeister_trace_chain(lifted).is_zero()
+    assert reidemeister_trace_chain(lifted, DEFAULT_DEPTH).is_zero()
 
 
 def test_torus_involution_augmentation():
     k = torus7()
     f = SimplicialMap(k, k, {v: (-v) % 7 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    r = reidemeister_trace_chain(lifted)
+    r = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     assert augment(r) == lefschetz_number(f)
 
 
@@ -245,20 +246,21 @@ def test_augmentation_identity_many_maps():
     for k, imgs in cases:
         f = SimplicialMap(k, k, imgs)
         lifted = lift_self_map(k, f)
-        assert augment(reidemeister_trace_chain(lifted)) == lefschetz_number(f)
+        assert (augment(reidemeister_trace_chain(lifted, DEFAULT_DEPTH))
+                == lefschetz_number(f))
 
 
 def test_trace_uses_the_requested_depth():
     from fixtrace.catalog import figure_eight_complex
-    from fixtrace.grouprings import DEFAULT_DEPTH
     k = figure_eight_complex()
     f = SimplicialMap(k, k, {"0": "0", "1": "3", "2": "4", "3": "1", "4": "2"})
     lifted = lift_self_map(k, f)
     shallow = reidemeister_trace_chain(lifted, 3)
     assert shallow.items()
     assert all(cls.certainty == ("heuristic", 3) for cls, _ in shallow.items())
+    deep = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     assert all(cls.certainty == ("heuristic", DEFAULT_DEPTH)
-               for cls, _ in reidemeister_trace_chain(lifted).items())
+               for cls, _ in deep.items())
 
 
 def test_lift_map_rejects_mismatched_complex():
@@ -318,7 +320,7 @@ def test_equivariant_complex_rejects_nonzero_boundary_composite():
 def test_geometric_empty():
     z = FreeAbelianGroup(1)
     endo = GroupEndomorphism(z, [(-1,)])
-    r = reidemeister_trace_geometric([], z, endo)
+    r = reidemeister_trace_geometric([], z, endo, DEFAULT_DEPTH)
     assert r.is_zero()
 
 
@@ -326,25 +328,25 @@ def test_geometric_reflection_records():
     z = FreeAbelianGroup(1)
     endo = GroupEndomorphism(z, [(-1,)])
     records = [FixedPointRecord(1, (0,)), FixedPointRecord(1, (1,))]
-    r = reidemeister_trace_geometric(records, z, endo)
+    r = reidemeister_trace_geometric(records, z, endo, DEFAULT_DEPTH)
     assert augment(r) == 2
-    assert nielsen(r) == 2
+    assert nielsen(r, DEFAULT_DEPTH) == 2
 
 
 def test_geometric_torus_record():
     z2 = FreeAbelianGroup(2)
     endo = GroupEndomorphism(z2, [(2, 1), (1, 1)])
     r = reidemeister_trace_geometric(
-        [FixedPointRecord(-1, (0, 0))], z2, endo)
+        [FixedPointRecord(-1, (0, 0))], z2, endo, DEFAULT_DEPTH)
     assert augment(r) == -1
-    assert nielsen(r) == 1
+    assert nielsen(r, DEFAULT_DEPTH) == 1
 
 
 def test_route_agreement_circle_reflection():
     k = circle(4)
     f = SimplicialMap(k, k, {v: (-v) % 4 for v in k.vertices})
     lifted = lift_self_map(k, f)
-    chain = reidemeister_trace_chain(lifted)
+    chain = reidemeister_trace_chain(lifted, DEFAULT_DEPTH)
     # fixed vertices 0 and 2, both of index +1; witnesses whiskered to 0
     p = lifted.complex.presentation
     w0 = p.element_of_path([])
@@ -353,8 +355,8 @@ def test_route_agreement_circle_reflection():
     w2 = p.element_of_path(path)
     geo = reidemeister_trace_geometric(
         [FixedPointRecord(1, w0), FixedPointRecord(1, w2)],
-        p.group, lifted.endo)
-    assert shadow_equal(chain, geo) == EQUAL
+        p.group, lifted.endo, DEFAULT_DEPTH)
+    assert shadow_equal(chain, geo, DEFAULT_DEPTH) == EQUAL
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +377,17 @@ def test_basepath_covariance():
     assert (m1.basepath, m2.basepath) == (tuple(path1), tuple(path2))
     assert lift_map(f, None, cover).basepath == tuple(p.tree_path(3))
     assert p.tree_path(3) == [(0, 3)]
-    r1 = reidemeister_trace_chain(m1)
-    r2 = reidemeister_trace_chain(m2)
+    r1 = reidemeister_trace_chain(m1, DEFAULT_DEPTH)
+    r2 = reidemeister_trace_chain(m2, DEFAULT_DEPTH)
     assert augment(r1) == augment(r2)
-    assert nielsen(r1) == nielsen(r2)
+    assert nielsen(r1, DEFAULT_DEPTH) == nielsen(r2, DEFAULT_DEPTH)
     # path2 = ell . path1 with ell the generator loop: classes shift by -1
     ell = p.element_of_path(path2 + [(3, 0)])
     assert ell != p.group.identity()
     shifted = [(twisted_class(p.group, m2.endo,
-                              p.group.mul(cls.rep, p.group.inv(ell))), c)
+                              p.group.mul(cls.rep, p.group.inv(ell)),
+                              DEFAULT_DEPTH), c)
                for cls, c in r1.items()]
     from fixtrace.grouprings import ShadowElement
-    assert shadow_equal(ShadowElement(p.group, m2.endo, shifted), r2) == EQUAL
+    assert shadow_equal(ShadowElement(p.group, m2.endo, shifted), r2,
+                        DEFAULT_DEPTH) == EQUAL

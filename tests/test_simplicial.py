@@ -66,7 +66,7 @@ def test_build_triangle_circle():
 
 
 def test_build_point():
-    k = build_complex([(0,)])
+    k = build_complex([(0,)], [0])
     assert counts(k) == (1,)
 
 
@@ -85,7 +85,7 @@ def test_build_torus7():
 
 def test_build_rejects_repeats():
     with pytest.raises(SimplicialError):
-        build_complex([(0, 0, 1)])
+        build_complex([(0, 0, 1)], [0, 1])
 
 
 def reference_maximal_simplices(k):
@@ -127,7 +127,7 @@ def test_chain_complex_circle():
 
 
 def test_chain_complex_point():
-    c = chain_complex(build_complex([(0,)]))
+    c = chain_complex(build_complex([(0,)], [0]))
     assert c.degrees == (1,)
 
 
@@ -206,7 +206,7 @@ def test_lefschetz_relabel_invariant():
 # ---------------------------------------------------------------------------
 
 def test_product_point_circle():
-    p = build_complex([("p",)])
+    p = build_complex([("p",)], ["p"])
     k = circle(3)
     prod = product_complex(p, k)
     assert counts(prod) == counts(k)
@@ -227,7 +227,8 @@ def test_product_interval_interval():
 
 
 def test_product_euler_multiplicative():
-    shapes = [circle(3), interval(), figure_eight(), build_complex([(0,)])]
+    shapes = [circle(3), interval(), figure_eight(),
+              build_complex([(0,)], [0])]
     for a in shapes:
         for b in shapes:
             prod = product_complex(a, b)
@@ -276,7 +277,7 @@ def test_pi1_sphere_trivial():
     # boundary of the 3-simplex
     import itertools
     faces = list(itertools.combinations(range(4), 3))
-    k = build_complex(faces)
+    k = build_complex(faces, range(4))
     p = pi1_presentation(k, 0)
     assert p.group == FreeGroup(0)
 
@@ -288,14 +289,14 @@ def test_pi1_sphere_trivial():
 def test_pi1_endo_identity():
     k = circle(3)
     p = pi1_presentation(k, 0)
-    endo = induced_pi1_endo(identity_map(k), p)
+    endo = induced_pi1_endo(identity_map(k), p, [])
     assert endo.is_identity()
 
 
 def test_pi1_endo_reflection():
     k = circle(3)
     p = pi1_presentation(k, 0)
-    endo = induced_pi1_endo(reflection_triangle(), p)
+    endo = induced_pi1_endo(reflection_triangle(), p, [])
     assert endo.images[0] == ((0, -1),)
 
 
@@ -322,7 +323,7 @@ def test_pi1_endo_rejects_bad_basepath():
 # ---------------------------------------------------------------------------
 
 def test_components_and_subcomplex():
-    k = disjoint_union(circle(3), build_complex([(0,)]))
+    k = disjoint_union(circle(3), build_complex([(0,)], [0]))
     comps = k.components()
     assert len(comps) == 2
     sub = k.subcomplex(comps[0])
