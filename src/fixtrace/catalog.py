@@ -41,8 +41,6 @@ def point_complex() -> SimplicialComplex:
 
 
 def circle_complex(n: int = 3) -> SimplicialComplex:
-    if n < 3:
-        raise ValueError("a simplicial circle needs at least 3 vertices")
     verts = [str(i) for i in range(n)]
     return build_complex([(str(i), str((i + 1) % n)) for i in range(n)],
                          vertices=verts)
@@ -82,9 +80,7 @@ class SelfMapFixture:
 
 
 def circle_reflection_fixture(n: int = 4) -> SelfMapFixture:
-    """Reflection of an n-gon; two fixed points, each of index one."""
-    if n % 2 or n < 4:
-        raise ValueError("use an even n so the reflection fixes two vertices")
+    """Reflection of an n-gon (n even); two fixed points, each of index one."""
     k = circle_complex(n)
     f = SimplicialMap(k, k, {str(i): str((-i) % n) for i in range(n)})
     return SelfMapFixture(complex=k, map=f, basepath=[])
@@ -296,7 +292,7 @@ _register(CatalogEntry(
     build=lambda: point_complex()))
 _register(CatalogEntry(
     name="circle", kind="complex", description="n-gon circle",
-    build=lambda n=3: circle_complex(_bounded("n", n, 3, 10000)),
+    build=lambda n: circle_complex(_bounded("n", n, 3, 10000)),
     default_params={"n": 3}))
 _register(CatalogEntry(
     name="figure_eight", kind="complex",
@@ -309,13 +305,13 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="circle_reflection", kind="selfmap",
     description="reflection of a square circle; L = 2, N = 2",
-    build=lambda n=4: circle_reflection_fixture(
+    build=lambda n: circle_reflection_fixture(
         _bounded("n", n, 4, 10000, even=True)),
     default_params={"n": 4}))
 _register(CatalogEntry(
     name="circle_degree_map", kind="bundle_pair",
     description="degree-d circle dynamics over a point fiber",
-    build=lambda d=2: circle_degree_pair(_bounded("d", d, -1000, 1000)),
+    build=lambda d: circle_degree_pair(_bounded("d", d, -1000, 1000)),
     default_params={"d": 2}))
 _register(CatalogEntry(
     name="double_cover_reflection", kind="bundle_pair",
@@ -324,7 +320,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     name="trivial_product", kind="bundle_pair",
     description="product bundle with a product self-map",
-    build=lambda base_map="reflection", fiber_map="reflection":
+    build=lambda base_map, fiber_map:
         trivial_product_pair(str(base_map), str(fiber_map)),
     default_params={"base_map": "reflection", "fiber_map": "reflection"}))
 _register(CatalogEntry(

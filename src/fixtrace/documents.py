@@ -62,6 +62,20 @@ def _is_name(x) -> bool:
     return not isinstance(x, (list, dict))
 
 
+def json_name(x, what: str):
+    """``x`` itself, if it can name a vertex or an edge."""
+    if not _is_name(x):
+        raise InputError(f"{what} must be a name")
+    return x
+
+
+def json_names(raw, what: str) -> List:
+    """``raw`` itself, if it is an array of names."""
+    if not isinstance(raw, list) or not all(map(_is_name, raw)):
+        raise InputError(f"{what} must be an array of names")
+    return raw
+
+
 def json_vertex_images(images, what: str) -> Dict:
     """``images`` itself, if it is an object whose values name vertices."""
     images = json_object(images, f"{what} vertex_images")

@@ -402,10 +402,6 @@ class ChainComplex:
         return all((self.boundary(i) * self.boundary(i + 1)).is_zero()
                    for i in range(1, self.top_degree + 1))
 
-    def __eq__(self, other):
-        return (isinstance(other, ChainComplex) and self.degrees == other.degrees
-                and self.boundaries == other.boundaries)
-
     def __repr__(self):
         return f"ChainComplex(degrees={self.degrees})"
 
@@ -433,9 +429,6 @@ class ChainMap:
 
     def component(self, i: int) -> IntMatrix:
         return self.components[i]
-
-    def is_endomorphism(self) -> bool:
-        return self.source == self.target
 
     def __repr__(self):
         return f"ChainMap(degrees={self.source.degrees}->{self.target.degrees})"
@@ -529,16 +522,13 @@ def homology_maps(m: ChainMap) -> List[List[List[int]]]:
 
 def lefschetz_from_homology(m: ChainMap) -> int:
     """Alternating sum of traces on rational homology of a self-map."""
-    if not m.is_endomorphism():
-        raise ExactAlgError("lefschetz_from_homology requires source == target")
     return sum((-1) ** i * sum(mat[j][j] for j in range(len(mat)))
                for i, mat in enumerate(homology_maps(m)))
 
 
 def hopf_chain_trace(m: ChainMap) -> int:
-    """Alternating sum of traces of the chain-level components."""
-    if not m.is_endomorphism():
-        raise ExactAlgError("hopf_chain_trace requires source == target")
+    """Alternating sum of traces of the chain-level components of a
+    self-map."""
     total = 0
     for i in range(m.source.top_degree + 1):
         f = m.component(i)

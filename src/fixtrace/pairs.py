@@ -2,12 +2,17 @@
 
 Only ``bundle-verify`` and ``catalog emit`` of a bundle pair load this
 module.  A pair document names the bundle, the base map and the fiber
-maps; the total map is always built from them.
+maps; the total map is always built from them.  The readers check the
+kind of every value, and that every fiber, transport and fiber map is
+present, before they build anything, so the constructors are left only
+the checks that need the graph or the maps themselves; they raise
+``BundleError`` or ``SimplicialError``, which the readers report as
+input errors.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from .bundles import (
     BundleError,
@@ -20,6 +25,8 @@ from .bundles import (
 from .documents import (
     InputError,
     json_fields,
+    json_name,
+    json_names,
     json_object,
     json_sign,
     json_steps,
@@ -40,18 +47,29 @@ def serialize_graph_base(base: GraphBase) -> Dict:
     }
 
 
+def _base_edge(e, i: int) -> Tuple:
+    """(id, src, dst) of the ``i``-th base edge, an object of names; a
+    message names the edge by its id when that is a string."""
+    eid = e.get("id") if isinstance(e, dict) else None
+    what = f"base edge {eid if isinstance(eid, str) else i}"
+    json_fields(e, what, ("id", "src", "dst"), ())
+    return tuple(json_name(e[key], f"{what} {key}")
+                 for key in ("id", "src", "dst"))
+
+
 def parse_graph_base(doc: Dict) -> GraphBase:
     json_fields(doc, "base document",
                 ("vertices", "edges", "tree", "basepoint"), ())
+    vertices = json_names(doc["vertices"], "base vertices")
+    if not isinstance(doc["edges"], list):
+        raise InputError("base edges must be an array")
+    edges = [_base_edge(e, i) for i, e in enumerate(doc["edges"])]
+    tree = json_names(doc["tree"], "base tree")
+    basepoint = json_name(doc["basepoint"], "base basepoint")
     try:
-        base = GraphBase(list(doc["vertices"]),
-                         [(e["id"], e["src"], e["dst"]) for e in doc["edges"]],
-                         list(doc["tree"]), doc["basepoint"])
-    except (BundleError, KeyError, TypeError) as exc:
+        return GraphBase(vertices, edges, tree, basepoint)
+    except BundleError as exc:
         raise InputError(f"invalid base graph: {exc}")
-    for e in doc["edges"]:
-        json_fields(e, f"base edge {e['id']}", ("id", "src", "dst"), ())
-    return base
 
 
 def _serialize_simplicial_map(f: SimplicialMap) -> Dict:
@@ -101,16 +119,14 @@ def parse_bundle(doc: Dict) -> DiscreteBundle:
         tdoc = transport_docs.get(e)
         if tdoc is None:
             raise InputError(f"bundle document has no transport for edge {e}")
-        tdoc = json_object(tdoc, f"transport over {e}")
-        fwd_images = _map_images(tdoc.get("map"), f"transport map over {e}")
-        inv_images = _map_images(tdoc.get("inverse"),
-                                 f"transport inverse over {e}")
+        tdoc = json_fields(tdoc, f"transport over {e}", ("map", "inverse"), ())
+        fwd_images = _map_images(tdoc["map"], f"transport map over {e}")
+        inv_images = _map_images(tdoc["inverse"], f"transport inverse over {e}")
         try:
             fwd = SimplicialMap(fibers[s], fibers[d], fwd_images)
             inv = SimplicialMap(fibers[d], fibers[s], inv_images)
         except SimplicialError as exc:
             raise InputError(f"invalid transport over {e}: {exc}")
-        json_fields(tdoc, f"transport over {e}", ("map", "inverse"), ())
         transports[e] = Transport(forward=fwd, inverse=inv)
     try:
         return DiscreteBundle(base, fibers, transports)
@@ -139,16 +155,18 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
     json_fields(doc, "pair document", ("bundle", "base_map", "fiber_maps"), ())
     bundle = parse_bundle(doc["bundle"])
     base = bundle.base
-    bm = json_object(doc["base_map"], "base map")
+    bm = json_fields(doc["base_map"], "base map", ("vertex_images",),
+                     ("edge_words", "basepath"))
+    vertex_images = json_vertex_images(bm["vertex_images"], "base map")
+    edge_words = {
+        e: [(x, json_sign(s, "base map edge word sign"))
+            for (x, s) in json_steps(word, f"base map edge word of {e}")]
+        for e, word in json_object(bm.get("edge_words", {}),
+                                   "base map edge words").items()}
     try:
-        base_map = GraphSelfMap(
-            base, dict(bm["vertex_images"]),
-            {e: [(x, json_sign(s, "edge word sign")) for (x, s) in words]
-             for e, words in json_object(bm.get("edge_words", {}),
-                                     "base map edge words").items()})
-    except (BundleError, KeyError, TypeError, ValueError) as exc:
+        base_map = GraphSelfMap(base, vertex_images, edge_words)
+    except BundleError as exc:
         raise InputError(f"invalid base map: {exc}")
-    json_fields(bm, "base map", ("vertex_images",), ("edge_words", "basepath"))
     fiber_map_docs = _only_keys(doc["fiber_maps"],
                                 {str(v) for v in base.vertices},
                                 "pair fiber maps", "vertex")
@@ -164,11 +182,11 @@ def parse_pair(doc: Dict) -> BundleSelfMapPair:
                                           images)
         except SimplicialError as exc:
             raise InputError(f"invalid fiber map over {v!r}: {exc}")
-    raw_basepath = bm.get("basepath")
-    steps = (None if raw_basepath is None
-             else json_steps(raw_basepath, "base map basepath"))
-    basepath = None if steps is None else [
-        (e, json_sign(s, "basepath sign")) for (e, s) in steps]
+    # a basepath that is present must be a path, null included
+    basepath = None
+    if "basepath" in bm:
+        basepath = [(e, json_sign(s, "base map basepath sign")) for (e, s)
+                    in json_steps(bm["basepath"], "base map basepath")]
     try:
         return BundleSelfMapPair(bundle, base_map, fiber_maps,
                                  basepath=basepath)

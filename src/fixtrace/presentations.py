@@ -221,8 +221,6 @@ class Pi1Presentation:
     def element_of_word(self, word: Word):
         """Image of a generator word in the recognized group, read from each
         edge generator's spelling in the surviving ones (fixed once)."""
-        if self.group is None:
-            raise SimplicialError("fundamental group not recognized")
         return self.group.element(expand_word(word, self._letters.__getitem__))
 
     def element_of_path(self, steps: Sequence[Tuple[int, int]]):
@@ -235,8 +233,6 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     The tree is grown from the basepoint visiting neighbors in vertex
     order, so the presentation is deterministic.
     """
-    if basepoint not in k.index:
-        raise SimplicialError(f"unknown basepoint {basepoint}")
     b = k.index[basepoint]
     adj: Dict[int, List[int]] = {i: [] for i in range(len(k.vertices))}
     for (x, y) in k.edges():
@@ -309,10 +305,6 @@ def induced_pi1_endo(f: SimplicialMap, p: Pi1Presentation,
     basepoint to its image; the empty path is accepted when f fixes the
     basepoint.
     """
-    if not f.is_endomorphism() or f.source != p.complex:
-        raise SimplicialError("map and presentation do not match")
-    if p.group is None:
-        raise SimplicialError("fundamental group not recognized")
     b = p.complex.index[p.basepoint]
     fb = f.apply_index(b)
     basepath = [tuple(s) for s in basepath]

@@ -34,33 +34,17 @@ class SimplicialComplex:
     """Face-closed finite simplicial complex over an ordered vertex set."""
 
     def __init__(self, vertices: Sequence, simplices_by_dim: Sequence[Sequence[Tuple[int, ...]]]):
+        """``simplices_by_dim`` lists each dimension's simplices as sorted
+        index tuples, in order and face-closed, as ``build_complex`` and
+        ``subcomplex`` make them; only the vertex list comes from input."""
         self.vertices = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise SimplicialError("duplicate vertices")
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        cleaned = []
-        seen_sets = []
-        for d, simplices in enumerate(simplices_by_dim):
-            level = sorted(set(tuple(s) for s in simplices))
-            for s in level:
-                if len(s) != d + 1:
-                    raise SimplicialError(f"simplex {s} has wrong dimension")
-                if any(not 0 <= i < len(self.vertices) for i in s):
-                    raise SimplicialError(f"simplex {s} uses unknown vertex")
-                if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-                    raise SimplicialError(f"simplex {s} is not strictly increasing")
-            cleaned.append(tuple(level))
-            seen_sets.append(set(level))
-        # face closure check
-        for d in range(1, len(cleaned)):
-            for s in cleaned[d]:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face not in seen_sets[d - 1]:
-                        raise SimplicialError(f"missing face {face} of {s}")
-        while cleaned and not cleaned[-1]:
-            cleaned.pop()
-        self.simplices = tuple(cleaned)
+        levels = [tuple(level) for level in simplices_by_dim]
+        while levels and not levels[-1]:
+            levels.pop()
+        self.simplices = tuple(levels)
         self._sets = [set(level) for level in self.simplices]
 
     @property
@@ -299,8 +283,6 @@ def lefschetz_number(f: SimplicialMap) -> int:
     traces on rational homology; ``exactalg.lefschetz_from_homology`` is the
     homology route, kept as an independent cross-check.
     """
-    if not f.is_endomorphism():
-        raise SimplicialError("lefschetz_number requires a self-map")
     return hopf_chain_trace(induced_chain_map(f))
 
 

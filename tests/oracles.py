@@ -63,7 +63,8 @@ def identity_chain_map(c: ChainComplex) -> ChainMap:
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """The chain map g after f."""
-    if f.target != g.source:
+    if (f.target.degrees, f.target.boundaries) != (g.source.degrees,
+                                                   g.source.boundaries):
         raise ExactAlgError("composition shape mismatch")
     top = max(len(g.components), len(f.components))
     comps = [g.component(i) * f.component(i) for i in range(top)]

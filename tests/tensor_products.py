@@ -73,7 +73,8 @@ def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
 
 def tensor_chain_map(m1: ChainMap, m2: ChainMap) -> ChainMap:
     """Self chain map f (x) g on the total complex of the tensor bicomplex."""
-    if not (m1.is_endomorphism() and m2.is_endomorphism()):
+    if any((m.source.degrees, m.source.boundaries)
+           != (m.target.degrees, m.target.boundaries) for m in (m1, m2)):
         raise ExactAlgError("tensor_chain_map requires self maps")
     c, d = m1.source, m2.source
     total = tensor_complex(c, d)

@@ -848,12 +848,32 @@ def _map_basepath(steps):
     return ["reidemeister", dict(reflection_doc(), basepath=steps)]
 
 
+PQRS = dict(zip(("b0", "b1", "b2", "b3"), "pqrs"))
+
+
+def _renamed(value):
+    """``value`` with the base vertices b0..b3 named p, q, r and s."""
+    if isinstance(value, dict):
+        return {PQRS.get(k, k): _renamed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v) for v in value]
+    return PQRS.get(value, value) if isinstance(value, str) else value
+
+
+def _pqrs_pair(mutate):
+    """The degree-2 pair over the base p, q, r, s, mutated."""
+    return _mutated_pair(mutate, _renamed(serialize_pair(
+        cat.circle_degree_pair(2))))
+
+
 NOT_NAME_ARRAYS = ("complex vertices and simplices must be arrays of vertex "
                    "names")
 
 # name -> (argv builder, start of the message); a dict argument is written
 # to a file first.  A string, an object or an empty array is no vertex list
-# or simplex of a complex, a bundle fiber included.
+# or simplex of a complex, a bundle fiber included; a value of a pair's base
+# or base map of another JSON kind exits 2 too (the string "pqrs" is no
+# list of the base vertices p, q, r, s).
 EXIT_2_PATHS = {
     "complex-strings": (
         lambda: ["homology", {"vertices": "pq", "simplices": ["pq"]}],
@@ -918,6 +938,24 @@ EXIT_2_PATHS = {
     "base-map-image-not-a-vertex": (
         lambda: _base_map(lambda m: m["vertex_images"].update(b1="b9")),
         "invalid base map: image of b1 is not a vertex"),
+    "base-vertices-string": (
+        lambda: _pqrs_pair(lambda d: d["bundle"]["base"].update(
+            vertices="pqrs")),
+        "base vertices must be an array of names"),
+    "base-tree-string": (lambda: _base(tree="e0"),
+                         "base tree must be an array of names"),
+    "base-edge-src-array": (lambda: _base_edge(0, src=["b0"]),
+                            "base edge e0 src must be a name"),
+    "base-map-images-array": (
+        lambda: _base_map(lambda m: m.update(vertex_images=[
+            [v, w] for v, w in m["vertex_images"].items()])),
+        "base map vertex_images must be an object"),
+    "base-edge-word-string": (
+        lambda: _base_map(lambda m: m["edge_words"].update(e0="e0")),
+        "base map edge word of e0 must be a list of two-element steps"),
+    "base-map-basepath-null": (
+        lambda: _base_map(lambda m: m.update(basepath=None)),
+        "base map basepath must be a list of two-element steps"),
     "map-basepath-unknown-vertex": (
         lambda: _map_basepath([["0", "9"]]),
         "basepath step ['0', '9'] uses unknown vertices"),
@@ -1362,13 +1400,23 @@ UNKNOWN_KEY = "zz_unknown"
 OPTIONAL_KEYS = {"basepath", "edge_words", "fixed_point_records"}
 
 
+def _is_record_label(path):
+    """Whether ``path`` ends at a fixed point record's free-form label."""
+    return path[-1] == "label" and "fixed_point_records" in path[:-1]
+
+
 def _required(path):
     """Whether the key at the end of ``path`` must be present: all keys
     of the document formats are, but the optional fields and a fixed point
     record's label."""
-    key = path[-1]
-    return key not in OPTIONAL_KEYS | {UNKNOWN_KEY} and not (
-        key == "label" and "fixed_point_records" in path[:-1])
+    return path[-1] not in OPTIONAL_KEYS | {UNKNOWN_KEY} and not (
+        _is_record_label(path))
+
+
+def _kind(value):
+    """The JSON kind of ``value``: object, array or scalar."""
+    return ("object" if isinstance(value, dict)
+            else "array" if isinstance(value, list) else "scalar")
 
 
 def _paths(doc, prefix=()):
@@ -1389,13 +1437,14 @@ def _at(doc, path):
 @st.composite
 def mutated_documents(draw):
     """A catalog document with one or two keys deleted, values retyped or
-    ``UNKNOWN_KEY`` inserted into an object, and the objects that lost a
-    required key."""
+    ``UNKNOWN_KEY`` inserted into an object; the objects that lost a
+    required key; and the paths of the document's own values that a
+    retype gave another JSON kind and no later mutation replaced."""
     command, doc = draw(st.sampled_from(CATALOG_DOCUMENTS))
     doc = copy.deepcopy(doc)
     # the document's own objects, not those a retyped value brings in
     own = [_at(doc, path) for path in [(), *_paths(doc)]]
-    lost = []
+    lost, mutated, retyped = [], [], []
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
         if draw(st.integers(0, 2)) == 2:
@@ -1408,20 +1457,27 @@ def mutated_documents(draw):
         path = draw(st.sampled_from(paths))
         *parent_path, key = path
         parent = _at(doc, parent_path)
+        # a value at or under ``path`` is replaced now
+        retyped = [r for r in retyped if r[:len(path)] != path]
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[key]
             if _required(path) and any(parent is obj for obj in own):
                 lost.append(parent)
         else:
-            parent[key] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPED)))
-    return command, doc, lost
+            value = draw(st.sampled_from(WRONG_TYPED))
+            if (_kind(value) != _kind(parent[key]) and not _is_record_label(path)
+                    and not any(path[:len(m)] == m for m in mutated)):
+                retyped.append(path)
+            parent[key] = copy.deepcopy(value)
+        mutated.append(path)
+    return command, doc, lost, retyped
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_documents())
 def test_mutated_catalog_documents_never_crash(tmp_path_factory, case):
-    command, doc, lost = case
+    command, doc, lost, retyped = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -1436,6 +1492,11 @@ def test_mutated_catalog_documents_never_crash(tmp_path_factory, case):
     # replace
     if any(_at(doc, path) is obj for path in [(), *_paths(doc)]
            for obj in lost):
+        assert code == EXIT_INPUT
+    # a value of the document's own that a retype gave another kind, which
+    # a later mutation did not replace (``UNKNOWN_KEY`` values are never
+    # the document's own)
+    if retyped:
         assert code == EXIT_INPUT
     if code == EXIT_INPUT:
         assert out.getvalue() == ""
@@ -1667,7 +1728,7 @@ def _invariants(tmp_path, capsys, doc):
                            write(tmp_path, "map.json", doc))
     assert code == EXIT_OK
     lhs = json.loads(out)["lhs"]
-    return (p.group, homology(k.chains).betti,
+    return ((p.group.kind, p.group.rank), homology(k.chains).betti,
             lhs["lefschetz"], lhs["nielsen"],
             sorted(c for _, c in lhs["classes"]))
 
