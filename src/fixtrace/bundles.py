@@ -42,7 +42,7 @@ from .grouprings import (
     shadow_equal,
     shadow_rendering,
 )
-from .presentations import pi1_presentation
+from .presentations import induced_pi1_endo, pi1_presentation
 from .reidemeister import (
     EquivariantChainComplex,
     TwistedChainMap,
@@ -384,10 +384,9 @@ class BundleSelfMapPair:
     def base_endomorphism(self) -> GroupEndomorphism:
         """Induced endomorphism of the base group through the basepath."""
         base = self.bundle.base
-        beta = base.word_of(self.basepath)
-        return GroupEndomorphism(base.group, [
-            reduce_word(beta + w + invert_word(beta))
-            for w in self.base_loop_images])
+        return induced_pi1_endo(base.group, reduce_word,
+                                base.word_of(self.basepath),
+                                self.base_loop_images)
 
     def base_lift(self) -> TwistedChainMap:
         """Lift of the base map on the tree-contracted chain model."""
@@ -688,7 +687,7 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
         # iota on the surviving generators: fiber loops whiskered by alpha
         images = [pe.element_of_path(
             alpha + incl.map_path(pf.generator_loop(gi)) + alpha_back)
-            for gi in pf._final_gens]
+            for gi in pf.surviving]
         iota = GroupHomomorphism(pf.group, pe.group, images)
         # correction word, along x0's track
         beta_f = incl.map_path(lifted_f.basepath)

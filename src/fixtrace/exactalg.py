@@ -43,8 +43,7 @@ SparseRow = Dict[int, int]  # {column: entry}, nonzero entries only
 
 
 class ExactAlgError(ValueError):
-    """Raised for malformed matrices, complexes or chain maps."""
-    exit_code = 2
+    """A malformed matrix, complex or chain map: a bug, so no exit code."""
 
 
 # ---------------------------------------------------------------------------

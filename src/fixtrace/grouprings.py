@@ -20,6 +20,11 @@ words) or the rank is at most one.
 A shadow element is a finite integer combination of twisted conjugacy
 classes; it is the value domain of twisted traces of group-ring matrices
 and of Reidemeister traces.
+
+Nothing here checks a group element.  The library builds each one with
+its group's ``element``, ``mul``, ``inv`` or ``identity``, and the one
+kind a document supplies, a fixed point witness, is checked where it
+enters, by ``reidemeister.parse_fixed_point_records``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import IntMatrix, smith_normal_form
 from .words import (
-    GroupError,
     cyclic_normal_form,
     invert_word,
     join_reduced,
@@ -39,6 +43,11 @@ from .words import (
 
 # The orbit-search depth of a command without --depth; only cli reads it.
 DEFAULT_DEPTH = 8
+
+
+class GroupError(ValueError):
+    """Bad group data from a caller or a broken invariant of this layer: no
+    document reaches it, so it has no exit code and stays a traceback."""
 
 
 class IndeterminateError(RuntimeError):
@@ -56,28 +65,16 @@ class FreeAbelianGroup:
     kind = "free_abelian"
 
     def __init__(self, rank: int):
-        if rank < 0:
-            raise GroupError("rank must be nonnegative")
         self.rank = rank
 
     def identity(self):
         return (0,) * self.rank
-
-    def check(self, g):
-        if not (isinstance(g, tuple) and len(g) == self.rank
-                and all(isinstance(x, int) for x in g)):
-            raise GroupError(f"not an element of Z^{self.rank}: {g!r}")
-        return g
 
     def mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)
-
-    def generators(self):
-        return [tuple(1 if i == j else 0 for j in range(self.rank))
-                for i in range(self.rank)]
 
     def element(self, word) -> Tuple[int, ...]:
         """The element a word in the generators names: its exponent sums."""
@@ -96,26 +93,18 @@ class FreeGroup:
     kind = "free"
 
     def __init__(self, rank: int):
-        if rank < 0:
-            raise GroupError("rank must be nonnegative")
         self.rank = rank
 
     def identity(self):
         return ()
 
-    def check(self, g):
-        g = reduce_word(g)
-        for gen, _ in g:
-            if not 0 <= gen < self.rank:
-                raise GroupError(f"generator {gen} out of range")
-        return g
-
     def mul(self, a, b):
         """Product of two reduced words, cancelling only at the join.
 
-        Every caller passes reduced words: elements returned by ``check``,
-        ``mul``, ``inv`` and ``identity``, homomorphism images, group-ring
-        terms and presentation elements (``element`` reduces).
+        Every caller passes reduced words: elements returned by
+        ``element`` (which reduces), ``mul``, ``inv`` and ``identity``, so
+        homomorphism images, group-ring terms, presentation elements and
+        fixed point witnesses.
         """
         return join_reduced(tuple(a), tuple(b))
 
@@ -192,11 +181,6 @@ class FiniteGroup:
     def identity(self):
         return self.identity_index
 
-    def check(self, g):
-        if not (isinstance(g, int) and 0 <= g < self.order):
-            raise GroupError(f"not an element index: {g!r}")
-        return g
-
     def mul(self, a, b):
         return self.table[a][b]
 
@@ -227,9 +211,7 @@ class GroupHomomorphism:
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        self.images = [target.check(x) for x in images]
-        if len(self.images) != len(source.generators()):
-            raise GroupError("need one image per generator")
+        self.images = list(images)
         if source.kind == "finite":
             for a in range(source.order):
                 for b in range(source.order):
@@ -240,7 +222,6 @@ class GroupHomomorphism:
 
     def apply(self, g):
         src, dst = self.source, self.target
-        g = src.check(g)
         if src.kind == "finite":
             return self.images[g]
         # (generator, exponent) pairs: a Z^n vector or a reduced word
@@ -276,8 +257,6 @@ class GroupEndomorphism(GroupHomomorphism):
     def matrix(self) -> IntMatrix:
         """Matrix on abelianization; columns are generator images."""
         g = self.group
-        if g.kind == "finite":
-            raise GroupError("no abelianization matrix for finite groups")
         cols = [g.abelianized(x) for x in self.images]
         return IntMatrix(g.rank, g.rank,
                          [cols[j][i] for i in range(g.rank)
@@ -407,7 +386,6 @@ def twisted_class(group, endo: GroupEndomorphism, g,
     """Canonical representative of [g] under g ~ phi(h) g h^-1, the
     relation that lifting a cell as h c instead of c applies to its
     diagonal term (``lift_map`` makes lifts phi-semilinear)."""
-    g = group.check(g)
     if group.kind == "free_abelian":
         cl = endo.classifier
         reduced = cl.reduce(g)
@@ -448,8 +426,6 @@ def classes_equal(group, endo: GroupEndomorphism, g, h, depth: int) -> str:
     """Decide whether [g] = [h] for heuristic classes (free rank >= 2, phi
     not the identity; certain classes compare by key): distinct abelianized
     keys answer Distinct, meeting orbit balls Equal, and otherwise Unknown."""
-    g = group.check(g)
-    h = group.check(h)
     cl = endo.classifier
     if cl.reduce(group.abelianized(g)) != cl.reduce(group.abelianized(h)):
         return DISTINCT
@@ -491,7 +467,7 @@ class GroupRingElement:
 
     def __init__(self, group, terms):
         self.group = group
-        self.terms = _collect(((group.check(g), c) for g, c in terms), lambda g: g)
+        self.terms = _collect(terms, lambda g: g)
 
     @classmethod
     def of(cls, group, g, c: int = 1):
@@ -710,19 +686,18 @@ def shadow_rendering(s: ShadowElement) -> List[List]:
 
 
 def pushforward(hom: GroupHomomorphism, endo_src: GroupEndomorphism,
-                endo_dst: GroupEndomorphism, correction,
+                endo_dst: GroupEndomorphism, w,
                 s: ShadowElement, depth: int) -> ShadowElement:
-    """Map classes along iota: [g] -> [iota(g) * w].
+    """Map classes along iota: [g] -> [iota(g) * w], w the correction word.
 
     Requires the intertwining iota(phi_src(g)) = w * phi_dst(iota(g)) * w^-1
-    on generators; this is exactly the condition making the class map well
-    defined.
+    on generators, read off the images of both maps; this is exactly the
+    condition making the class map well defined.
     """
-    src, dst = hom.source, hom.target
-    w = dst.check(correction)
-    for g in src.generators():
-        lhs = hom.apply(endo_src.apply(g))
-        rhs = dst.mul(dst.mul(w, endo_dst.apply(hom.apply(g))), dst.inv(w))
+    dst = hom.target
+    for phi_g, iota_g in zip(endo_src.images, hom.images):
+        lhs = hom.apply(phi_g)
+        rhs = dst.mul(dst.mul(w, endo_dst.apply(iota_g)), dst.inv(w))
         if lhs != rhs:
             raise GroupError(
                 "pushforward correction fails the intertwining check")

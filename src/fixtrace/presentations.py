@@ -14,15 +14,10 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .grouprings import FreeAbelianGroup, FreeGroup, GroupEndomorphism
-from .simplicial import (
-    SimplicialComplex,
-    SimplicialError,
-    SimplicialMap,
-    reverse_path,
-)
+from .simplicial import SimplicialComplex, SimplicialError, reverse_path
 from .words import (
     cyclic_normal_form,
     cyclic_reduce,
@@ -157,8 +152,8 @@ class Pi1Presentation:
     basepoint component, as sorted index pairs.
     """
 
-    __slots__ = ("complex", "basepoint", "generators", "group", "component",
-                 "_parent", "_gen_index", "_tree_set", "_final_gens",
+    __slots__ = ("complex", "basepoint", "generators", "surviving", "group",
+                 "component", "_parent", "_gen_index", "_tree_set",
                  "_letters")
 
     def __init__(self, complex: SimplicialComplex, basepoint,
@@ -174,7 +169,8 @@ class Pi1Presentation:
             e for e in complex.edges()
             if e[0] in parent and e[1] in parent and e not in self._tree_set)
         self._gen_index = {e: i for i, e in enumerate(self.generators)}
-        self._final_gens: List[int] = []
+        # the generators Tietze elimination keeps, in increasing order
+        self.surviving: List[int] = []
         # each edge generator spelled in the surviving generators' positions
         self._letters: Tuple[Word, ...] = ()
 
@@ -259,7 +255,7 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
         final_gens, subst, final_rels = simplified
         n = len(final_gens)
         pos = {g: i for i, g in enumerate(final_gens)}
-        pres._final_gens = final_gens
+        pres.surviving = final_gens
         pres._letters = tuple(tuple((pos[h], e) for h, e in subst[g])
                               for g in range(len(generators)))
         if not final_rels:
@@ -297,21 +293,14 @@ def validate_edge_path(k: SimplicialComplex, steps: Sequence[Tuple[int, int]],
         raise SimplicialError("edge path ends at the wrong vertex")
 
 
-def induced_pi1_endo(f: SimplicialMap, p: Pi1Presentation,
-                     basepath: Sequence[Tuple[int, int]]) -> GroupEndomorphism:
-    """Endomorphism g -> basepath . f(g) . basepath^-1 in the recognized group.
+def induced_pi1_endo(group, element_of_word: Callable[[Word], object],
+                     beta: Word, words: Sequence[Word]) -> GroupEndomorphism:
+    """Endomorphism g -> beta . f(g) . beta^-1 of ``group``.
 
-    ``basepath`` is an edge path (as oriented vertex-index steps) from the
-    basepoint to its image; the empty path is accepted when f fixes the
-    basepoint.
+    ``words`` are the image words of the loops of the surviving
+    generators, in order, and ``beta`` is the word of the basepath;
+    ``element_of_word`` reads a conjugated word in ``group``.  Complexes
+    (``lift_map``) and graph bases (``BundleSelfMapPair``) share it.
     """
-    b = p.complex.index[p.basepoint]
-    fb = f.apply_index(b)
-    basepath = [tuple(s) for s in basepath]
-    validate_edge_path(p.complex, basepath, b, fb)
-    beta = p.word_of_path(basepath)
-    images = []
-    for g in p._final_gens:
-        w = p.word_of_path(f.map_path(p.generator_loop(g)))
-        images.append(p.element_of_word(reduce_word(beta + w + invert_word(beta))))
-    return GroupEndomorphism(p.group, images)
+    return GroupEndomorphism(group, [
+        element_of_word(beta + w + invert_word(beta)) for w in words])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .documents import InputError, json_integer
+from .documents import InputError, json_integer, json_sign
 from .grouprings import (
     GroupEndomorphism,
     GroupRingElement,
@@ -37,6 +37,7 @@ from .presentations import (
     Word,
     induced_pi1_endo,
     pi1_presentation,
+    validate_edge_path,
 )
 from .simplicial import SimplicialComplex, SimplicialMap, _sort_sign
 from .words import invert_word, reduce_word
@@ -249,17 +250,22 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
         raise LiftError("complex carries no presentation data")
     if not f.is_endomorphism() or f.source != p.complex:
         raise LiftError("map does not match the lifted complex")
+    b = p.complex.index[p.basepoint]
+    fb = f.apply_index(b)
     if basepath is None:
-        basepath = p.tree_path(f.apply_index(p.complex.index[p.basepoint]))
+        basepath = p.tree_path(fb)
     basepath = tuple(tuple(s) for s in basepath)
-    endo = induced_pi1_endo(f, p, basepath)
+    validate_edge_path(p.complex, basepath, b, fb)
     group = l.group
-    g0 = p.element_of_path(basepath)
+    words = [p.word_of_path(f.map_path(p.generator_loop(gi)))
+             for gi in range(len(p.generators))]
+    beta = p.word_of_path(basepath)
+    endo = induced_pi1_endo(group, p.element_of_word, beta,
+                            [words[gi] for gi in p.surviving])
+    g0 = p.element_of_word(beta)
     comps: List[GroupRingMatrix] = [
         GroupRingMatrix.from_rows(group, [[GroupRingElement.of(group, g0)]])]
     if l.top_degree >= 1:
-        words = [p.word_of_path(f.map_path(p.generator_loop(gi)))
-                 for gi in range(len(p.generators))]
         comps.append(degree1_fox_lift(group, g0, words, p.element_of_word))
     if l.top_degree >= 2:
         two = p.complex.n_simplices(2)
@@ -345,28 +351,36 @@ class FixedPointRecord:
 def parse_fixed_point_records(raw: Optional[List[Dict]], group
                               ) -> Optional[List[FixedPointRecord]]:
     """The records ``documents.parse_map`` read, or None if it read none,
-    with each witness read over ``group``: an integer vector over a free
-    abelian group and a list of ``[generator, exponent]`` letters over a
-    free one.
-    """
+    with each witness read over ``group`` by ``parse_witness``."""
     if raw is None:
         return None
-    records = []
-    try:
-        for r in raw:
-            witness = r["witness"]
-            if group.kind == "free_abelian":
-                witness = tuple(json_integer(x, "witness entry")
-                                for x in witness)
-            else:
-                witness = tuple((json_integer(g, "witness generator"),
-                                 json_integer(e, "witness exponent"))
-                                for g, e in witness)
-            records.append(FixedPointRecord(index=r["index"],
-                                            class_witness=witness))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid fixed_point_records: {exc!r}")
-    return records
+    return [FixedPointRecord(r["index"], parse_witness(r["witness"], group))
+            for r in raw]
+
+
+def parse_witness(raw: List, group):
+    """The group element a witness list names, checked entry by entry
+    before it is built: over Z^n exactly n integers, over F_k letters
+    ``[generator, exponent]`` with an integer generator in [0, k) and an
+    exponent of 1 or -1, freely reduced."""
+    n = group.rank
+    if group.kind == "free_abelian":
+        if len(raw) != n:
+            raise InputError(f"fixed point witness over Z^{n} must have {n} "
+                             f"entries, got {len(raw)}")
+        return tuple(json_integer(x, "fixed point witness entry")
+                     for x in raw)
+    letters = []
+    for letter in raw:
+        if not (isinstance(letter, list) and len(letter) == 2):
+            raise InputError("fixed point witness letters must be "
+                             "two-element lists")
+        g, e = letter
+        if not 0 <= json_integer(g, "fixed point witness generator") < n:
+            raise InputError(f"fixed point witness generator must lie in "
+                             f"[0, {n}), got {g}")
+        letters.append((g, json_sign(e, "fixed point witness exponent")))
+    return group.element(letters)
 
 
 def reidemeister_trace_geometric(records: Sequence[FixedPointRecord], group,

@@ -2,8 +2,9 @@
 
 A word is a tuple of letters ``(x, e)`` with ``e`` = +-1.  The letters
 are generator indices for group elements and edge names for edge paths;
-nothing here depends on what they name.  No other ``fixtrace`` module
-is imported.
+nothing here depends on what they name, and nothing here checks a sign:
+each sign a document gives is checked by its reader.  No other
+``fixtrace`` module is imported.
 """
 
 from __future__ import annotations
@@ -11,17 +12,11 @@ from __future__ import annotations
 from typing import Iterable, List, Tuple
 
 
-class GroupError(ValueError):
-    exit_code = 2
-
-
 def reduce_word(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     """Freely reduce a word given as (generator, +-1) letters."""
     out: List[Tuple[int, int]] = []
     for letter in letters:
         g, e = letter
-        if e not in (1, -1):
-            raise GroupError("letter exponents must be +-1")
         if out and out[-1][0] == g and out[-1][1] == -e:
             out.pop()
         else:

@@ -553,7 +553,7 @@ def reference_divide_one_minus(p, v):
     """The quadratic loop: scan the whole remainder for its greatest term
     at every step and rebuild it."""
     from fixtrace.grouprings import GroupRingElement
-    from fixtrace.words import GroupError
+    from fixtrace.grouprings import GroupError
     rem = {g: c for g, c in p.terms.values()}
     quot = {}
 
@@ -577,7 +577,7 @@ def reference_divide_one_minus(p, v):
 
 def _division_outcome(divide, p, v):
     """The quotient's terms in order, or the error a division raises."""
-    from fixtrace.words import GroupError
+    from fixtrace.grouprings import GroupError
     try:
         return list(divide(p, v).terms.items())
     except GroupError as exc:

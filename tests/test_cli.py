@@ -436,7 +436,7 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
     traced = []
     real_total_space = bundles.total_space
     real_lift = bundles.lift_self_map
-    real_endo = bundles.GroupEndomorphism
+    real_endo = bundles.induced_pi1_endo
     real_base_trace = bundles.base_reidemeister
     real_trace = bundles.reidemeister_trace_chain
 
@@ -464,7 +464,7 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
 
     monkeypatch.setattr(bundles, "total_space", counting_total_space)
     monkeypatch.setattr(bundles, "lift_self_map", counting_lift)
-    monkeypatch.setattr(bundles, "GroupEndomorphism", counting_endo)
+    monkeypatch.setattr(bundles, "induced_pi1_endo", counting_endo)
     monkeypatch.setattr(bundles, "base_reidemeister", counting_base_trace)
     monkeypatch.setattr(bundles, "reidemeister_trace_chain", counting_trace)
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--theorem", "both")
@@ -963,6 +963,21 @@ EXIT_2_PATHS = {
                                  "(0,2) is not an edge"),
     "map-basepath-gap": (lambda: _map_basepath([["0", "1"], ["2", "3"]]),
                          "edge path is not connected"),
+    "witness-generator-out-of-range": (
+        lambda: _reflection_records(1, [[5, 1]]),
+        "fixed point witness generator must lie in [0, 1), got 5\n"),
+    "witness-exponent-2": (
+        lambda: _reflection_records(1, [[0, 2]]),
+        "fixed point witness exponent must be 1 or -1, got 2\n"),
+    "witness-letter-of-three": (
+        lambda: _reflection_records(1, [[0, 1, 2]]),
+        "fixed point witness letters must be two-element lists\n"),
+    "witness-letter-integer": (
+        lambda: _reflection_records(1, [1]),
+        "fixed point witness letters must be two-element lists\n"),
+    "witness-one-entry-over-z2": (
+        lambda: _torus_witness([0]),
+        "fixed point witness over Z^2 must have 2 entries, got 1\n"),
     "unknown-complex-reference": (
         lambda: ["lefschetz", {"complex": {"ref": "nowhere"},
                                "vertex_images": {}}],
@@ -1029,11 +1044,24 @@ def _reflection_records(index, witness):
     return ["reidemeister", doc]
 
 
-def _torus_records(entry):
+def _torus_witness(witness):
+    """The negation of the 4x4 torus with one fixed point record."""
     doc = _torus_map_documents(4)["torus4-negation"]
     doc["fixed_point_records"] = [
-        {"label": "p", "index": 1, "witness": [entry, 0]}]
+        {"label": "p", "index": 1, "witness": witness}]
     return ["reidemeister", doc]
+
+
+def test_unreduced_witness_reads_as_its_reduction(tmp_path, capsys):
+    reports = []
+    for witness in ([[0, 1], [0, -1]], []):
+        code, out, err = run_cli(capsys, *[
+            write(tmp_path, "doc.json", a) if isinstance(a, dict) else a
+            for a in _reflection_records(1, witness)])
+        report = json.loads(out)
+        del report["inputs_digest"]
+        reports.append((code, report, err))
+    assert reports[0] == reports[1]
 
 
 # Integer fields of the documents: a builder of argv from the field's
@@ -1050,7 +1078,7 @@ INTEGER_FIELDS = {
         lambda x: _reflection_records(1, [[x, 1]]), 0, False),
     "record-witness-exponent": (
         lambda x: _reflection_records(1, [[0, x]]), 1, False),
-    "record-witness-entry": (_torus_records, 0, False),
+    "record-witness-entry": (lambda x: _torus_witness([x, 0]), 0, False),
 }
 
 

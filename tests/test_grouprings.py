@@ -200,8 +200,10 @@ def ring_elem(group, *pairs):
 
 
 def test_hs_trace_single_identity():
-    for group in [Z, FiniteGroup.cyclic(4), FreeGroup(2)]:
-        endo = GroupEndomorphism(group, group.generators())
+    c4, f2 = FiniteGroup.cyclic(4), FreeGroup(2)
+    for group, images in [(Z, [(1,)]), (c4, c4.generators()),
+                          (f2, f2.generators())]:
+        endo = GroupEndomorphism(group, images)
         m = unit_matrix(group)
         s = twisted_hs_trace(m, endo)
         assert augment(s) == 1
@@ -452,7 +454,7 @@ letters = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
 def test_free_group_associative(a, b, c):
     from fixtrace.grouprings import FreeGroup
     f2 = FreeGroup(2)
-    x, y, z = f2.check(tuple(a)), f2.check(tuple(b)), f2.check(tuple(c))
+    x, y, z = f2.element(a), f2.element(b), f2.element(c)
     assert f2.mul(f2.mul(x, y), z) == f2.mul(x, f2.mul(y, z))
     assert f2.mul(x, f2.inv(x)) == ()
 
@@ -502,8 +504,8 @@ def _bfs_ball(group, endo, g, depth):
 def test_orbit_walk_matches_breadth_first_ball(a, b, g, h, depth):
     from fixtrace.grouprings import _free_orbit_walk, _twisted_moves
     f2 = FreeGroup(2)
-    endo = GroupEndomorphism(f2, [tuple(a), tuple(b)])
-    g, h = f2.check(tuple(g)), f2.check(tuple(h))
+    endo = GroupEndomorphism(f2, [f2.element(a), f2.element(b)])
+    g, h = f2.element(g), f2.element(h)
     ball = _bfs_ball(f2, endo, g, depth)
     assert set(_free_orbit_walk(_twisted_moves(f2, endo), g, depth)) == ball
     if endo.is_identity():
@@ -561,10 +563,11 @@ def free_endomorphisms(draw):
     """A random endomorphism of F_2 or F_3 (identity included) and a word."""
     rank = draw(st.sampled_from((2, 3)))
     letter = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
-    images = [tuple(draw(st.lists(letter, max_size=4))) for _ in range(rank)]
-    g = tuple(draw(st.lists(letter, max_size=8)))
     group = FreeGroup(rank)
-    return group, GroupEndomorphism(group, images), group.check(g)
+    images = [group.element(draw(st.lists(letter, max_size=4)))
+              for _ in range(rank)]
+    g = group.element(draw(st.lists(letter, max_size=8)))
+    return group, GroupEndomorphism(group, images), g
 
 
 def _assert_branch_and_bound_minimum(group, endo, g, depth):

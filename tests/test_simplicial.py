@@ -12,7 +12,9 @@ from fixtrace.exactalg import (
     hopf_chain_trace,
     lefschetz_from_homology,
 )
+from fixtrace.grouprings import FreeGroup
 from fixtrace.presentations import induced_pi1_endo, pi1_presentation
+from fixtrace.reidemeister import lift_map, lift_to_universal_cover
 from fixtrace.simplicial import (
     SimplicialError,
     SimplicialMap,
@@ -285,36 +287,42 @@ def test_pi1_sphere_trivial():
 # Induced pi1 endomorphisms
 # ---------------------------------------------------------------------------
 
+def _lifted_endo(f, basepath):
+    """The endomorphism ``lift_map`` induces through ``basepath``, with the
+    first vertex as the basepoint."""
+    k = f.source
+    cover = lift_to_universal_cover(pi1_presentation(k, k.vertices[0]))
+    return lift_map(f, basepath, cover).endo
+
+
 def test_pi1_endo_identity():
-    k = circle(3)
-    p = pi1_presentation(k, 0)
-    endo = induced_pi1_endo(identity_map(k), p, [])
-    assert endo.is_identity()
+    assert _lifted_endo(identity_map(circle(3)), []).is_identity()
 
 
 def test_pi1_endo_reflection():
-    k = circle(3)
-    p = pi1_presentation(k, 0)
-    endo = induced_pi1_endo(reflection_triangle(), p, [])
-    assert endo.images[0] == ((0, -1),)
+    assert _lifted_endo(reflection_triangle(), []).images[0] == ((0, -1),)
 
 
 def test_pi1_endo_torus_rotation():
     k = torus7()
-    p = pi1_presentation(k, 0)
     f = SimplicialMap(k, k, {v: (v + 1) % 7 for v in k.vertices})
     # rotation is homotopic to the identity, so the matrix is the identity
-    basepath = [(0, 1)]
-    endo = induced_pi1_endo(f, p, basepath)
+    endo = _lifted_endo(f, [(0, 1)])
     assert endo.matrix() == IntMatrix.identity(2)
 
 
 def test_pi1_endo_rejects_bad_basepath():
     k = circle(3)
-    p = pi1_presentation(k, 0)
     f = SimplicialMap(k, k, {0: 1, 1: 2, 2: 0})
     with pytest.raises(SimplicialError):
-        induced_pi1_endo(f, p, [])  # basepoint moves, empty path invalid
+        _lifted_endo(f, [])  # basepoint moves, empty path invalid
+
+
+def test_pi1_endo_conjugates_each_loop_word_by_the_basepath_word():
+    a, b = ((0, 1),), ((1, 1),)
+    endo = induced_pi1_endo(FreeGroup(2), reduce_word, a, [b, a + b])
+    assert endo.images == [((0, 1), (1, 1), (0, -1)), ((0, 1), (0, 1),
+                                                       (1, 1), (0, -1))]
 
 
 # ---------------------------------------------------------------------------
