@@ -403,10 +403,13 @@ class BundleSelfMapPair:
     def class_path(self, cls: TwistedClass) -> List[EdgeStep]:
         """Path from the basepoint to its image representing a base class.
 
-        ``cls`` is a class of the base trace; its representative loop is
-        followed by the basepath.
+        ``cls`` is a class of the base trace; the inverse of its
+        representative loop is followed by the basepath.  A fixed point p
+        reached along sigma has the class of g = beta . f(sigma) . sigma^-1
+        (beta the basepath), and sigma . f(sigma)^-1 = g^-1 . beta.
         """
-        return self.bundle.base.expand_element(cls.rep) + self.basepath
+        base = self.bundle.base
+        return base.expand_element(base.group.inv(cls.rep)) + self.basepath
 
 
 def base_reidemeister(pair: BundleSelfMapPair, depth: int) -> ShadowElement:
@@ -689,16 +692,15 @@ def refined_reidemeister(pair: BundleSelfMapPair, cls: TwistedClass,
             alpha + incl.map_path(pf.generator_loop(gi)) + alpha_back)
             for gi in pf.surviving]
         iota = GroupHomomorphism(pf.group, pe.group, images)
-        # correction word, along x0's track
-        beta_f = incl.map_path(lifted_f.basepath)
+        # correction word: the total basepath, f_total(alpha), x0's track
+        # to k(x0), then back along the fiber basepath and alpha
         track_path = tracks[x0][0]
-        rho = reverse_path([(te.index[u], te.index[v])
-                            for u, v in zip(track_path, track_path[1:])])
-        word = (alpha + beta_f + rho + reverse_path(f_total.map_path(alpha))
-                + reverse_path(lifted.basepath))
-        w_elem = pe.element_of_path(word)
-        pushed = pushforward(iota, lifted_f.endo, lifted.endo, w_elem,
-                             r_comp, depth)
+        track = [(te.index[u], te.index[v])
+                 for u, v in zip(track_path, track_path[1:])]
+        word = (list(lifted.basepath) + f_total.map_path(alpha) + track
+                + reverse_path(incl.map_path(lifted_f.basepath)) + alpha_back)
+        pushed = pushforward(iota, lifted_f.endo, lifted.endo,
+                             pe.element_of_path(word), r_comp, depth)
         result = result + pushed
     return result
 

@@ -1,21 +1,20 @@
 """Twisted conjugacy classes, group rings and shadow traces.
 
-Three group classes are supported exactly:
+Two group classes are supported exactly:
 
 * free abelian groups Z^n (elements are integer vectors),
-* free groups F_k (elements are reduced words),
-* finite groups given by a multiplication table.
+* free groups F_k (elements are reduced words).
 
 Twisted conjugacy is the relation g ~ phi(h) * g * h^-1 for an
 endomorphism phi.  It is the relation that ``lift_map``'s deck convention
 puts the diagonal terms in: deck elements act on cells from the left and a
 lift F satisfies F(h c) = phi(h) F(c), so lifting a cell as h c instead of
-c turns its diagonal term g into phi(h) * g * h^-1.  For free abelian and
-finite groups the class of an element has a decisive canonical
-representative; for free groups of rank at least two the problem is
-attacked by bounded search and the results are marked heuristic unless
-the endomorphism is the identity (ordinary conjugacy, decided by cyclic
-words) or the rank is at most one.
+c turns its diagonal term g into phi(h) * g * h^-1.  For free abelian
+groups the class of an element has a decisive canonical representative;
+for free groups of rank at least two the problem is attacked by bounded
+search and the results are marked heuristic unless the endomorphism is
+the identity (ordinary conjugacy, decided by cyclic words) or the rank is
+at most one.
 
 A shadow element is a finite integer combination of twisted conjugacy
 classes; it is the value domain of twisted traces of group-ring matrices
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .exactalg import IntMatrix, smith_normal_form
 from .words import (
@@ -133,97 +132,20 @@ def _exponent_sums(rank: int, word) -> Tuple[int, ...]:
     return tuple(v)
 
 
-class FiniteGroup:
-    """Finite group from a multiplication table, verified at construction."""
-
-    kind = "finite"
-
-    def __init__(self, table: Sequence[Sequence[int]], identity_index: int):
-        n = len(table)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
-        self.order = n
-        self.identity_index = identity_index
-        for row in self.table:
-            if len(row) != n or any(not 0 <= x < n for x in row):
-                raise GroupError("malformed multiplication table")
-        e = identity_index
-        for a in range(n):
-            if self.table[e][a] != a or self.table[a][e] != a:
-                raise GroupError("identity axiom fails")
-        self._inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == e and self.table[b][a] == e:
-                    self._inv[a] = b
-                    break
-            if self._inv[a] is None:
-                raise GroupError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise GroupError("associativity fails")
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FiniteGroup":
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return cls(table, 0)
-
-    @classmethod
-    def symmetric3(cls) -> "FiniteGroup":
-        import itertools
-        perms = sorted(itertools.permutations(range(3)))
-        idx = {p: i for i, p in enumerate(perms)}
-        table = [[idx[tuple(p[q[k]] for k in range(3))] for q in perms]
-                 for p in perms]
-        return cls(table, idx[(0, 1, 2)])
-
-    def identity(self):
-        return self.identity_index
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self._inv[a]
-
-    def generators(self):
-        return list(range(self.order))
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteGroup) and other.table == self.table
-                and other.identity_index == self.identity_index)
-
-    def __hash__(self):
-        return hash(("finite", self.table, self.identity_index))
-
-    def __repr__(self):
-        return f"FiniteGroup(order={self.order})"
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms and endomorphisms
 # ---------------------------------------------------------------------------
 
 class GroupHomomorphism:
-    """Homomorphism determined by generator images (finite: a total map)."""
+    """Homomorphism determined by generator images."""
 
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.images = list(images)
-        if source.kind == "finite":
-            for a in range(source.order):
-                for b in range(source.order):
-                    lhs = self.images[source.mul(a, b)]
-                    rhs = target.mul(self.images[a], self.images[b])
-                    if lhs != rhs:
-                        raise GroupError("not a homomorphism")
 
     def apply(self, g):
         src, dst = self.source, self.target
-        if src.kind == "finite":
-            return self.images[g]
         # (generator, exponent) pairs: a Z^n vector or a reduced word
         letters = enumerate(g) if src.kind == "free_abelian" else g
         out = dst.identity()
@@ -390,11 +312,6 @@ def twisted_class(group, endo: GroupEndomorphism, g,
         cl = endo.classifier
         reduced = cl.reduce(g)
         return TwistedClass(key=reduced, rep=cl.rep_of(reduced), certainty=CERTAIN)
-    if group.kind == "finite":
-        orbit = {group.mul(group.mul(endo.apply(h), g), group.inv(h))
-                 for h in range(group.order)}
-        rep = min(orbit)
-        return TwistedClass(key=rep, rep=rep, certainty=CERTAIN)
     # free group
     if group.rank == 1:
         (m,) = group.abelianized(g)
@@ -671,7 +588,7 @@ def shadow_equal(s1: ShadowElement, s2: ShadowElement, depth: int) -> str:
 
 
 def class_label(cls: TwistedClass) -> str:
-    """A finite or rank-1 key ``[k]``, a Z^n key ``[v0,v1]`` or a word
+    """A rank-1 key ``[k]``, a Z^n key ``[v0,v1]`` or a word
     ``[g0^1.g1^-1]``."""
     key = cls.key
     if isinstance(key, int):
@@ -686,23 +603,30 @@ def shadow_rendering(s: ShadowElement) -> List[List]:
 
 
 def pushforward(hom: GroupHomomorphism, endo_src: GroupEndomorphism,
-                endo_dst: GroupEndomorphism, w,
+                endo_dst: GroupEndomorphism, u,
                 s: ShadowElement, depth: int) -> ShadowElement:
-    """Map classes along iota: [g] -> [iota(g) * w], w the correction word.
+    """Map classes along iota: [g] -> [u * iota(g)], u the correction word.
 
-    Requires the intertwining iota(phi_src(g)) = w * phi_dst(iota(g)) * w^-1
-    on generators, read off the images of both maps; this is exactly the
-    condition making the class map well defined.
+    Requires iota(phi_src(x)) = u^-1 * phi_dst(iota(x)) * u on generators,
+    read off the images of both maps; it then holds on every x, and it
+    makes the map well defined: a relative g' = phi_src(h) * g * h^-1 of g
+    goes to
+
+        u * iota(g') = u * u^-1 * phi_dst(iota(h)) * u * iota(g) * iota(h)^-1
+                     = phi_dst(iota(h)) * (u * iota(g)) * iota(h)^-1,
+
+    a relative of u * iota(g) under phi_dst.
     """
     dst = hom.target
+    u_inv = dst.inv(u)
     for phi_g, iota_g in zip(endo_src.images, hom.images):
         lhs = hom.apply(phi_g)
-        rhs = dst.mul(dst.mul(w, endo_dst.apply(iota_g)), dst.inv(w))
+        rhs = dst.mul(dst.mul(u_inv, endo_dst.apply(iota_g)), u)
         if lhs != rhs:
             raise GroupError(
                 "pushforward correction fails the intertwining check")
     terms = []
     for cls, c in s.terms.values():
-        img = dst.mul(hom.apply(cls.rep), w)
+        img = dst.mul(u, hom.apply(cls.rep))
         terms.append((twisted_class(dst, endo_dst, img, depth), c))
     return ShadowElement(dst, endo_dst, terms)

@@ -26,8 +26,8 @@ from fixtrace.exactalg import (
 from fixtrace.grouprings import (
     DEFAULT_DEPTH,
     EQUAL,
-    FiniteGroup,
     FreeAbelianGroup,
+    FreeGroup,
     GroupEndomorphism,
     GroupRingElement,
     GroupRingMatrix,
@@ -331,9 +331,10 @@ def test_criterion_8_shadow_cyclicity():
     rng = random.Random(80)
     z1 = FreeAbelianGroup(1)
     z2 = FreeAbelianGroup(2)
-    c4 = FiniteGroup.cyclic(4)
-    c5 = FiniteGroup.cyclic(5)
-    s3 = FiniteGroup.symmetric3()
+    f1 = FreeGroup(1)
+    f2 = FreeGroup(2)
+    f3 = FreeGroup(3)
+    a, b, c = ((0, 1),), ((1, 1),), ((2, 1),)
     cases = [
         (z1, GroupEndomorphism(z1, [(-1,)]), [(0,), (1,), (-2,), (3,)]),
         (z1, GroupEndomorphism(z1, [(2,)]), [(0,), (1,), (-1,)]),
@@ -341,11 +342,13 @@ def test_criterion_8_shadow_cyclicity():
          [(0, 0), (1, 0), (0, 1), (-1, 1)]),
         (z2, GroupEndomorphism(z2, [(0, 1), (1, 0)]),
          [(0, 0), (1, 0), (2, -1)]),
-        (c4, GroupEndomorphism(c4, [0, 3, 2, 1]), [0, 1, 2, 3]),
-        (c5, GroupEndomorphism(c5, c5.generators()), [0, 1, 2, 3, 4]),
-        (s3, GroupEndomorphism(s3, s3.generators()), list(range(6))),
-        (s3, GroupEndomorphism(s3, [s3.mul(s3.mul(1, g), s3.inv(1))
-                                    for g in range(6)]), list(range(6))),
+        # free groups whose classes are certain: F_1, and F_2 and F_3
+        # under ordinary conjugacy
+        (f1, GroupEndomorphism(f1, [f1.inv(a)]), [(), a, a + a, f1.inv(a)]),
+        (f1, GroupEndomorphism(f1, [a + a + a]), [(), a, f1.inv(a)]),
+        (f2, GroupEndomorphism(f2, f2.generators()),
+         [(), a, b, a + b, b + f2.inv(a)]),
+        (f3, GroupEndomorphism(f3, f3.generators()), [a, b + b, c, a + b + c]),
     ]
     count = 0
     for group, endo, elements in cases:
@@ -428,21 +431,19 @@ def test_criterion_11a_canonicalization_stability():
     cases.append((z2, GroupEndomorphism(z2, [(-1, 0), (0, -1)]), (5, 2)))
     z1 = FreeAbelianGroup(1)
     cases.append((z1, GroupEndomorphism(z1, [(-1,)]), (7,)))
-    s3 = FiniteGroup.symmetric3()
-    cases.append((s3, GroupEndomorphism(s3, s3.generators()), 4))
-    from fixtrace.grouprings import FreeGroup
+    f1 = FreeGroup(1)
+    cases.append((f1, GroupEndomorphism(f1, [((0, -1),)]), ((0, 1),) * 3))
     f2 = FreeGroup(2)
     cases.append((f2, GroupEndomorphism(f2, f2.generators()),
                   ((0, 1), (1, 1), (0, -1))))
     for group, endo, base in cases:
         want = twisted_class(group, endo, base, DEFAULT_DEPTH).key
         for _ in range(50):
-            if group.kind == "finite":
-                h = rng.randrange(group.order)
-            elif group.kind == "free_abelian":
+            if group.kind == "free_abelian":
                 h = tuple(rng.randint(-5, 5) for _ in range(group.rank))
             else:
-                h = group.element((rng.randrange(2), rng.choice((1, -1)))
+                h = group.element((rng.randrange(group.rank),
+                                   rng.choice((1, -1)))
                                   for _ in range(rng.randrange(4)))
             moved = group.mul(group.mul(endo.apply(h), base), group.inv(h))
             assert twisted_class(group, endo, moved, DEFAULT_DEPTH).key == want

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from fixtrace.bundles import (
     BundleError,
+    BundleSelfMapPair,
+    DiscreteBundle,
+    GraphBase,
+    GraphSelfMap,
     NotConstructibleError,
+    Transport,
     base_reidemeister,
     fiber_composite,
     nielsen_additivity,
@@ -29,12 +35,14 @@ from fixtrace.catalog import (
     trivial_product_pair,
 )
 from fixtrace.exactalg import homology
-from fixtrace.grouprings import (DEFAULT_DEPTH, EQUAL, augment, nielsen,
-                                 shadow_equal, twisted_class)
+from fixtrace.grouprings import (DEFAULT_DEPTH, EQUAL, TwistedClass, augment,
+                                 nielsen, shadow_equal, twisted_class)
 from fixtrace.reidemeister import (reidemeister_trace_chain,
                                    reidemeister_trace_geometric)
-from fixtrace.simplicial import chain_complex, lefschetz_number
-from tests.oracles import disjoint_union, two_component_euler_fixtures
+from fixtrace.simplicial import (SimplicialMap, build_complex, chain_complex,
+                                 lefschetz_number)
+from tests.oracles import (disjoint_union, figure_eight_base,
+                           k4_point_fiber_pair, two_component_euler_fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +151,37 @@ def test_refined_lefschetz_representative_independent():
                       + pair.class_path(c) + pair.base_map.apply_word(alpha))
             got = lefschetz_number(fiber_composite(pair, end, gamma2))
             assert got == want
+
+
+def test_class_path_ignores_the_twisted_representative():
+    # Over the figure eight with a 3-point fiber whose transports generate
+    # S_3, representatives r and phi(h) r h^-1 of one class must give
+    # conjugate fiber maps.  The class path r^-1 . basepath does; following
+    # r would give the class of 1 fiber maps with 0 and 3 fixed points.
+    pts = build_complex([("0",), ("1",), ("2",)], vertices=["0", "1", "2"])
+
+    def permutation(images):
+        inverse = {w: v for v, w in images.items()}
+        return Transport(SimplicialMap(pts, pts, images),
+                         SimplicialMap(pts, pts, inverse))
+
+    base = figure_eight_base()
+    bundle = DiscreteBundle(base, {"b0": pts}, {
+        "a": permutation({"0": "0", "1": "2", "2": "1"}),
+        "b": permutation({"0": "1", "1": "2", "2": "0"})})
+    base_map = GraphSelfMap(base, {"b0": "b0"},
+                            {"a": [("a", 1), ("b", 1)], "b": [("b", 1)]})
+    pair = BundleSelfMapPair(bundle, base_map, {"b0": SimplicialMap(
+        pts, pts, {"0": "2", "1": "0", "2": "1"})})
+    group, phi = base.group, pair.base_endomorphism
+    values = {}
+    for cls, _ in base_reidemeister(pair, DEFAULT_DEPTH).items():
+        want = values[cls.rep] = lefschetz_number(class_composite(pair, cls))
+        for h in (((0, 1),), ((1, -1),), ((0, 1), (1, 1))):
+            rep = group.mul(group.mul(phi.apply(h), cls.rep), group.inv(h))
+            other = TwistedClass(cls.key, rep, cls.certainty)
+            assert lefschetz_number(class_composite(pair, other)) == want
+    assert values == {(): 0}
 
 
 def test_trivial_bundle_composite_is_fiber_map():
@@ -409,6 +448,43 @@ def test_all_catalog_bundle_pairs_verify():
             rhs = sum(ind * lefschetz_number(class_composite(pair, cls))
                       for cls, ind in r.items())
             assert rhs == -1  # L(z -> z^2)
+
+
+def test_every_k4_point_fiber_pair_verifies():
+    # A point fiber pushes its class [1] to the class of the loop its track
+    # closes: the class path (the inverse of the representative, then the
+    # basepath) and the pushforward rule [g] -> [u * iota(g)] must agree.
+    # Either one alone fails 6 of the 256 pairs, (1, 2, 0, 3) among them.
+    verdicts = [verify_reidemeister_mult(k4_point_fiber_pair(images), 3).verdict
+                for images in itertools.product(range(4), repeat=4)]
+    assert verdicts == ["pass"] * 256
+
+
+def test_theta_fiber_trace_lands_in_the_total_class():
+    # Theta fibers over an interval declared b1 first, so the total-space
+    # tree reaches the fiber over the basepoint b0 through the prism; the
+    # transport swaps two arcs, and pi_1(E) is free of rank two.  The
+    # correction loop u is not central here: [iota(g) * u^-1] would read
+    # [g0^-1] and "fail", and the inverse conjugation fails the check.
+    arcs = [[("0", m), (m, "1")] for m in "234"]
+    theta = build_complex([e for arc in arcs for e in arc],
+                          vertices=list("01234"))
+    swap = SimplicialMap(theta, theta,
+                         {"0": "0", "1": "1", "2": "3", "3": "2", "4": "4"})
+    base = GraphBase(["b1", "b0"], [("e0", "b0", "b1")], ["e0"], "b0")
+    bundle = DiscreteBundle(base, {"b0": theta, "b1": theta},
+                            {"e0": Transport(swap, swap)})
+    base_map = GraphSelfMap(base, {"b0": "b0", "b1": "b1"},
+                            {"e0": [("e0", 1)]})
+    f0 = SimplicialMap(theta, theta,
+                       {"0": "1", "1": "0", "2": "2", "3": "4", "4": "3"})
+    pair = BundleSelfMapPair(bundle, base_map, {
+        "b0": f0, "b1": swap.compose(f0).compose(swap)})
+    assert pair.total_lift.complex.group.rank == 2
+    rep = verify_reidemeister_mult(pair, 4)
+    assert (rep.verdict, rep.lhs, rep.rhs) == ("pass", [["[g0^1]", 1]],
+                                               [["[g0^1]", 1]])
+    assert nielsen_additivity(pair, 4).verdict == "pass"
 
 
 def test_two_component_euler():

@@ -11,7 +11,6 @@ from fixtrace.grouprings import (
     DISTINCT,
     EQUAL,
     UNKNOWN,
-    FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
     GroupEndomorphism,
@@ -145,21 +144,6 @@ def test_canonicalization_stability_free_abelian():
         assert twisted_class(g, endo, moved, DEFAULT_DEPTH).key == want
 
 
-def test_canonicalization_stability_finite():
-    rng = random.Random(29)
-    s3 = FiniteGroup.symmetric3()
-    # conjugation by a fixed element is an endomorphism
-    c = 3
-    endo = GroupEndomorphism(s3, [s3.mul(s3.mul(c, g), s3.inv(c))
-                                  for g in range(6)])
-    base = 4
-    want = twisted_class(s3, endo, base, DEFAULT_DEPTH).key
-    for _ in range(50):
-        h = rng.randrange(6)
-        moved = s3.mul(s3.mul(endo.apply(h), base), s3.inv(h))
-        assert twisted_class(s3, endo, moved, DEFAULT_DEPTH).key == want
-
-
 def test_canonicalization_stability_free_identity():
     rng = random.Random(31)
     f2 = FreeGroup(2)
@@ -200,9 +184,8 @@ def ring_elem(group, *pairs):
 
 
 def test_hs_trace_single_identity():
-    c4, f2 = FiniteGroup.cyclic(4), FreeGroup(2)
-    for group, images in [(Z, [(1,)]), (c4, c4.generators()),
-                          (f2, f2.generators())]:
+    f2 = FreeGroup(2)
+    for group, images in [(Z, [(1,)]), (f2, f2.generators())]:
         endo = GroupEndomorphism(group, images)
         m = unit_matrix(group)
         s = twisted_hs_trace(m, endo)
@@ -263,10 +246,15 @@ def test_shadow_cyclicity_random():
                   [(0, 0), (1, 0), (0, 1), (-1, 2)]))
     cases.append((Z, z_endo(-1), [(0,), (1,), (2,), (-1,)]))
     cases.append((Z, z_endo(3), [(0,), (1,), (-2,)]))
-    c4 = FiniteGroup.cyclic(4)
-    cases.append((c4, GroupEndomorphism(c4, [0, 3, 2, 1]), [0, 1, 2, 3]))
-    s3 = FiniteGroup.symmetric3()
-    cases.append((s3, GroupEndomorphism(s3, s3.generators()), list(range(6))))
+    # free groups whose classes are certain: conjugacy in F_2, and F_1
+    # under x -> x^-1
+    f2 = FreeGroup(2)
+    a, b = ((0, 1),), ((1, 1),)
+    cases.append((f2, GroupEndomorphism(f2, f2.generators()),
+                  [(), a, b, f2.mul(a, b), f2.mul(b, f2.inv(a))]))
+    f1 = FreeGroup(1)
+    cases.append((f1, GroupEndomorphism(f1, [f1.inv(a)]),
+                  [(), a, f1.inv(a), a + a]))
     count = 0
     for group, endo, elements in cases:
         for _ in range(25):
@@ -370,6 +358,23 @@ def test_pushforward_checks_intertwining():
         pushforward(hom, endo_src, endo_dst, (0,), s, DEFAULT_DEPTH)
 
 
+def test_pushforward_follows_twisted_conjugacy_over_f2():
+    # iota and phi_dst are the identity of F_2 and phi_src is x -> a^-1 x a,
+    # so u = a: [1] and [b] go to the conjugacy classes of a and a b, where
+    # [iota(g) * u^-1] would give those of a^-1 and b a^-1.
+    f2 = FreeGroup(2)
+    a, b = ((0, 1),), ((1, 1),)
+    ident = GroupEndomorphism(f2, f2.generators())
+    conj = GroupEndomorphism(f2, [f2.mul(f2.mul(f2.inv(a), x), a)
+                                  for x in f2.generators()])
+    hom = GroupHomomorphism(f2, f2, f2.generators())
+    s = _shadow(f2, conj, [((), 1), (b, 2)])
+    out = pushforward(hom, conj, ident, a, s, DEFAULT_DEPTH)
+    assert {cls.key: c for cls, c in out.items()} == {a: 1, a + b: 2}
+    with pytest.raises(GroupError):
+        pushforward(hom, conj, ident, f2.inv(a), s, DEFAULT_DEPTH)
+
+
 def test_pushforward_preserves_augmentation():
     rng = random.Random(17)
     endo = z_endo(-1)
@@ -379,30 +384,6 @@ def test_pushforward_preserves_augmentation():
                               for _ in range(3)])
         out = pushforward(hom, endo, endo, (2,), s, DEFAULT_DEPTH)
         assert augment(out) == augment(s)
-
-
-# ---------------------------------------------------------------------------
-# finite group plumbing
-# ---------------------------------------------------------------------------
-
-def test_finite_group_verifies_table():
-    with pytest.raises(GroupError):
-        FiniteGroup([[0, 1], [1, 1]], 0)
-
-
-def test_finite_hom_verified():
-    c4 = FiniteGroup.cyclic(4)
-    with pytest.raises(GroupError):
-        GroupEndomorphism(c4, [0, 1, 3, 2])
-    endo = GroupEndomorphism(c4, [0, 2, 0, 2])
-    assert endo.apply(3) == 2
-
-
-def test_finite_twisted_classes():
-    s3 = FiniteGroup.symmetric3()
-    endo = GroupEndomorphism(s3, s3.generators())
-    keys = {twisted_class(s3, endo, g, DEFAULT_DEPTH).key for g in range(6)}
-    assert len(keys) == 3  # conjugacy classes of S3
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +402,7 @@ def _looped_power(group, g, e):
 def test_power_matches_repeated_products():
     f2 = FreeGroup(2)
     cases = [(FreeAbelianGroup(0), ()), (FreeAbelianGroup(2), (3, -2)),
-             (f2, ()), (f2, ((0, 1), (1, -1))), (f2, ((0, 1), (1, 1), (0, -1))),
-             (FiniteGroup.symmetric3(), 3), (FiniteGroup.cyclic(5), 2)]
+             (f2, ()), (f2, ((0, 1), (1, -1))), (f2, ((0, 1), (1, 1), (0, -1)))]
     for group, g in cases:
         for e in range(-9, 10):
             assert _power(group, g, e) == _looped_power(group, g, e), (g, e)

@@ -37,7 +37,7 @@ BUNDLE_VERIFY = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.pairs"}
 # not cached; compiling them is most of a small command's start-up.
 HOMOLOGY_LINES_CEILING = 1424
 # The same for the commands that lift to universal covers.
-LINES_CEILINGS = {"reidemeister": 2920, "bundle-verify": 3914}
+LINES_CEILINGS = {"reidemeister": 2844, "bundle-verify": 3840}
 # The largest module, bundles.py; compiling a module raises peak memory
 # in proportion to its size.
 MODULE_LINES_CEILING = 866
@@ -191,7 +191,7 @@ FORMER_EXPORTS = {
         "product_complex"),
     "fixtrace.presentations": ("induced_pi1_endo", "pi1_presentation"),
     "fixtrace.grouprings": (
-        "FiniteGroup", "FreeAbelianGroup", "FreeGroup", "GroupEndomorphism",
+        "FreeAbelianGroup", "FreeGroup", "GroupEndomorphism",
         "GroupHomomorphism", "ShadowElement", "augment", "classes_equal",
         "nielsen", "pushforward", "twisted_class"),
     "tests.chain_models": ("twisted_hs_trace",),
@@ -315,9 +315,6 @@ UNREACHED_ON_PURPOSE = {
        "a GroupRingMatrix method that bench/tracer.py wraps calls it "
        "(ROADMAP item 8)"
        for name in ("__add__", "__neg__", "apply", "augmentation")},
-    "grouprings:FiniteGroup":
-        "finite groups for ROADMAP items 11 (finite fundamental groups) "
-        "and 18 (the Reidemeister theorem modulo finite quotients)",
     "exactalg:IntMatrix.__setattr__":
         "refuses to mutate a matrix; no correct caller reaches it",
     "__repr__": "debugging output, which no report prints",

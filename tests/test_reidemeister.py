@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fixtrace.exactalg import ChainComplex, homology
@@ -11,6 +13,7 @@ from fixtrace.grouprings import (
     GroupRingMatrix,
     augment,
     nielsen,
+    pushforward,
     reduce_word,
     shadow_equal,
     twisted_class,
@@ -29,11 +32,14 @@ from fixtrace.reidemeister import (
     reidemeister_trace_geometric,
 )
 from fixtrace.simplicial import (
+    SimplicialError,
     SimplicialMap,
     build_complex,
     identity_map,
     lefschetz_number,
     pi1_presentation,
+    product_complex,
+    reverse_path,
 )
 
 
@@ -391,3 +397,92 @@ def test_basepath_covariance():
     from fixtrace.grouprings import ShadowElement
     assert shadow_equal(ShadowElement(p.group, m2.endo, shifted), r2,
                         DEFAULT_DEPTH) == EQUAL
+
+
+# ---------------------------------------------------------------------------
+# Commutativity: R(f g) = f_* R(g f)
+# ---------------------------------------------------------------------------
+
+def _commutativity_holds(p, cover, lifts, f, g, depth):
+    """Check R(f g) = f_* R(g f) and N(f g) = N(g f); return whether the
+    correction loop w = beta_f . f(beta_g) . tau^-1 is nontrivial.
+
+    f_* is the lift of f through its tree basepath beta_f, g f is lifted
+    through beta_g . g(beta_f) and f g through its tree basepath tau, so
+    iota(phi_gf(x)) = w . phi_fg(iota(x)) . w^-1 and ``pushforward``
+    takes u = w^-1.  ``lifts`` caches each map's tree-basepath lift.
+    """
+    def lift(m):
+        key = tuple(sorted(m.vertex_images.items()))
+        if key not in lifts:
+            lifts[key] = lift_map(m, None, cover)
+        return lifts[key]
+
+    lf, lg = lift(f), lift(g)
+    l_fg = lift(f.compose(g))
+    l_gf = lift_map(g.compose(f),
+                    list(lg.basepath) + g.map_path(lf.basepath), cover)
+    w = p.element_of_path(list(lf.basepath) + f.map_path(lg.basepath)
+                          + reverse_path(l_fg.basepath))
+    r_fg = reidemeister_trace_chain(l_fg, depth)
+    r_gf = reidemeister_trace_chain(l_gf, depth)
+    pushed = pushforward(lf.endo, l_gf.endo, l_fg.endo, p.group.inv(w),
+                         r_gf, depth)
+    assert shadow_equal(r_fg, pushed, depth) == EQUAL
+    assert nielsen(r_fg, depth) == nielsen(r_gf, depth)
+    return w != p.group.identity()
+
+
+def _nontrivial_corrections(k, pairs, depth):
+    """The number of ``pairs`` of vertex-image maps of ``k`` whose
+    correction loop is nontrivial, each pair checked for commutativity."""
+    p = pi1_presentation(k, k.vertices[0])
+    cover = lift_to_universal_cover(p)
+    lifts = {}
+    return sum(_commutativity_holds(p, cover, lifts, SimplicialMap(k, k, f),
+                                    SimplicialMap(k, k, g), depth)
+               for f, g in pairs)
+
+
+# K4 pairs (f, g) of vertex images on which [iota(g) * w] would read
+# R(f g) and f_* R(g f) as DISTINCT: the first has w = g0, and R(g f) = [1]
+# must go to R(f g) = [g0^-1], not to [g0].
+K4_MISPUSHED = [((1, 0, 2, 3), (2, 0, 3, 1)), ((1, 2, 3, 0), (1, 2, 3, 0)),
+                ((2, 0, 1, 3), (3, 2, 1, 0)), ((3, 1, 2, 0), (1, 3, 0, 2)),
+                ((2, 3, 0, 1), (1, 0, 3, 2))]
+
+
+def test_commutativity_on_k4_pairs():
+    k = build_complex([(a, b) for a in range(4) for b in range(a + 1, 4)],
+                      vertices=list(range(4)))
+    rng = random.Random(0)
+    pairs = K4_MISPUSHED + [
+        tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(2))
+        for _ in range(1500)]
+    pairs = [(dict(enumerate(f)), dict(enumerate(g))) for f, g in pairs]
+    assert _nontrivial_corrections(k, pairs, 3) == 406
+
+
+def test_commutativity_on_figure_eight_and_torus_maps():
+    k = build_complex([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)],
+                      vertices=list(range(5)))
+    rng = random.Random(1)
+    maps = []
+    while len(maps) < 40:
+        images = {v: rng.randrange(5) for v in range(5)}
+        try:
+            SimplicialMap(k, k, images)
+        except SimplicialError:
+            continue
+        maps.append(images)
+    pairs = [(rng.choice(maps), rng.choice(maps)) for _ in range(300)]
+    assert _nontrivial_corrections(k, pairs, 4) == 27
+    n = 4
+    torus = product_complex(circle(n), circle(n))
+    images = [lambda a, b: (a, b), lambda a, b: (b, a),
+              lambda a, b: (-a - 1, -b - 1), lambda a, b: (a, a),
+              lambda a, b: (b, b), lambda a, b: (1, 2)]
+    maps = [{(a, b): tuple(x % n for x in f(a, b)) for a, b in torus.vertices}
+            for f in images]
+    pairs = [(f, g) for f in maps for g in maps]
+    assert _nontrivial_corrections(torus, pairs, 3) == 1
