@@ -139,19 +139,19 @@ class GraphBase:
         s, d = self.edge_by_id[e]
         return (s, d) if sign == 1 else (d, s)
 
-    def validate_word(self, word: Sequence[EdgeStep], start, end=None):
+    def validate_word(self, word: Sequence[EdgeStep], start, end) -> None:
+        """Input check of an edge word or a basepath: a path of known edges
+        from ``start`` to ``end``.  The readers make each sign 1 or -1."""
         cur = start
         for step in word:
-            e, sign = step
-            if e not in self.edge_by_id or sign not in (1, -1):
+            if step[0] not in self.edge_by_id:
                 raise BundleError(f"bad edge step {step}")
             a, b = self.step_endpoints(step)
             if a != cur:
                 raise BundleError("edge word is not a path")
             cur = b
-        if end is not None and cur != end:
+        if cur != end:
             raise BundleError("edge word ends at the wrong vertex")
-        return cur
 
     def tree_path(self, v) -> List[EdgeStep]:
         steps: List[EdgeStep] = []
@@ -269,7 +269,6 @@ class DiscreteBundle:
 def transport(bundle: DiscreteBundle, word: Sequence[EdgeStep], start
               ) -> SimplicialMap:
     """Composite of edge transports along a path; empty word is the identity."""
-    bundle.base.validate_word(word, start)
     out = identity_map(bundle.fiber(start))
     for (e, sign) in word:
         t = bundle.transports[e]
@@ -429,9 +428,7 @@ def fiber_composite(pair: BundleSelfMapPair, base_vertex, gamma: Sequence[EdgeSt
     backwards along it by the designated inverses gives a class's
     Lefschetz number and the fiber components its fiber map keeps.
     """
-    base = pair.bundle.base
     fb = pair.base_map.vertex_images[base_vertex]
-    base.validate_word(gamma, base_vertex, fb)
     h = transport(pair.bundle, invert_word(gamma), fb)
     return h.compose(pair.fiber_maps[base_vertex])
 
@@ -474,9 +471,8 @@ class TotalSpace:
         rule by which a fiber vertex moves along base edges: a forward step
         climbs the edge's layers, a reversed step climbs them from the
         vertex's preimage and is walked back, so it needs a vertex-bijective
-        transport.
+        transport.  ``word`` must be a path from ``start_vertex``.
         """
-        self.bundle.base.validate_word(word, start_vertex)
         path = [("v", start_vertex, fiber_vertex)]
         for (e, sign) in word:
             x = path[-1][2]

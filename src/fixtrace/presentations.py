@@ -153,8 +153,7 @@ class Pi1Presentation:
     """
 
     __slots__ = ("complex", "basepoint", "generators", "surviving", "group",
-                 "component", "_parent", "_gen_index", "_tree_set",
-                 "_letters")
+                 "component", "_parent", "_gen_index", "_letters")
 
     def __init__(self, complex: SimplicialComplex, basepoint,
                  parent: Dict[int, Optional[int]]):
@@ -163,11 +162,11 @@ class Pi1Presentation:
         self.component = tuple(sorted(parent))
         self.group = None  # FreeGroup / FreeAbelianGroup once recognized
         self._parent = parent
-        self._tree_set = {(min(v, u), max(v, u))
-                          for v, u in parent.items() if u is not None}
+        tree = {(min(v, u), max(v, u))
+                for v, u in parent.items() if u is not None}
         self.generators = tuple(
             e for e in complex.edges()
-            if e[0] in parent and e[1] in parent and e not in self._tree_set)
+            if e[0] in parent and e[1] in parent and e not in tree)
         self._gen_index = {e: i for i, e in enumerate(self.generators)}
         # the generators Tietze elimination keeps, in increasing order
         self.surviving: List[int] = []
@@ -187,16 +186,10 @@ class Pi1Presentation:
         return steps
 
     def letter_of_step(self, a: int, b: int) -> Word:
-        """Contracted letter of traversing edge a -> b (empty for tree edges)."""
-        if a == b:
-            return ()
-        e = (min(a, b), max(a, b))
-        g = self._gen_index.get(e)
-        if g is None:
-            if e not in self._tree_set:
-                raise SimplicialError(f"{e} is not an edge of the complex")
-            return ()
-        return ((g, 1 if a < b else -1),)
+        """Contracted letter of traversing edge a -> b (empty for tree edges);
+        a == b or (a, b) is an edge of the basepoint component."""
+        g = self._gen_index.get((min(a, b), max(a, b)))
+        return () if g is None else ((g, 1 if a < b else -1),)
 
     def word_of_path(self, steps: Sequence[Tuple[int, int]]) -> Word:
         out: List[Tuple[int, int]] = []

@@ -111,21 +111,18 @@ class EquivariantChainComplex:
     """Free Z[group] complex in the row convention described above.
 
     ``boundaries[i-1]`` is the boundary from degree i to degree i-1, an
-    (rank_i x rank_{i-1}) group-ring matrix.
+    (rank_i x rank_{i-1}) group-ring matrix.  The constructor verifies
+    d . d = 0 over the group ring; its builders (``lift_to_universal_cover``
+    and ``BundleSelfMapPair.base_lift``) guarantee the counts and shapes.
     """
 
     def __init__(self, group, ranks: Sequence[int],
                  boundaries: Sequence[GroupRingMatrix],
                  presentation: Optional[Pi1Presentation] = None):
         self.group = group
-        self.ranks = tuple(int(r) for r in ranks)
+        self.ranks = tuple(ranks)
         self.boundaries = tuple(boundaries)
         self.presentation = presentation
-        if len(self.boundaries) != max(len(self.ranks) - 1, 0):
-            raise LiftError("need one boundary per positive degree")
-        for i, b in enumerate(self.boundaries, start=1):
-            if b.rows != self.ranks[i] or b.cols != self.ranks[i - 1]:
-                raise LiftError(f"boundary {i} has shape {b.rows}x{b.cols}")
         for i in range(2, len(self.ranks)):
             acc: Dict = {}
             add_product(acc, self.boundary(i), self.boundary(i - 1))
@@ -135,9 +132,6 @@ class EquivariantChainComplex:
     @property
     def top_degree(self) -> int:
         return len(self.ranks) - 1
-
-    def rank(self, i: int) -> int:
-        return self.ranks[i]
 
     def boundary(self, i: int) -> GroupRingMatrix:
         return self.boundaries[i - 1]
@@ -152,7 +146,9 @@ class TwistedChainMap:
     A lift of a self-map is one of these: ``endo`` is the induced
     endomorphism, ``complex.presentation`` the presentation it lives on,
     and ``basepath`` the path from the basepoint to its image that the
-    lift went through.
+    lift went through.  The constructor verifies twisted commutation; its
+    builders (``lift_map`` and ``BundleSelfMapPair.base_lift``) guarantee
+    one square component per degree.
     """
 
     def __init__(self, complex: EquivariantChainComplex, endo: GroupEndomorphism,
@@ -161,11 +157,6 @@ class TwistedChainMap:
         self.endo = endo
         self.components = tuple(components)
         self.basepath = basepath
-        if len(self.components) != complex.top_degree + 1:
-            raise LiftError("need one component per degree")
-        for i, f in enumerate(self.components):
-            if f.rows != complex.rank(i) or f.cols != complex.rank(i):
-                raise LiftError(f"component {i} has wrong shape")
         phi: Dict = {}
 
         def image(g):
@@ -238,7 +229,8 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
              l: EquivariantChainComplex) -> TwistedChainMap:
     """Lift of a simplicial self-map through the chosen basepath.
 
-    Several maps of one complex may share its cover ``l``.  A basepath of
+    ``f`` must be a self-map of the complex ``l.presentation`` presents;
+    several maps of one complex may share its cover ``l``.  A basepath of
     ``None`` means the spanning-tree path from the basepoint to its image.
     The canonical basepoint lift is sent through the basepath; the
     components are expressed by Fox derivatives of image words in degree
@@ -246,10 +238,6 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     Twisted commutation is verified exactly and failure is rejected.
     """
     p = l.presentation
-    if p is None:
-        raise LiftError("complex carries no presentation data")
-    if not f.is_endomorphism() or f.source != p.complex:
-        raise LiftError("map does not match the lifted complex")
     b = p.complex.index[p.basepoint]
     fb = f.apply_index(b)
     if basepath is None:
@@ -284,7 +272,7 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
             a_word = p.word_of_path(f.map_path(p.tree_path(a)))
             fa = img[0]
             x = tau[0]
-            corner = () if fa == x else p.letter_of_step(x, fa)
+            corner = p.letter_of_step(x, fa)
             m_word = reduce_word(a_word + invert_word(corner))
             m = group.mul(g0, p.element_of_word(m_word))
             ent2[i, pos[tau]] = GroupRingElement.of(group, m, sign)

@@ -122,11 +122,6 @@ class SimplicialComplex:
                            if set(s) <= keep_set])
         return SimplicialComplex([self.vertices[i] for i in keep], levels)
 
-    def __eq__(self, other):
-        return (isinstance(other, SimplicialComplex)
-                and self.vertices == other.vertices
-                and self.simplices == other.simplices)
-
     def __repr__(self):
         return f"SimplicialComplex(counts={[len(s) for s in self.simplices]})"
 
@@ -200,13 +195,8 @@ class SimplicialMap:
         img = self._img_idx
         return [(img[a], img[b]) for a, b in steps]
 
-    def is_endomorphism(self) -> bool:
-        return self.source == self.target
-
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other."""
-        if other.target != self.source:
-            raise SimplicialError("composition mismatch")
+        """self after other; other's target must be self's source."""
         images = {v: self.vertex_images[other.vertex_images[v]]
                   for v in other.source.vertices}
         return SimplicialMap(other.source, self.target, images)

@@ -4,8 +4,9 @@ The determinant checks that Smith transforms are unimodular and counts
 torus fixed points; composing chain maps checks that the chain functor
 is functorial; disjoint unions and the two-piece identity pairs check
 that Euler characteristics add over components; the small graph bases
-and the K4 point-fiber pairs build test pairs.  None of them runs in a
-command, so they live with the tests.
+and the K4 point-fiber pairs build test pairs; and the class-path check
+walks each class path that ``fiber_composite`` trusts.  None of them
+runs in a command, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -117,6 +118,16 @@ def k4_point_fiber_pair(images) -> BundleSelfMapPair:
     return BundleSelfMapPair(
         point_fiber_bundle(base), bmap,
         {v: SimplicialMap(pt, pt, {"p": "p"}) for v in base.vertices})
+
+
+def check_class_paths(pair: BundleSelfMapPair, depth: int) -> None:
+    """Every class of the base trace at ``depth`` has a class path from
+    the basepoint to its image, the path ``fiber_composite`` transports
+    back along; the library builds it and does not check it again."""
+    base = pair.bundle.base
+    end = pair.base_map.vertex_images[base.basepoint]
+    for cls, _ in pair.base_trace(depth).items():
+        base.validate_word(pair.class_path(cls), base.basepoint, end)
 
 
 def two_component_euler_fixtures() -> List[Tuple[BundleSelfMapPair, int]]:

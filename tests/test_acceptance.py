@@ -464,9 +464,10 @@ def test_criterion_11b_representative_independence():
         want = lefschetz_number(fiber_composite(pair, base.basepoint,
                                                 pair.class_path(c)))
         for alpha in alphas:
-            end = base.validate_word(alpha, "b0")
+            end = base.step_endpoints(alpha[-1])[1] if alpha else "b0"
             gamma2 = ([(e, -s) for (e, s) in reversed(alpha)]
                       + pair.class_path(c) + pair.base_map.apply_word(alpha))
+            base.validate_word(gamma2, end, pair.base_map.vertex_images[end])
             got = lefschetz_number(fiber_composite(pair, end, gamma2))
             assert got == want
     report("11b", "refined fiberwise Lefschetz values agree on 10 "

@@ -41,8 +41,9 @@ from fixtrace.reidemeister import (reidemeister_trace_chain,
                                    reidemeister_trace_geometric)
 from fixtrace.simplicial import (SimplicialMap, build_complex, chain_complex,
                                  lefschetz_number)
-from tests.oracles import (disjoint_union, figure_eight_base,
-                           k4_point_fiber_pair, two_component_euler_fixtures)
+from tests.oracles import (check_class_paths, disjoint_union,
+                           figure_eight_base, k4_point_fiber_pair,
+                           two_component_euler_fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +147,10 @@ def test_refined_lefschetz_representative_independent():
                   [("e3", -1), ("e3", 1)],
                   [("e0", 1), ("e1", 1), ("e1", -1)]]
         for alpha in alphas:
-            end = base.validate_word(alpha, "b0")
+            end = base.step_endpoints(alpha[-1])[1] if alpha else "b0"
             gamma2 = ([(e, -s) for (e, s) in reversed(alpha)]
                       + pair.class_path(c) + pair.base_map.apply_word(alpha))
+            base.validate_word(gamma2, end, pair.base_map.vertex_images[end])
             got = lefschetz_number(fiber_composite(pair, end, gamma2))
             assert got == want
 
@@ -455,8 +457,12 @@ def test_every_k4_point_fiber_pair_verifies():
     # closes: the class path (the inverse of the representative, then the
     # basepath) and the pushforward rule [g] -> [u * iota(g)] must agree.
     # Either one alone fails 6 of the 256 pairs, (1, 2, 0, 3) among them.
-    verdicts = [verify_reidemeister_mult(k4_point_fiber_pair(images), 3).verdict
-                for images in itertools.product(range(4), repeat=4)]
+    # Each class path must run from the basepoint to its image.
+    verdicts = []
+    for images in itertools.product(range(4), repeat=4):
+        pair = k4_point_fiber_pair(images)
+        verdicts.append(verify_reidemeister_mult(pair, 3).verdict)
+        check_class_paths(pair, 3)
     assert verdicts == ["pass"] * 256
 
 

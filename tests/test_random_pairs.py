@@ -18,7 +18,7 @@ from fixtrace.bundles import (BundleSelfMapPair, DiscreteBundle, GraphBase,
                               GraphSelfMap, Transport)
 from fixtrace.cli import main, serialize_pair
 from fixtrace.simplicial import SimplicialMap
-from tests.oracles import figure_eight_base, interval_base
+from tests.oracles import check_class_paths, figure_eight_base, interval_base
 
 SEED = 20
 PAIRS = 300
@@ -150,7 +150,9 @@ def test_random_valid_pairs_never_fail_nor_read_as_malformed(tmp_path, capsys):
     path = tmp_path / "pair.json"
     outcomes = {}
     for i in range(PAIRS):
-        doc = serialize_pair(random_pair(rng))
+        pair = random_pair(rng)
+        check_class_paths(pair, DEPTH)
+        doc = serialize_pair(pair)
         path.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["bundle-verify", str(path), "--depth", str(DEPTH)])
         out, err = capsys.readouterr()

@@ -269,16 +269,6 @@ def test_trace_uses_the_requested_depth():
                for cls, _ in deep.items())
 
 
-def test_lift_map_rejects_mismatched_complex():
-    k = circle(3)
-    k2 = circle(4)
-    p = pi1_presentation(k, 0)
-    cover = lift_to_universal_cover(p)
-    f = identity_map(k2)
-    with pytest.raises(LiftError):
-        lift_map(f, [], cover)
-
-
 def _changed_at_one_entry(m, ij=None):
     """A copy of the group-ring matrix ``m`` with 1 added to the entry at
     ``ij``, by default its least nonzero index."""
