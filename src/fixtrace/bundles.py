@@ -30,10 +30,7 @@ from .grouprings import (
     EQUAL,
     UNKNOWN,
     FreeGroup,
-    GroupEndomorphism,
     GroupHomomorphism,
-    GroupRingElement,
-    GroupRingMatrix,
     ShadowElement,
     TwistedClass,
     class_label,
@@ -42,12 +39,12 @@ from .grouprings import (
     shadow_equal,
     shadow_rendering,
 )
-from .presentations import induced_pi1_endo, pi1_presentation
+from .presentations import pi1_presentation
 from .reidemeister import (
     EquivariantChainComplex,
     TwistedChainMap,
     degree1_boundary,
-    degree1_fox_lift,
+    lift_low_degrees,
     lift_map,
     lift_self_map,
     lift_to_universal_cover,
@@ -58,7 +55,6 @@ from .simplicial import (
     SimplicialError,
     SimplicialMap,
     build_complex,
-    identity_map,
     induced_chain_map,
     lefschetz_number,
     reverse_path,
@@ -268,13 +264,16 @@ class DiscreteBundle:
 
 def transport(bundle: DiscreteBundle, word: Sequence[EdgeStep], start
               ) -> SimplicialMap:
-    """Composite of edge transports along a path; empty word is the identity."""
-    out = identity_map(bundle.fiber(start))
+    """Composite of edge transports along a path; empty word is the identity.
+    The vertex images are composed first, so one map is built and checked."""
+    source = target = bundle.fiber(start)
+    images = {x: x for x in source.vertices}
     for (e, sign) in word:
         t = bundle.transports[e]
         step_map = t.forward if sign == 1 else t.inverse
-        out = step_map.compose(out)
-    return out
+        images = {x: step_map.vertex_images[y] for x, y in images.items()}
+        target = step_map.target
+    return SimplicialMap(source, target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -379,25 +378,18 @@ class BundleSelfMapPair:
         return [base.word_of(self.base_map.apply_word(base.generator_loop(e)))
                 for e in base.generator_edges]
 
-    @cached_property
-    def base_endomorphism(self) -> GroupEndomorphism:
-        """Induced endomorphism of the base group through the basepath."""
-        base = self.bundle.base
-        return induced_pi1_endo(base.group, reduce_word,
-                                base.word_of(self.basepath),
-                                self.base_loop_images)
-
     def base_lift(self) -> TwistedChainMap:
-        """Lift of the base map on the tree-contracted chain model."""
+        """Lift of the base map on the tree-contracted chain model; every
+        generator of the free base group survives."""
         base = self.bundle.base
         group = base.group
-        gens = [((j, 1),) for j in range(len(base.generator_edges))]
-        cover = EquivariantChainComplex(group, [1, len(gens)],
-                                        [degree1_boundary(group, gens)])
-        g0 = base.word_of(self.basepath)
-        f0 = GroupRingMatrix.from_rows(group, [[GroupRingElement.of(group, g0)]])
-        f1 = degree1_fox_lift(group, g0, self.base_loop_images, reduce_word)
-        return TwistedChainMap(cover, self.base_endomorphism, [f0, f1])
+        gens = range(len(base.generator_edges))
+        cover = EquivariantChainComplex(group, [1, len(gens)], [
+            degree1_boundary(group, [((j, 1),) for j in gens])])
+        endo, _, comps = lift_low_degrees(group, reduce_word,
+                                          base.word_of(self.basepath),
+                                          self.base_loop_images, gens)
+        return TwistedChainMap(cover, endo, comps)
 
     def class_path(self, cls: TwistedClass) -> List[EdgeStep]:
         """Path from the basepoint to its image representing a base class.

@@ -153,11 +153,19 @@ def parse_map(doc: Dict) -> Tuple[SimplicialComplex, SimplicialMap,
                                                    "map document"))
     except SimplicialError as exc:
         raise InputError(f"invalid self-map: {exc}")
-    basepath = []
+    basepath, cur = [], 0  # an edge path from the first vertex, if any
     for u, v in json_steps(doc.get("basepath", []), "basepath"):
         if not _is_name(v) or u not in k.index or v not in k.index:
             raise InputError(f"basepath step {[u, v]} uses unknown vertices")
-        basepath.append((k.index[u], k.index[v]))
+        a, b = k.index[u], k.index[v]
+        if a != cur or not k.has_simplex(tuple(sorted({a, b}))):
+            raise InputError(
+                f"basepath step {[u, v]} does not continue an edge path")
+        basepath.append((a, b))
+        cur = b
+    if basepath and cur != f.apply_index(0):
+        raise InputError(
+            "basepath does not end at the image of the first vertex")
     # a witness's letters depend on the group, which reidemeister reads
     records = doc.get("fixed_point_records")
     if "fixed_point_records" in doc and not isinstance(records, list):

@@ -490,11 +490,6 @@ def homology_maps(m: ChainMap) -> List[List[List[int]]]:
     for i in range(top + 1):
         src_d, src_m = m.source.homology_basis(i)
         tgt_d, tgt_m = m.target.homology_basis(i)
-        # ker(d_i) has rank M.rows; the image of d_(i+1) has rank(M).
-        hs, ht = src_m.S.rows - src_m.rank, tgt_m.S.rows - tgt_m.rank
-        if hs == 0 or ht == 0:
-            out.append([[0] * hs for _ in range(ht)])
-            continue
         # kernel columns of the source: columns of V past the rank
         r = src_d.rank
         kernel = IntMatrix._sparse(src_d.S.cols, src_m.S.rows, [
@@ -502,9 +497,9 @@ def homology_maps(m: ChainMap) -> List[List[List[int]]]:
             for row in src_d.V._data])
         y = _kernel_coordinates(tgt_d, m.component(i) * kernel)
         a = tgt_m.U * y * src_m.Uinv
-        block = [[a[row, col] for col in range(src_m.rank, a.cols)]
-                 for row in range(tgt_m.rank, a.rows)]
-        out.append(block)
+        # indices rank(M) .. M.rows - 1 span ker(d_i) / im(d_(i+1))
+        out.append([[a[row, col] for col in range(src_m.rank, a.cols)]
+                    for row in range(tgt_m.rank, a.rows)])
     return out
 
 

@@ -9,12 +9,14 @@ Twisted conjugacy is the relation g ~ phi(h) * g * h^-1 for an
 endomorphism phi.  It is the relation that ``lift_map``'s deck convention
 puts the diagonal terms in: deck elements act on cells from the left and a
 lift F satisfies F(h c) = phi(h) F(c), so lifting a cell as h c instead of
-c turns its diagonal term g into phi(h) * g * h^-1.  For free abelian
-groups the class of an element has a decisive canonical representative;
-for free groups of rank at least two the problem is attacked by bounded
-search and the results are marked heuristic unless the endomorphism is
-the identity (ordinary conjugacy, decided by cyclic words) or the rank is
-at most one.
+c turns its diagonal term g into phi(h) * g * h^-1.  Over Z^n, and over
+F_1, which is Z written as words, one rule decides the class: its key is
+the abelianized element reduced modulo the image of I - A
+(``endo.classifier``), and its representative is the vector that key
+names, written over F_1 as a power of the generator.  For free groups of
+rank at least two the problem is attacked by bounded search and the
+results are marked heuristic unless the endomorphism is the identity
+(ordinary conjugacy, decided by cyclic words).
 
 A shadow element is a finite integer combination of twisted conjugacy
 classes; it is the value domain of twisted traces of group-ring matrices
@@ -308,18 +310,13 @@ def twisted_class(group, endo: GroupEndomorphism, g,
     """Canonical representative of [g] under g ~ phi(h) g h^-1, the
     relation that lifting a cell as h c instead of c applies to its
     diagonal term (``lift_map`` makes lifts phi-semilinear)."""
-    if group.kind == "free_abelian":
+    if group.kind == "free_abelian" or group.rank == 1:
         cl = endo.classifier
-        reduced = cl.reduce(g)
-        return TwistedClass(key=reduced, rep=cl.rep_of(reduced), certainty=CERTAIN)
-    # free group
-    if group.rank == 1:
-        (m,) = group.abelianized(g)
-        (d,) = group.abelianized(endo.images[0])
-        c = 1 - d
-        r = m % abs(c) if c != 0 else m
-        rep = ((0, 1),) * r if r > 0 else ((0, -1),) * (-r) if r < 0 else ()
-        return TwistedClass(key=r, rep=rep, certainty=CERTAIN)
+        key = cl.reduce(group.abelianized(g))
+        rep = cl.rep_of(key)
+        if group.kind == "free":
+            rep = _power(group, ((0, 1),), rep[0])
+        return TwistedClass(key=key, rep=rep, certainty=CERTAIN)
     if endo.is_identity():
         nf = cyclic_normal_form(g)
         return TwistedClass(key=nf, rep=nf, certainty=CERTAIN)
@@ -456,15 +453,6 @@ class GroupRingMatrix:
             if a.terms:
                 self.entries[i, j] = a
 
-    @classmethod
-    def from_rows(cls, group, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise GroupError("rows of unequal length")
-        return cls(group, r, c, {(i, j): a for i, row in enumerate(rows)
-                                 for j, a in enumerate(row)})
-
     def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise GroupError("shape mismatch")
@@ -567,6 +555,16 @@ class ShadowElement:
         return ShadowElement(self.group, self.endo, merged)
 
 
+def shadow_sum(group, endo: GroupEndomorphism, terms,
+               depth: int) -> ShadowElement:
+    """The sum of c [g] over the ``(g, c)`` terms.  They are summed by
+    element first, and only elements with a nonzero net coefficient are
+    classified: the rest would cancel in their class anyway."""
+    return ShadowElement(group, endo, [
+        (twisted_class(group, endo, g, depth), c)
+        for g, c in _collect(terms, lambda g: g).values()])
+
+
 def augment(s: ShadowElement) -> int:
     """Sum of the coefficients."""
     return sum(c for _, c in s.terms.values())
@@ -588,11 +586,9 @@ def shadow_equal(s1: ShadowElement, s2: ShadowElement, depth: int) -> str:
 
 
 def class_label(cls: TwistedClass) -> str:
-    """A rank-1 key ``[k]``, a Z^n key ``[v0,v1]`` or a word
+    """An abelianized key ``[v0,v1]`` (``[k]`` in rank one) or a word
     ``[g0^1.g1^-1]``."""
     key = cls.key
-    if isinstance(key, int):
-        return f"[{key}]"
     if all(isinstance(x, int) for x in key):
         return "[" + ",".join(str(x) for x in key) + "]"
     return "[" + ".".join(f"g{g}^{e}" for g, e in key) + "]"

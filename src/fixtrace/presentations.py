@@ -17,7 +17,7 @@ from collections import defaultdict, deque
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .grouprings import FreeAbelianGroup, FreeGroup, GroupEndomorphism
-from .simplicial import SimplicialComplex, SimplicialError, reverse_path
+from .simplicial import SimplicialComplex, reverse_path
 from .words import (
     cyclic_normal_form,
     cyclic_reduce,
@@ -30,14 +30,7 @@ Word = Tuple[Tuple[int, int], ...]  # letters (generator index, +-1)
 
 
 def _substitute(word: Word, mapping: Dict[int, Word]) -> Word:
-    out: List[Tuple[int, int]] = []
-    for g, e in word:
-        rep = mapping.get(g)
-        if rep is None:
-            out.append((g, e))
-        else:
-            out.extend(rep if e == 1 else invert_word(rep))
-    return reduce_word(out)
+    return reduce_word(expand_word(word, lambda g: mapping.get(g, ((g, 1),))))
 
 
 _MAX_RELATOR_LENGTH = 4096
@@ -273,27 +266,15 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     return pres
 
 
-def validate_edge_path(k: SimplicialComplex, steps: Sequence[Tuple[int, int]],
-                       start: int, end: int) -> None:
-    cur = start
-    for a, b in steps:
-        if a != cur:
-            raise SimplicialError("edge path is not connected")
-        if a != b and not k.has_simplex((min(a, b), max(a, b))):
-            raise SimplicialError(f"({a},{b}) is not an edge")
-        cur = b
-    if cur != end:
-        raise SimplicialError("edge path ends at the wrong vertex")
-
-
 def induced_pi1_endo(group, element_of_word: Callable[[Word], object],
                      beta: Word, words: Sequence[Word]) -> GroupEndomorphism:
     """Endomorphism g -> beta . f(g) . beta^-1 of ``group``.
 
     ``words`` are the image words of the loops of the surviving
     generators, in order, and ``beta`` is the word of the basepath;
-    ``element_of_word`` reads a conjugated word in ``group``.  Complexes
-    (``lift_map``) and graph bases (``BundleSelfMapPair``) share it.
+    ``element_of_word`` reads a conjugated word in ``group``.  Its one
+    caller, ``reidemeister.lift_low_degrees``, serves complexes and graph
+    bases alike.
     """
     return GroupEndomorphism(group, [
         element_of_word(beta + w + invert_word(beta)) for w in words])

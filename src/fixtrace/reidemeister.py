@@ -9,7 +9,9 @@ derivatives of its attaching word.  The lift of a simplicial self-map is
 computed from the same data.  It is a ``TwistedChainMap`` that carries
 the basepath it was lifted through, and its twisted trace, summed with
 alternating signs (``reidemeister_trace_chain``), is the chain-level
-Reidemeister trace.
+Reidemeister trace.  ``fox_matrix`` builds the degree-2 boundary and the
+degree-1 lift, ``lift_low_degrees`` lifts complexes and graph bases alike,
+and both trace routes sum classes with ``grouprings.shadow_sum``.
 
 Matrix convention: rows index source cells and columns target cells, so
 matrices of composable maps multiply in diagram order and the twisted
@@ -30,14 +32,13 @@ from .grouprings import (
     GroupRingMatrix,
     ShadowElement,
     add_product,
-    twisted_class,
+    shadow_sum,
 )
 from .presentations import (
     Pi1Presentation,
     Word,
     induced_pi1_endo,
     pi1_presentation,
-    validate_edge_path,
 )
 from .simplicial import SimplicialComplex, SimplicialMap, _sort_sign
 from .words import invert_word, reduce_word
@@ -88,17 +89,13 @@ def degree1_boundary(group, loops: Sequence) -> GroupRingMatrix:
         for e, g_e in enumerate(loops)})
 
 
-def degree1_fox_lift(group, g0, words: Sequence[Word],
-                     element_of_word: Callable[[Word], object]
-                     ) -> GroupRingMatrix:
-    """Degree-1 lift component: entry (e, j) is g0 * d(w_e)/d(x_j).
-
-    ``words`` are the image words of the 1-cells' loops, one per 1-cell,
-    and ``g0`` is the group element of the basepath, where each word's one
-    Fox pass starts its running prefix.
+def fox_matrix(group, g0, words: Sequence[Word], cols: int,
+               element_of_word: Callable[[Word], object]) -> GroupRingMatrix:
+    """Entry (e, j) is g0 * d(w_e)/d(x_j), one Fox pass per word: the
+    degree-2 boundary of a cover (g0 = 1, the relators) or the degree-1
+    lift (g0 the basepath element, the image words of the 1-cells' loops).
     """
-    n = len(words)
-    return GroupRingMatrix(group, n, n, {
+    return GroupRingMatrix(group, len(words), cols, {
         (e, j): d for e, w in enumerate(words)
         for j, d in fox_derivative(w, element_of_word, group, g0).items()})
 
@@ -216,13 +213,24 @@ def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
     two = tuple(k.n_simplices(2))
     if two:
         ranks.append(len(two))
-        ent = {}
-        for i, s in enumerate(two):
-            for j, d in fox_derivative(p.relator(s), p.element_of_word,
-                                       group, group.identity()).items():
-                ent[i, j] = d
-        boundaries.append(GroupRingMatrix(group, len(two), len(gens), ent))
+        boundaries.append(fox_matrix(group, group.identity(),
+                                     [p.relator(s) for s in two], len(gens),
+                                     p.element_of_word))
     return EquivariantChainComplex(group, ranks, boundaries, presentation=p)
+
+
+def lift_low_degrees(group, element_of_word: Callable[[Word], object],
+                     beta: Word, words: Sequence[Word], surviving):
+    """The induced endomorphism, the basepath element g0 and the lift in
+    degrees 0 and 1, for complexes and graph bases alike: ``words`` are the
+    image words of the generator loops, ``surviving`` the generators the
+    group keeps and ``beta`` the basepath's word."""
+    endo = induced_pi1_endo(group, element_of_word, beta,
+                            [words[gi] for gi in surviving])
+    g0 = element_of_word(beta)
+    f0 = GroupRingMatrix(group, 1, 1, {(0, 0): GroupRingElement.of(group, g0)})
+    return endo, g0, [f0, fox_matrix(group, g0, words, len(words),
+                                     element_of_word)]
 
 
 def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
@@ -231,7 +239,8 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
 
     ``f`` must be a self-map of the complex ``l.presentation`` presents;
     several maps of one complex may share its cover ``l``.  A basepath of
-    ``None`` means the spanning-tree path from the basepoint to its image.
+    ``None`` means the spanning-tree path from the basepoint to its image;
+    any other is an edge path there, as ``documents.parse_map`` checks.
     The canonical basepoint lift is sent through the basepath; the
     components are expressed by Fox derivatives of image words in degree
     one and by a deck translate with an orientation sign in degree two.
@@ -243,18 +252,12 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     if basepath is None:
         basepath = p.tree_path(fb)
     basepath = tuple(tuple(s) for s in basepath)
-    validate_edge_path(p.complex, basepath, b, fb)
     group = l.group
     words = [p.word_of_path(f.map_path(p.generator_loop(gi)))
              for gi in range(len(p.generators))]
-    beta = p.word_of_path(basepath)
-    endo = induced_pi1_endo(group, p.element_of_word, beta,
-                            [words[gi] for gi in p.surviving])
-    g0 = p.element_of_word(beta)
-    comps: List[GroupRingMatrix] = [
-        GroupRingMatrix.from_rows(group, [[GroupRingElement.of(group, g0)]])]
-    if l.top_degree >= 1:
-        comps.append(degree1_fox_lift(group, g0, words, p.element_of_word))
+    endo, g0, comps = lift_low_degrees(group, p.element_of_word,
+                                       p.word_of_path(basepath), words,
+                                       p.surviving)
     if l.top_degree >= 2:
         two = p.complex.n_simplices(2)
         pos = {s: i for i, s in enumerate(two)}
@@ -264,8 +267,6 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
             if len(set(img)) != len(img):
                 continue
             tau = tuple(sorted(img))
-            if tau not in pos:
-                raise LiftError("image 2-simplex missing from the complex")
             sign = _sort_sign(img)
             # deck element: basepath, then the image of the tree path of the
             # least vertex, then back along tau's own corner path
@@ -277,29 +278,21 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
             m = group.mul(g0, p.element_of_word(m_word))
             ent2[i, pos[tau]] = GroupRingElement.of(group, m, sign)
         comps.append(GroupRingMatrix(group, len(two), len(two), ent2))
-    return TwistedChainMap(l, endo, comps, basepath)
+    return TwistedChainMap(l, endo, comps[:l.top_degree + 1], basepath)
 
 
 def reidemeister_trace_chain(m: TwistedChainMap, depth: int) -> ShadowElement:
-    """Alternating sum of twisted traces of the components.
-
-    The diagonal terms of every degree are first summed by group element,
-    and only elements with a nonzero net coefficient are classified: the
-    rest would cancel in their class anyway.
-    """
-    net: Dict = {}
+    """Alternating sum of twisted traces of the components: the diagonal
+    terms of every degree, read row by row, go to ``shadow_sum``."""
+    terms = []
     for i in range(m.complex.top_degree + 1):
         sign = 1 if i % 2 == 0 else -1
         f = m.component(i)
         for j in range(f.rows):
             a = f.entries.get((j, j))
             if a is not None:
-                for g, c in a.terms.values():
-                    net[g] = net.get(g, 0) + sign * c
-    group = m.complex.group
-    return ShadowElement(group, m.endo, [
-        (twisted_class(group, m.endo, g, depth), c)
-        for g, c in net.items() if c])
+                terms.extend((g, sign * c) for g, c in a.terms.values())
+    return shadow_sum(m.complex.group, m.endo, terms, depth)
 
 
 def lift_self_map(k: SimplicialComplex, f: SimplicialMap,
@@ -375,8 +368,5 @@ def reidemeister_trace_geometric(records: Sequence[FixedPointRecord], group,
                                  endo: GroupEndomorphism,
                                  depth: int) -> ShadowElement:
     """Sum of index-weighted twisted classes of the fixed-point witnesses."""
-    terms = []
-    for r in records:
-        terms.append((twisted_class(group, endo, r.class_witness, depth),
-                      r.index))
-    return ShadowElement(group, endo, terms)
+    return shadow_sum(group, endo,
+                      [(r.class_witness, r.index) for r in records], depth)

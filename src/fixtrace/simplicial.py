@@ -205,10 +205,6 @@ class SimplicialMap:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
 
 
-def identity_map(k: SimplicialComplex) -> SimplicialMap:
-    return SimplicialMap(k, k, {v: v for v in k.vertices})
-
-
 def reverse_path(steps: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """The edge path of (a, b) steps walked backwards."""
     return [(b, a) for a, b in reversed(steps)]

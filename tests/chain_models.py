@@ -32,10 +32,10 @@ from fixtrace.reidemeister import (
     FixedPointRecord,
     TwistedChainMap,
     degree1_boundary,
-    degree1_fox_lift,
     fox_derivative,
+    fox_matrix,
 )
-from tests.oracles import determinant
+from tests.oracles import determinant, from_rows
 
 
 def twisted_hs_trace(m: GroupRingMatrix, endo: GroupEndomorphism,
@@ -53,7 +53,7 @@ def twisted_hs_trace(m: GroupRingMatrix, endo: GroupEndomorphism,
 
 def unit_matrix(group) -> GroupRingMatrix:
     """The 1 x 1 group-ring matrix holding the group's identity."""
-    return GroupRingMatrix.from_rows(
+    return from_rows(
         group, [[GroupRingElement.of(group, group.identity())]])
 
 
@@ -64,7 +64,7 @@ def circle_degree_chain_model(d: int) -> TwistedChainMap:
     cover = EquivariantChainComplex(z, [1, 1], [degree1_boundary(z, [(1,)])])
     f0 = unit_matrix(z)
     word = ((0, 1),) * d if d >= 0 else ((0, -1),) * (-d)
-    f1 = degree1_fox_lift(z, z.identity(), [word], FreeGroup(1).abelianized)
+    f1 = fox_matrix(z, z.identity(), [word], 1, FreeGroup(1).abelianized)
     return TwistedChainMap(cover, endo, [f0, f1])
 
 
@@ -176,11 +176,11 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
     words = [power_word(0, a00) + power_word(1, a10),
              power_word(0, a01) + power_word(1, a11)]
     f0 = unit_matrix(z2)
-    f1 = degree1_fox_lift(z2, z2.identity(), words, elem)
+    f1 = fox_matrix(z2, z2.identity(), words, 2, elem)
     # f2 * b2 = phi(b2) * f1, and b2's entry (0, 0) is 1 - t^(0,1)
     rhs = (b2.apply(endo) * f1).entries.get((0, 0), GroupRingElement(z2, ()))
     f2_entry = _divide_one_minus(rhs, (0, 1))
-    f2 = GroupRingMatrix.from_rows(z2, [[f2_entry]])
+    f2 = from_rows(z2, [[f2_entry]])
     return TwistedChainMap(cover, endo, [f0, f1, f2])
 
 

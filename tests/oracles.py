@@ -4,9 +4,11 @@ The determinant checks that Smith transforms are unimodular and counts
 torus fixed points; composing chain maps checks that the chain functor
 is functorial; disjoint unions and the two-piece identity pairs check
 that Euler characteristics add over components; the small graph bases
-and the K4 point-fiber pairs build test pairs; and the class-path check
-walks each class path that ``fiber_composite`` trusts.  None of them
-runs in a command, so they live with the tests.
+and the K4 point-fiber pairs build test pairs; the class-path check
+walks each class path that ``fiber_composite`` trusts; the rank-one rule
+m mod |1 - d| decides twisted classes of z -> z^d without a Smith form;
+and identity maps and group-ring matrices given by rows build test
+inputs.  None of them runs in a command, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from fixtrace.catalog import (
     two_point_complex,
 )
 from fixtrace.exactalg import ChainComplex, ChainMap, ExactAlgError, IntMatrix
-from fixtrace.simplicial import SimplicialComplex, SimplicialMap, identity_map
+from fixtrace.grouprings import GroupError, GroupRingMatrix
+from fixtrace.simplicial import SimplicialComplex, SimplicialMap
 
 
 def determinant(m: IntMatrix) -> int:
@@ -55,6 +58,28 @@ def determinant(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def identity_map(k: SimplicialComplex) -> SimplicialMap:
+    return SimplicialMap(k, k, {v: v for v in k.vertices})
+
+
+def from_rows(group, rows) -> GroupRingMatrix:
+    """The group-ring matrix with the given rows of ``GroupRingElement``s."""
+    r = len(rows)
+    c = len(rows[0]) if r else 0
+    if any(len(row) != c for row in rows):
+        raise GroupError("rows of unequal length")
+    return GroupRingMatrix(group, r, c, {
+        (i, j): a for i, row in enumerate(rows) for j, a in enumerate(row)})
+
+
+def rank1_class_key(m: int, d: int) -> int:
+    """The twisted class of z^m under phi(z) = z^d, where z^m is related
+    to z^(m + (d - 1) k) for every k: the residue of m modulo |1 - d|, or
+    m itself when d = 1."""
+    c = 1 - d
+    return m % abs(c) if c != 0 else m
 
 
 def identity_chain_map(c: ChainComplex) -> ChainMap:

@@ -30,7 +30,6 @@ from fixtrace.grouprings import (
     FreeGroup,
     GroupEndomorphism,
     GroupRingElement,
-    GroupRingMatrix,
     augment,
     nielsen,
     shadow_equal,
@@ -53,6 +52,7 @@ from tests.chain_models import twisted_hs_trace
 from tests.oracles import (
     determinant,
     disjoint_union,
+    from_rows,
     two_component_euler_fixtures,
 )
 from tests.tensor_products import tensor_chain_map
@@ -186,7 +186,7 @@ def test_criterion_3_circle_family():
         base_group = pair.bundle.base.group
         geo_graph = reidemeister_trace_geometric(
             cm.materialize_records(oracle["records"], base_group),
-            base_group, pair.base_endomorphism, DEFAULT_DEPTH)
+            base_group, pair.base_lift().endo, DEFAULT_DEPTH)
         assert shadow_equal(r_graph, geo_graph, DEFAULT_DEPTH) == EQUAL
         assert nielsen(r_graph, DEFAULT_DEPTH) == oracle["nielsen"]
     report(3, "circle family d in {-3,-2,-1,0,2,3,4}: |1-d| classes of sign "
@@ -324,7 +324,7 @@ def _random_ring_matrix(group, rng, n, elements):
                      for _ in range(rng.randrange(3))]
             row.append(GroupRingElement(group, terms))
         rows.append(row)
-    return GroupRingMatrix.from_rows(group, rows)
+    return from_rows(group, rows)
 
 
 def test_criterion_8_shadow_cyclicity():

@@ -175,7 +175,7 @@ def test_class_path_ignores_the_twisted_representative():
                             {"a": [("a", 1), ("b", 1)], "b": [("b", 1)]})
     pair = BundleSelfMapPair(bundle, base_map, {"b0": SimplicialMap(
         pts, pts, {"0": "2", "1": "0", "2": "1"})})
-    group, phi = base.group, pair.base_endomorphism
+    group, phi = base.group, pair.base_lift().endo
     values = {}
     for cls, _ in base_reidemeister(pair, DEFAULT_DEPTH).items():
         want = values[cls.rep] = lefschetz_number(class_composite(pair, cls))
@@ -190,7 +190,7 @@ def test_trivial_bundle_composite_is_fiber_map():
     pair = trivial_product_pair("identity", "reflection")
     group = pair.bundle.base.group
     for w in ((), ((0, 1),), ((0, -1),)):
-        c = twisted_class(group, pair.base_endomorphism, w, 1)
+        c = twisted_class(group, pair.base_lift().endo, w, 1)
         assert lefschetz_number(class_composite(pair, c)) == 2
 
 

@@ -431,12 +431,12 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
     path = write(tmp_path, "pair.json", serialize_pair(pair))
     built = []
     lifted = []
-    endos = []
+    low_lifts = []
     base_traces = []
     traced = []
     real_total_space = bundles.total_space
     real_lift = bundles.lift_self_map
-    real_endo = bundles.induced_pi1_endo
+    real_low_lift = bundles.lift_low_degrees
     real_base_trace = bundles.base_reidemeister
     real_trace = bundles.reidemeister_trace_chain
 
@@ -450,9 +450,9 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
         lifted.append((k, result))
         return result
 
-    def counting_endo(*args, **kwargs):
-        endos.append(args)
-        return real_endo(*args, **kwargs)
+    def counting_low_lift(*args, **kwargs):
+        low_lifts.append(args)
+        return real_low_lift(*args, **kwargs)
 
     def counting_base_trace(*args, **kwargs):
         base_traces.append(args)
@@ -464,7 +464,7 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
 
     monkeypatch.setattr(bundles, "total_space", counting_total_space)
     monkeypatch.setattr(bundles, "lift_self_map", counting_lift)
-    monkeypatch.setattr(bundles, "induced_pi1_endo", counting_endo)
+    monkeypatch.setattr(bundles, "lift_low_degrees", counting_low_lift)
     monkeypatch.setattr(bundles, "base_reidemeister", counting_base_trace)
     monkeypatch.setattr(bundles, "reidemeister_trace_chain", counting_trace)
     code, out, _ = run_cli(capsys, "bundle-verify", path, "--theorem", "both")
@@ -473,7 +473,7 @@ def test_bundle_verify_builds_total_space_and_lift_once(tmp_path, capsys,
     assert len(built) == 1
     total_lifts = [lift for k, lift in lifted if k == built[0]]
     assert len(total_lifts) == 1
-    assert len(endos) == 1  # the base endomorphism
+    assert len(low_lifts) == 1  # the base lift and its endomorphism
     assert len(base_traces) == 1
     assert sum(1 for lift in traced if lift is total_lifts[0]) == 1
 
@@ -844,8 +844,8 @@ def _base_map(mutate):
     return _mutated_degree_pair(lambda d: mutate(d["base_map"]))
 
 
-def _map_basepath(steps):
-    return ["reidemeister", dict(reflection_doc(), basepath=steps)]
+def _map_basepath(steps, command="reidemeister"):
+    return [command, dict(reflection_doc(), basepath=steps)]
 
 
 PQRS = dict(zip(("b0", "b1", "b2", "b3"), "pqrs"))
@@ -962,10 +962,20 @@ EXIT_2_PATHS = {
     "map-basepath-unknown-vertex": (
         lambda: _map_basepath([["0", "9"]]),
         "basepath step ['0', '9'] uses unknown vertices"),
-    "map-basepath-not-an-edge": (lambda: _map_basepath([["0", "2"]]),
-                                 "(0,2) is not an edge"),
-    "map-basepath-gap": (lambda: _map_basepath([["0", "1"], ["2", "3"]]),
-                         "edge path is not connected"),
+    "map-basepath-not-an-edge": (
+        lambda: _map_basepath([["0", "2"]]),
+        "basepath step ['0', '2'] does not continue an edge path\n"),
+    "map-basepath-gap": (
+        lambda: _map_basepath([["0", "1"], ["2", "3"]]),
+        "basepath step ['2', '3'] does not continue an edge path\n"),
+    # the map reader checks the basepath, so every command that reads a
+    # map document rejects it, not only the one that lifts through it
+    "map-basepath-not-an-edge-lefschetz": (
+        lambda: _map_basepath([["0", "2"]], "lefschetz"),
+        "basepath step ['0', '2'] does not continue an edge path\n"),
+    "map-basepath-gap-lefschetz": (
+        lambda: _map_basepath([["0", "1"], ["2", "3"]], "lefschetz"),
+        "basepath step ['2', '3'] does not continue an edge path\n"),
     "witness-generator-out-of-range": (
         lambda: _reflection_records(1, [[5, 1]]),
         "fixed point witness generator must lie in [0, 1), got 5\n"),
@@ -1640,7 +1650,7 @@ def test_k5_cycle_cancels_before_any_class_search(tmp_path, capsys,
     # The vertex 5-cycle of K5 (free pi_1 of rank 6) has no fixed point:
     # every diagonal term of its lift cancels by group element, so no
     # twisted class is ever searched, even at the default depth.
-    from fixtrace import grouprings, reidemeister
+    from fixtrace import grouprings
     calls = []
     twisted_class = grouprings.twisted_class
 
@@ -1648,8 +1658,8 @@ def test_k5_cycle_cancels_before_any_class_search(tmp_path, capsys,
         calls.append(args)
         return twisted_class(*args, **kwargs)
 
+    # both trace routes classify through grouprings.shadow_sum
     monkeypatch.setattr(grouprings, "twisted_class", counting)
-    monkeypatch.setattr(reidemeister, "twisted_class", counting)
     doc = _complete_graph_map_document(5, [1, 2, 3, 4, 0])
     code, out, _ = run_cli(capsys, "reidemeister",
                            write(tmp_path, "k5.json", doc))
@@ -1838,9 +1848,11 @@ def test_empty_map_basepath_means_the_tree_path(tmp_path, capsys, name):
 def test_wrong_map_basepath_exits_2(tmp_path, capsys):
     path = write(tmp_path, "map.json",
                  _c4_map("rotation", basepath=[["0", "3"]]))
-    code, out, err = run_cli(capsys, "reidemeister", path)
-    assert (code, out) == (EXIT_INPUT, "")
-    assert err == "error: edge path ends at the wrong vertex\n"
+    for command in ("reidemeister", "lefschetz"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("error: basepath does not end at the image of the "
+                       "first vertex\n")
 
 
 def test_empty_pair_basepath_is_taken_literally(tmp_path, capsys):

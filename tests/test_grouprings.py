@@ -27,10 +27,10 @@ from fixtrace.grouprings import (
     shadow_equal,
     twisted_class,
 )
-from fixtrace.grouprings import _power
+from fixtrace.grouprings import _power, class_label
 from fixtrace.words import expand_word, invert_word, join_reduced, reduce_word
 from tests.chain_models import twisted_hs_trace, unit_matrix
-from tests.oracles import determinant
+from tests.oracles import determinant, from_rows, rank1_class_key
 
 Z = FreeAbelianGroup(1)
 
@@ -71,6 +71,32 @@ def test_twisted_class_doubling_on_Z():
     keys = {twisted_class(Z, endo, (g,), DEFAULT_DEPTH).key
             for g in range(-8, 9)}
     assert len(keys) == 1
+
+
+def test_rank_one_classes_follow_the_residue_rule():
+    # F_1 and Z = F_1 abelianized share one class key, the classifier's
+    # reduction of the exponent sum; the oracle decides twisted classes of
+    # z -> z^d by m mod |1 - d| without a Smith form.  Keys are equal
+    # exactly when the oracle puts m and m' in one class, and each rep
+    # lies in its element's class.
+    f1 = FreeGroup(1)
+    for d in range(-5, 6):
+        phi_f1 = GroupEndomorphism(f1, [_power(f1, ((0, 1),), d)])
+        phi_z = z_endo(d)
+        keys = {}
+        for m in range(-12, 13):
+            c_f1 = twisted_class(f1, phi_f1, _power(f1, ((0, 1),), m), 0)
+            c_z = twisted_class(Z, phi_z, (m,), 0)
+            assert (c_f1.is_certain, c_z.is_certain) == (True, True)
+            assert class_label(c_f1) == class_label(c_z), (d, m)
+            assert c_f1.key == c_z.key, (d, m)
+            (k_f1,), (k_z,) = f1.abelianized(c_f1.rep), c_z.rep
+            assert (rank1_class_key(k_f1, d) == rank1_class_key(k_z, d)
+                    == rank1_class_key(m, d)), (d, m)
+            keys[m] = c_f1.key
+        for m, m2 in itertools.product(keys, repeat=2):
+            assert (keys[m] == keys[m2]) == (
+                rank1_class_key(m, d) == rank1_class_key(m2, d)), (d, m, m2)
 
 
 def test_classes_equal_examples():
@@ -196,7 +222,7 @@ def test_hs_trace_single_identity():
 def test_hs_trace_doubling_collapse():
     endo = z_endo(2)
     e = ring_elem(Z, ((0,), 1), ((1,), 1))
-    m = GroupRingMatrix.from_rows(Z, [[e]])
+    m = from_rows(Z, [[e]])
     s = twisted_hs_trace(m, endo)
     assert augment(s) == 2
     assert len(s.terms) == 1  # both terms land in the single class
@@ -210,7 +236,7 @@ def test_hs_trace_zero():
 
 def test_matrix_apply_cancels_to_zero():
     # phi sends t to 1, so the entry t - 1 maps to 1 - 1 = 0
-    m = GroupRingMatrix.from_rows(Z, [[ring_elem(Z, ((1,), 1), ((0,), -1))]])
+    m = from_rows(Z, [[ring_elem(Z, ((1,), 1), ((0,), -1))]])
     assert m.entries
     image = m.apply(z_endo(0))
     assert (image.rows, image.cols, image.entries) == (1, 1, {})
@@ -235,7 +261,7 @@ def _random_ring_matrix(group, endo, rng, n, elements):
                 terms.append((rng.choice(elements), rng.randint(-2, 2)))
             row.append(GroupRingElement(group, terms))
         rows.append(row)
-    return GroupRingMatrix.from_rows(group, rows)
+    return from_rows(group, rows)
 
 
 def test_shadow_cyclicity_random():

@@ -35,9 +35,9 @@ BUNDLE_VERIFY = REIDEMEISTER | {"fixtrace.bundles", "fixtrace.pairs"}
 
 # The fixtrace source lines a homology child compiles when bytecode is
 # not cached; compiling them is most of a small command's start-up.
-HOMOLOGY_LINES_CEILING = 1403
+HOMOLOGY_LINES_CEILING = 1402
 # The same for the commands that lift to universal covers.
-LINES_CEILINGS = {"reidemeister": 2804, "bundle-verify": 3796}
+LINES_CEILINGS = {"reidemeister": 2770, "bundle-verify": 3754}
 # The largest module, bundles.py; compiling a module raises peak memory
 # in proportion to its size.
 MODULE_LINES_CEILING = 866

@@ -35,12 +35,12 @@ from fixtrace.simplicial import (
     SimplicialError,
     SimplicialMap,
     build_complex,
-    identity_map,
     lefschetz_number,
     pi1_presentation,
     product_complex,
     reverse_path,
 )
+from tests.oracles import identity_map
 
 
 def circle(n=3):

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fixtrace import presentations
+from fixtrace.documents import InputError, parse_map
 from fixtrace.exactalg import (
     IntMatrix,
     homology,
@@ -20,13 +21,12 @@ from fixtrace.simplicial import (
     SimplicialMap,
     build_complex,
     chain_complex,
-    identity_map,
     induced_chain_map,
     lefschetz_number,
     product_complex,
 )
 from fixtrace.words import cyclic_normal_form, cyclic_reduce, invert_word, reduce_word
-from tests.oracles import compose, disjoint_union
+from tests.oracles import compose, disjoint_union, identity_map
 
 
 def counts(k):
@@ -311,11 +311,28 @@ def test_pi1_endo_torus_rotation():
     assert endo.matrix() == IntMatrix.identity(2)
 
 
-def test_pi1_endo_rejects_bad_basepath():
-    k = circle(3)
-    f = SimplicialMap(k, k, {0: 1, 1: 2, 2: 0})
-    with pytest.raises(SimplicialError):
-        _lifted_endo(f, [])  # basepoint moves, empty path invalid
+def test_map_reader_rejects_bad_basepath():
+    # The map reader checks a non-empty basepath once, for every command:
+    # an edge path from the first vertex to its image (here C4's rotation
+    # moves "0" to "1"), so no lift re-checks it.
+    doc = {"complex": {"vertices": ["0", "1", "2", "3"],
+                       "simplices": [["0", "1"], ["1", "2"], ["2", "3"],
+                                     ["0", "3"]]},
+           "vertex_images": {"0": "1", "1": "2", "2": "3", "3": "0"}}
+    broken = "basepath step {} does not continue an edge path"
+    for steps, message in (
+            ([["0", "2"]], broken.format(["0", "2"])),
+            ([["1", "2"]], broken.format(["1", "2"])),
+            ([["0", "1"], ["2", "3"]], broken.format(["2", "3"])),
+            ([["0", "3"]],
+             "basepath does not end at the image of the first vertex")):
+        with pytest.raises(InputError) as info:
+            parse_map(dict(doc, basepath=steps))
+        assert str(info.value) == message
+    for good in ([["0", "1"]],
+                 [["0", "0"], ["0", "3"], ["3", "0"], ["0", "1"]]):
+        assert parse_map(dict(doc, basepath=good))[2] == [
+            (int(u), int(v)) for u, v in good]
 
 
 def test_pi1_endo_conjugates_each_loop_word_by_the_basepath_word():

@@ -50,8 +50,9 @@ FLIP_BOTH = {"complex": {"ref": "figure_eight"},
 CASES = {
     "homology": ("homology", "torus7", HOMOLOGY_SPANS, set()),
     "lefschetz": ("lefschetz", "circle_reflection", HOMOLOGY_SPANS, set()),
-    "reidemeister": ("reidemeister", "circle_reflection", REIDEMEISTER_SPANS,
-                     LIFT_COUNTERS),
+    # pi_1 is F_1, whose classes are keyed by the Smith form of I - A
+    "reidemeister": ("reidemeister", "circle_reflection",
+                     REIDEMEISTER_SPANS | {"exactalg.snf"}, LIFT_COUNTERS),
     "reidemeister-heuristic": ("reidemeister", FLIP_BOTH,
                                REIDEMEISTER_SPANS | {"exactalg.snf",
                                                      "grouprings.compare"},
