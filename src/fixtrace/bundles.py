@@ -383,12 +383,10 @@ class BundleSelfMapPair:
         generator of the free base group survives."""
         base = self.bundle.base
         group = base.group
-        gens = range(len(base.generator_edges))
-        cover = EquivariantChainComplex(group, [1, len(gens)], [
-            degree1_boundary(group, [((j, 1),) for j in gens])])
-        endo, _, comps = lift_low_degrees(group, reduce_word,
-                                          base.word_of(self.basepath),
-                                          self.base_loop_images, gens)
+        cover = EquivariantChainComplex(group, [1, group.rank],
+                                        [degree1_boundary(group)])
+        endo, _, comps = lift_low_degrees(group, base.word_of(self.basepath),
+                                          self.base_loop_images)
         return TwistedChainMap(cover, endo, comps)
 
     def class_path(self, cls: TwistedClass) -> List[EdgeStep]:

@@ -28,7 +28,6 @@ from .bundles import (
     Transport,
 )
 from .documents import InputError, serialize_complex, serialize_map_fixture
-from .reidemeister import FixedPointRecord
 from .simplicial import SimplicialComplex, SimplicialMap, build_complex
 
 
@@ -180,6 +179,8 @@ def double_cover_reflection_pair() -> BundleSelfMapPair:
 
 
 def double_cover_oracle() -> Dict:
+    # no command reads the oracle, so the catalog commands do not load records
+    from .records import FixedPointRecord
     return {
         "per_class": [{"ind": 1, "fiber_lefschetz": 2},
                       {"ind": 1, "fiber_lefschetz": 0}],

@@ -161,9 +161,7 @@ def cmd_reidemeister(args) -> int:
                              augment, class_label, nielsen, shadow_equal,
                              shadow_rendering)
     from .reidemeister import (UnsupportedComplexError, lift_self_map,
-                               parse_fixed_point_records,
-                               reidemeister_trace_chain,
-                               reidemeister_trace_geometric)
+                               reidemeister_trace_chain)
     doc, digest = _read_input(args.input)
     k, f, basepath, records = parse_map(doc)
     depth = DEFAULT_DEPTH if args.depth is None else args.depth
@@ -194,9 +192,11 @@ def cmd_reidemeister(args) -> int:
             verdict="indeterminate",
             flags=flags + ["nielsen count depends on an Unknown comparison"],
             parameters=parameters)
-    records = parse_fixed_point_records(records, group)
     geometric = None
     if records is not None:
+        from .records import (parse_fixed_point_records,
+                              reidemeister_trace_geometric)
+        records = parse_fixed_point_records(records, group)
         geo = reidemeister_trace_geometric(records, group, lift.endo, depth)
         geometric = shadow_rendering(geo)
         cmp = shadow_equal(trace, geo, depth)

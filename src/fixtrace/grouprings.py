@@ -25,7 +25,7 @@ and of Reidemeister traces.
 Nothing here checks a group element.  The library builds each one with
 its group's ``element``, ``mul``, ``inv`` or ``identity``, and the one
 kind a document supplies, a fixed point witness, is checked where it
-enters, by ``reidemeister.parse_fixed_point_records``.
+enters, by ``records.parse_fixed_point_records``.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ class FreeAbelianGroup:
         return (0,) * self.rank
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def element(self, word) -> Tuple[int, ...]:
         """The element a word in the generators names: its exponent sums."""
@@ -456,13 +456,18 @@ class GroupRingMatrix:
     def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise GroupError("shape mismatch")
-        group = self.group
         acc: Dict = {}
         add_product(acc, self, other)
+        return GroupRingMatrix.from_terms(self.group, self.rows, other.cols,
+                                          acc)
+
+    @classmethod
+    def from_terms(cls, group, rows: int, cols: int, acc: Dict):
+        """The matrix whose (i, j) entry sums c g over ``acc[i, j, g] = c``."""
         cells: Dict[Tuple[int, int], list] = {}
         for (i, j, g), c in acc.items():
             cells.setdefault((i, j), []).append((g, c))
-        return GroupRingMatrix(group, self.rows, other.cols, {
+        return cls(group, rows, cols, {
             ij: GroupRingElement(group, terms) for ij, terms in cells.items()})
 
     def __add__(self, other):

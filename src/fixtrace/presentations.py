@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .grouprings import FreeAbelianGroup, FreeGroup, GroupEndomorphism
 from .simplicial import SimplicialComplex, reverse_path
 from .words import (
-    cyclic_normal_form,
     cyclic_reduce,
     expand_word,
     invert_word,
+    least_rotation,
     reduce_word,
 )
 
@@ -45,7 +45,8 @@ def _single_letters(word: Word) -> List[int]:
 
 
 def _simplify_presentation(ngens: int, relators: List[Word]):
-    """Tietze eliminations; returns (surviving gens, substitution, relators).
+    """Tietze eliminations; returns (surviving gens, substitution, relators,
+    (their ids, the solved ids, steps)).
 
     The substitution maps every original generator to a word over the
     surviving ones.  Relators are kept cyclically reduced, in input order,
@@ -54,32 +55,51 @@ def _simplify_presentation(ngens: int, relators: List[Word]):
     some generator exactly once (the earliest among equal lengths, and its
     smallest such generator), solves it for that generator and rewrites
     only the relators that contain it.  A rewritten relator longer than
-    ``_MAX_RELATOR_LENGTH`` gives up with ``None``.
+    ``_MAX_RELATOR_LENGTH`` gives up with ``None``.  Each step (j, i,
+    terms, dropped) adds the sum of c w over ``terms`` (words w) times
+    relator i's 2-chain to relator j's; ``dropped`` marks a duplicate j.
     """
     rels: Dict[int, Word] = {}  # id -> relator; ids follow input order
-    canon_of: Dict[int, Word] = {}
+    # id -> (least rotation of r or r^-1 (r^-1 on a tie), e, k): r^e from k
+    canon_of: Dict[int, Tuple[Word, int, int]] = {}
     owner: Dict[Word, int] = {}  # canonical form -> the id holding it
     holding: Dict[int, Set[int]] = defaultdict(set)  # generator -> ids
     # (length, id) of relators holding a generator exactly once; entries
     # that a later rewrite or drop made stale are skipped when popped
     heap: List[Tuple[int, int]] = []
+    steps: List[tuple] = []
 
     def drop(i: int) -> None:
-        del owner[canon_of.pop(i)]
+        del owner[canon_of.pop(i)[0]]
         for g, _ in rels.pop(i):
             holding[g].discard(i)
 
     def add(i: int, r: Word) -> None:
-        r = cyclic_reduce(r)
+        c = cyclic_reduce(r)
+        if len(c) < len(r):  # r (reduced) = a c a^-1: c's chain is a^-1 r's
+            a = invert_word(r[:(len(r) - len(c)) // 2])
+            steps.append((i, i, [(a, 1), ((), -1)], False))
+        r = c
         if not r:
             return
-        canon = min(cyclic_normal_form(r), cyclic_normal_form(invert_word(r)))
-        j = owner.get(canon)
+        key = min((u[k:] + u[:k], e, k) for e, u in ((1, r), (-1, invert_word(r)))
+                  for k in (least_rotation(u),))
+        j = owner.get(key[0])
         if j is not None:
+            # the later of the two, d, is dropped: its word is the other's
+            # word t to the power e, rotated past a prefix a, so d's Fox
+            # derivatives are e a^-1 times t's; e and a follow from where
+            # the two words' least rotations start
+            (d, (_, ed, kd)), (keep, (_, et, kt)) = sorted(
+                [(i, key), (j, canon_of[j])], reverse=True)
+            t = rels[j] if keep == j else r
+            e = ed * et
+            a = (t if e == 1 else invert_word(t))[:ed * (kt - kd) % len(t)]
+            steps.append((d, keep, [(invert_word(a), -e)], True))
             if j < i:
                 return
             drop(j)
-        rels[i], canon_of[i], owner[canon] = r, canon, i
+        rels[i], canon_of[i], owner[key[0]] = r, key, i
         for g, _ in r:
             holding[g].add(i)
         if _single_letters(r):
@@ -87,7 +107,7 @@ def _simplify_presentation(ngens: int, relators: List[Word]):
 
     for i, r in enumerate(relators):
         add(i, r)
-    eliminated: List[Tuple[int, Word]] = []
+    eliminated: List[Tuple[int, Word, int]] = []
     while heap:
         n, i = heapq.heappop(heap)
         r = rels.get(i)
@@ -111,18 +131,25 @@ def _simplify_presentation(ngens: int, relators: List[Word]):
             lengths += [len(r2) for j, r2 in rels.items() if j not in touched]
         if max(lengths, default=0) > _MAX_RELATOR_LENGTH:
             return None  # give up; caller reports Unsupported
-        eliminated.append((x, w))
+        eliminated.append((x, w, i))
+        # dr/dx = eps u^-1 is a unit: q's chain loses (dq/dx) eps u r's
+        u = invert_word(r[:pos + (eps < 0)])
         for j in touched:
+            steps.append((j, i, [(rels[j][:p + (f < 0)] + u, -f * eps)
+                                 for p, (g, f) in enumerate(rels[j])
+                                 if g == x], False))
             drop(j)
         for j, r2 in rewritten:
             add(j, r2)
     # Back-substitution: each word only holds generators eliminated later.
     final: Dict[int, Word] = {}
-    for x, w in reversed(eliminated):
+    for x, w, _ in reversed(eliminated):
         final[x] = _substitute(w, final)
     subst = {g: final.get(g, ((g, 1),)) for g in range(ngens)}
     alive = sorted(set(range(ngens)) - set(final))
-    return alive, subst, [rels[i] for i in sorted(rels)]
+    ids = sorted(rels)
+    return alive, subst, [rels[i] for i in ids], (
+        ids, {i for *_, i in eliminated}, steps)
 
 
 def _is_commutator_pattern(word: Word) -> Optional[Tuple[int, int]]:
@@ -146,7 +173,8 @@ class Pi1Presentation:
     """
 
     __slots__ = ("complex", "basepoint", "generators", "surviving", "group",
-                 "component", "_parent", "_gen_index", "_letters")
+                 "component", "relators", "record", "parent", "_gen_index",
+                 "_letters")
 
     def __init__(self, complex: SimplicialComplex, basepoint,
                  parent: Dict[int, Optional[int]]):
@@ -154,7 +182,7 @@ class Pi1Presentation:
         self.basepoint = basepoint
         self.component = tuple(sorted(parent))
         self.group = None  # FreeGroup / FreeAbelianGroup once recognized
-        self._parent = parent
+        self.parent = parent  # the tree, in breadth-first order
         tree = {(min(v, u), max(v, u))
                 for v, u in parent.items() if u is not None}
         self.generators = tuple(
@@ -163,7 +191,9 @@ class Pi1Presentation:
         self._gen_index = {e: i for i, e in enumerate(self.generators)}
         # the generators Tietze elimination keeps, in increasing order
         self.surviving: List[int] = []
-        # each edge generator spelled in the surviving generators' positions
+        # each edge generator spelled in the surviving generators' positions;
+        # once simplified, the relators by id spelled so too and the
+        # (solved ids, steps) record of ``_simplify_presentation``
         self._letters: Tuple[Word, ...] = ()
 
     # -- paths and words -------------------------------------------------
@@ -172,9 +202,9 @@ class Pi1Presentation:
         """Oriented edge steps from the basepoint to the given vertex."""
         steps = []
         v = vertex_index
-        while self._parent[v] is not None:
-            steps.append((self._parent[v], v))
-            v = self._parent[v]
+        while self.parent[v] is not None:
+            steps.append((self.parent[v], v))
+            v = self.parent[v]
         steps.reverse()
         return steps
 
@@ -190,15 +220,14 @@ class Pi1Presentation:
             out.extend(self.letter_of_step(a, b))
         return reduce_word(out)
 
-    def relator(self, simplex: Tuple[int, int, int]) -> Word:
-        """Word of the boundary loop a -> b -> c -> a of a 2-simplex."""
-        a, b, c = simplex
-        return self.word_of_path(((a, b), (b, c), (c, a)))
-
     def generator_loop(self, gen: int) -> List[Tuple[int, int]]:
         """Edge path tree(u) . (u, v) . tree(v)^-1 of the generator edge (u, v)."""
         (u, v) = self.generators[gen]
         return self.tree_path(u) + [(u, v)] + reverse_path(self.tree_path(v))
+
+    def spelled(self, word: Word) -> Word:
+        """A generator word spelled in the surviving generators' positions."""
+        return reduce_word(expand_word(word, self._letters.__getitem__))
 
     def element_of_word(self, word: Word):
         """Image of a generator word in the recognized group, read from each
@@ -234,16 +263,21 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     # simplify below.
     pres = Pi1Presentation(k, basepoint, parent)
     generators = pres.generators
-    relators = [pres.relator(s) for s in k.n_simplices(2)
-                if all(v in parent for v in s)]
+    # each 2-simplex's boundary loop a -> b -> c -> a
+    relators = [pres.word_of_path(((a, b), (b, c), (c, a)))
+                for a, b, c in k.n_simplices(2)
+                if all(v in parent for v in (a, b, c))]
     simplified = _simplify_presentation(len(generators), relators)
     if simplified is not None:
-        final_gens, subst, final_rels = simplified
+        final_gens, subst, final_rels, (ids, solved, steps) = simplified
         n = len(final_gens)
         pos = {g: i for i, g in enumerate(final_gens)}
         pres.surviving = final_gens
         pres._letters = tuple(tuple((pos[h], e) for h, e in subst[g])
                               for g in range(len(generators)))
+        pres.relators = {i: tuple((pos[g], e) for g, e in r)
+                         for i, r in zip(ids, final_rels)}
+        pres.record = (solved, steps)
         if not final_rels:
             pres.group = FreeGroup(n)
         else:
@@ -251,14 +285,14 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
             pairs_needed = {tuple(sorted((i, j)))
                             for i in range(n) for j in range(i + 1, n)}
             pairs_found = set()
-            for r in final_rels:
+            for r in pres.relators.values():
                 vec = [0] * n
                 for g, e in r:
-                    vec[pos[g]] += e
+                    vec[g] += e
                 if any(vec):
                     ok = False
                     break
-                pat = _is_commutator_pattern(tuple((pos[g], e) for g, e in r))
+                pat = _is_commutator_pattern(r)
                 if pat is not None:
                     pairs_found.add(pat)
             if ok and n >= 2 and pairs_found >= pairs_needed:
@@ -266,15 +300,10 @@ def pi1_presentation(k: SimplicialComplex, basepoint) -> Pi1Presentation:
     return pres
 
 
-def induced_pi1_endo(group, element_of_word: Callable[[Word], object],
-                     beta: Word, words: Sequence[Word]) -> GroupEndomorphism:
-    """Endomorphism g -> beta . f(g) . beta^-1 of ``group``.
-
-    ``words`` are the image words of the loops of the surviving
-    generators, in order, and ``beta`` is the word of the basepath;
-    ``element_of_word`` reads a conjugated word in ``group``.  Its one
-    caller, ``reidemeister.lift_low_degrees``, serves complexes and graph
-    bases alike.
-    """
+def induced_pi1_endo(group, beta: Word,
+                     words: Sequence[Word]) -> GroupEndomorphism:
+    """Endomorphism g -> beta . f(g) . beta^-1 of ``group``, for ``words``
+    the image words of its generators' loops and ``beta`` the basepath's
+    word, all in its generators; ``lift_low_degrees`` is its one caller."""
     return GroupEndomorphism(group, [
-        element_of_word(beta + w + invert_word(beta)) for w in words])
+        group.element(beta + w + invert_word(beta)) for w in words])

@@ -1,17 +1,17 @@
 """Reidemeister traces via twisted traces on universal-cover chains.
 
-The cellular model used here is the tree-contracted one: after choosing
-the breadth-first spanning tree of a connected complex, the quotient
-complex has a single 0-cell, one 1-cell per non-tree edge and one 2-cell
-per 2-simplex.  Over the fundamental group the boundary of a 1-cell e is
-g_e - 1 and the boundary of a 2-cell is given by the free (Fox)
-derivatives of its attaching word.  The lift of a simplicial self-map is
-computed from the same data.  It is a ``TwistedChainMap`` that carries
-the basepath it was lifted through, and its twisted trace, summed with
-alternating signs (``reidemeister_trace_chain``), is the chain-level
-Reidemeister trace.  ``fox_matrix`` builds the degree-2 boundary and the
-degree-1 lift, ``lift_low_degrees`` lifts complexes and graph bases alike,
-and both trace routes sum classes with ``grouprings.shadow_sum``.
+The tree-contracted model of a connected complex (its breadth-first
+spanning tree collapsed) has one 0-cell, a 1-cell per non-tree edge and a
+2-cell per 2-simplex, attached along its Fox derivatives.  Each Tietze
+elimination solves a relator r for a generator x occurring in it once,
+so dr/dx is a unit and (r, x) an algebraic Morse pair (Skoldberg 2006).
+The chains used here are the reduced complex this leaves, the surviving
+generators and the critical 2-cells, with chain maps iota into the
+tree-contracted complex and pi back.  A Reidemeister trace is invariant
+under chain homotopy equivalence, so the lift pi . F . iota of a
+simplicial self-map, a ``TwistedChainMap`` carrying the basepath it went
+through, has the twisted trace of the lift F: summed with alternating
+signs (``reidemeister_trace_chain``), the chain-level Reidemeister trace.
 
 Matrix convention: rows index source cells and columns target cells, so
 matrices of composable maps multiply in diagram order and the twisted
@@ -23,9 +23,9 @@ Complexes of dimension at least three are not supported by this model
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .documents import InputError, json_integer, json_sign
 from .grouprings import (
     GroupEndomorphism,
     GroupRingElement,
@@ -41,7 +41,6 @@ from .presentations import (
     pi1_presentation,
 )
 from .simplicial import SimplicialComplex, SimplicialMap, _sort_sign
-from .words import invert_word, reduce_word
 
 
 class UnsupportedComplexError(ValueError):
@@ -56,20 +55,19 @@ class LiftError(ValueError):
 # Fox derivatives
 # ---------------------------------------------------------------------------
 
-def fox_derivative(word: Word, element_of_word: Callable[[Word], object],
-                   group, prefix) -> Dict[int, GroupRingElement]:
+def fox_derivative(word: Word, group, prefix) -> Dict[int, GroupRingElement]:
     """Free derivatives prefix * d(word)/d(x_j) with coefficients in Z[group].
 
     One pass over the word: the rules D(uv) = D(u) + u D(v), D(x) = 1 and
     D(x^-1) = -x^-1 give each letter a signed prefix element.  The prefix
     element is a running product that starts at ``prefix`` (the identity
-    for the plain derivatives): ``element_of_word`` maps each single
-    letter to its group element, which is multiplied on once.  Only the
-    nonzero derivatives appear, keyed by generator.
+    for the plain derivatives): each single letter's group element is
+    multiplied on once.  Only the nonzero derivatives appear, keyed by
+    generator.
     """
     terms: Dict[int, List] = {}
     for g, e in word:
-        letter = element_of_word(((g, e),))
+        letter = group.element(((g, e),))
         if e == -1:
             prefix = group.mul(prefix, letter)
         terms.setdefault(g, []).append((prefix, e))
@@ -79,25 +77,22 @@ def fox_derivative(word: Word, element_of_word: Callable[[Word], object],
     return {g: d for g, d in derivatives.items() if d.terms}
 
 
-def degree1_boundary(group, loops: Sequence) -> GroupRingMatrix:
-    """Boundary column g_e - 1 of the 1-cells of a one-vertex model.
-
-    ``loops`` holds the group element g_e of each 1-cell's loop.
-    """
-    return GroupRingMatrix(group, len(loops), 1, {
-        (e, 0): GroupRingElement(group, [(g_e, 1), (group.identity(), -1)])
-        for e, g_e in enumerate(loops)})
+def degree1_boundary(group) -> GroupRingMatrix:
+    """Boundary column g - 1 of a one-vertex model, a 1-cell per generator."""
+    return GroupRingMatrix(group, group.rank, 1, {
+        (j, 0): GroupRingElement(group, [(group.element(((j, 1),)), 1),
+                                         (group.identity(), -1)])
+        for j in range(group.rank)})
 
 
-def fox_matrix(group, g0, words: Sequence[Word], cols: int,
-               element_of_word: Callable[[Word], object]) -> GroupRingMatrix:
-    """Entry (e, j) is g0 * d(w_e)/d(x_j), one Fox pass per word: the
-    degree-2 boundary of a cover (g0 = 1, the relators) or the degree-1
-    lift (g0 the basepath element, the image words of the 1-cells' loops).
-    """
-    return GroupRingMatrix(group, len(words), cols, {
+def fox_matrix(group, g0, words: Sequence[Word]) -> GroupRingMatrix:
+    """Entry (e, j) is g0 * d(w_e)/d(x_j), one Fox pass per word in the
+    group's generators: the degree-2 boundary of a cover (g0 = 1, the
+    relators) or the degree-1 lift (g0 the basepath element, the image
+    words of the generators' loops)."""
+    return GroupRingMatrix(group, len(words), group.rank, {
         (e, j): d for e, w in enumerate(words)
-        for j, d in fox_derivative(w, element_of_word, group, g0).items()})
+        for j, d in fox_derivative(w, group, g0).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +106,18 @@ class EquivariantChainComplex:
     (rank_i x rank_{i-1}) group-ring matrix.  The constructor verifies
     d . d = 0 over the group ring; its builders (``lift_to_universal_cover``
     and ``BundleSelfMapPair.base_lift``) guarantee the counts and shapes.
+    A cover keeps its ``presentation`` and the ``reduction`` of ``_reduction``.
     """
 
     def __init__(self, group, ranks: Sequence[int],
                  boundaries: Sequence[GroupRingMatrix],
-                 presentation: Optional[Pi1Presentation] = None):
+                 presentation: Optional[Pi1Presentation] = None,
+                 reduction=None):
         self.group = group
         self.ranks = tuple(ranks)
         self.boundaries = tuple(boundaries)
         self.presentation = presentation
+        self.reduction = reduction
         for i in range(2, len(self.ranks)):
             acc: Dict = {}
             add_product(acc, self.boundary(i), self.boundary(i - 1))
@@ -172,9 +170,6 @@ class TwistedChainMap:
                 raise LiftError(
                     f"twisted boundary commutation fails in degree {i}")
 
-    def component(self, i: int) -> GroupRingMatrix:
-        return self.components[i]
-
     def __repr__(self):
         return f"TwistedChainMap(ranks={self.complex.ranks})"
 
@@ -184,14 +179,9 @@ class TwistedChainMap:
 # ---------------------------------------------------------------------------
 
 def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
-    """Tree-contracted cellular chains of the universal cover of
-    ``p.complex``.
-
-    One generator per cell of the contracted complex: a single 0-cell,
-    the non-tree edges in degree 1 and the 2-simplices in degree 2.
-    Collapsing every group element to 1 recovers the integral chains of
-    the contracted complex.
-    """
+    """Chains of the universal cover of ``p.complex`` on its reduced model:
+    one 0-cell, the surviving generators and the unsolved relators, those
+    dropped as trivial or duplicate being cycles."""
     k = p.complex
     if p.group is None:
         raise UnsupportedComplexError(
@@ -202,35 +192,68 @@ def lift_to_universal_cover(p: Pi1Presentation) -> EquivariantChainComplex:
     if k.dim >= 3:
         raise UnsupportedComplexError(
             "universal-cover lifts support dimension at most 2")
-    group = p.group
-    gens = p.generators
-    ranks = [1]
-    boundaries: List[GroupRingMatrix] = []
-    if gens or k.dim >= 1:
-        ranks.append(len(gens))
-        boundaries.append(degree1_boundary(
-            group, [p.element_of_word(((gi, 1),)) for gi in range(len(gens))]))
-    two = tuple(k.n_simplices(2))
-    if two:
-        ranks.append(len(two))
+    group, ranks, boundaries, reduction = p.group, [1], [], None
+    if k.dim >= 1:
+        ranks.append(group.rank)
+        boundaries.append(degree1_boundary(group))
+    if k.dim >= 2:
+        critical, *reduction = _reduction(p)
+        ranks.append(len(critical))
         boundaries.append(fox_matrix(group, group.identity(),
-                                     [p.relator(s) for s in two], len(gens),
-                                     p.element_of_word))
-    return EquivariantChainComplex(group, ranks, boundaries, presentation=p)
+                                     [p.relators.get(c, ()) for c in critical]))
+    return EquivariantChainComplex(group, ranks, boundaries, p, reduction)
 
 
-def lift_low_degrees(group, element_of_word: Callable[[Word], object],
-                     beta: Word, words: Sequence[Word], surviving):
+def _add_times(dst: Dict, terms, src: Dict, mul) -> None:
+    """dst += (sum of c g over ``terms``) * src, for chains {(cell, g): c}."""
+    for (s, h), d in list(src.items()):
+        for g, c in terms:
+            key = (s, mul(g, h))
+            dst[key] = dst.get(key, 0) + c * d
+
+
+def _reduction(p: Pi1Presentation):
+    """The unsolved relators, iota_2 (their 2-chains, from ``p.record``)
+    and pi_2, which sends a solved relator to 0 and inverts iota_2.
+
+    An unsolved relator c has the chain u c plus solved relators, u the
+    product of the conjugators ``cyclic_reduce`` stripped from c, plus the
+    one it duplicates if c was dropped.  So pi_2(c) = u^-1 (c - pi_2 of
+    that one's share): kept relators first, then dropped ones, latest first.
+    """
+    group, one = p.group, p.group.identity()
+    mul, el = group.mul, functools.cache(p.element_of_word)
+    (solved, steps), cols = p.record, len(p.complex.n_simplices(2))
+    chains = {i: {(i, one): 1} for i in range(cols)}
+    for j, i, terms, _ in steps:
+        _add_times(chains[j], [(el(w), c) for w, c in terms], chains[i], mul)
+    critical = [i for i in range(cols) if i not in solved]
+    at = {c: n for n, c in enumerate(critical)}
+    dropped = [d for d, _, _, drop in reversed(steps) if drop]
+    proj: Dict[int, Dict] = {}
+    for c in sorted(set(critical) - set(dropped)) + dropped:
+        rest = {(at[c], one): 1}
+        for (s, g), x in chains[c].items():
+            if s == c and x:
+                u = g
+            elif s in proj:
+                _add_times(rest, [(g, -x)], proj[s], mul)
+        proj[c] = {}
+        _add_times(proj[c], [(group.inv(u), 1)], rest, mul)
+    return critical, GroupRingMatrix.from_terms(group, len(critical), cols, {
+        (n, s, g): c for n, i in enumerate(critical)
+        for (s, g), c in chains[i].items()}), proj
+
+
+def lift_low_degrees(group, beta: Word, words: Sequence[Word]):
     """The induced endomorphism, the basepath element g0 and the lift in
     degrees 0 and 1, for complexes and graph bases alike: ``words`` are the
-    image words of the generator loops, ``surviving`` the generators the
-    group keeps and ``beta`` the basepath's word."""
-    endo = induced_pi1_endo(group, element_of_word, beta,
-                            [words[gi] for gi in surviving])
-    g0 = element_of_word(beta)
+    image words of the generators' loops and ``beta`` the basepath's, all
+    in the group's generators."""
+    endo = induced_pi1_endo(group, beta, words)
+    g0 = group.element(beta)
     f0 = GroupRingMatrix(group, 1, 1, {(0, 0): GroupRingElement.of(group, g0)})
-    return endo, g0, [f0, fox_matrix(group, g0, words, len(words),
-                                     element_of_word)]
+    return endo, g0, [f0, fox_matrix(group, g0, words)]
 
 
 def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
@@ -243,41 +266,42 @@ def lift_map(f: SimplicialMap, basepath: Optional[Sequence[Tuple[int, int]]],
     any other is an edge path there, as ``documents.parse_map`` checks.
     The canonical basepoint lift is sent through the basepath; the
     components are expressed by Fox derivatives of image words in degree
-    one and by a deck translate with an orientation sign in degree two.
-    Twisted commutation is verified exactly and failure is rejected.
+    one and, in degree two, by pi_2 of the image of iota_2(c), each
+    2-simplex going to a deck translate of its image with an orientation
+    sign.  Twisted commutation is verified exactly and failure is rejected.
     """
     p = l.presentation
-    b = p.complex.index[p.basepoint]
-    fb = f.apply_index(b)
     if basepath is None:
-        basepath = p.tree_path(fb)
+        basepath = p.tree_path(f.apply_index(p.complex.index[p.basepoint]))
     basepath = tuple(tuple(s) for s in basepath)
     group = l.group
-    words = [p.word_of_path(f.map_path(p.generator_loop(gi)))
-             for gi in range(len(p.generators))]
-    endo, g0, comps = lift_low_degrees(group, p.element_of_word,
-                                       p.word_of_path(basepath), words,
-                                       p.surviving)
+    words = [p.spelled(p.word_of_path(f.map_path(p.generator_loop(gi))))
+             for gi in p.surviving]
+    endo, g0, comps = lift_low_degrees(
+        group, p.spelled(p.word_of_path(basepath)), words)
     if l.top_degree >= 2:
+        iota, proj = l.reduction
         two = p.complex.n_simplices(2)
-        pos = {s: i for i, s in enumerate(two)}
-        ent2 = {}
-        for i, (a, b, c) in enumerate(two):
-            img = (f.apply_index(a), f.apply_index(b), f.apply_index(c))
-            if len(set(img)) != len(img):
-                continue
-            tau = tuple(sorted(img))
-            sign = _sort_sign(img)
-            # deck element: basepath, then the image of the tree path of the
-            # least vertex, then back along tau's own corner path
-            a_word = p.word_of_path(f.map_path(p.tree_path(a)))
-            fa = img[0]
-            x = tau[0]
-            corner = p.letter_of_step(x, fa)
-            m_word = reduce_word(a_word + invert_word(corner))
-            m = group.mul(g0, p.element_of_word(m_word))
-            ent2[i, pos[tau]] = GroupRingElement.of(group, m, sign)
-        comps.append(GroupRingMatrix(group, len(two), len(two), ent2))
+        at = {s: i for i, s in enumerate(two)}
+        mul, el = group.mul, p.element_of_word
+        deck = {}  # vertex -> g0 times the element of its tree path's image
+        for v, u in p.parent.items():
+            deck[v] = g0 if u is None else mul(deck[u], el(
+                p.letter_of_step(f.apply_index(u), f.apply_index(v))))
+        f2 = {}  # F_2 . pi_2 on the 2-simplices whose image pi_2 keeps
+        for i, s in enumerate(two):
+            img = [f.apply_index(v) for v in s]
+            t = at.get(tuple(sorted(img)))
+            if t in proj:  # then back along the image's corner path
+                m = mul(deck[s[0]], group.inv(el(p.letter_of_step(
+                    two[t][0], img[0]))))
+                for (c, g), x in proj[t].items():
+                    f2[i, c, mul(m, g)] = _sort_sign(img) * x
+        acc: Dict = {}
+        add_product(acc, iota, GroupRingMatrix.from_terms(
+            group, len(two), iota.rows, f2), 1, endo.apply)
+        comps.append(GroupRingMatrix.from_terms(group, iota.rows, iota.rows,
+                                                acc))
     return TwistedChainMap(l, endo, comps[:l.top_degree + 1], basepath)
 
 
@@ -287,7 +311,7 @@ def reidemeister_trace_chain(m: TwistedChainMap, depth: int) -> ShadowElement:
     terms = []
     for i in range(m.complex.top_degree + 1):
         sign = 1 if i % 2 == 0 else -1
-        f = m.component(i)
+        f = m.components[i]
         for j in range(f.rows):
             a = f.entries.get((j, j))
             if a is not None:
@@ -308,65 +332,3 @@ def lift_self_map(k: SimplicialComplex, f: SimplicialMap,
             "universal-cover lifts need a connected complex")
     p = pi1_presentation(k, k.vertices[0])
     return lift_map(f, basepath, lift_to_universal_cover(p))
-
-
-# ---------------------------------------------------------------------------
-# Geometric route
-# ---------------------------------------------------------------------------
-
-class FixedPointRecord:
-    """An isolated fixed point: local index plus a path class witness.
-
-    The witness is the group element of the path from the basepoint
-    whiskering of the fixed point's path to its image, i.e. the twisted
-    class datum of the fixed point.
-    """
-
-    __slots__ = ("index", "class_witness")
-
-    def __init__(self, index: int, class_witness):
-        self.index = index
-        self.class_witness = class_witness
-
-
-def parse_fixed_point_records(raw: Optional[List[Dict]], group
-                              ) -> Optional[List[FixedPointRecord]]:
-    """The records ``documents.parse_map`` read, or None if it read none,
-    with each witness read over ``group`` by ``parse_witness``."""
-    if raw is None:
-        return None
-    return [FixedPointRecord(r["index"], parse_witness(r["witness"], group))
-            for r in raw]
-
-
-def parse_witness(raw: List, group):
-    """The group element a witness list names, checked entry by entry
-    before it is built: over Z^n exactly n integers, over F_k letters
-    ``[generator, exponent]`` with an integer generator in [0, k) and an
-    exponent of 1 or -1, freely reduced."""
-    n = group.rank
-    if group.kind == "free_abelian":
-        if len(raw) != n:
-            raise InputError(f"fixed point witness over Z^{n} must have {n} "
-                             f"entries, got {len(raw)}")
-        return tuple(json_integer(x, "fixed point witness entry")
-                     for x in raw)
-    letters = []
-    for letter in raw:
-        if not (isinstance(letter, list) and len(letter) == 2):
-            raise InputError("fixed point witness letters must be "
-                             "two-element lists")
-        g, e = letter
-        if not 0 <= json_integer(g, "fixed point witness generator") < n:
-            raise InputError(f"fixed point witness generator must lie in "
-                             f"[0, {n}), got {g}")
-        letters.append((g, json_sign(e, "fixed point witness exponent")))
-    return group.element(letters)
-
-
-def reidemeister_trace_geometric(records: Sequence[FixedPointRecord], group,
-                                 endo: GroupEndomorphism,
-                                 depth: int) -> ShadowElement:
-    """Sum of index-weighted twisted classes of the fixed-point witnesses."""
-    return shadow_sum(group, endo,
-                      [(r.class_witness, r.index) for r in records], depth)

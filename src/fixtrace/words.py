@@ -67,13 +67,16 @@ def cyclic_reduce(word):
 
 
 def cyclic_normal_form(word):
-    """Shortlex-minimal cyclic rotation of the cyclic reduction.
-
-    The least rotation is found in linear time by Duval's Lyndon
-    factorization of the word written twice: the last factor starting in
-    the first copy starts the least rotation.
-    """
+    """Shortlex-minimal cyclic rotation of the cyclic reduction."""
     w = cyclic_reduce(word)
+    k = least_rotation(w)
+    return w[k:] + w[:k]
+
+
+def least_rotation(w) -> int:
+    """Where the least rotation of a word starts, found in linear time by
+    Duval's Lyndon factorization of the word written twice: the last factor
+    starting in the first copy starts the least rotation."""
     n = len(w)
     ww = w + w
     i = start = 0
@@ -85,4 +88,4 @@ def cyclic_normal_form(word):
             j += 1
         while i <= k:
             i += j - k
-    return ww[start:start + n]
+    return start

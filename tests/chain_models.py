@@ -19,7 +19,6 @@ from fixtrace.exactalg import IntMatrix
 from fixtrace.grouprings import (
     DEFAULT_DEPTH,
     FreeAbelianGroup,
-    FreeGroup,
     GroupEndomorphism,
     GroupError,
     GroupRingElement,
@@ -27,9 +26,9 @@ from fixtrace.grouprings import (
     ShadowElement,
     twisted_class,
 )
+from fixtrace.records import FixedPointRecord
 from fixtrace.reidemeister import (
     EquivariantChainComplex,
-    FixedPointRecord,
     TwistedChainMap,
     degree1_boundary,
     fox_derivative,
@@ -61,10 +60,10 @@ def circle_degree_chain_model(d: int) -> TwistedChainMap:
     """Tree-contracted chain model of z -> z^d on the circle."""
     z = FreeAbelianGroup(1)
     endo = GroupEndomorphism(z, [(d,)])
-    cover = EquivariantChainComplex(z, [1, 1], [degree1_boundary(z, [(1,)])])
+    cover = EquivariantChainComplex(z, [1, 1], [degree1_boundary(z)])
     f0 = unit_matrix(z)
     word = ((0, 1),) * d if d >= 0 else ((0, -1),) * (-d)
-    f1 = fox_matrix(z, z.identity(), [word], 1, FreeGroup(1).abelianized)
+    f1 = fox_matrix(z, z.identity(), [word])
     return TwistedChainMap(cover, endo, [f0, f1])
 
 
@@ -162,12 +161,10 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
     (a00, a01), (a10, a11) = a
     z2 = FreeAbelianGroup(2)
     endo = GroupEndomorphism(z2, [(a00, a10), (a01, a11)])
-    elem = FreeGroup(2).abelianized
     comm = ((0, 1), (1, 1), (0, -1), (1, -1))
-    b1 = degree1_boundary(z2, [(1, 0), (0, 1)])
+    b1 = degree1_boundary(z2)
     b2 = GroupRingMatrix(z2, 1, 2, {
-        (0, j): d for j, d in fox_derivative(comm, elem, z2,
-                                                z2.identity()).items()})
+        (0, j): d for j, d in fox_derivative(comm, z2, z2.identity()).items()})
     cover = EquivariantChainComplex(z2, [1, 2, 1], [b1, b2])
 
     def power_word(gen, k):
@@ -176,7 +173,7 @@ def torus_linear_chain_model(a: Sequence[Sequence[int]]) -> TwistedChainMap:
     words = [power_word(0, a00) + power_word(1, a10),
              power_word(0, a01) + power_word(1, a11)]
     f0 = unit_matrix(z2)
-    f1 = fox_matrix(z2, z2.identity(), words, 2, elem)
+    f1 = fox_matrix(z2, z2.identity(), words)
     # f2 * b2 = phi(b2) * f1, and b2's entry (0, 0) is 1 - t^(0,1)
     rhs = (b2.apply(endo) * f1).entries.get((0, 0), GroupRingElement(z2, ()))
     f2_entry = _divide_one_minus(rhs, (0, 1))

@@ -7,8 +7,10 @@ that Euler characteristics add over components; the small graph bases
 and the K4 point-fiber pairs build test pairs; the class-path check
 walks each class path that ``fiber_composite`` trusts; the rank-one rule
 m mod |1 - d| decides twisted classes of z -> z^d without a Smith form;
-and identity maps and group-ring matrices given by rows build test
-inputs.  None of them runs in a command, so they live with the tests.
+the full lift on the tree-contracted complex, which commands replace by
+its Tietze reduction, checks the reduced traces; and identity maps and
+group-ring matrices given by rows build test inputs.  None of them runs
+in a command, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -29,8 +31,13 @@ from fixtrace.catalog import (
     two_point_complex,
 )
 from fixtrace.exactalg import ChainComplex, ChainMap, ExactAlgError, IntMatrix
-from fixtrace.grouprings import GroupError, GroupRingMatrix
-from fixtrace.simplicial import SimplicialComplex, SimplicialMap
+from fixtrace.grouprings import GroupError, GroupRingElement, GroupRingMatrix
+from fixtrace.presentations import (Pi1Presentation, induced_pi1_endo,
+                                    pi1_presentation)
+from fixtrace.reidemeister import (EquivariantChainComplex, TwistedChainMap,
+                                   lift_to_universal_cover)
+from fixtrace.simplicial import SimplicialComplex, SimplicialMap, _sort_sign
+from fixtrace.words import invert_word, reduce_word
 
 
 def determinant(m: IntMatrix) -> int:
@@ -72,6 +79,64 @@ def from_rows(group, rows) -> GroupRingMatrix:
         raise GroupError("rows of unequal length")
     return GroupRingMatrix(group, r, c, {
         (i, j): a for i, row in enumerate(rows) for j, a in enumerate(row)})
+
+
+def _edge_fox_matrix(p: Pi1Presentation, g0, words) -> GroupRingMatrix:
+    """Entry (e, x) is g0 * d(w_e)/dx over the edge generators x, each
+    term's prefix read as a whole word (no running product)."""
+    group, entries = p.group, {}
+    for e, w in enumerate(words):
+        for k, (x, sign) in enumerate(w):
+            prefix = p.element_of_word(w[:k + (sign < 0)])
+            entries.setdefault((e, x), []).append((group.mul(g0, prefix),
+                                                   sign))
+    return GroupRingMatrix(group, len(words), len(p.generators), {
+        ex: GroupRingElement(group, t) for ex, t in entries.items()})
+
+
+def full_lift(k: SimplicialComplex, f: SimplicialMap,
+              basepath=None) -> TwistedChainMap:
+    """The lift of f on the tree-contracted complex, at the first vertex:
+    a 1-cell per non-tree edge, bounded by g_e - 1, and a 2-cell per
+    2-simplex, bounded by the Fox derivatives of its boundary loop.  A
+    2-simplex goes to the deck translate of its image that the basepath,
+    the image of the tree path of its least vertex and the image's own
+    corner path name, with the orientation sign; the twisted commutation
+    and d . d = 0 are checked as for the reduced lift."""
+    p = pi1_presentation(k, k.vertices[0])
+    lift_to_universal_cover(p)  # the same checks of the group and complex
+    group, n = p.group, len(p.generators)
+    loops = [p.word_of_path(f.map_path(p.generator_loop(e)))
+             for e in range(n)]
+    two = k.n_simplices(2)
+    cover = EquivariantChainComplex(group, [1, n, len(two)][:k.dim + 1], [
+        GroupRingMatrix(group, n, 1, {(e, 0): GroupRingElement(group, [
+            (p.element_of_word(((e, 1),)), 1), (group.identity(), -1)])
+            for e in range(n)}),
+        _edge_fox_matrix(p, group.identity(), [
+            p.word_of_path(((a, b), (b, c), (c, a))) for a, b, c in two]),
+    ][:k.dim], p)
+    if basepath is None:
+        basepath = p.tree_path(f.apply_index(0))
+    beta = p.word_of_path(basepath)
+    endo = induced_pi1_endo(group, p.spelled(beta),
+                            [p.spelled(loops[e]) for e in p.surviving])
+    g0 = p.element_of_word(beta)
+    comps = [GroupRingMatrix(group, 1, 1, {(0, 0): GroupRingElement.of(
+        group, g0)}), _edge_fox_matrix(p, g0, loops)]
+    at = {s: i for i, s in enumerate(two)}
+    f2 = {}
+    for i, (a, b, c) in enumerate(two):
+        img = (f.apply_index(a), f.apply_index(b), f.apply_index(c))
+        if len(set(img)) == 3:
+            tau = tuple(sorted(img))
+            word = reduce_word(p.word_of_path(f.map_path(p.tree_path(a)))
+                               + invert_word(p.letter_of_step(tau[0], img[0])))
+            f2[i, at[tau]] = GroupRingElement.of(
+                group, group.mul(g0, p.element_of_word(word)), _sort_sign(img))
+    comps.append(GroupRingMatrix(group, len(two), len(two), f2))
+    return TwistedChainMap(cover, endo, comps[:cover.top_degree + 1],
+                           tuple(tuple(s) for s in basepath))
 
 
 def rank1_class_key(m: int, d: int) -> int:

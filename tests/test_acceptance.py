@@ -35,11 +35,8 @@ from fixtrace.grouprings import (
     shadow_equal,
     twisted_class,
 )
-from fixtrace.reidemeister import (
-    lift_self_map,
-    reidemeister_trace_chain,
-    reidemeister_trace_geometric,
-)
+from fixtrace.records import reidemeister_trace_geometric
+from fixtrace.reidemeister import lift_self_map, reidemeister_trace_chain
 from fixtrace.simplicial import (
     SimplicialError,
     SimplicialMap,

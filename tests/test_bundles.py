@@ -37,8 +37,8 @@ from fixtrace.catalog import (
 from fixtrace.exactalg import homology
 from fixtrace.grouprings import (DEFAULT_DEPTH, EQUAL, TwistedClass, augment,
                                  nielsen, shadow_equal, twisted_class)
-from fixtrace.reidemeister import (reidemeister_trace_chain,
-                                   reidemeister_trace_geometric)
+from fixtrace.records import reidemeister_trace_geometric
+from fixtrace.reidemeister import reidemeister_trace_chain
 from fixtrace.simplicial import (SimplicialMap, build_complex, chain_complex,
                                  lefschetz_number)
 from tests.oracles import (check_class_paths, disjoint_union,
@@ -617,8 +617,8 @@ def test_torus_linear_larger_entries():
     from tests.chain_models import (torus_lattice_oracle,
                                     torus_linear_chain_model)
     from fixtrace.grouprings import EQUAL, augment, nielsen, shadow_equal
-    from fixtrace.reidemeister import (reidemeister_trace_chain,
-                                       reidemeister_trace_geometric)
+    from fixtrace.records import reidemeister_trace_geometric
+    from fixtrace.reidemeister import reidemeister_trace_chain
     for a in ([[3, 5], [1, 2]], [[0, -3], [4, 1]], [[-4, 1], [2, -3]]):
         model = torus_linear_chain_model(a)
         r = reidemeister_trace_chain(model, DEFAULT_DEPTH)

@@ -14,13 +14,12 @@ from fixtrace.grouprings import (
     augment,
     nielsen,
     pushforward,
-    reduce_word,
     shadow_equal,
     twisted_class,
 )
+from fixtrace.records import FixedPointRecord, reidemeister_trace_geometric
 from fixtrace.reidemeister import (
     EquivariantChainComplex,
-    FixedPointRecord,
     LiftError,
     TwistedChainMap,
     UnsupportedComplexError,
@@ -29,7 +28,6 @@ from fixtrace.reidemeister import (
     lift_self_map,
     lift_to_universal_cover,
     reidemeister_trace_chain,
-    reidemeister_trace_geometric,
 )
 from fixtrace.simplicial import (
     SimplicialError,
@@ -40,7 +38,7 @@ from fixtrace.simplicial import (
     product_complex,
     reverse_path,
 )
-from tests.oracles import identity_map
+from tests.oracles import full_lift, identity_map
 
 
 def circle(n=3):
@@ -70,20 +68,20 @@ def test_fox_derivative_commutator():
     a, b = ((0, 1),), ((1, 1),)
     comm = ((0, 1), (1, 1), (0, -1), (1, -1))
     # d/da (a b a^-1 b^-1) = 1 - a b a^-1,  d/db = a - a b a^-1 b^-1
-    assert _terms(fox_derivative(comm, reduce_word, f2, ())) == _terms({
+    assert _terms(fox_derivative(comm, f2, ())) == _terms({
         0: GroupRingElement(f2, [((), 1), (comm[:3], -1)]),
         1: GroupRingElement(f2, [(a, 1), (comm, -1)]),
     })
-    assert _terms(fox_derivative(b, reduce_word, f2, ())) == _terms({
+    assert _terms(fox_derivative(b, f2, ())) == _terms({
         1: GroupRingElement.of(f2, ())})
 
 
 def test_fox_derivative_omits_cancelled_generators():
     f2 = FreeGroup(2)
-    assert fox_derivative(((0, 1), (0, -1)), reduce_word, f2, ()) == {}
+    assert fox_derivative(((0, 1), (0, -1)), f2, ()) == {}
     # x y x^-1: d/dx = 1 - x y x^-1 stays, d/dy = x
     word = ((0, 1), (1, 1), (0, -1))
-    assert _terms(fox_derivative(word, reduce_word, f2, ())) == _terms({
+    assert _terms(fox_derivative(word, f2, ())) == _terms({
         0: GroupRingElement(f2, [((), 1), (word, -1)]),
         1: GroupRingElement.of(f2, ((0, 1),)),
     })
@@ -103,9 +101,10 @@ def test_lift_takes_one_fox_pass_per_word(monkeypatch):
 
     monkeypatch.setattr(reidemeister, "fox_derivative", counting)
     lifted = lift_self_map(k, identity_map(k))
-    n_gens = len(lifted.complex.presentation.generators)
-    # one call per 2-simplex boundary word and one per generator loop image
-    assert len(words) == len(k.n_simplices(2)) + n_gens == 72 + n_gens
+    # one call per critical relator and one per surviving generator's loop
+    # image: the reduced complex has ranks (1, 2, 1), not (1, 73, 72)
+    assert lifted.complex.ranks == (1, 2, 1)
+    assert words == [((0, 1), (1, 1), (0, -1), (1, -1)), ((0, 1),), ((1, 1),)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +132,17 @@ def test_lift_point():
 
 def test_lift_torus7_boundaries():
     k = torus7()
-    p = pi1_presentation(k, 0)
-    cover = lift_to_universal_cover(p)
-    assert cover.ranks == (1, 15, 14)
+    full = full_lift(k, identity_map(k)).complex
+    reduced = lift_to_universal_cover(pi1_presentation(k, 0))
+    assert (full.ranks, reduced.ranks) == ((1, 15, 14), (1, 2, 1))
     # dd = 0 checked at construction; the integral complex that sends every
     # group element to 1 has the torus homology
-    h = homology(ChainComplex(cover.ranks, [
-        cover.boundary(i).augmented().transpose()
-        for i in range(1, cover.top_degree + 1)]))
-    assert h.betti == (1, 2, 1)
-    assert all(t == () for t in h.torsion)
+    for cover in (full, reduced):
+        h = homology(ChainComplex(cover.ranks, [
+            cover.boundary(i).augmented().transpose()
+            for i in range(1, cover.top_degree + 1)]))
+        assert h.betti == (1, 2, 1)
+        assert all(t == () for t in h.torsion)
 
 
 def test_lift_dim3_unsupported():
@@ -169,7 +169,7 @@ def test_lift_unrecognized_group_unsupported():
 def test_lift_identity_components():
     k = circle(3)
     lifted = lift_self_map(k, identity_map(k))
-    f1 = lifted.component(1)
+    f1 = lifted.components[1]
     e = GroupRingElement.of(lifted.complex.presentation.group,
                             lifted.complex.presentation.group.identity())
     assert f1.entries[0, 0].terms == e.terms
@@ -181,7 +181,7 @@ def test_lift_reflection_component():
     lifted = lift_self_map(k, f)
     p = lifted.complex.presentation
     # degree-1 component is minus a single power of the generator
-    items = list(lifted.component(1).entries[0, 0].terms.values())
+    items = list(lifted.components[1].entries[0, 0].terms.values())
     assert len(items) == 1
     g, c = items[0]
     assert c == -1

@@ -337,7 +337,7 @@ def test_map_reader_rejects_bad_basepath():
 
 def test_pi1_endo_conjugates_each_loop_word_by_the_basepath_word():
     a, b = ((0, 1),), ((1, 1),)
-    endo = induced_pi1_endo(FreeGroup(2), reduce_word, a, [b, a + b])
+    endo = induced_pi1_endo(FreeGroup(2), a, [b, a + b])
     assert endo.images == [((0, 1), (1, 1), (0, -1)), ((0, 1), (0, 1),
                                                        (1, 1), (0, -1))]
 
@@ -431,6 +431,12 @@ def reference_simplify_presentation(ngens: int, relators: List[Word]):
     return sorted(alive), subst, normalize(rels)
 
 
+def _simplified(ngens, relators):
+    """What the elimination returns, without its 2-chain record."""
+    got = presentations._simplify_presentation(ngens, relators)
+    return got and got[:3]
+
+
 @st.composite
 def relator_lists(draw):
     """Random relators over up to 7 generators, with copies of some of them
@@ -479,7 +485,7 @@ _oracle_settings = settings(derandomize=True, max_examples=600, deadline=None,
 @pytest.mark.parametrize("name", sorted(CATALOG_PRESENTATIONS))
 def test_simplify_matches_reference_on_catalog_presentations(name):
     ngens, rels = _presentation_input(CATALOG_PRESENTATIONS[name]())
-    got = presentations._simplify_presentation(ngens, rels)
+    got = _simplified(ngens, rels)
     assert got is not None
     assert got == reference_simplify_presentation(ngens, rels)
 
@@ -488,7 +494,7 @@ def test_simplify_matches_reference_on_catalog_presentations(name):
 @given(relator_lists())
 def test_simplify_matches_reference(case):
     ngens, rels = case
-    assert (presentations._simplify_presentation(ngens, rels)
+    assert (_simplified(ngens, rels)
             == reference_simplify_presentation(ngens, rels))
 
 
@@ -510,7 +516,7 @@ def test_simplify_gives_up_with_reference_on_fixed_inputs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(presentations, "_MAX_RELATOR_LENGTH", 5)
         for ngens, rels, gives_up in inputs:
-            got = presentations._simplify_presentation(ngens, rels)
+            got = _simplified(ngens, rels)
             assert (got is None) == gives_up
             assert got == reference_simplify_presentation(ngens, rels)
 
@@ -521,5 +527,5 @@ def test_simplify_gives_up_with_reference(case):
     ngens, rels = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(presentations, "_MAX_RELATOR_LENGTH", 5)
-        assert (presentations._simplify_presentation(ngens, rels)
+        assert (_simplified(ngens, rels)
                 == reference_simplify_presentation(ngens, rels))
